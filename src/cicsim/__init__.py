@@ -8,7 +8,6 @@ checks every run against a brute-force zigzag-path oracle: Z-cycles,
 useless checkpoints, and zigzag-consistent timestamping.
 """
 
-from ._kernel import KERNEL
 from .computation import (
     CheckpointRecord,
     Event,

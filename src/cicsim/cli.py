@@ -13,7 +13,6 @@ import os
 import sys
 
 from . import oracle, report
-from ._kernel import KERNEL
 from .diagram import ascii_diagram, svg_diagram
 from .protocols import PROTOCOL_NAMES, ProtocolError
 from .rng import SplitMix64
@@ -45,8 +44,11 @@ def _load_scenario(ref: str):
         scen, _ = builtin(ref)
         return scen, serialize_scenario(scen)
     if os.path.exists(ref):
-        with open(ref, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(ref, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read scenario file {ref!r}: {exc}") from exc
         return parse_scenario(text, name=os.path.basename(ref)), text
     raise UsageError(
         f"unknown scenario {ref!r}: not a built-in name or readable file; "
@@ -102,12 +104,22 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _fuzz_params(args, seed: int) -> FuzzParams:
+def _parse_procs(spec: str) -> tuple[int, int]:
+    """``N`` or ``MIN-MAX`` with 2 <= MIN <= MAX."""
+    lo, sep, hi = spec.partition("-")
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise UsageError(f"bad --procs value {spec!r}") from None
+    if not 2 <= lo <= hi:
+        raise UsageError(f"bad --procs value {spec!r}: need 2 <= MIN <= MAX")
+    return lo, hi
+
+
+def _fuzz_params(args, procs: tuple[int, int], seed: int) -> FuzzParams:
     prng = SplitMix64(seed ^ 0xC1C51A8)
-    if args.procs_max > args.procs_min:
-        n = args.procs_min + prng.below(args.procs_max - args.procs_min + 1)
-    else:
-        n = args.procs_min
+    lo, hi = procs
+    n = lo + prng.below(hi - lo + 1) if hi > lo else lo
     if args.p_ckpt:
         rates = args.p_ckpt if len(args.p_ckpt) > 1 else args.p_ckpt[0]
         if isinstance(rates, list) and len(rates) != n:
@@ -130,11 +142,17 @@ def cmd_fuzz(args) -> int:
     for p in protocols:
         if p not in PROTOCOL_NAMES:
             raise UsageError(f"unknown protocol {p!r}; known: {', '.join(PROTOCOL_NAMES)}")
+    if args.runs < 0:
+        raise UsageError(f"--runs must be at least 0, got {args.runs}")
+    procs = _parse_procs(args.procs)
     forced_totals = {p: 0 for p in protocols}
     findings = []
     for seed in range(args.seed, args.seed + args.runs):
-        params = _fuzz_params(args, seed)
-        scen = random_scenario(params)
+        params = _fuzz_params(args, procs, seed)
+        try:
+            scen = random_scenario(params)
+        except ValueError as exc:  # out-of-range generator parameters
+            raise UsageError(str(exc)) from exc
         for proto in protocols:
             run = run_scenario(scen, proto)
             forced_totals[proto] += run.forced_count
@@ -157,7 +175,6 @@ def cmd_fuzz(args) -> int:
             "protocols": protocols,
             "forced_totals": forced_totals,
             "findings": findings,
-            "kernel": KERNEL,
         }
         _write(report.to_json(body), args.out)
     else:
@@ -303,17 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if hasattr(args, "procs"):
-        spec = str(args.procs)
-        try:
-            if "-" in spec:
-                lo, hi = spec.split("-", 1)
-                args.procs_min, args.procs_max = int(lo), int(hi)
-            else:
-                args.procs_min = args.procs_max = int(spec)
-        except ValueError:
-            print(f"cicsim: bad --procs value {spec!r}", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
     except (UsageError, UnknownScenarioError, ScenarioParseError, ScenarioError,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from ._kernel import closure_masks
 from .computation import (
     CKPT_VIRTUAL,
     CheckpointRecord,
@@ -64,11 +63,32 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _closure(adj: list[int]) -> list[int]:
+    """Reflexive-transitive closure of a bitmask adjacency list.
+
+    ``adj[i]`` has bit j set when there is an edge i -> j.  Returns
+    ``reach`` with ``reach[i]`` covering i itself plus every node reachable
+    from i.  Plain fixpoint iteration; graphs here have tens of nodes.
+    """
+    reach = [(1 << i) | a for i, a in enumerate(adj)]
+    changed = True
+    while changed:
+        changed = False
+        for i, rest in enumerate(adj):
+            acc = reach[i]
+            while rest:
+                acc |= reach[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            if acc != reach[i]:
+                reach[i] = acc
+                changed = True
+    return reach
+
+
 class _ZigzagIndex:
     """Message-chain reachability index for one trace.
 
-    Bit i stands for the i-th delivered message in name order; the closure
-    masks come from the compiled kernel when it is available.  Undelivered
+    Bit i stands for the i-th delivered message in name order.  Undelivered
     messages cannot appear in any zigzag chain and are ignored.
     """
 
@@ -93,40 +113,36 @@ class _ZigzagIndex:
                 )
             )
         self.info = info
-        m = len(info)
-        adj = [0] * m
-        for i in range(m):
-            recv_proc, recv_iv = info[i][2], info[i][3]
-            bits = 0
-            for j in range(m):
-                if info[j][0] == recv_proc and info[j][1] >= recv_iv:
-                    bits |= 1 << j
-            adj[i] = bits
-        self.adj = adj
-        self.closure = closure_masks(adj)
 
         # Cumulative masks per process: sends in interval >= x, receives in
         # interval < y.  Index cnt+1 covers the virtual terminal checkpoint.
+        counts = {p: trace.ckpt_counts.get(p, 0) for p in range(1, trace.n + 1)}
+        send_at = {p: [0] * (cnt + 2) for p, cnt in counts.items()}
+        recv_at = {p: [0] * (cnt + 2) for p, cnt in counts.items()}
+        for i, (sp, si, rp, ri, _, _) in enumerate(info):
+            if si <= counts[sp]:
+                send_at[sp][si] |= 1 << i
+            if ri <= counts[rp]:
+                recv_at[rp][ri] |= 1 << i
         self._start: dict[int, list[int]] = {}
         self._end: dict[int, list[int]] = {}
-        for p in range(1, trace.n + 1):
-            cnt = trace.ckpt_counts.get(p, 0)
-            send_at = [0] * (cnt + 2)
-            recv_at = [0] * (cnt + 2)
-            for i, (sp, si, rp, ri, _, _) in enumerate(info):
-                if sp == p and si <= cnt:
-                    send_at[si] |= 1 << i
-                if rp == p and ri <= cnt:
-                    recv_at[ri] |= 1 << i
+        for p, cnt in counts.items():
             start = [0] * (cnt + 2)
             for x in range(cnt, 0, -1):
-                start[x] = start[x + 1] | send_at[x]
+                start[x] = start[x + 1] | send_at[p][x]
             end = [0] * (cnt + 2)
             for y in range(2, cnt + 2):
-                end[y] = end[y - 1] | recv_at[y - 1]
+                end[y] = end[y - 1] | recv_at[p][y - 1]
             self._start[p] = start
             self._end[p] = end
-        self._reach_start: dict[tuple[int, int], int] = {}
+
+        # A chain ending with message i continues with exactly the messages
+        # its receiver sends in the receive interval or later.  Each process
+        # has an initial checkpoint, so every interval lies in 1..cnt and the
+        # start mask of the receive interval is exactly that set.
+        self.adj = [self._start[rp][ri] for _, _, rp, ri, _, _ in info]
+        self.closure = _closure(self.adj)
+        self._reachable: dict[tuple[int, int], int] = {}
 
     def _check_key(self, key: tuple[int, int]) -> None:
         p, x = key
@@ -142,12 +158,12 @@ class _ZigzagIndex:
         return self._end[key[0]][key[1]]
 
     def reach_from(self, key: tuple[int, int]) -> int:
-        got = self._reach_start.get(key)
+        got = self._reachable.get(key)
         if got is None:
             got = 0
             for b in _bits(self.start_mask(key)):
                 got |= self.closure[b]
-            self._reach_start[key] = got
+            self._reachable[key] = got
         return got
 
     def exists(self, src: tuple[int, int], dst: tuple[int, int]) -> bool:
@@ -228,6 +244,29 @@ def zigzag_exists(src: CheckpointRecord, dst: CheckpointRecord, trace: Trace):
 DEFAULT_MAX_WITNESSES = 32
 
 
+def _z_cycles(trace: Trace, cap: int | None):
+    """(cycles, useless, truncated): capped simple-chain Z-cycle witnesses
+    in checkpoint order, the useless set, and how many checkpoints had
+    their enumeration cut short by the cap."""
+    if cap is not None and cap < 1:
+        raise ValueError("witness cap must be at least 1")
+    idx = _index(trace)
+    cycles = []
+    useless = set()
+    truncated = 0
+    for rec in trace.sorted_checkpoints():
+        if not idx.exists(rec.key(), rec.key()):
+            continue
+        useless.add(rec)
+        chains, cut = idx.simple_chains(rec.key(), rec.key(), cap=cap)
+        truncated += cut
+        for names in chains:
+            cycles.append(
+                (rec, ZigzagWitness(rec, rec, names, idx.chain_is_causal(names)))
+            )
+    return cycles, useless, truncated
+
+
 def find_z_cycles(
     trace: Trace, max_witnesses_per_checkpoint: int | None = DEFAULT_MAX_WITNESSES
 ):
@@ -240,17 +279,7 @@ def find_z_cycles(
     exhaustive output on desk-scale traces; uselessness itself is always
     decided by reachability, never by this bound).
     """
-    if max_witnesses_per_checkpoint is not None and max_witnesses_per_checkpoint < 1:
-        raise ValueError("witness cap must be at least 1")
-    idx = _index(trace)
-    out = []
-    for rec in trace.sorted_checkpoints():
-        chains, _ = idx.simple_chains(
-            rec.key(), rec.key(), cap=max_witnesses_per_checkpoint
-        )
-        for names in chains:
-            out.append((rec, ZigzagWitness(rec, rec, names, idx.chain_is_causal(names))))
-    return out
+    return _z_cycles(trace, max_witnesses_per_checkpoint)[0]
 
 
 def useless_checkpoints(trace: Trace) -> set[CheckpointRecord]:
@@ -378,24 +407,8 @@ def oracle_report(
     The useless set is decided by reachability, so it is exact even when
     the witness cap truncates cycle enumeration (stats carry a
     ``witnesses_truncated`` count when that happens)."""
-    if max_witnesses_per_checkpoint is not None and max_witnesses_per_checkpoint < 1:
-        raise ValueError("witness cap must be at least 1")
+    cycles, useless, truncated = _z_cycles(trace, max_witnesses_per_checkpoint)
     idx = _index(trace)
-    cycles = []
-    truncated = 0
-    useless = set()
-    for rec in trace.sorted_checkpoints():
-        if not idx.exists(rec.key(), rec.key()):
-            continue
-        useless.add(rec)
-        chains, cut = idx.simple_chains(
-            rec.key(), rec.key(), cap=max_witnesses_per_checkpoint
-        )
-        truncated += bool(cut)
-        for names in chains:
-            cycles.append(
-                (rec, ZigzagWitness(rec, rec, names, idx.chain_is_causal(names)))
-            )
     violations = check_z_consistency(trace)
     stats = {
         "processes": trace.n,

@@ -12,6 +12,7 @@ from cicsim.computation import (
 )
 from cicsim.oracle import (
     BudgetExceededError,
+    _closure,
     check_z_consistency,
     consistent_membership_bruteforce,
     find_z_cycles,
@@ -27,6 +28,15 @@ from cicsim.simulator import run_scenario
 
 def keys(records):
     return {r.key() for r in records}
+
+
+def test_closure_basics():
+    assert _closure([]) == []
+    assert _closure([0]) == [1]
+    # chain 0 -> 1 -> 2
+    assert _closure([0b010, 0b100, 0]) == [0b111, 0b110, 0b100]
+    # 2-cycle
+    assert _closure([0b10, 0b01]) == [0b11, 0b11]
 
 
 def test_ccp_causal_zigzag(fixture_run):

@@ -138,6 +138,18 @@ def test_cli_bad_scenario_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_directory_as_scenario_is_usage_error(tmp_path, capsys):
+    assert main(["run", str(tmp_path), "none"]) == 2
+    assert "cannot read scenario file" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_scenario_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes("procs 2\n# caf\xe9\n".encode("latin-1"))
+    assert main(["run", str(path), "none"]) == 2
+    assert "cannot read scenario file" in capsys.readouterr().err
+
+
 def test_cli_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
     out = capsys.readouterr().out
@@ -196,6 +208,22 @@ def test_cli_fuzz_asymmetric_rates_flag(capsys):
     ])
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--procs", "1"],
+    ["--procs", "0-2"],
+    ["--procs", "5-3"],
+    ["--runs", "-3"],
+    ["--p-send", "1.5"],
+    ["--p-ckpt", "2.0"],
+], ids=lambda flags: " ".join(flags))
+def test_cli_fuzz_bad_flag_is_usage_error(flags, capsys):
+    assert main(["fuzz", "--runs", "2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cicsim: ")
+    assert "internal error" not in captured.err
+    assert captured.out == ""
 
 
 def test_cli_unwritable_output_is_internal_error(capsys):
