@@ -42,7 +42,6 @@ from .protocols import (
     eval_c_lazyfine1,
     eval_c_pi,
     make_protocol,
-    protocol_init,
 )
 from .scenarios import (
     FIXTURE_NAMES,

@@ -288,6 +288,19 @@ def useless_checkpoints(trace: Trace) -> set[CheckpointRecord]:
     return {rec for rec in trace.checkpoints.values() if idx.exists(rec.key(), rec.key())}
 
 
+def _violating_pairs(idx: _ZigzagIndex, recs: list[CheckpointRecord]):
+    """Yield (a, b) in checkpoint order for every pair connected by a
+    zigzag path a -> b with a.timestamp >= b.timestamp."""
+    ends = [idx.end_mask(b.key()) for b in recs]
+    for a in recs:
+        reach = idx.reach_from(a.key())
+        if not reach:
+            continue
+        for b, end in zip(recs, ends):
+            if a.timestamp >= b.timestamp and reach & end:
+                yield a, b
+
+
 def check_z_consistency(trace: Trace):
     """Violations of zigzag-consistent timestamping.
 
@@ -301,14 +314,9 @@ def check_z_consistency(trace: Trace):
         if rec.timestamp is None:
             raise ValueError(f"checkpoint {rec.label()} has no timestamp")
     out = []
-    for a in recs:
-        reach = idx.reach_from(a.key())
-        if not reach:
-            continue
-        for b in recs:
-            if a.timestamp >= b.timestamp and reach & idx.end_mask(b.key()):
-                names = idx.shortest_chain(a.key(), b.key())
-                out.append((a, b, ZigzagWitness(a, b, names, idx.chain_is_causal(names))))
+    for a, b in _violating_pairs(idx, recs):
+        names = idx.shortest_chain(a.key(), b.key())
+        out.append((a, b, ZigzagWitness(a, b, names, idx.chain_is_causal(names))))
     return out
 
 
@@ -317,20 +325,8 @@ def quick_findings(trace: Trace) -> tuple[int, int]:
 
     Existence-only fast path for fuzz campaigns.
     """
-    idx = _index(trace)
-    recs = trace.sorted_checkpoints()
-    useless = 0
-    violations = 0
-    for a in recs:
-        reach = idx.reach_from(a.key())
-        if not reach:
-            continue
-        if reach & idx.end_mask(a.key()):
-            useless += 1
-        for b in recs:
-            if a.timestamp >= b.timestamp and reach & idx.end_mask(b.key()):
-                violations += 1
-    return useless, violations
+    violations = sum(1 for _ in _violating_pairs(_index(trace), trace.sorted_checkpoints()))
+    return len(useless_checkpoints(trace)), violations
 
 
 def virtual_terminals(trace: Trace) -> list[CheckpointRecord]:

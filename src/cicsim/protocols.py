@@ -1,13 +1,18 @@
 """Index-based communication-induced checkpointing protocols.
 
-Each protocol is a per-process state machine with three hooks: taking a
-checkpoint, sending (returns the control payload to piggyback), and
-receiving (evaluates the checkpoint-inducing condition on the pre-update
-state, possibly forces a checkpoint, then applies the update rules and
-delivers).  The logical-clock discipline shared by all of them: the clock
-is incremented before a checkpoint is saved and the checkpoint is stamped
-with the new value; sends piggyback the clock; receives raise the clock to
-the incoming timestamp.
+Each protocol is a per-process state machine on one skeleton,
+BaseProtocol: taking a checkpoint, sending (returns the control payload to
+piggyback), and receiving (evaluates the checkpoint-inducing conditions on
+the pre-update state, possibly forces a checkpoint, then applies the update
+rules and delivers).  A protocol is only what it plugs into that
+skeleton: its first and second conditions (``_c1``/``_c2``, bound to the
+``eval_c_*`` predicates below), the vectors it piggybacks
+(``payload_fields``), its update rules (``_update``), and the checkpoint
+hooks ``_at_checkpoint``, ``_advance_clock`` and ``_after_save``.  The
+shared clock discipline: the clock is incremented before a checkpoint is
+saved and the checkpoint is stamped with the new value (the lazy
+protocols skip the increment unless a receive asked for it); sends
+piggyback the clock; receives raise the clock to the incoming timestamp.
 
 Implemented protocols:
 
@@ -50,6 +55,9 @@ class ProtocolError(ValueError):
     """Malformed protocol interaction (wrong vector sizes, self-send...)."""
 
 
+_VECTOR_FIELDS = ("clockv", "greater", "equal_incr", "ckptv", "taken")
+
+
 @dataclass
 class Piggyback:
     """Control payload attached to one application message.
@@ -68,7 +76,7 @@ class Piggyback:
     def fields(self) -> dict:
         """Present fields with the index-0 placeholder stripped."""
         out = {"t": self.t}
-        for name in ("clockv", "greater", "equal_incr", "ckptv", "taken"):
+        for name in _VECTOR_FIELDS:
             vec = getattr(self, name)
             if vec is not None:
                 out[name] = list(vec[1:])
@@ -177,10 +185,22 @@ def eval_c_lazyfine1(state, m: Piggyback, taken_index: str = "witness") -> bool:
 
 
 class BaseProtocol:
-    """Shared lifecycle: construct, take_checkpoint, on_send, on_receive.
+    """The lifecycle every protocol shares; a subclass declares only:
 
-    Construction runs the protocol's initialization and takes the initial
-    checkpoint (ordinal 1, timestamp 1), retrievable as initial_record.
+    * ``_c1``/``_c2``: the first and second checkpoint-inducing conditions,
+      an ``eval_c_*`` predicate bound as a method (default: never fires);
+    * ``payload_fields``: the state vectors that ``on_send`` copies into
+      the Piggyback next to the clock;
+    * ``_update``: the update rules applied after the conditions;
+    * ``_init_structures`` for the vectors no checkpoint hook resets, and
+      ``_mark_send`` for the send bookkeeping;
+    * the checkpoint hooks, in the order take_checkpoint runs them:
+      ``_at_checkpoint`` resets per-interval structures, ``_advance_clock``
+      applies the clock rule (one increment by default), and
+      ``_after_save`` updates what depends on the new timestamp.
+
+    Construction runs ``_init_structures`` and takes the initial checkpoint
+    (ordinal 1, timestamp 1), retrievable as initial_record.
     """
 
     name = "?"
@@ -201,30 +221,34 @@ class BaseProtocol:
     def _init_structures(self) -> None:
         pass
 
-    def _conditions(self, m: Piggyback) -> set:
-        return set()
+    def _c1(self, m: Piggyback) -> bool:
+        return False
+
+    _c2 = _c1
 
     def _update(self, m: Piggyback) -> None:
         self.lc = max(self.lc, m.t)
 
-    def _payload(self) -> Piggyback:
-        return Piggyback(t=self.lc)
+    def _mark_send(self, dest: int) -> None:
+        pass
 
     def _at_checkpoint(self) -> None:
-        """Structure resets performed at every checkpoint; the clock
-        increment itself lives in take_checkpoint."""
+        pass
+
+    def _advance_clock(self) -> None:
+        self.lc += 1
+
+    def _after_save(self) -> None:
+        pass
 
     # lifecycle ----------------------------------------------------------
 
     def take_checkpoint(self, kind: str = CKPT_BASIC) -> CheckpointRecord:
         self._at_checkpoint()
-        self.lc += 1
+        self._advance_clock()
         self.ckpt_count += 1
         self._after_save()
         return CheckpointRecord(self.i, self.ckpt_count, kind, self.lc)
-
-    def _after_save(self) -> None:
-        pass
 
     def on_send(self, dest: int) -> Piggyback:
         if dest == self.i:
@@ -232,16 +256,19 @@ class BaseProtocol:
         if not 1 <= dest <= self.n:
             raise ProtocolError(f"destination {dest} out of range 1..{self.n}")
         self._mark_send(dest)
-        return self._payload()
-
-    def _mark_send(self, dest: int) -> None:
-        pass
+        return Piggyback(
+            t=self.lc, **{f: list(getattr(self, f)) for f in self.payload_fields}
+        )
 
     def on_receive(self, m: Piggyback):
         """Returns (decision, forced checkpoint record or None, pre-update
         state snapshot when a checkpoint was forced)."""
         self._check_payload(m)
-        fired = self._conditions(m)
+        fired = set()
+        if self._c1(m):
+            fired.add("C1")
+        if self._c2(m):
+            fired.add("C2")
         record = None
         snapshot = None
         if fired:
@@ -254,7 +281,7 @@ class BaseProtocol:
 
     def _check_payload(self, m: Piggyback) -> None:
         want = set(self.payload_fields)
-        for f in ("clockv", "greater", "equal_incr", "ckptv", "taken"):
+        for f in _VECTOR_FIELDS:
             vec = getattr(m, f)
             if f in want:
                 if vec is None:
@@ -285,10 +312,7 @@ class NoneProtocol(BaseProtocol):
 
 class PartlyInformed(BaseProtocol):
     name = "pi"
-
-    def _init_structures(self):
-        self.sent_to = [False] * (self.n + 1)
-        self.min_to = [INF] * (self.n + 1)
+    _c1 = eval_c_pi
 
     def _at_checkpoint(self):
         self.sent_to = [False] * (self.n + 1)
@@ -300,15 +324,14 @@ class PartlyInformed(BaseProtocol):
         # repeated sends harmless.
         self.min_to[dest] = min(self.min_to[dest], self.lc)
 
-    def _conditions(self, m):
-        return {"C1"} if eval_c_pi(self, m) else set()
-
 
 class _FIFamily(BaseProtocol):
-    """Shared ckptv/taken bookkeeping of the fully-informed protocols."""
+    """Shared ckptv/taken bookkeeping and second condition of the
+    fully-informed protocols."""
+
+    _c2 = eval_c_fi2
 
     def _init_structures(self):
-        self.sent_to = [False] * (self.n + 1)
         self.ckptv = [0] * (self.n + 1)
         self.taken = [False] * (self.n + 1)
 
@@ -338,10 +361,10 @@ class _FIFamily(BaseProtocol):
 class ClockvFI(_FIFamily):
     name = "fi-clockv"
     payload_fields = ("clockv", "ckptv", "taken")
+    _c1 = eval_c_fi1_clockv
 
     def _init_structures(self):
         super()._init_structures()
-        self.min_to = [INF] * (self.n + 1)
         self.clockv = [0] * (self.n + 1)
 
     def _at_checkpoint(self):
@@ -356,22 +379,6 @@ class ClockvFI(_FIFamily):
         super()._mark_send(dest)
         self.min_to[dest] = min(self.min_to[dest], self.lc)
 
-    def _payload(self):
-        return Piggyback(
-            t=self.lc,
-            clockv=list(self.clockv),
-            ckptv=list(self.ckptv),
-            taken=list(self.taken),
-        )
-
-    def _conditions(self, m):
-        fired = set()
-        if eval_c_fi1_clockv(self, m):
-            fired.add("C1")
-        if eval_c_fi2(self, m):
-            fired.add("C2")
-        return fired
-
     def _update(self, m):
         if m.t > self.lc:
             self.lc = m.t
@@ -385,6 +392,7 @@ class ClockvFI(_FIFamily):
 class GreaterFI(_FIFamily):
     name = "fi-greater"
     payload_fields = ("greater", "ckptv", "taken")
+    _c1 = eval_c_fi1_greater
 
     def _init_structures(self):
         super()._init_structures()
@@ -395,25 +403,6 @@ class GreaterFI(_FIFamily):
         for k in _procs(self):
             if k != self.i:
                 self.greater[k] = True
-
-    def _payload(self):
-        return Piggyback(
-            t=self.lc,
-            greater=list(self.greater),
-            ckptv=list(self.ckptv),
-            taken=list(self.taken),
-        )
-
-    def _fi1(self, m):
-        return eval_c_fi1_greater(self, m)
-
-    def _conditions(self, m):
-        fired = set()
-        if self._fi1(m):
-            fired.add("C1")
-        if eval_c_fi2(self, m):
-            fired.add("C2")
-        return fired
 
     def _update(self, m):
         if m.t > self.lc:
@@ -431,42 +420,20 @@ class GreaterFI(_FIFamily):
 class LazyFI(_FIFamily):
     name = "lazy-fi"
     payload_fields = ("equal_incr", "ckptv", "taken")
+    _c1 = eval_c_lazyfi1
 
     def _init_structures(self):
         super()._init_structures()
         self.equal_incr = [False] * (self.n + 1)
         self.increment = True
 
-    def take_checkpoint(self, kind: str = CKPT_BASIC) -> CheckpointRecord:
+    def _advance_clock(self):
         # Lazy clock rule: the increment only happens when flagged, so a
         # checkpoint may reuse its predecessor's timestamp.
-        self._at_checkpoint()
         if self.increment:
             self.lc += 1
             self.equal_incr = [False] * (self.n + 1)
         self.increment = False
-        self.ckpt_count += 1
-        self._after_save()
-        return CheckpointRecord(self.i, self.ckpt_count, kind, self.lc)
-
-    def _payload(self):
-        return Piggyback(
-            t=self.lc,
-            equal_incr=list(self.equal_incr),
-            ckptv=list(self.ckptv),
-            taken=list(self.taken),
-        )
-
-    def _lazy1(self, m):
-        return eval_c_lazyfi1(self, m)
-
-    def _conditions(self, m):
-        fired = set()
-        if self._lazy1(m):
-            fired.add("C1")
-        if eval_c_fi2(self, m):
-            fired.add("C2")
-        return fired
 
     def _update(self, m):
         if m.t > self.lc:
@@ -488,7 +455,7 @@ class Fine(GreaterFI):
     name = "fine"
     taken_index = "witness"
 
-    def _fi1(self, m):
+    def _c1(self, m):
         return eval_c_fine1(self, m, self.taken_index)
 
 
@@ -501,7 +468,7 @@ class LazyFine(LazyFI):
     name = "lazy-fine"
     taken_index = "witness"
 
-    def _lazy1(self, m):
+    def _c1(self, m):
         return eval_c_lazyfine1(self, m, self.taken_index)
 
 
@@ -526,7 +493,7 @@ _REGISTRY = {
 PROTOCOL_NAMES = tuple(_REGISTRY)
 
 
-def protocol_init(name: str, n: int, i: int) -> BaseProtocol:
+def make_protocol(name: str, n: int, i: int) -> BaseProtocol:
     """Fresh per-process protocol instance, initial checkpoint taken."""
     try:
         cls = _REGISTRY[name]
@@ -535,6 +502,3 @@ def protocol_init(name: str, n: int, i: int) -> BaseProtocol:
             f"unknown protocol {name!r}; known: {', '.join(PROTOCOL_NAMES)}"
         ) from None
     return cls(n, i)
-
-
-make_protocol = protocol_init

@@ -42,6 +42,12 @@ class UnknownScenarioError(KeyError):
         )
 
 
+def _is_number(token: str) -> bool:
+    """ASCII digits only: str.isdigit() also accepts superscripts, which
+    int() rejects, and other scripts' digits, which int() converts."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_scenario(text: str, name: str | None = None) -> Scenario:
     """Parse the line-oriented scenario format, rejecting ill-formed input
     with line-numbered errors."""
@@ -57,7 +63,7 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
             continue
         parts = line.split()
         if n is None:
-            if len(parts) == 2 and parts[0] == "procs" and parts[1].isdigit():
+            if len(parts) == 2 and parts[0] == "procs" and _is_number(parts[1]):
                 n = int(parts[1])
                 if n < 2:
                     errors.append((lineno, f"process count {n} < 2"))
@@ -66,12 +72,13 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
                 break
             continue
         kind = parts[0]
-        if kind == "ckpt" and len(parts) == 2 and parts[1].isdigit():
+        if kind == "ckpt" and len(parts) == 2 and _is_number(parts[1]):
             p = int(parts[1])
             if not 1 <= p <= n:
                 errors.append((lineno, f"process {p} out of range 1..{n}"))
             steps.append(Step("ckpt", p))
-        elif kind == "send" and len(parts) == 4 and parts[1].isdigit() and parts[2].isdigit():
+        elif (kind == "send" and len(parts) == 4
+              and _is_number(parts[1]) and _is_number(parts[2])):
             p, q, msg = int(parts[1]), int(parts[2]), parts[3]
             if not 1 <= p <= n or not 1 <= q <= n:
                 errors.append((lineno, "process out of range"))
@@ -81,7 +88,7 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
                 errors.append((lineno, f"message {msg} already sent"))
             sends[msg] = q
             steps.append(Step("send", p, q, msg))
-        elif kind == "recv" and len(parts) == 3 and parts[1].isdigit():
+        elif kind == "recv" and len(parts) == 3 and _is_number(parts[1]):
             p, msg = int(parts[1]), parts[2]
             if not 1 <= p <= n:
                 errors.append((lineno, f"process {p} out of range 1..{n}"))
@@ -995,6 +1002,10 @@ def random_scenario(params: FuzzParams) -> Scenario:
     """
     if params.n < 2:
         raise ValueError(f"need at least 2 processes, got {params.n}")
+    if params.events < 1:
+        raise ValueError(f"need at least 1 event, got {params.events}")
+    if params.max_in_flight < 1:
+        raise ValueError(f"max_in_flight must be at least 1, got {params.max_in_flight}")
     if isinstance(params.p_ckpt, (int, float)):
         p_ckpt = [float(params.p_ckpt)] * params.n
     else:

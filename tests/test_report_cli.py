@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -6,8 +7,9 @@ import pytest
 from cicsim import oracle
 from cicsim.cli import main
 from cicsim.diagram import ascii_diagram, svg_diagram
+from cicsim.protocols import PROTOCOL_NAMES
 from cicsim.report import run_report, scenario_hash, to_json
-from cicsim.scenarios import builtin, serialize_scenario
+from cicsim.scenarios import FIXTURE_NAMES, builtin, serialize_scenario
 from cicsim.simulator import Scenario, run_scenario
 
 
@@ -25,6 +27,18 @@ def test_json_roundtrip_is_byte_identical():
     rep = report_for("ccp", "none")
     text = to_json(rep)
     assert to_json(json.loads(text)) == text
+
+
+def test_builtin_report_bytes_are_pinned():
+    # Every built-in under every protocol, in registry order: a refactor
+    # that keeps behaviour keeps these bytes.
+    digest = hashlib.sha256()
+    for name in FIXTURE_NAMES:
+        for protocol in PROTOCOL_NAMES:
+            digest.update(to_json(report_for(name, protocol)).encode())
+    assert digest.hexdigest() == (
+        "b0c9f7e33c89a6a663b523c99276ddc59e6b7eb11424065e127584613f2dde1b"
+    )
 
 
 def test_report_contents():
@@ -138,6 +152,17 @@ def test_cli_bad_scenario_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", [
+    "procs \u00b2\n",
+    "procs 2\nsend 1 \u0662 m1\n",
+], ids=["superscript-two", "arabic-indic-two"])
+def test_cli_non_ascii_digits_are_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "digits.scn"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "none"]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_cli_directory_as_scenario_is_usage_error(tmp_path, capsys):
     assert main(["run", str(tmp_path), "none"]) == 2
     assert "cannot read scenario file" in capsys.readouterr().err
@@ -217,6 +242,9 @@ def test_cli_fuzz_asymmetric_rates_flag(capsys):
     ["--runs", "-3"],
     ["--p-send", "1.5"],
     ["--p-ckpt", "2.0"],
+    ["--events", "0"],
+    ["--events", "-5"],
+    ["--max-in-flight", "0"],
 ], ids=lambda flags: " ".join(flags))
 def test_cli_fuzz_bad_flag_is_usage_error(flags, capsys):
     assert main(["fuzz", "--runs", "2", *flags]) == 2

@@ -59,6 +59,17 @@ def test_parse_error_catalogue():
     assert lines == [2, 4, 5, 6, 7]
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("procs \u00b2\n", 1),                # superscript two: int() rejects it
+    ("procs 2\nckpt \u00b2\n", 2),
+    ("procs 2\nsend 1 \u0662 m1\n", 2),  # Arabic-Indic two: int() reads 2
+], ids=["superscript-procs", "superscript-ckpt", "arabic-indic-send"])
+def test_non_ascii_digits_are_line_numbered(text, lineno):
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert err.value.errors[0][0] == lineno
+
+
 def test_roundtrip_builtins():
     for name in FIXTURE_NAMES:
         scen, _ = builtin(name)
@@ -130,6 +141,12 @@ def test_degenerate_params_rejected():
         random_scenario(FuzzParams(n=3, p_send=1.5, seed=0))
     with pytest.raises(ValueError):
         random_scenario(FuzzParams(n=3, p_ckpt=(0.1, 0.2), seed=0))
+    # No events or no sends: a campaign of such scenarios checks nothing.
+    for events, max_in_flight in ((0, 8), (-5, 8), (40, 0)):
+        with pytest.raises(ValueError):
+            random_scenario(
+                FuzzParams(n=3, events=events, max_in_flight=max_in_flight, seed=1)
+            )
 
 
 def test_generated_scenarios_run_and_validate():
