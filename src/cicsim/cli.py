@@ -23,6 +23,7 @@ from .scenarios import (
     UnknownScenarioError,
     builtin,
     builtin_description,
+    checked_rates,
     parse_scenario,
     random_scenario,
     serialize_scenario,
@@ -145,14 +146,14 @@ def cmd_fuzz(args) -> int:
     if args.runs < 0:
         raise UsageError(f"--runs must be at least 0, got {args.runs}")
     procs = _parse_procs(args.procs)
+    try:  # checked before the loop, so zero runs reject bad flags too
+        checked_rates(_fuzz_params(args, procs, args.seed))
+    except ValueError as exc:  # out-of-range generator parameters
+        raise UsageError(str(exc)) from exc
     forced_totals = {p: 0 for p in protocols}
     findings = []
     for seed in range(args.seed, args.seed + args.runs):
-        params = _fuzz_params(args, procs, seed)
-        try:
-            scen = random_scenario(params)
-        except ValueError as exc:  # out-of-range generator parameters
-            raise UsageError(str(exc)) from exc
+        scen = random_scenario(_fuzz_params(args, procs, seed))
         for proto in protocols:
             run = run_scenario(scen, proto)
             forced_totals[proto] += run.forced_count

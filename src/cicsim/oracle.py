@@ -1,10 +1,11 @@
 """Protocol-independent ground truth over traces.
 
-Everything here is brute force by design: zigzag reachability between
-checkpoints, Z-cycle enumeration, useless-checkpoint detection,
-Z-consistent-timestamping checks, and an exhaustive consistent-global-
-checkpoint membership analysis.  Protocols are judged against these
-predicates, never against their own bookkeeping.
+Zigzag reachability between checkpoints, Z-cycle enumeration,
+useless-checkpoint detection, Z-consistent-timestamping checks, and an
+exhaustive consistent-global-checkpoint membership analysis.  Protocols
+are judged against these predicates, never against their own
+bookkeeping: the oracle reads only the message endpoints and the
+checkpoint intervals of a trace.
 
 A zigzag path from C_i^x to C_j^y is a message chain where the first
 message is sent by P_i in interval x or later, every next message is sent
@@ -12,6 +13,20 @@ by the previous receiver in the same-or-later interval than the receipt
 (possibly earlier in real time), and the last message is received by P_j
 in an interval before y.  A Z-cycle is a zigzag path from a checkpoint to
 itself and is exactly what makes a checkpoint useless.
+
+Reachability is decided on checkpoints, as in the rollback-dependency
+view of Wang (IEEE TC 1997) and Netzer and Xu (IEEE TPDS 1995).
+``reach[p][x][q]`` is the smallest interval of a receive at P_q that ends
+a zigzag path from C_p^x (above every ordinal when none does).  It is the
+least fixpoint of
+
+    reach[p][x] = reach[p][x+1] ⊓ ⋃ ({q: r} ⊓ reach[q][r])
+
+where the union runs over the messages sent by P_p in interval x, each
+received in interval r of P_q, and both ⊓ and ⋃ take pointwise minima.
+A zigzag path from C_p^x to C_q^y exists exactly when
+``reach[p][x][q] < y``.  Ordinal cnt+1 of a process with cnt checkpoints
+is its virtual terminal, which sends nothing.
 """
 
 from __future__ import annotations
@@ -63,135 +78,113 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _closure(adj: list[int]) -> list[int]:
-    """Reflexive-transitive closure of a bitmask adjacency list.
-
-    ``adj[i]`` has bit j set when there is an edge i -> j.  Returns
-    ``reach`` with ``reach[i]`` covering i itself plus every node reachable
-    from i.  Plain fixpoint iteration; graphs here have tens of nodes.
-    """
-    reach = [(1 << i) | a for i, a in enumerate(adj)]
-    changed = True
-    while changed:
-        changed = False
-        for i, rest in enumerate(adj):
-            acc = reach[i]
-            while rest:
-                acc |= reach[(rest & -rest).bit_length() - 1]
-                rest &= rest - 1
-            if acc != reach[i]:
-                reach[i] = acc
-                changed = True
-    return reach
-
-
 class _ZigzagIndex:
-    """Message-chain reachability index for one trace.
+    """Zigzag reachability of one trace: the per-checkpoint ``reach``
+    vectors of the module docstring, plus the message adjacency that
+    witness search walks.
 
-    Bit i stands for the i-th delivered message in name order.  Undelivered
-    messages cannot appear in any zigzag chain and are ignored.
+    Bit i of a message mask stands for the i-th delivered message in name
+    order.  Undelivered messages cannot appear in any zigzag chain and are
+    ignored.
     """
 
     def __init__(self, trace: Trace):
         self.trace = trace
         self.names = trace.delivered_messages()
-        self.bit = {nm: i for i, nm in enumerate(self.names)}
-        info = []
-        for nm in self.names:
-            spos = trace.message_sends[nm][0]
-            rpos = trace.message_recvs[nm][0]
-            send_ev = trace.events[spos]
-            recv_ev = trace.events[rpos]
-            info.append(
-                (
-                    send_ev.process,
-                    trace._interval[spos],
-                    recv_ev.process,
-                    trace._interval[rpos],
-                    spos,
-                    rpos,
-                )
-            )
-        self.info = info
 
-        # Cumulative masks per process: sends in interval >= x, receives in
-        # interval < y.  Index cnt+1 covers the virtual terminal checkpoint.
+        def where(pos: int) -> tuple[int, int]:
+            return trace.events[pos].process, trace._interval[pos]
+
+        # (process, interval) of each message's receive, and the messages
+        # each process sends per interval.  Index cnt+1 of a per-process
+        # list is the virtual terminal checkpoint, which sends nothing.
+        recv = self.recv = [where(trace.message_recvs[nm][0]) for nm in self.names]
         counts = {p: trace.ckpt_counts.get(p, 0) for p in range(1, trace.n + 1)}
-        send_at = {p: [0] * (cnt + 2) for p, cnt in counts.items()}
-        recv_at = {p: [0] * (cnt + 2) for p, cnt in counts.items()}
-        for i, (sp, si, rp, ri, _, _) in enumerate(info):
+        sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in counts.items()}
+        for i, nm in enumerate(self.names):
+            sp, si = where(trace.message_sends[nm][0])
             if si <= counts[sp]:
-                send_at[sp][si] |= 1 << i
-            if ri <= counts[rp]:
-                recv_at[rp][ri] |= 1 << i
-        self._start: dict[int, list[int]] = {}
-        self._end: dict[int, list[int]] = {}
-        for p, cnt in counts.items():
-            start = [0] * (cnt + 2)
-            for x in range(cnt, 0, -1):
-                start[x] = start[x + 1] | send_at[p][x]
-            end = [0] * (cnt + 2)
-            for y in range(2, cnt + 2):
-                end[y] = end[y - 1] | recv_at[p][y - 1]
-            self._start[p] = start
-            self._end[p] = end
+                sent[sp][si].append(i)
 
+        # _start[p][x] masks the messages P_p sends in interval x or later.
         # A chain ending with message i continues with exactly the messages
         # its receiver sends in the receive interval or later.  Each process
         # has an initial checkpoint, so every interval lies in 1..cnt and the
         # start mask of the receive interval is exactly that set.
-        self.adj = [self._start[rp][ri] for _, _, rp, ri, _, _ in info]
-        self.closure = _closure(self.adj)
-        self._reachable: dict[tuple[int, int], int] = {}
+        self._start: dict[int, list[int]] = {}
+        for p, cnt in counts.items():
+            start = [0] * (cnt + 2)
+            for x in range(cnt, 0, -1):
+                start[x] = start[x + 1] | sum(1 << i for i in sent[p][x])
+            self._start[p] = start
+        self.adj = [self._start[rp][ri] for rp, ri in recv]
+
+        # Least fixpoint of the recurrence, in rounds until nothing moves.
+        # Every entry of ``nothing`` exceeds every ordinal: no path ends there.
+        nothing = [len(trace.events) + 2] * (trace.n + 1)
+        reach = {p: [nothing] * (cnt + 2) for p, cnt in counts.items()}
+        changed = True
+        while changed:
+            changed = False
+            for p, cnt in counts.items():
+                rows = reach[p]
+                for x in range(cnt, 0, -1):
+                    vec = rows[x + 1]
+                    for i in sent[p][x]:
+                        q, r = recv[i]
+                        vec = [a if a < b else b for a, b in zip(vec, reach[q][r])]
+                        if r < vec[q]:
+                            vec[q] = r
+                    if vec != rows[x]:
+                        rows[x] = vec
+                        changed = True
+        self.reach = reach
 
     def _check_key(self, key: tuple[int, int]) -> None:
         p, x = key
-        if p not in self._start or not 1 <= x <= len(self._start[p]) - 1:
+        if p not in self.reach or not 1 <= x <= len(self.reach[p]) - 1:
             raise ValueError(f"checkpoint C_{p}^{x} does not exist in this trace")
 
     def start_mask(self, key: tuple[int, int]) -> int:
         self._check_key(key)
         return self._start[key[0]][key[1]]
 
-    def end_mask(self, key: tuple[int, int]) -> int:
-        self._check_key(key)
-        return self._end[key[0]][key[1]]
-
-    def reach_from(self, key: tuple[int, int]) -> int:
-        got = self._reachable.get(key)
-        if got is None:
-            got = 0
-            for b in _bits(self.start_mask(key)):
-                got |= self.closure[b]
-            self._reachable[key] = got
-        return got
-
     def exists(self, src: tuple[int, int], dst: tuple[int, int]) -> bool:
-        return bool(self.reach_from(src) & self.end_mask(dst))
+        self._check_key(src)
+        self._check_key(dst)
+        return self.reach[src[0]][src[1]][dst[0]] < dst[1]
 
     def chain_is_causal(self, names: tuple[str, ...]) -> bool:
-        for a, b in zip(names, names[1:]):
-            if self.info[self.bit[a]][5] > self.info[self.bit[b]][4]:
-                return False
-        return True
+        sends, recvs = self.trace.message_sends, self.trace.message_recvs
+        return all(recvs[a][0] <= sends[b][0] for a, b in zip(names, names[1:]))
 
     def shortest_chain(self, src, dst) -> tuple[str, ...] | None:
-        """Shortest chain, ties broken lexicographically by name sequence."""
-        end = self.end_mask(dst)
-        heap = []
-        for b in _bits(self.start_mask(src)):
-            if self.closure[b] & end:
-                heapq.heappush(heap, (1, (self.names[b],), b))
-        seen = set()
+        """Shortest chain, ties broken lexicographically by name sequence.
+
+        Message j ends a chain at dst=(q, y) when it is received at P_q
+        before interval y, and can still reach dst when it ends there or
+        ``reach`` from its receive point does.  Chains leave the heap in
+        (length, names) order and extending a chain keeps that order, so
+        the first chain that reaches a message is its best one and each
+        message is looked at once."""
+        self._check_key(dst)
+        q, y = dst
+        recv, reach = self.recv, self.reach
+        heap = [(0, (), -1)]  # the empty chain at src
+        looked = 0
         while heap:
             ln, names, last = heapq.heappop(heap)
-            if last in seen:
-                continue
-            seen.add(last)
-            if (1 << last) & end:
-                return names
-            for j in _bits(self.adj[last]):
-                if j not in seen and self.closure[j] & end:
+            if last < 0:
+                fresh = self.start_mask(src)
+            else:
+                rp, ri = recv[last]
+                if rp == q and ri < y:
+                    return names
+                fresh = self.adj[last] & ~looked
+            looked |= fresh
+            for j in _bits(fresh):
+                rp, ri = recv[j]
+                if (rp == q and ri < y) or reach[rp][ri][q] < y:
                     heapq.heappush(heap, (ln + 1, names + (self.names[j],), j))
         return None
 
@@ -199,21 +192,26 @@ class _ZigzagIndex:
         """All message-simple chains from src to dst, shortest first, lex
         ties; a chain may extend beyond an earlier completion.  Returns
         (chains, truncated): truncated is True when the cap cut the
-        enumeration short."""
-        end = self.end_mask(dst)
+        enumeration short.  Pruned like :meth:`shortest_chain`."""
+        self._check_key(dst)
+        q, y = dst
+        recv, reach = self.recv, self.reach
         out: list[tuple[str, ...]] = []
-        heap = []
-        for b in _bits(self.start_mask(src)):
-            if self.closure[b] & end:
-                heapq.heappush(heap, (1, (self.names[b],), b, 1 << b))
+        heap = [(0, (), -1, 0)]  # the empty chain at src
         while heap:
             ln, names, last, used = heapq.heappop(heap)
-            if (1 << last) & end:
-                out.append(names)
-                if cap is not None and len(out) >= cap:
-                    return out, bool(heap)
-            for j in _bits(self.adj[last] & ~used):
-                if self.closure[j] & end:
+            if last < 0:
+                fresh = self.start_mask(src)
+            else:
+                rp, ri = recv[last]
+                if rp == q and ri < y:
+                    out.append(names)
+                    if cap is not None and len(out) >= cap:
+                        return out, bool(heap)
+                fresh = self.adj[last] & ~used
+            for j in _bits(fresh):
+                rp, ri = recv[j]
+                if (rp == q and ri < y) or reach[rp][ri][q] < y:
                     heapq.heappush(
                         heap, (ln + 1, names + (self.names[j],), j, used | (1 << j))
                     )
@@ -291,13 +289,10 @@ def useless_checkpoints(trace: Trace) -> set[CheckpointRecord]:
 def _violating_pairs(idx: _ZigzagIndex, recs: list[CheckpointRecord]):
     """Yield (a, b) in checkpoint order for every pair connected by a
     zigzag path a -> b with a.timestamp >= b.timestamp."""
-    ends = [idx.end_mask(b.key()) for b in recs]
     for a in recs:
-        reach = idx.reach_from(a.key())
-        if not reach:
-            continue
-        for b, end in zip(recs, ends):
-            if a.timestamp >= b.timestamp and reach & end:
+        row = idx.reach[a.process][a.ordinal]
+        for b in recs:
+            if a.timestamp >= b.timestamp and row[b.process] < b.ordinal:
                 yield a, b
 
 

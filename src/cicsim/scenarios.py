@@ -102,7 +102,7 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
             steps.append(Step("recv", p, message=msg))
         else:
             errors.append((lineno, f"cannot parse step {line!r}"))
-    if n is None:
+    if n is None and not errors:
         errors.append((0, "empty scenario text"))
     if errors:
         raise ScenarioParseError(errors)
@@ -991,15 +991,9 @@ class FuzzParams:
     seed: int = 0
 
 
-def random_scenario(params: FuzzParams) -> Scenario:
-    """Seeded, reproducible scenario.
-
-    Every draw comes from one splitmix64 stream, so equal params give
-    bit-identical scenarios on any platform.  Deliveries pick uniformly
-    among in-flight messages (channels are not FIFO); pending messages are
-    drained at the end while the event budget lasts, so sends are received
-    unless the budget truncates the trace.
-    """
+def checked_rates(params: FuzzParams) -> list[float]:
+    """Per-process checkpoint probabilities of ``params``, after checking
+    every knob; raises ValueError for an out-of-range one."""
     if params.n < 2:
         raise ValueError(f"need at least 2 processes, got {params.n}")
     if params.events < 1:
@@ -1015,7 +1009,19 @@ def random_scenario(params: FuzzParams) -> Scenario:
     for prob in p_ckpt + [params.p_send]:
         if not 0.0 <= prob <= 1.0:
             raise ValueError(f"probability {prob} outside [0, 1]")
+    return p_ckpt
 
+
+def random_scenario(params: FuzzParams) -> Scenario:
+    """Seeded, reproducible scenario.
+
+    Every draw comes from one splitmix64 stream, so equal params give
+    bit-identical scenarios on any platform.  Deliveries pick uniformly
+    among in-flight messages (channels are not FIFO); pending messages are
+    drained at the end while the event budget lasts, so sends are received
+    unless the budget truncates the trace.
+    """
+    p_ckpt = checked_rates(params)
     rng = SplitMix64(params.seed)
     steps: list[Step] = []
     in_flight: list[tuple[str, int]] = []

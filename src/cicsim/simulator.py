@@ -86,37 +86,39 @@ def scenario_violations(s: Scenario) -> list[str]:
     receive per name, receives after their send and at the declared
     destination, no self-sends."""
     bad = []
+
+    def flag(idx: int, st: Step, problem: str) -> None:
+        # The step tag is formatted only for a step that has a problem.
+        bad.append(f"step {idx} ({st.text()}): {problem}")
+
     if s.n < 2:
         bad.append(f"process count {s.n} < 2")
     sends: dict[str, Step] = {}
     received: set[str] = set()
     for idx, st in enumerate(s.steps):
-        tag = f"step {idx} ({st.text()})"
         if not 1 <= st.process <= s.n:
-            bad.append(f"{tag}: process out of range")
+            flag(idx, st, "process out of range")
             continue
         if st.kind == "send":
             if st.dest is None or not 1 <= st.dest <= s.n:
-                bad.append(f"{tag}: destination out of range")
+                flag(idx, st, "destination out of range")
             elif st.dest == st.process:
-                bad.append(f"{tag}: self-send")
+                flag(idx, st, "self-send")
             if st.message in sends:
-                bad.append(f"{tag}: message {st.message} sent twice")
+                flag(idx, st, f"message {st.message} sent twice")
             else:
                 sends[st.message] = st
         elif st.kind == "recv":
             origin = sends.get(st.message)
             if origin is None:
-                bad.append(f"{tag}: receive before send of {st.message}")
+                flag(idx, st, f"receive before send of {st.message}")
             elif origin.dest != st.process:
-                bad.append(
-                    f"{tag}: {st.message} was addressed to P{origin.dest}"
-                )
+                flag(idx, st, f"{st.message} was addressed to P{origin.dest}")
             if st.message in received:
-                bad.append(f"{tag}: message {st.message} received twice")
+                flag(idx, st, f"message {st.message} received twice")
             received.add(st.message)
         elif st.kind != "ckpt":
-            bad.append(f"{tag}: unknown step kind {st.kind!r}")
+            flag(idx, st, f"unknown step kind {st.kind!r}")
     return bad
 
 

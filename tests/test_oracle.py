@@ -4,6 +4,9 @@ import pytest
 
 from cicsim.computation import (
     CKPT_INITIAL,
+    EV_CKPT,
+    EV_RECV,
+    EV_SEND,
     CheckpointRecord,
     Event,
     Trace,
@@ -12,7 +15,6 @@ from cicsim.computation import (
 )
 from cicsim.oracle import (
     BudgetExceededError,
-    _closure,
     check_z_consistency,
     consistent_membership_bruteforce,
     find_z_cycles,
@@ -22,7 +24,8 @@ from cicsim.oracle import (
     virtual_terminals,
     zigzag_exists,
 )
-from cicsim.scenarios import FuzzParams, random_scenario
+from cicsim.protocols import PROTOCOL_NAMES
+from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, random_scenario
 from cicsim.simulator import run_scenario
 
 
@@ -30,13 +33,75 @@ def keys(records):
     return {r.key() for r in records}
 
 
-def test_closure_basics():
-    assert _closure([]) == []
-    assert _closure([0]) == [1]
-    # chain 0 -> 1 -> 2
-    assert _closure([0b010, 0b100, 0]) == [0b111, 0b110, 0b100]
-    # 2-cycle
-    assert _closure([0b10, 0b01]) == [0b11, 0b11]
+def reference_zigzag(events):
+    """``exists(src, dst)`` over (process, ordinal) keys, written from the
+    definition in the ``cicsim.oracle`` docstring: a plain search over
+    each delivered message's (process, interval) send and receive
+    endpoints, where an event's interval is the number of checkpoints its
+    process has taken so far."""
+    taken, sends, recvs = {}, {}, {}
+    for ev in events:
+        if ev.kind == EV_CKPT:
+            taken[ev.process] = taken.get(ev.process, 0) + 1
+        where = (ev.process, taken.get(ev.process, 0))
+        if ev.kind == EV_SEND:
+            sends[ev.message] = where
+        elif ev.kind == EV_RECV:
+            recvs[ev.message] = where
+    delivered = [m for m in sends if m in recvs]
+
+    def chained(p, x):
+        """Messages that can appear in a zigzag chain starting at C_p^x."""
+        found = {m for m in delivered if sends[m][0] == p and sends[m][1] >= x}
+        todo = list(found)
+        while todo:
+            q, r = recvs[todo.pop()]
+            for m in delivered:
+                if m not in found and sends[m][0] == q and sends[m][1] >= r:
+                    found.add(m)
+                    todo.append(m)
+        return found
+
+    earliest = {}  # source -> {process: earliest interval a chain ends in}
+
+    def exists(src, dst):
+        if src not in earliest:
+            got = earliest[src] = {}
+            for m in chained(*src):
+                q, r = recvs[m]
+                got[q] = min(r, got.get(q, r))
+        return earliest[src].get(dst[0], dst[1]) < dst[1]
+
+    return exists
+
+
+def reference_traces():
+    for name in FIXTURE_NAMES:
+        scen, _ = builtin(name)
+        for protocol in PROTOCOL_NAMES:
+            yield f"{name}/{protocol}", run_scenario(scen, protocol).trace
+    for seed in range(250):
+        params = FuzzParams(n=3 + seed % 6, events=20 + seed * 53 % 181,
+                            p_ckpt=(0.05, 0.1, 0.2)[seed % 3], seed=seed + 7000)
+        scen = random_scenario(params)
+        for protocol in ("none", "fine"):
+            yield f"seed {seed + 7000}/{protocol}", run_scenario(scen, protocol).trace
+
+
+def test_zigzag_exists_matches_definition_reference():
+    # Every checkpoint pair, virtual terminals at both ends included.
+    cycles = 0
+    for label, trace in reference_traces():
+        exists = reference_zigzag(trace.events)
+        recs = trace.sorted_checkpoints() + virtual_terminals(trace)
+        for a in recs:
+            for b in recs:
+                want = exists(a.key(), b.key())
+                assert (zigzag_exists(a, b, trace) is not None) == want, (
+                    f"{label}: {a.label()} -> {b.label()}"
+                )
+                cycles += want and a is b
+    assert cycles > 0
 
 
 def test_ccp_causal_zigzag(fixture_run):

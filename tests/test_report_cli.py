@@ -245,6 +245,10 @@ def test_cli_fuzz_asymmetric_rates_flag(capsys):
     ["--events", "0"],
     ["--events", "-5"],
     ["--max-in-flight", "0"],
+    ["--runs", "0", "--events", "-5"],
+    ["--runs", "0", "--max-in-flight", "0"],
+    ["--runs", "0", "--p-send", "7"],
+    ["--runs", "0", "--p-ckpt", "2.0"],
 ], ids=lambda flags: " ".join(flags))
 def test_cli_fuzz_bad_flag_is_usage_error(flags, capsys):
     assert main(["fuzz", "--runs", "2", *flags]) == 2

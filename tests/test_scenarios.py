@@ -70,6 +70,14 @@ def test_non_ascii_digits_are_line_numbered(text, lineno):
     assert err.value.errors[0][0] == lineno
 
 
+@pytest.mark.parametrize("header", ["procs x", "procs \u00b2"],
+                         ids=["letter", "superscript"])
+def test_bad_header_is_the_only_error(header):
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(header + "\nckpt 1\n")
+    assert err.value.errors == [(1, "expected 'procs N' header")]
+
+
 def test_roundtrip_builtins():
     for name in FIXTURE_NAMES:
         scen, _ = builtin(name)

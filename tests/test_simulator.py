@@ -209,3 +209,24 @@ def test_amplified_scenarios_stay_valid():
         from cicsim.simulator import scenario_violations
 
         assert scenario_violations(result.scenario) == []
+
+
+def test_scenario_violation_messages():
+    from cicsim.simulator import Step, scenario_violations
+
+    scen = Scenario(2, (
+        Step("ckpt", 3), Step("send", 1, 1, "m1"), Step("send", 2, 3, "m2"),
+        Step("send", 2, 1, "m1"), Step("recv", 1, message="m9"),
+        Step("recv", 1, message="m1"), Step("recv", 2, message="m1"),
+        Step("bogus", 1),
+    ))
+    assert scenario_violations(scen) == [
+        "step 0 (ckpt 3): process out of range",
+        "step 1 (send 1 1 m1): self-send",
+        "step 2 (send 2 3 m2): destination out of range",
+        "step 3 (send 2 1 m1): message m1 sent twice",
+        "step 4 (recv 1 m9): receive before send of m9",
+        "step 6 (recv 2 m1): m1 was addressed to P1",
+        "step 6 (recv 2 m1): message m1 received twice",
+        "step 7 (recv 1 None): unknown step kind 'bogus'",
+    ]
