@@ -123,8 +123,6 @@ def _fuzz_params(args, procs: tuple[int, int], seed: int) -> FuzzParams:
     n = lo + prng.below(hi - lo + 1) if hi > lo else lo
     if args.p_ckpt:
         rates = args.p_ckpt if len(args.p_ckpt) > 1 else args.p_ckpt[0]
-        if isinstance(rates, list) and len(rates) != n:
-            raise UsageError("--p-ckpt repeated must match the process count")
     else:
         # Asymmetric by default: every process draws its own rate.
         rates = tuple(0.02 + 0.28 * prng.random() for _ in range(n))
@@ -146,6 +144,10 @@ def cmd_fuzz(args) -> int:
     if args.runs < 0:
         raise UsageError(f"--runs must be at least 0, got {args.runs}")
     procs = _parse_procs(args.procs)
+    if args.p_ckpt and len(args.p_ckpt) > 1 and procs != (len(args.p_ckpt),) * 2:
+        raise UsageError(
+            f"--p-ckpt repeated {len(args.p_ckpt)} times needs --procs {len(args.p_ckpt)}"
+        )
     try:  # checked before the loop, so zero runs reject bad flags too
         checked_rates(_fuzz_params(args, procs, args.seed))
     except ValueError as exc:  # out-of-range generator parameters

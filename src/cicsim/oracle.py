@@ -27,12 +27,23 @@ received in interval r of P_q, and both ⊓ and ⋃ take pointwise minima.
 A zigzag path from C_p^x to C_q^y exists exactly when
 ``reach[p][x][q] < y``.  Ordinal cnt+1 of a process with cnt checkpoints
 is its virtual terminal, which sends nothing.
+
+Witnesses are chains in the message graph, ordered by length and then by
+name sequence.  One layered search finds the first such chain between
+two sets of messages: breadth-first layers backwards from the last
+messages, then the lowest name of each layer forwards.  A witness is that
+search from a checkpoint's first messages to another's last ones; the
+Z-cycle witnesses of a checkpoint are the first ``cap`` message-simple
+chains, found by Yen's k shortest loopless paths with Lawler's rule, so
+that the cap bounds the work, O(cap · L · m) mask operations for m
+messages and chains of at most L, and not only the output.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .computation import (
     CKPT_VIRTUAL,
@@ -71,21 +82,19 @@ class OracleReport:
         return not self.z_cycles and not self.violations
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _ZigzagIndex:
     """Zigzag reachability of one trace: the per-checkpoint ``reach``
-    vectors of the module docstring, plus the message adjacency that
-    witness search walks.
+    vectors of the module docstring, plus the message masks that witness
+    search walks.
 
     Bit i of a message mask stands for the i-th delivered message in name
-    order.  Undelivered messages cannot appear in any zigzag chain and are
-    ignored.
+    order, so the lowest set bit is the first name.  Undelivered messages
+    cannot appear in any zigzag chain and are ignored.
+
+    Witness search walks the message graph: a chain ending with message i
+    continues with any message in ``adj[i]``, and ``pred[j]`` holds the
+    messages that j continues.  These masks are built in O(m) on the first
+    witness query, so existence-only callers never pay for them.
     """
 
     def __init__(self, trace: Trace):
@@ -99,25 +108,12 @@ class _ZigzagIndex:
         # each process sends per interval.  Index cnt+1 of a per-process
         # list is the virtual terminal checkpoint, which sends nothing.
         recv = self.recv = [where(trace.message_recvs[nm][0]) for nm in self.names]
-        counts = {p: trace.ckpt_counts.get(p, 0) for p in range(1, trace.n + 1)}
-        sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in counts.items()}
+        counts = self.counts = {p: trace.ckpt_counts.get(p, 0) for p in range(1, trace.n + 1)}
+        sent = self.sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in counts.items()}
         for i, nm in enumerate(self.names):
             sp, si = where(trace.message_sends[nm][0])
             if si <= counts[sp]:
                 sent[sp][si].append(i)
-
-        # _start[p][x] masks the messages P_p sends in interval x or later.
-        # A chain ending with message i continues with exactly the messages
-        # its receiver sends in the receive interval or later.  Each process
-        # has an initial checkpoint, so every interval lies in 1..cnt and the
-        # start mask of the receive interval is exactly that set.
-        self._start: dict[int, list[int]] = {}
-        for p, cnt in counts.items():
-            start = [0] * (cnt + 2)
-            for x in range(cnt, 0, -1):
-                start[x] = start[x + 1] | sum(1 << i for i in sent[p][x])
-            self._start[p] = start
-        self.adj = [self._start[rp][ri] for rp, ri in recv]
 
         # Least fixpoint of the recurrence, in rounds until nothing moves.
         # Every entry of ``nothing`` exceeds every ordinal: no path ends there.
@@ -140,6 +136,50 @@ class _ZigzagIndex:
                         changed = True
         self.reach = reach
 
+    @cached_property
+    def _start(self) -> dict[int, list[int]]:
+        """``_start[p][x]`` masks the messages P_p sends in interval x or
+        later.  Each process has an initial checkpoint, so every interval
+        lies in 1..cnt."""
+        start = {}
+        for p, cnt in self.counts.items():
+            row = [0] * (cnt + 2)
+            for x in range(cnt, 0, -1):
+                row[x] = row[x + 1] | sum(1 << i for i in self.sent[p][x])
+            start[p] = row
+        return start
+
+    @cached_property
+    def _got(self) -> dict[int, list[int]]:
+        """``_got[p][x]`` masks the messages P_p receives in interval x or
+        earlier, so ``_got[q][y - 1]`` is the set of last messages of the
+        chains that end at C_q^y."""
+        got = {p: [0] * (cnt + 1) for p, cnt in self.counts.items()}
+        for i, (rp, ri) in enumerate(self.recv):
+            if ri < len(got[rp]):
+                got[rp][ri] |= 1 << i
+        for row in got.values():
+            for x in range(1, len(row)):
+                row[x] |= row[x - 1]
+        return got
+
+    @cached_property
+    def adj(self) -> list[int]:
+        """A chain ending with message i continues with exactly the
+        messages its receiver sends in the receive interval or later."""
+        return [self._start[rp][ri] for rp, ri in self.recv]
+
+    @cached_property
+    def pred(self) -> list[int]:
+        """``pred[j]``: the messages P_sender(j) receives in the send
+        interval of j or earlier, i.e. those whose ``adj`` holds j."""
+        pred = [0] * len(self.names)
+        for p, rows in self.sent.items():
+            for x, sent in enumerate(rows):
+                for j in sent:
+                    pred[j] = self._got[p][x]
+        return pred
+
     def _check_key(self, key: tuple[int, int]) -> None:
         p, x = key
         if p not in self.reach or not 1 <= x <= len(self.reach[p]) - 1:
@@ -148,6 +188,10 @@ class _ZigzagIndex:
     def start_mask(self, key: tuple[int, int]) -> int:
         self._check_key(key)
         return self._start[key[0]][key[1]]
+
+    def end_mask(self, key: tuple[int, int]) -> int:
+        self._check_key(key)
+        return self._got[key[0]][key[1] - 1]
 
     def exists(self, src: tuple[int, int], dst: tuple[int, int]) -> bool:
         self._check_key(src)
@@ -158,64 +202,94 @@ class _ZigzagIndex:
         sends, recvs = self.trace.message_sends, self.trace.message_recvs
         return all(recvs[a][0] <= sends[b][0] for a, b in zip(names, names[1:]))
 
-    def shortest_chain(self, src, dst) -> tuple[str, ...] | None:
-        """Shortest chain, ties broken lexicographically by name sequence.
+    def _chain(self, first: int, allowed: int, end: int) -> tuple[int, ...] | None:
+        """Bits of the lexicographically smallest shortest chain whose
+        first message is in ``first``, whose last is in ``end`` and whose
+        messages all lie in ``allowed``; None when there is none.
 
-        Message j ends a chain at dst=(q, y) when it is received at P_q
-        before interval y, and can still reach dst when it ends there or
-        ``reach`` from its receive point does.  Chains leave the heap in
-        (length, names) order and extending a chain keeps that order, so
-        the first chain that reaches a message is its best one and each
-        message is looked at once."""
-        self._check_key(dst)
-        q, y = dst
-        recv, reach = self.recv, self.reach
-        heap = [(0, (), -1)]  # the empty chain at src
-        looked = 0
-        while heap:
-            ln, names, last = heapq.heappop(heap)
-            if last < 0:
-                fresh = self.start_mask(src)
-            else:
-                rp, ri = recv[last]
-                if rp == q and ri < y:
-                    return names
-                fresh = self.adj[last] & ~looked
-            looked |= fresh
-            for j in _bits(fresh):
-                rp, ri = recv[j]
-                if (rp == q and ri < y) or reach[rp][ri][q] < y:
-                    heapq.heappush(heap, (ln + 1, names + (self.names[j],), j))
-        return None
+        Backwards, layer d holds the allowed messages whose shortest chain
+        into ``end`` has d more messages; the search stops at the first
+        layer that meets ``first``.  Forwards, each step takes the lowest
+        bit of the next layer among the current message's successors.
+        Every message joins at most one layer, so this is O(m) mask
+        operations.  A shortest chain never repeats a message."""
+        pred = self.pred
+        layer = seen = end & allowed
+        layers = []
+        while layer:
+            layers.append(layer)
+            if layer & first:
+                break
+            back = 0
+            while layer:
+                low = layer & -layer
+                back |= pred[low.bit_length() - 1]
+                layer ^= low
+            layer = back & allowed & ~seen
+            seen |= layer
+        else:
+            return None
+        chain = []
+        options = first
+        for layer in reversed(layers):
+            pick = options & layer
+            j = (pick & -pick).bit_length() - 1
+            chain.append(j)
+            options = self.adj[j]
+        return tuple(chain)
+
+    def shortest_chain(self, src, dst) -> tuple[str, ...] | None:
+        """Shortest chain, ties broken lexicographically by name sequence:
+        one :meth:`_chain` from the start mask of src into the end mask of
+        dst."""
+        chain = self._chain(self.start_mask(src), -1, self.end_mask(dst))
+        return None if chain is None else tuple(self.names[j] for j in chain)
 
     def simple_chains(self, src, dst, cap=None):
         """All message-simple chains from src to dst, shortest first, lex
         ties; a chain may extend beyond an earlier completion.  Returns
-        (chains, truncated): truncated is True when the cap cut the
-        enumeration short.  Pruned like :meth:`shortest_chain`."""
-        self._check_key(dst)
-        q, y = dst
-        recv, reach = self.recv, self.reach
-        out: list[tuple[str, ...]] = []
-        heap = [(0, (), -1, 0)]  # the empty chain at src
-        while heap:
-            ln, names, last, used = heapq.heappop(heap)
-            if last < 0:
-                fresh = self.start_mask(src)
-            else:
-                rp, ri = recv[last]
-                if rp == q and ri < y:
-                    out.append(names)
-                    if cap is not None and len(out) >= cap:
-                        return out, bool(heap)
-                fresh = self.adj[last] & ~used
-            for j in _bits(fresh):
-                rp, ri = recv[j]
-                if (rp == q and ri < y) or reach[rp][ri][q] < y:
-                    heapq.heappush(
-                        heap, (ln + 1, names + (self.names[j],), j, used | (1 << j))
-                    )
-        return out, False
+        (chains, truncated): truncated is True when a chain beyond the
+        cap exists.
+
+        Yen's k shortest loopless paths (Management Science, 1971), over
+        the message graph with a virtual source (the start mask of src)
+        and a virtual sink (the end mask of dst).  Each accepted chain is
+        spurred only at or after the position where it left the chain it
+        was spurred from (Lawler, Management Science, 1972).  A spur at
+        position v keeps the chain's first v messages (the root) and asks
+        :meth:`_chain` for the best suffix that avoids the root and every
+        next hop that an accepted chain with the same root already takes.
+        Suffixes of one root keep their (length, names) order once the
+        root is put in front, so the candidate heap yields the chains in
+        exactly that order.  With L the longest chain
+        returned, a capped search costs O(cap · L · m) mask operations."""
+        start, end = self.start_mask(src), self.end_mask(dst)
+        best = self._chain(start, -1, end)
+        if best is None:
+            return [], False
+        out: list[tuple[int, ...]] = []
+        hops: dict[tuple[int, ...], int] = {}  # root -> mask of next hops taken
+        heap = [(len(best), best, 0)]
+        queued = {best}
+        while heap and (cap is None or len(out) < cap):
+            ln, chain, dev = heapq.heappop(heap)
+            out.append(chain)
+            root_mask = sum(1 << j for j in chain[:dev])
+            for v in range(dev, ln + 1):
+                # A spur never stops at its root: a root that reaches dst is
+                # a shorter chain, accepted already, and _chain returns at
+                # least one message.
+                root = chain[:v]
+                hop = 1 << chain[v] if v < ln else 0  # 0: the sink
+                hops[root] = taken = hops.get(root, 0) | hop
+                first = (self.adj[root[-1]] if root else start) & ~taken
+                spur = self._chain(first, ~root_mask, end) if first else None
+                if spur is not None and root + spur not in queued:
+                    queued.add(root + spur)
+                    heapq.heappush(heap, (v + len(spur), root + spur, v))
+                root_mask |= hop
+        names = self.names
+        return [tuple(names[j] for j in chain) for chain in out], bool(heap)
 
 
 def _index(trace: Trace) -> _ZigzagIndex:
@@ -244,8 +318,8 @@ DEFAULT_MAX_WITNESSES = 32
 
 def _z_cycles(trace: Trace, cap: int | None):
     """(cycles, useless, truncated): capped simple-chain Z-cycle witnesses
-    in checkpoint order, the useless set, and how many checkpoints had
-    their enumeration cut short by the cap."""
+    in checkpoint order, the useless set, and how many checkpoints lie on
+    more Z-cycles than the cap."""
     if cap is not None and cap < 1:
         raise ValueError("witness cap must be at least 1")
     idx = _index(trace)
@@ -273,7 +347,8 @@ def find_z_cycles(
     Witnesses never repeat a message; per checkpoint they are ordered
     shortest first with lexicographic message-name tie-breaking.  Dense
     unprotected traces can hold astronomically many simple cycles, so
-    enumeration stops at ``max_witnesses_per_checkpoint`` (pass None for
+    enumeration stops at ``max_witnesses_per_checkpoint``, and its work
+    grows with the cap, not with the number of cycles (pass None for
     exhaustive output on desk-scale traces; uselessness itself is always
     decided by reachability, never by this bound).
     """
@@ -397,7 +472,8 @@ def oracle_report(
 
     The useless set is decided by reachability, so it is exact even when
     the witness cap truncates cycle enumeration (stats carry a
-    ``witnesses_truncated`` count when that happens)."""
+    ``witnesses_truncated`` count of the checkpoints that lie on more
+    Z-cycles than the cap)."""
     cycles, useless, truncated = _z_cycles(trace, max_witnesses_per_checkpoint)
     idx = _index(trace)
     violations = check_z_consistency(trace)

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from cicsim import oracle
 from cicsim.computation import (
     CKPT_INITIAL,
     EV_CKPT,
@@ -33,12 +34,10 @@ def keys(records):
     return {r.key() for r in records}
 
 
-def reference_zigzag(events):
-    """``exists(src, dst)`` over (process, ordinal) keys, written from the
-    definition in the ``cicsim.oracle`` docstring: a plain search over
-    each delivered message's (process, interval) send and receive
-    endpoints, where an event's interval is the number of checkpoints its
-    process has taken so far."""
+def endpoints(events):
+    """(sends, recvs, delivered): each message's (process, interval) send
+    and receive endpoints, where an event's interval is the number of
+    checkpoints its process has taken so far, and the delivered names."""
     taken, sends, recvs = {}, {}, {}
     for ev in events:
         if ev.kind == EV_CKPT:
@@ -48,7 +47,14 @@ def reference_zigzag(events):
             sends[ev.message] = where
         elif ev.kind == EV_RECV:
             recvs[ev.message] = where
-    delivered = [m for m in sends if m in recvs]
+    return sends, recvs, [m for m in sends if m in recvs]
+
+
+def reference_zigzag(events):
+    """``exists(src, dst)`` over (process, ordinal) keys, written from the
+    definition in the ``cicsim.oracle`` docstring: a plain search over
+    each delivered message's endpoints."""
+    sends, recvs, delivered = endpoints(events)
 
     def chained(p, x):
         """Messages that can appear in a zigzag chain starting at C_p^x."""
@@ -102,6 +108,84 @@ def test_zigzag_exists_matches_definition_reference():
                 )
                 cycles += want and a is b
     assert cycles > 0
+
+
+def reference_chains(events):
+    """``chains(src, dst)``: every message-simple zigzag chain from src to
+    dst, sorted by (length, names), written from the definition in the
+    ``cicsim.oracle`` docstring as a plain depth-first search."""
+    sends, recvs, delivered = endpoints(events)
+    sent_by = {}
+    for m in delivered:
+        sent_by.setdefault(sends[m][0], []).append(m)
+    starting = {}  # source -> every simple chain that starts there
+
+    def extend(chain, q, r, out):
+        for m in sent_by.get(q, ()):
+            if sends[m][1] >= r and m not in chain:
+                out.append(chain + (m,))
+                extend(chain + (m,), *recvs[m], out)
+        return out
+
+    def chains(src, dst):
+        if src not in starting:
+            starting[src] = extend((), *src, [])
+        q, y = dst
+        ending = [c for c in starting[src] if recvs[c[-1]][0] == q and recvs[c[-1]][1] < y]
+        return sorted(ending, key=lambda c: (len(c), c))
+
+    return chains
+
+
+def small_reference_traces():
+    """(label, trace): every built-in × every protocol and 100 seeded
+    scenarios of 12 to 30 steps × none, fine, all small enough for an
+    exhaustive search."""
+    for name in FIXTURE_NAMES:
+        scen, _ = builtin(name)
+        for protocol in PROTOCOL_NAMES:
+            yield f"{name}/{protocol}", run_scenario(scen, protocol).trace
+    for seed in range(100):
+        params = FuzzParams(n=3 + seed % 3, events=12 + seed * 7 % 19,
+                            p_ckpt=(0.2, 0.3, 0.4)[seed % 3], seed=seed + 8000)
+        scen = random_scenario(params)
+        for protocol in ("none", "fine"):
+            yield f"seed {seed + 8000}/{protocol}", run_scenario(scen, protocol).trace
+
+
+def test_witness_search_matches_definition_reference():
+    # Every checkpoint pair, virtual terminals at both ends included.
+    many = 0
+    for label, trace in small_reference_traces():
+        idx = oracle._index(trace)
+        chains = reference_chains(trace.events)
+        recs = trace.sorted_checkpoints() + virtual_terminals(trace)
+        for a in recs:
+            for b in recs:
+                want = chains(a.key(), b.key())
+                where = f"{label}: {a.label()} -> {b.label()}"
+                got = idx.shortest_chain(a.key(), b.key())
+                assert got == (want[0] if want else None), where
+                for cap in (1, 2, 5, 32, None):
+                    cut = want if cap is None else want[:cap]
+                    more = cap is not None and len(want) > cap
+                    assert idx.simple_chains(a.key(), b.key(), cap) == (cut, more), (
+                        f"{where}, cap {cap}"
+                    )
+                many += len(want) > 32
+    assert many > 0
+
+
+def test_witnesses_truncated_means_a_chain_beyond_the_cap(fixture_run):
+    trace = fixture_run("ccp", "none").trace
+    # C_3^3, the only useless checkpoint, lies on exactly two Z-cycles.
+    assert len(find_z_cycles(trace, max_witnesses_per_checkpoint=None)) == 2
+    assert oracle_report(trace, 2).stats["witnesses_truncated"] == 0
+    assert oracle_report(trace, 1).stats["witnesses_truncated"] == 1
+    # The second chain extends the first one.
+    idx = oracle._index(trace)
+    assert idx.simple_chains((1, 2), (2, 3), 1) == ([("m4",)], True)
+    assert idx.simple_chains((1, 2), (2, 3), 2) == ([("m4",), ("m4", "m3", "m6")], False)
 
 
 def test_ccp_causal_zigzag(fixture_run):
@@ -325,3 +409,16 @@ def test_witness_cap_keeps_dense_traces_tractable():
     assert max(per_ckpt.values()) <= 32
     with pytest.raises(ValueError):
         find_z_cycles(trace, max_witnesses_per_checkpoint=0)
+
+
+def test_dense_report_time_is_bounded():
+    # The witness cap bounds the work of enumeration, not only its output.
+    scen = random_scenario(
+        FuzzParams(n=6, events=400, p_ckpt=0.1, p_send=0.35, max_in_flight=8, seed=7)
+    )
+    trace = run_scenario(scen, "none").trace
+    t0 = time.time()
+    rep = oracle_report(trace)
+    assert time.time() - t0 < 10.0
+    assert rep.stats["useless"] > 0
+    assert rep.stats["witnesses_truncated"] > 0

@@ -249,6 +249,9 @@ def test_cli_fuzz_asymmetric_rates_flag(capsys):
     ["--runs", "0", "--max-in-flight", "0"],
     ["--runs", "0", "--p-send", "7"],
     ["--runs", "0", "--p-ckpt", "2.0"],
+    ["--procs", "4", "--p-ckpt", "0.1", "--p-ckpt", "0.2", "--p-ckpt", "0.3"],
+    *(["--procs", "3-5", "--p-ckpt", "0.1", "--p-ckpt", "0.2", "--p-ckpt", "0.3",
+       "--runs", "1", "--seed", seed] for seed in ("0", "1", "2", "5")),
 ], ids=lambda flags: " ".join(flags))
 def test_cli_fuzz_bad_flag_is_usage_error(flags, capsys):
     assert main(["fuzz", "--runs", "2", *flags]) == 2
