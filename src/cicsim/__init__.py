@@ -4,7 +4,8 @@ checkpointing protocols.
 The package replays scripted or randomized distributed computations
 through the classic index-based protocol family (partly informed, fully
 informed in two encodings, lazy, and the weakened fine variants) and
-checks every run against a brute-force zigzag-path oracle: Z-cycles,
+checks every run against a zigzag-path oracle, a reachability fixpoint
+over checkpoints that ignores the protocols' bookkeeping: Z-cycles,
 useless checkpoints, and zigzag-consistent timestamping.
 """
 

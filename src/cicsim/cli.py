@@ -156,17 +156,15 @@ def cmd_fuzz(args) -> int:
     findings = []
     for seed in range(args.seed, args.seed + args.runs):
         scen = random_scenario(_fuzz_params(args, procs, seed))
-        for proto in protocols:
-            run = run_scenario(scen, proto)
-            forced_totals[proto] += run.forced_count
-            useless, violations = oracle.quick_findings(run.trace)
-            if useless or violations:
+        for row in compare_runs(scen, protocols):
+            forced_totals[row.protocol] += row.forced
+            if row.useless or row.violations:
                 findings.append(
                     {
                         "seed": seed,
-                        "protocol": proto,
-                        "useless": useless,
-                        "violations": violations,
+                        "protocol": row.protocol,
+                        "useless": row.useless,
+                        "violations": row.violations,
                         "hash": report.scenario_hash(serialize_scenario(scen)),
                     }
                 )

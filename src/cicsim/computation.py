@@ -70,16 +70,59 @@ class Interval:
 class Trace:
     """Ordered, immutable-by-convention record of one computation.
 
-    Index structures (message endpoints, per-event intervals, causality
-    vectors) are derived once at construction.  Construction is tolerant of
-    invariant violations so that :func:`validate_trace` can report them as
-    data; the derived indexes are only meaningful on valid traces.
+    Every trace carries the columns the zigzag oracle reads: ``n``,
+    ``event_count``, the checkpoint records by (process, ordinal), the
+    per-process checkpoint counts ``ckpt_counts``, and ``delivered``,
+    which maps each message with both endpoints to the integers
+    (sender, send interval, send position, receiver, receive interval,
+    receive position) of its first send and first receive.
+
+    The event-level view (``events`` and the positional index
+    ``message_sends``/``message_recvs``, ``_pos``, ``_ckpt_pos``,
+    ``_interval``) is built at construction for a hand-built
+    ``Trace(n, events)``, in the same pass that derives the columns.  A
+    trace the simulator writes holds the columns and a tuple log instead,
+    and builds the event-level view from the log on its first use.
+
+    Construction is tolerant of invariant violations so that
+    :func:`validate_trace` can report them as data; the derived indexes
+    are only meaningful on valid traces.
     """
+
+    _EVENT_VIEW = frozenset(
+        ("events", "message_sends", "message_recvs", "_pos", "_ckpt_pos", "_interval")
+    )
 
     def __init__(self, n: int, events: list[Event]):
         self.n = n
         self.events = list(events)
         self._index()
+
+    @classmethod
+    def _from_log(cls, n, log, checkpoints, ckpt_counts, delivered) -> "Trace":
+        """A trace from columns written while the computation ran; ``log``
+        holds one (process, ordinal, kind, message, checkpoint) tuple per
+        event, the fields of its :class:`Event`."""
+        trace = cls.__new__(cls)
+        trace.n = n
+        trace._log = log
+        trace.event_count = len(log)
+        trace.checkpoints = checkpoints
+        trace.ckpt_counts = ckpt_counts
+        trace.delivered = delivered
+        trace._vclock = None
+        return trace
+
+    def __getattr__(self, name):
+        # Reached only for attributes not yet set: the event-level view of
+        # a trace built from a log.
+        log = self.__dict__.get("_log")
+        if log is None or name not in self._EVENT_VIEW:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.events = [Event(*entry) for entry in log]
+        del self._log
+        self._index()
+        return getattr(self, name)
 
     def _index(self) -> None:
         self._pos = {}  # (process, ordinal) -> global position
@@ -103,6 +146,16 @@ class Trace:
             if ev.process in ckpt_count:
                 self._interval[pos] = max(ckpt_count[ev.process], 1)
         self.ckpt_counts = ckpt_count
+        self.event_count = len(self.events)
+        self.delivered = {}
+        for name, sends in self.message_sends.items():
+            recvs = self.message_recvs.get(name)
+            if recvs:
+                s, r = sends[0], recvs[0]
+                self.delivered[name] = (
+                    self.events[s].process, self._interval[s], s,
+                    self.events[r].process, self._interval[r], r,
+                )
         self._vclock: list[list[int]] | None = None
 
     # -- basic lookups -------------------------------------------------
@@ -130,11 +183,7 @@ class Trace:
 
     def delivered_messages(self) -> list[str]:
         """Names of messages with both endpoints, sorted."""
-        return sorted(
-            name
-            for name, sends in self.message_sends.items()
-            if sends and self.message_recvs.get(name)
-        )
+        return sorted(self.delivered)
 
     # -- causality -----------------------------------------------------
 

@@ -4,8 +4,16 @@ Zigzag reachability between checkpoints, Z-cycle enumeration,
 useless-checkpoint detection, Z-consistent-timestamping checks, and an
 exhaustive consistent-global-checkpoint membership analysis.  Protocols
 are judged against these predicates, never against their own
-bookkeeping: the oracle reads only the message endpoints and the
-checkpoint intervals of a trace.
+bookkeeping: the oracle reads only these integer columns of a trace,
+never its Event list:
+
+* ``delivered``: per message with both endpoints, its sender, send
+  interval and send position, and its receiver, receive interval and
+  receive position (the positions only decide whether a witness is
+  causal);
+* ``checkpoints`` and ``ckpt_counts``: the records by (process, ordinal)
+  and the number of checkpoints per process;
+* ``n`` and ``event_count``.
 
 A zigzag path from C_i^x to C_j^y is a message chain where the first
 message is sent by P_i in interval x or later, every next message is sent
@@ -44,6 +52,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import inf
 
 from .computation import (
     CKPT_VIRTUAL,
@@ -100,24 +109,21 @@ class _ZigzagIndex:
     def __init__(self, trace: Trace):
         self.trace = trace
         self.names = trace.delivered_messages()
-
-        def where(pos: int) -> tuple[int, int]:
-            return trace.events[pos].process, trace._interval[pos]
+        ends = [trace.delivered[nm] for nm in self.names]
 
         # (process, interval) of each message's receive, and the messages
         # each process sends per interval.  Index cnt+1 of a per-process
         # list is the virtual terminal checkpoint, which sends nothing.
-        recv = self.recv = [where(trace.message_recvs[nm][0]) for nm in self.names]
+        recv = self.recv = [(rp, ri) for _, _, _, rp, ri, _ in ends]
         counts = self.counts = {p: trace.ckpt_counts.get(p, 0) for p in range(1, trace.n + 1)}
         sent = self.sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in counts.items()}
-        for i, nm in enumerate(self.names):
-            sp, si = where(trace.message_sends[nm][0])
+        for i, (sp, si, _, _, _, _) in enumerate(ends):
             if si <= counts[sp]:
                 sent[sp][si].append(i)
 
         # Least fixpoint of the recurrence, in rounds until nothing moves.
         # Every entry of ``nothing`` exceeds every ordinal: no path ends there.
-        nothing = [len(trace.events) + 2] * (trace.n + 1)
+        nothing = [trace.event_count + 2] * (trace.n + 1)
         reach = {p: [nothing] * (cnt + 2) for p, cnt in counts.items()}
         changed = True
         while changed:
@@ -199,8 +205,8 @@ class _ZigzagIndex:
         return self.reach[src[0]][src[1]][dst[0]] < dst[1]
 
     def chain_is_causal(self, names: tuple[str, ...]) -> bool:
-        sends, recvs = self.trace.message_sends, self.trace.message_recvs
-        return all(recvs[a][0] <= sends[b][0] for a, b in zip(names, names[1:]))
+        ends = self.trace.delivered
+        return all(ends[a][5] <= ends[b][2] for a, b in zip(names, names[1:]))
 
     def _chain(self, first: int, allowed: int, end: int) -> tuple[int, ...] | None:
         """Bits of the lexicographically smallest shortest chain whose
@@ -357,18 +363,38 @@ def find_z_cycles(
 
 def useless_checkpoints(trace: Trace) -> set[CheckpointRecord]:
     """Exactly the checkpoints that sit on at least one Z-cycle."""
-    idx = _index(trace)
-    return {rec for rec in trace.checkpoints.values() if idx.exists(rec.key(), rec.key())}
+    reach = _index(trace).reach
+    return {rec for (p, x), rec in trace.checkpoints.items() if reach[p][x][p] < x}
 
 
 def _violating_pairs(idx: _ZigzagIndex, recs: list[CheckpointRecord]):
     """Yield (a, b) in checkpoint order for every pair connected by a
-    zigzag path a -> b with a.timestamp >= b.timestamp."""
+    zigzag path a -> b with a.timestamp >= b.timestamp.
+
+    ``recs`` is in (process, ordinal) order.  A path a -> C_q^y exists
+    exactly when y > reach[a][q], so the row of q is scanned for a only
+    when ``floor[reach[a][q]]``, the least timestamp of q's checkpoints
+    above that ordinal, is at most a's."""
+    rows: dict[int, list[CheckpointRecord]] = {}
+    for rec in recs:
+        rows.setdefault(rec.process, []).append(rec)
+    scan = []
+    for q, row in rows.items():
+        floor = [inf] * (row[-1].ordinal + 1)
+        for rec in row:
+            floor[rec.ordinal - 1] = rec.timestamp
+        for r in range(len(floor) - 2, -1, -1):
+            if floor[r + 1] < floor[r]:
+                floor[r] = floor[r + 1]
+        scan.append((q, floor, row))
     for a in recs:
-        row = idx.reach[a.process][a.ordinal]
-        for b in recs:
-            if a.timestamp >= b.timestamp and row[b.process] < b.ordinal:
-                yield a, b
+        reach, t = idx.reach[a.process][a.ordinal], a.timestamp
+        for q, floor, row in scan:
+            r = reach[q]
+            if r < len(floor) and floor[r] <= t:
+                for b in row:
+                    if b.ordinal > r and b.timestamp <= t:
+                        yield a, b
 
 
 def check_z_consistency(trace: Trace):
@@ -479,7 +505,7 @@ def oracle_report(
     violations = check_z_consistency(trace)
     stats = {
         "processes": trace.n,
-        "events": len(trace.events),
+        "events": trace.event_count,
         "messages_delivered": len(idx.names),
         "checkpoints": len(trace.checkpoints),
         "z_cycles": len(cycles),

@@ -88,10 +88,9 @@ class ForcedDecision:
     forced: bool
     fired: frozenset
 
-    @staticmethod
-    def of(fired) -> "ForcedDecision":
-        fired = frozenset(fired)
-        return ForcedDecision(bool(fired), fired)
+
+# The decision of every receive at which no condition fires.
+_NOT_FORCED = ForcedDecision(False, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +263,16 @@ class BaseProtocol:
         """Returns (decision, forced checkpoint record or None, pre-update
         state snapshot when a checkpoint was forced)."""
         self._check_payload(m)
-        fired = set()
-        if self._c1(m):
-            fired.add("C1")
-        if self._c2(m):
-            fired.add("C2")
-        record = None
-        snapshot = None
-        if fired:
-            snapshot = self.snapshot()
-            record = self.take_checkpoint(CKPT_FORCED)
+        c1 = self._c1(m)
+        c2 = self._c2(m)
+        if not (c1 or c2):
+            self._update(m)
+            return _NOT_FORCED, None, None
+        fired = frozenset(name for name, hit in (("C1", c1), ("C2", c2)) if hit)
+        snapshot = self.snapshot()
+        record = self.take_checkpoint(CKPT_FORCED)
         self._update(m)
-        return ForcedDecision.of(fired), record, snapshot
+        return ForcedDecision(True, fired), record, snapshot
 
     # helpers ------------------------------------------------------------
 

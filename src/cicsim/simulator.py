@@ -26,7 +26,6 @@ from .computation import (
     EV_RECV,
     EV_SEND,
     CheckpointRecord,
-    Event,
     Trace,
 )
 from .protocols import ForcedDecision, Piggyback, make_protocol
@@ -157,6 +156,12 @@ class AnnotatedTrace:
         return self.trace.checkpoints[(process, ordinal)]
 
 
+def _check(scenario: Scenario) -> None:
+    problems = scenario_violations(scenario)
+    if problems:
+        raise ScenarioError(problems)
+
+
 def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     """Execute the scenario's steps in order under one protocol.
 
@@ -165,47 +170,67 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     before their triggering receive.  Bit-for-bit deterministic in
     (scenario, protocol).
     """
-    problems = scenario_violations(scenario)
-    if problems:
-        raise ScenarioError(problems)
-    machines = {i: make_protocol(protocol, scenario.n, i) for i in range(1, scenario.n + 1)}
+    _check(scenario)
+    return _run(scenario, protocol)
 
-    events: list[Event] = []
+
+def _run(scenario: Scenario, protocol: str) -> AnnotatedTrace:
+    """:func:`run_scenario` on a scenario that has passed validation.
+
+    The trace is written as columns while the steps run: one tuple per
+    event, the checkpoint records, and the endpoints of each delivered
+    message, whose intervals are the checkpoint counts at its send and at
+    its receive.  No Event is built unless a caller asks for one."""
+    n = scenario.n
+    machines = [None] + [make_protocol(protocol, n, i) for i in range(1, n + 1)]
+
+    log: list[tuple] = []
     step_of_event: list[int | None] = []
-    ordinals = {i: 0 for i in range(1, scenario.n + 1)}
+    ordinals = [0] * (n + 1)
+    counts = [0] * (n + 1)  # checkpoints so far: the current interval
+    checkpoints: dict[tuple[int, int], CheckpointRecord] = {}
+    delivered: dict[str, tuple[int, int, int, int, int, int]] = {}
 
-    def emit(process, kind, step_idx, message=None, checkpoint=None):
-        ordinals[process] += 1
-        events.append(Event(process, ordinals[process], kind, message, checkpoint))
+    def checkpoint(p, rec, step_idx):
+        counts[p] += 1
+        checkpoints[rec.key()] = rec
+        ordinals[p] += 1
+        log.append((p, ordinals[p], EV_CKPT, None, rec))
         step_of_event.append(step_idx)
 
-    for i in range(1, scenario.n + 1):
-        emit(i, EV_CKPT, None, checkpoint=machines[i].initial_record)
+    for i in range(1, n + 1):
+        checkpoint(i, machines[i].initial_record, None)
 
-    in_flight: dict[str, Piggyback] = {}
+    # message -> (piggyback, sender, send interval, send position)
+    in_flight: dict[str, tuple[Piggyback, int, int, int]] = {}
     forced: list[ForcedEvent] = []
     piggybacks: list[tuple[int, str, Piggyback]] = []
 
     for idx, st in enumerate(scenario.steps):
+        p = st.process
         if st.kind == "ckpt":
-            rec = machines[st.process].take_checkpoint()
-            emit(st.process, EV_CKPT, idx, checkpoint=rec)
-        elif st.kind == "send":
-            pb = machines[st.process].on_send(st.dest)
-            in_flight[st.message] = pb
-            piggybacks.append((idx, st.message, pb))
-            emit(st.process, EV_SEND, idx, message=st.message)
+            checkpoint(p, machines[p].take_checkpoint(), idx)
+            continue
+        name = st.message
+        if st.kind == "send":
+            pb = machines[p].on_send(st.dest)
+            in_flight[name] = (pb, p, counts[p], len(log))
+            piggybacks.append((idx, name, pb))
+            kind = EV_SEND
         else:
-            pb = in_flight.pop(st.message)
-            decision, rec, prestate = machines[st.process].on_receive(pb)
+            pb, sp, si, spos = in_flight.pop(name)
+            decision, rec, prestate = machines[p].on_receive(pb)
             if rec is not None:
-                emit(st.process, EV_CKPT, idx, checkpoint=rec)
-                forced.append(
-                    ForcedEvent(idx, st.process, st.message, decision, rec, pb, prestate)
-                )
-            emit(st.process, EV_RECV, idx, message=st.message)
+                checkpoint(p, rec, idx)
+                forced.append(ForcedEvent(idx, p, name, decision, rec, pb, prestate))
+            delivered[name] = (sp, si, spos, p, counts[p], len(log))
+            kind = EV_RECV
+        ordinals[p] += 1
+        log.append((p, ordinals[p], kind, name, None))
+        step_of_event.append(idx)
 
-    trace = Trace(scenario.n, events)
+    ckpt_counts = {p: counts[p] for p in range(1, n + 1)}
+    trace = Trace._from_log(n, log, checkpoints, ckpt_counts, delivered)
     return AnnotatedTrace(scenario, protocol, trace, forced, piggybacks, step_of_event)
 
 
@@ -223,9 +248,13 @@ class CompareRow:
 
 
 def compare_runs(scenario: Scenario, protocols) -> list[CompareRow]:
+    """One row per protocol, in the given order, with the forced and total
+    checkpoints of its run and the oracle's quick findings.  The scenario
+    is validated once and then replayed under each protocol."""
+    _check(scenario)
     rows = []
     for name in protocols:
-        run = run_scenario(scenario, name)
+        run = _run(scenario, name)
         useless, violations = oracle.quick_findings(run.trace)
         rows.append(
             CompareRow(name, run.forced_count, run.checkpoint_total, useless, violations)

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,7 @@ from cicsim.oracle import (
     zigzag_exists,
 )
 from cicsim.protocols import PROTOCOL_NAMES
+from cicsim.rng import SplitMix64
 from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, random_scenario
 from cicsim.simulator import run_scenario
 
@@ -265,8 +267,60 @@ def test_missing_timestamp_rejected():
         Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, None)),
         Event(2, 1, "ckpt", checkpoint=CheckpointRecord(2, 1, CKPT_INITIAL, 1)),
     ]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^checkpoint C_1\^1 has no timestamp$"):
         check_z_consistency(Trace(2, events))
+
+
+def reference_violating_pairs(idx, recs):
+    """The all-pairs scan: every source against every checkpoint."""
+    for a in recs:
+        row = idx.reach[a.process][a.ordinal]
+        for b in recs:
+            if a.timestamp >= b.timestamp and row[b.process] < b.ordinal:
+                yield a, b
+
+
+def restamped(trace, seed):
+    """The same computation with arbitrary, non-monotone timestamps."""
+    draw = SplitMix64(seed)
+    events = []
+    for ev in trace.events:
+        if ev.checkpoint is not None:
+            rec = replace(ev.checkpoint, timestamp=1 + draw.below(6))
+            ev = replace(ev, checkpoint=rec)
+        events.append(ev)
+    return Trace(trace.n, events)
+
+
+def test_violation_scan_matches_all_pairs_reference():
+    def ckpt(p, ordinal, x, t):
+        return Event(p, ordinal, EV_CKPT, checkpoint=CheckpointRecord(p, x, "basic", t))
+
+    # m1 leaves P1's last interval and reaches P2 in its first, so the
+    # reach row of each P1 checkpoint covers every P2 ordinal above 1 and
+    # the rows of P2's checkpoints are empty.  P2's timestamps go down.
+    hand = Trace(2, [
+        ckpt(1, 1, 1, 4), ckpt(2, 1, 1, 1), ckpt(1, 2, 2, 2), Event(1, 3, EV_SEND, "m1"),
+        Event(2, 2, EV_RECV, "m1"), ckpt(2, 3, 2, 9), ckpt(2, 4, 3, 3), ckpt(2, 5, 4, 4),
+    ])
+    pairs = oracle._violating_pairs(oracle._index(hand), hand.sorted_checkpoints())
+    assert [(a.key(), b.key()) for a, b in pairs] == [((1, 1), (2, 3)), ((1, 1), (2, 4))]
+    traces = [hand]
+    for seed in range(60):
+        scen = random_scenario(FuzzParams(n=3 + seed % 4, events=30 + seed * 7 % 150,
+                                          seed=seed + 5100))
+        for protocol in ("none", "fine", "lazy-fine"):
+            trace = run_scenario(scen, protocol).trace
+            traces += [trace, restamped(trace, seed)]
+    found = 0
+    for trace in traces:
+        idx = oracle._index(trace)
+        recs = trace.sorted_checkpoints()
+        got = list(oracle._violating_pairs(idx, recs))
+        assert got == list(reference_violating_pairs(idx, recs))
+        assert quick_findings(trace)[1] == len(got)
+        found += len(got)
+    assert found > 1000
 
 
 def test_membership_on_ccp(fixture_run):

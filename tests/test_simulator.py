@@ -2,7 +2,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from cicsim.computation import Trace
+from cicsim.oracle import oracle_report, quick_findings
 from cicsim.protocols import (
+    PROTOCOL_NAMES,
     ProtocolError,
     eval_c_fi1_clockv,
     eval_c_fi1_greater,
@@ -12,7 +15,15 @@ from cicsim.protocols import (
     eval_c_lazyfine1,
     eval_c_pi,
 )
-from cicsim.scenarios import FuzzParams, builtin, random_scenario
+from cicsim.report import run_report, to_json
+from cicsim.rng import SplitMix64
+from cicsim.scenarios import (
+    FIXTURE_NAMES,
+    FuzzParams,
+    builtin,
+    random_scenario,
+    serialize_scenario,
+)
 from cicsim.simulator import (
     Scenario,
     ScenarioError,
@@ -104,6 +115,69 @@ def test_invalid_scenarios_rejected():
 def test_unknown_protocol_rejected():
     with pytest.raises(ProtocolError):
         run_scenario(Scenario(2, ()), "quantum")
+
+
+# -- columnar traces ---------------------------------------------------------
+
+EVENT_VIEW = ("events", "message_sends", "message_recvs", "_pos", "_ckpt_pos", "_interval")
+
+
+def columnar_cases():
+    """(label, scenario, protocols): every built-in under every protocol,
+    then 300 seeded scenarios (n 3-8, up to 600 events), each under two
+    protocols in turn."""
+    for name in FIXTURE_NAMES:
+        yield name, builtin(name)[0], PROTOCOL_NAMES
+    for seed in range(300):
+        prng = SplitMix64(seed ^ 0xC0105)
+        n = 3 + prng.below(6)
+        events = 20 + prng.below(581) if seed % 5 == 0 else 20 + prng.below(181)
+        rates = tuple(0.02 + 0.28 * prng.random() for _ in range(n))
+        scen = random_scenario(FuzzParams(n=n, events=events, p_ckpt=rates, seed=seed))
+        protocols = (PROTOCOL_NAMES[seed % 10], PROTOCOL_NAMES[(seed * 7 + 3) % 10])
+        yield f"seed {seed}", scen, protocols
+
+
+def oracle_view(trace, cap):
+    """Everything the oracle says about a trace, as plain data; the
+    report's violations are those of check_z_consistency."""
+    rep = oracle_report(trace, cap)
+    return (
+        quick_findings(trace),
+        [(a.key(), b.key(), w.messages, w.causal) for a, b, w in rep.violations],
+        [(r.key(), w.messages, w.causal) for r, w in rep.z_cycles],
+        sorted(r.key() for r in rep.useless),
+        rep.stats,
+    )
+
+
+def test_columnar_trace_equals_trace_rebuilt_from_its_events():
+    for label, scen, protocols in columnar_cases():
+        for protocol in protocols:
+            trace = run_scenario(scen, protocol).trace
+            # A small witness cap keeps dense unprotected traces cheap; the
+            # report still reads every column.
+            cap = 4 if label.startswith("seed") else None
+            columns = (trace.event_count, trace.checkpoints, trace.ckpt_counts,
+                       trace.delivered, trace.delivered_messages())
+            judged = oracle_view(trace, cap)
+            rebuilt = Trace(trace.n, trace.events)
+            where = (label, protocol)
+            assert columns == (rebuilt.event_count, rebuilt.checkpoints, rebuilt.ckpt_counts,
+                               rebuilt.delivered, rebuilt.delivered_messages()), where
+            assert oracle_view(rebuilt, cap) == judged, where
+            for name in EVENT_VIEW:
+                assert getattr(trace, name) == getattr(rebuilt, name), (where, name)
+
+
+def test_reports_build_no_events():
+    scen, _ = builtin("lazy-fine-counterexample")
+    run = run_scenario(scen, "lazy-fine")
+    assert quick_findings(run.trace) == (1, 2)
+    rep = run_report(run, oracle_report(run.trace), serialize_scenario(scen))
+    assert to_json(rep)
+    assert all(name not in vars(run.trace) for name in EVENT_VIEW)
+    assert len(run.trace.events) == run.trace.event_count == rep["oracle"]["stats"]["events"]
 
 
 # -- compare ----------------------------------------------------------------
