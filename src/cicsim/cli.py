@@ -28,7 +28,7 @@ from .scenarios import (
     random_scenario,
     serialize_scenario,
 )
-from .simulator import ScenarioError, amplify_violation, compare_runs, run_scenario
+from .simulator import MAX_PROCS, amplify_violation, compare_runs, run_scenario
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -106,15 +106,26 @@ def cmd_run(args) -> int:
 
 
 def _parse_procs(spec: str) -> tuple[int, int]:
-    """``N`` or ``MIN-MAX`` with 2 <= MIN <= MAX."""
+    """``N`` or ``MIN-MAX`` with 2 <= MIN <= MAX <= MAX_PROCS."""
     lo, sep, hi = spec.partition("-")
     try:
         lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise UsageError(f"bad --procs value {spec!r}") from None
-    if not 2 <= lo <= hi:
-        raise UsageError(f"bad --procs value {spec!r}: need 2 <= MIN <= MAX")
+    if not 2 <= lo <= hi <= MAX_PROCS:
+        raise UsageError(f"bad --procs value {spec!r}: need 2 <= MIN <= MAX <= {MAX_PROCS}")
     return lo, hi
+
+
+def _parse_protocols(spec: str) -> list[str]:
+    """A comma-separated list of distinct known protocol names."""
+    protocols = spec.split(",")
+    for p in protocols:
+        if p not in PROTOCOL_NAMES:
+            raise UsageError(f"unknown protocol {p!r}; known: {', '.join(PROTOCOL_NAMES)}")
+    if len(set(protocols)) != len(protocols):
+        raise UsageError(f"protocol named twice in {spec!r}")
+    return protocols
 
 
 def _fuzz_params(args, procs: tuple[int, int], seed: int) -> FuzzParams:
@@ -137,10 +148,7 @@ def _fuzz_params(args, procs: tuple[int, int], seed: int) -> FuzzParams:
 
 
 def cmd_fuzz(args) -> int:
-    protocols = args.protocols.split(",")
-    for p in protocols:
-        if p not in PROTOCOL_NAMES:
-            raise UsageError(f"unknown protocol {p!r}; known: {', '.join(PROTOCOL_NAMES)}")
+    protocols = _parse_protocols(args.protocols)
     if args.runs < 0:
         raise UsageError(f"--runs must be at least 0, got {args.runs}")
     procs = _parse_procs(args.procs)
@@ -197,8 +205,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    protocols = _parse_protocols(args.protocols)
     scen, _ = _load_scenario(args.scenario)
-    protocols = args.protocols.split(",")
     rows = compare_runs(scen, protocols)
     print(f"{'protocol':14s} {'forced':>6s} {'ckpts':>6s} {'useless':>8s} {'z-consistent':>13s}")
     for r in rows:
@@ -323,8 +331,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, UnknownScenarioError, ScenarioParseError, ScenarioError,
-            ProtocolError) as exc:
+    except (UsageError, UnknownScenarioError, ScenarioParseError, ProtocolError) as exc:
         print(f"cicsim: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -374,9 +374,12 @@ def _violating_pairs(idx: _ZigzagIndex, recs: list[CheckpointRecord]):
     ``recs`` is in (process, ordinal) order.  A path a -> C_q^y exists
     exactly when y > reach[a][q], so the row of q is scanned for a only
     when ``floor[reach[a][q]]``, the least timestamp of q's checkpoints
-    above that ordinal, is at most a's."""
+    above that ordinal, is at most a's.  Raises ValueError, before any
+    pair, for a checkpoint without a timestamp."""
     rows: dict[int, list[CheckpointRecord]] = {}
     for rec in recs:
+        if rec.timestamp is None:
+            raise ValueError(f"checkpoint {rec.label()} has no timestamp")
         rows.setdefault(rec.process, []).append(rec)
     scan = []
     for q, row in rows.items():
@@ -405,12 +408,8 @@ def check_z_consistency(trace: Trace):
     witness per pair.  Requires every checkpoint to carry a timestamp.
     """
     idx = _index(trace)
-    recs = trace.sorted_checkpoints()
-    for rec in recs:
-        if rec.timestamp is None:
-            raise ValueError(f"checkpoint {rec.label()} has no timestamp")
     out = []
-    for a, b in _violating_pairs(idx, recs):
+    for a, b in _violating_pairs(idx, trace.sorted_checkpoints()):
         names = idx.shortest_chain(a.key(), b.key())
         out.append((a, b, ZigzagWitness(a, b, names, idx.chain_is_causal(names))))
     return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import oracle
 from .computation import causally_precedes, interval_of, is_consistent_global_checkpoint
 from .rng import SplitMix64
-from .simulator import Scenario, Step, run_scenario
+from .simulator import MAX_PROCS, Scenario, ScenarioError, Step, run_scenario
 
 
 class ScenarioParseError(ValueError):
@@ -50,12 +50,13 @@ def _is_number(token: str) -> bool:
 
 def parse_scenario(text: str, name: str | None = None) -> Scenario:
     """Parse the line-oriented scenario format, rejecting ill-formed input
-    with line-numbered errors."""
+    with line-numbered errors.  Only the syntax is checked here; the
+    Scenario constructor's problems are reported at their step's line (the
+    header's for the process count)."""
     errors: list[tuple[int, str]] = []
     n: int | None = None
     steps: list[Step] = []
-    sends: dict[str, int] = {}
-    received: set[str] = set()
+    line_of: dict[int | None, int] = {}  # step index -> line; None: header
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -63,50 +64,34 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
             continue
         parts = line.split()
         if n is None:
-            if len(parts) == 2 and parts[0] == "procs" and _is_number(parts[1]):
-                n = int(parts[1])
-                if n < 2:
-                    errors.append((lineno, f"process count {n} < 2"))
-            else:
-                errors.append((lineno, "expected 'procs N' header"))
-                break
+            if not (len(parts) == 2 and parts[0] == "procs" and _is_number(parts[1])):
+                raise ScenarioParseError([(lineno, "expected 'procs N' header")])
+            n = int(parts[1])
+            line_of[None] = lineno
             continue
         kind = parts[0]
         if kind == "ckpt" and len(parts) == 2 and _is_number(parts[1]):
-            p = int(parts[1])
-            if not 1 <= p <= n:
-                errors.append((lineno, f"process {p} out of range 1..{n}"))
-            steps.append(Step("ckpt", p))
+            step = Step("ckpt", int(parts[1]))
         elif (kind == "send" and len(parts) == 4
               and _is_number(parts[1]) and _is_number(parts[2])):
-            p, q, msg = int(parts[1]), int(parts[2]), parts[3]
-            if not 1 <= p <= n or not 1 <= q <= n:
-                errors.append((lineno, "process out of range"))
-            elif p == q:
-                errors.append((lineno, f"self-send by P{p}"))
-            if msg in sends:
-                errors.append((lineno, f"message {msg} already sent"))
-            sends[msg] = q
-            steps.append(Step("send", p, q, msg))
+            step = Step("send", int(parts[1]), int(parts[2]), parts[3])
         elif kind == "recv" and len(parts) == 3 and _is_number(parts[1]):
-            p, msg = int(parts[1]), parts[2]
-            if not 1 <= p <= n:
-                errors.append((lineno, f"process {p} out of range 1..{n}"))
-            if msg not in sends:
-                errors.append((lineno, f"receive of {msg} before its send"))
-            elif sends[msg] != p:
-                errors.append((lineno, f"{msg} was addressed to P{sends[msg]}"))
-            if msg in received:
-                errors.append((lineno, f"message {msg} already received"))
-            received.add(msg)
-            steps.append(Step("recv", p, message=msg))
+            step = Step("recv", int(parts[1]), message=parts[2])
         else:
             errors.append((lineno, f"cannot parse step {line!r}"))
-    if n is None and not errors:
-        errors.append((0, "empty scenario text"))
+            continue
+        line_of[len(steps)] = lineno
+        steps.append(step)
+    if n is None:
+        raise ScenarioParseError([(0, "empty scenario text")])
+    try:
+        scenario = Scenario(n, tuple(steps), name=name)
+    except ScenarioError as exc:
+        errors.extend((line_of[idx], problem) for idx, problem in exc.located)
+        errors.sort(key=lambda e: e[0])  # stable: a line keeps its order
     if errors:
         raise ScenarioParseError(errors)
-    return Scenario(n, tuple(steps), name=name)
+    return scenario
 
 
 def serialize_scenario(s: Scenario) -> str:
@@ -994,8 +979,8 @@ class FuzzParams:
 def checked_rates(params: FuzzParams) -> list[float]:
     """Per-process checkpoint probabilities of ``params``, after checking
     every knob; raises ValueError for an out-of-range one."""
-    if params.n < 2:
-        raise ValueError(f"need at least 2 processes, got {params.n}")
+    if not 2 <= params.n <= MAX_PROCS:
+        raise ValueError(f"need 2 to {MAX_PROCS} processes, got {params.n}")
     if params.events < 1:
         raise ValueError(f"need at least 1 event, got {params.events}")
     if params.max_in_flight < 1:

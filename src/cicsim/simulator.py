@@ -1,8 +1,10 @@
 """Deterministic engine replaying scenarios through one protocol.
 
 A scenario is an ordered list of steps (basic checkpoint, send, receive);
-the step order is the global order of the resulting trace.  Running a
-scenario yields an annotated trace: the trace itself (with protocol
+the step order is the global order of the resulting trace.  A Scenario is
+valid by construction (its constructor runs the one checker,
+step_problems), so nothing that takes a Scenario checks it again.  Running
+a scenario yields an annotated trace: the trace itself (with protocol
 timestamps), the forced-checkpoint events with their fired conditions and
 pre-update state snapshots, and the piggyback log.
 
@@ -31,10 +33,19 @@ from .computation import (
 from .protocols import ForcedDecision, Piggyback, make_protocol
 
 
+# A run builds one protocol object per process, each holding vectors of
+# N+1 entries, so its set-up memory grows as N squared.
+MAX_PROCS = 256
+
+
 class ScenarioError(ValueError):
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
+    """``problems``: the scenario_violations texts; ``located``: the same
+    problems as the (step index, problem) pairs of step_problems."""
+
+    def __init__(self, problems, located):
+        self.problems = problems
+        self.located = located
+        super().__init__("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -66,9 +77,17 @@ def recv(p: int, name: str) -> Step:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A process count and ordered steps; building one that breaks a rule
+    of :func:`step_problems` raises :class:`ScenarioError`."""
+
     n: int
     steps: tuple[Step, ...]
     name: str | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        located = list(step_problems(self.n, self.steps))
+        if located:
+            raise ScenarioError(scenario_violations(self), located)
 
     def message_names(self) -> set[str]:
         return {s.message for s in self.steps if s.message}
@@ -80,45 +99,50 @@ class Scenario:
         raise ValueError(f"no receive of {message!r} in scenario")
 
 
-def scenario_violations(s: Scenario) -> list[str]:
-    """Static validity: dense process ids, one send and at most one
-    receive per name, receives after their send and at the declared
-    destination, no self-sends."""
-    bad = []
-
-    def flag(idx: int, st: Step, problem: str) -> None:
-        # The step tag is formatted only for a step that has a problem.
-        bad.append(f"step {idx} ({st.text()}): {problem}")
-
-    if s.n < 2:
-        bad.append(f"process count {s.n} < 2")
+def step_problems(n: int, steps):
+    """Yield (step index, problem) in step order, index None for a process
+    count outside 2..MAX_PROCS.  Rules: ids in 1..n, one send and at most
+    one receive per name, each receive after its send and at its
+    destination, no self-sends, known step kinds."""
+    if n < 2:
+        yield None, f"process count {n} < 2"
+    elif n > MAX_PROCS:
+        yield None, f"process count {n} > {MAX_PROCS}"
     sends: dict[str, Step] = {}
     received: set[str] = set()
-    for idx, st in enumerate(s.steps):
-        if not 1 <= st.process <= s.n:
-            flag(idx, st, "process out of range")
+    for idx, st in enumerate(steps):
+        if not 1 <= st.process <= n:
+            yield idx, "process out of range"
             continue
         if st.kind == "send":
-            if st.dest is None or not 1 <= st.dest <= s.n:
-                flag(idx, st, "destination out of range")
+            if st.dest is None or not 1 <= st.dest <= n:
+                yield idx, "destination out of range"
             elif st.dest == st.process:
-                flag(idx, st, "self-send")
+                yield idx, "self-send"
             if st.message in sends:
-                flag(idx, st, f"message {st.message} sent twice")
+                yield idx, f"message {st.message} sent twice"
             else:
                 sends[st.message] = st
         elif st.kind == "recv":
             origin = sends.get(st.message)
             if origin is None:
-                flag(idx, st, f"receive before send of {st.message}")
+                yield idx, f"receive before send of {st.message}"
             elif origin.dest != st.process:
-                flag(idx, st, f"{st.message} was addressed to P{origin.dest}")
+                yield idx, f"{st.message} was addressed to P{origin.dest}"
             if st.message in received:
-                flag(idx, st, f"message {st.message} received twice")
+                yield idx, f"message {st.message} received twice"
             received.add(st.message)
         elif st.kind != "ckpt":
-            flag(idx, st, f"unknown step kind {st.kind!r}")
-    return bad
+            yield idx, f"unknown step kind {st.kind!r}"
+
+
+def scenario_violations(s: Scenario) -> list[str]:
+    """The problems of :func:`step_problems` as text, each tagged with its
+    step; empty for every Scenario, which cannot be built invalid."""
+    return [
+        problem if idx is None else f"step {idx} ({s.steps[idx].text()}): {problem}"
+        for idx, problem in step_problems(s.n, s.steps)
+    ]
 
 
 @dataclass
@@ -156,12 +180,6 @@ class AnnotatedTrace:
         return self.trace.checkpoints[(process, ordinal)]
 
 
-def _check(scenario: Scenario) -> None:
-    problems = scenario_violations(scenario)
-    if problems:
-        raise ScenarioError(problems)
-
-
 def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     """Execute the scenario's steps in order under one protocol.
 
@@ -169,13 +187,6 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     timestamps and its forced checkpoints, which are placed immediately
     before their triggering receive.  Bit-for-bit deterministic in
     (scenario, protocol).
-    """
-    _check(scenario)
-    return _run(scenario, protocol)
-
-
-def _run(scenario: Scenario, protocol: str) -> AnnotatedTrace:
-    """:func:`run_scenario` on a scenario that has passed validation.
 
     The trace is written as columns while the steps run: one tuple per
     event, the checkpoint records, and the endpoints of each delivered
@@ -249,12 +260,10 @@ class CompareRow:
 
 def compare_runs(scenario: Scenario, protocols) -> list[CompareRow]:
     """One row per protocol, in the given order, with the forced and total
-    checkpoints of its run and the oracle's quick findings.  The scenario
-    is validated once and then replayed under each protocol."""
-    _check(scenario)
+    checkpoints of its run and the oracle's quick findings."""
     rows = []
     for name in protocols:
-        run = _run(scenario, name)
+        run = run_scenario(scenario, name)
         useless, violations = oracle.quick_findings(run.trace)
         rows.append(
             CompareRow(name, run.forced_count, run.checkpoint_total, useless, violations)

@@ -262,13 +262,15 @@ def test_fine_proposal_violation(fixture_run):
     assert pairs == [((1, 2), (3, 2))]
 
 
-def test_missing_timestamp_rejected():
+@pytest.mark.parametrize("entry", [check_z_consistency, quick_findings, oracle_report],
+                         ids=lambda entry: entry.__name__)
+def test_missing_timestamp_rejected(entry):
     events = [
         Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, None)),
         Event(2, 1, "ckpt", checkpoint=CheckpointRecord(2, 1, CKPT_INITIAL, 1)),
     ]
     with pytest.raises(ValueError, match=r"^checkpoint C_1\^1 has no timestamp$"):
-        check_z_consistency(Trace(2, events))
+        entry(Trace(2, events))
 
 
 def reference_violating_pairs(idx, recs):

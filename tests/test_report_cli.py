@@ -188,6 +188,13 @@ def test_cli_compare(capsys):
     assert "none" in out and "fi" in out
 
 
+@pytest.mark.parametrize("protocols", ["fi,fi", "none,quantum"])
+def test_cli_compare_bad_protocol_list_is_usage_error(protocols, capsys):
+    assert main(["compare", "ccp", "--protocols", protocols]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cicsim: ") and captured.out == ""
+
+
 def test_cli_amplify(capsys):
     assert main(["amplify", "fine-proposal", "fine", "--check"]) == 1
     out = capsys.readouterr().out
@@ -252,6 +259,12 @@ def test_cli_fuzz_asymmetric_rates_flag(capsys):
     ["--procs", "4", "--p-ckpt", "0.1", "--p-ckpt", "0.2", "--p-ckpt", "0.3"],
     *(["--procs", "3-5", "--p-ckpt", "0.1", "--p-ckpt", "0.2", "--p-ckpt", "0.3",
        "--runs", "1", "--seed", seed] for seed in ("0", "1", "2", "5")),
+    ["--protocols", "fi,fi"],
+    ["--protocols", "fi,fi", "--runs", "0"],
+    ["--protocols", "fi,nope", "--runs", "0"],
+    ["--procs", "257"],
+    ["--procs", "2-300", "--runs", "0"],
+    *(["--procs", "2-300", "--runs", "1", "--seed", seed] for seed in ("0", "1", "2")),
 ], ids=lambda flags: " ".join(flags))
 def test_cli_fuzz_bad_flag_is_usage_error(flags, capsys):
     assert main(["fuzz", "--runs", "2", *flags]) == 2

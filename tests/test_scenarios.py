@@ -13,7 +13,7 @@ from cicsim.scenarios import (
     serialize_scenario,
     verify_fixture,
 )
-from cicsim.simulator import Step, run_scenario
+from cicsim.simulator import MAX_PROCS, Step, run_scenario
 
 
 # -- parser / serializer ----------------------------------------------------
@@ -33,8 +33,7 @@ def test_parse_comments_and_blanks():
 def test_receive_without_send_is_line_numbered():
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario("procs 2\nrecv 2 m1\n")
-    assert err.value.errors[0][0] == 2
-    assert "before its send" in err.value.errors[0][1]
+    assert err.value.errors == [(2, "receive before send of m1")]
 
 
 def test_missing_header_reports_line_one():
@@ -68,6 +67,13 @@ def test_non_ascii_digits_are_line_numbered(text, lineno):
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(text)
     assert err.value.errors[0][0] == lineno
+
+
+def test_process_bound_is_line_numbered():
+    assert parse_scenario(f"procs {MAX_PROCS}\n").n == MAX_PROCS
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(f"procs {MAX_PROCS + 1}\n")
+    assert err.value.errors == [(1, f"process count {MAX_PROCS + 1} > {MAX_PROCS}")]
 
 
 @pytest.mark.parametrize("header", ["procs x", "procs \u00b2"],
@@ -145,6 +151,8 @@ def test_different_seeds_differ():
 def test_degenerate_params_rejected():
     with pytest.raises(ValueError):
         random_scenario(FuzzParams(n=1, seed=0))
+    with pytest.raises(ValueError):
+        random_scenario(FuzzParams(n=MAX_PROCS + 1, seed=0))
     with pytest.raises(ValueError):
         random_scenario(FuzzParams(n=3, p_send=1.5, seed=0))
     with pytest.raises(ValueError):

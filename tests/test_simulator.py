@@ -20,18 +20,23 @@ from cicsim.rng import SplitMix64
 from cicsim.scenarios import (
     FIXTURE_NAMES,
     FuzzParams,
+    ScenarioParseError,
     builtin,
+    parse_scenario,
     random_scenario,
     serialize_scenario,
 )
 from cicsim.simulator import (
     Scenario,
     ScenarioError,
+    Step,
     amplify_violation,
     compare_runs,
     recv,
     run_scenario,
+    scenario_violations,
     send,
+    step_problems,
 )
 
 CONDITION_FUNCS = {
@@ -269,8 +274,6 @@ def test_amplify_handles_forced_target_checkpoint():
     assert chosen[1].kind == "forced"
     result = amplify_violation(scen, "fine")
     assert result is not None
-    from cicsim.simulator import scenario_violations
-
     assert scenario_violations(result.scenario) == []
     again = amplify_violation(scen, "fine")
     assert again.scenario == result.scenario  # deterministic
@@ -280,21 +283,21 @@ def test_amplified_scenarios_stay_valid():
     for name, protocol in (("fine-proposal", "fine"), ("theorem1-a", "none")):
         scen, _ = builtin(name)
         result = amplify_violation(scen, protocol)
-        from cicsim.simulator import scenario_violations
-
         assert scenario_violations(result.scenario) == []
 
 
-def test_scenario_violation_messages():
-    from cicsim.simulator import Step, scenario_violations
+INVALID_STEPS = (
+    Step("ckpt", 3), Step("send", 1, 1, "m1"), Step("send", 2, 3, "m2"),
+    Step("send", 2, 1, "m1"), Step("recv", 1, message="m9"),
+    Step("recv", 1, message="m1"), Step("recv", 2, message="m1"),
+    Step("bogus", 1),
+)
 
-    scen = Scenario(2, (
-        Step("ckpt", 3), Step("send", 1, 1, "m1"), Step("send", 2, 3, "m2"),
-        Step("send", 2, 1, "m1"), Step("recv", 1, message="m9"),
-        Step("recv", 1, message="m1"), Step("recv", 2, message="m1"),
-        Step("bogus", 1),
-    ))
-    assert scenario_violations(scen) == [
+
+def test_scenario_violation_messages():
+    with pytest.raises(ScenarioError) as err:
+        Scenario(2, INVALID_STEPS)
+    assert err.value.problems == [
         "step 0 (ckpt 3): process out of range",
         "step 1 (send 1 1 m1): self-send",
         "step 2 (send 2 3 m2): destination out of range",
@@ -304,3 +307,28 @@ def test_scenario_violation_messages():
         "step 6 (recv 2 m1): message m1 received twice",
         "step 7 (recv 1 None): unknown step kind 'bogus'",
     ]
+
+
+def test_parser_reports_the_constructor_problems_at_their_lines():
+    # The text format cannot spell an unknown step kind: it is a syntax
+    # error there, so the last step is left out.
+    steps = INVALID_STEPS[:-1]
+    text = "procs 2\n" + "".join(st.text() + "\n" for st in steps)
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    located = list(step_problems(2, steps))
+    assert len(located) == 7
+    assert err.value.errors == [(idx + 2, problem) for idx, problem in located]
+
+
+def test_every_generated_scenario_constructs():
+    # Each of these builds a Scenario, which raises on any problem; amplified
+    # scenarios are covered by test_amplified_scenarios_stay_valid.
+    for name in FIXTURE_NAMES:
+        scen, _ = builtin(name)
+        assert scenario_violations(scen) == []
+    for seed in range(200):
+        params = FuzzParams(n=2 + seed % 7, events=10 + 3 * seed,
+                            p_ckpt=0.05 + (seed % 5) / 10,
+                            max_in_flight=1 + seed % 8, seed=seed)
+        assert scenario_violations(random_scenario(params)) == []
