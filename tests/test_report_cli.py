@@ -1,8 +1,10 @@
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from collections import OrderedDict, namedtuple
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cicsim import oracle
 from cicsim.cli import main
@@ -39,6 +41,60 @@ def test_builtin_report_bytes_are_pinned():
     assert digest.hexdigest() == (
         "b0c9f7e33c89a6a663b523c99276ddc59e6b7eb11424065e127584613f2dde1b"
     )
+
+
+Point = namedtuple("Point", "x y")
+
+
+def _stdlib_json(v):
+    return json.dumps(v, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+# Quotes, backslashes, control characters, a lone surrogate and non-ASCII
+# text, mixed with arbitrary characters.
+_json_text = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7f\xe9\u2028\ud800\U0001f600'),
+))
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]),
+    _json_text,
+)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_json_text, children, max_size=5),
+        st.lists(st.integers(min_value=-(10**20), max_value=10**20), max_size=5),
+        st.lists(_json_text, max_size=5),
+        st.lists(st.one_of(st.integers(), st.booleans(), _json_text), max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_json_trees)
+@example({
+    "": [], "e": {}, "t": (1, (2, "x")), "pairs": [[1, 2], [3, -4]],
+    "names": ["m1", "m\u00e9"], "mixed": [1, True, "a", None, 2.5, -0.0],
+    "big": [10**30, -(10**30)], "floats": [float("nan"), float("-inf")],
+    "subclasses": [OrderedDict(b=1, a=[]), Point(3, "p")],
+})
+@settings(max_examples=400, deadline=None)
+def test_to_json_matches_the_stdlib_encoder(tree):
+    assert to_json(tree) == _stdlib_json(tree)
+
+
+@pytest.mark.parametrize("tree", [{1: "a"}, {"a": [{2: 0}]}], ids=["top", "nested"])
+def test_to_json_rejects_int_keys(tree):
+    with pytest.raises(TypeError):
+        to_json(tree)
 
 
 def test_report_contents():
@@ -285,6 +341,22 @@ def test_cli_fuzz_fine_finds_failures(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "seed " in out  # reproducer seeds are printed
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["fuzz", "--json"],
+     "1f1e05e0e8417462ff5ede3fa1463433a294b65b5fd1b29be3053a8a2410aa5c"),
+    (["fuzz", "--runs", "200", "--protocols", "none,fine,lazy-fine", "--json"],
+     "d301ab5c271a5f1d67af0cd1f92e2efec997de0843a9a966e440d005b0a69c49"),
+    (["amplify", "fine-proposal", "fine", "--json"],
+     "bdd686a9fcb80d3821213109700b89c20adb2ec2bf7733792676787dd0b96bc7"),
+], ids=["fuzz-default", "fuzz-unsafe-200", "amplify-fine-proposal"])
+def test_cli_json_bytes_are_pinned(argv, digest, capsys):
+    # The other two --json outputs share to_json with run_report: a
+    # refactor that keeps behaviour keeps these bytes too.
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_fuzz_json(tmp_path, capsys):
