@@ -4,8 +4,9 @@ checkpointing protocols.
 The package replays scripted or randomized distributed computations
 through the classic index-based protocol family (partly informed, fully
 informed in two encodings, lazy, and the weakened fine variants) and
-checks every run against a zigzag-path oracle, a reachability fixpoint
-over checkpoints that ignores the protocols' bookkeeping: Z-cycles,
+checks every run against a zigzag-path oracle that ignores the protocols'
+bookkeeping: checkpoint reachability computed in one Tarjan pass over the
+condensation of the interval graph, sinks first, from which come Z-cycles,
 useless checkpoints, and zigzag-consistent timestamping.
 """
 

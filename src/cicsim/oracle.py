@@ -36,6 +36,15 @@ A zigzag path from C_p^x to C_q^y exists exactly when
 ``reach[p][x][q] < y``.  Ordinal cnt+1 of a process with cnt checkpoints
 is its virtual terminal, which sends nothing.
 
+The fixpoint takes one pass over the strongly connected components of the
+interval graph, whose nodes are the intervals (p, x), with a program edge
+(p, x) -> (p, x+1) and an edge (p, x) -> (q, r) for each delivered
+message, from the interval in which P_p sends it to the interval in which
+P_q receives it.  Rows are equal across a component, and Tarjan's algorithm
+(SIAM J. Computing, 1972) emits components sinks first, so a component's
+row is the minimum of its messages' units and of the final rows of the
+components it reaches.
+
 Witnesses are chains in the message graph, ordered by length and then by
 name sequence.  One layered search finds the first such chain between
 two sets of messages: breadth-first layers backwards from the last
@@ -96,6 +105,10 @@ class _ZigzagIndex:
     vectors of the module docstring, plus the message masks that witness
     search walks.
 
+    ``reach`` comes from one iterative Tarjan pass over the condensation
+    of the interval graph, sinks first; every member of a component gets
+    the same row object.
+
     Bit i of a message mask stands for the i-th delivered message in name
     order, so the lowest set bit is the first name.  Undelivered messages
     cannot appear in any zigzag chain and are ignored.
@@ -121,26 +134,8 @@ class _ZigzagIndex:
             if si <= counts[sp]:
                 sent[sp][si].append(i)
 
-        # Least fixpoint of the recurrence, in rounds until nothing moves.
         # Every entry of ``nothing`` exceeds every ordinal: no path ends there.
-        nothing = [trace.event_count + 2] * (trace.n + 1)
-        reach = {p: [nothing] * (cnt + 2) for p, cnt in counts.items()}
-        changed = True
-        while changed:
-            changed = False
-            for p, cnt in counts.items():
-                rows = reach[p]
-                for x in range(cnt, 0, -1):
-                    vec = rows[x + 1]
-                    for i in sent[p][x]:
-                        q, r = recv[i]
-                        vec = [a if a < b else b for a, b in zip(vec, reach[q][r])]
-                        if r < vec[q]:
-                            vec[q] = r
-                    if vec != rows[x]:
-                        rows[x] = vec
-                        changed = True
-        self.reach = reach
+        self.reach = _reach_rows(counts, sent, recv, [trace.event_count + 2] * (trace.n + 1))
 
     @cached_property
     def _start(self) -> dict[int, list[int]]:
@@ -298,6 +293,91 @@ class _ZigzagIndex:
         return [tuple(names[j] for j in chain) for chain in out], bool(heap)
 
 
+def _reach_rows(counts, sent, recv, nothing):
+    """The ``reach`` rows of every process, in one pass over the strongly
+    connected components of the interval graph (module docstring).
+
+    Node base[p] + x is interval x of P_p, and its program edge goes to the
+    next node.  edges[u] holds (v, q, r) for each message edge of node u,
+    to node v, interval r of P_q.  Slots 0 and cnt+1 of each process are
+    visited nodes without edges whose row is ``nothing``.
+
+    Tarjan's algorithm (SIAM J. Computing, 1972) runs iteratively, so no
+    trace is too long for it.  It emits a component only after every
+    component it reaches, so the rows outside it are final, and a visited
+    node without a row lies on its stack.  A component's row is the
+    pointwise minimum of the units of its message edges and of the rows
+    of the edges that leave it, one object for all its members."""
+    base, size = {}, 0
+    for p, cnt in counts.items():
+        base[p] = size
+        size += cnt + 2
+    row = [None] * size
+    num = [0] * size  # DFS number, 0 while unvisited
+    edges = [()] * size
+    for p, cnt in counts.items():
+        b = base[p]
+        row[b] = row[b + cnt + 1] = nothing
+        num[b] = num[b + cnt + 1] = -1
+        for x in range(1, cnt + 1):
+            if sent[p][x]:
+                ends_at = [recv[i] for i in sent[p][x]]
+                edges[b + x] = [(base[q] + r, q, r) for q, r in ends_at]
+
+    low = [0] * size
+    taken = [0] * size  # edges followed so far; edge 0 is the program edge
+    stack: list[int] = []
+    count = 0
+    for root in range(size):
+        if num[root]:
+            continue
+        count += 1
+        num[root] = low[root] = count
+        stack.append(root)
+        calls = [root]
+        while calls:
+            u = calls[-1]
+            out = edges[u]
+            for k in range(taken[u], len(out) + 1):
+                v = out[k - 1][0] if k else u + 1
+                if not num[v]:
+                    taken[u] = k + 1
+                    count += 1
+                    num[v] = low[v] = count
+                    stack.append(v)
+                    calls.append(v)
+                    break
+                if row[v] is None and num[v] < low[u]:
+                    low[u] = num[v]
+            else:
+                calls.pop()
+                if calls and low[u] < low[calls[-1]]:
+                    low[calls[-1]] = low[u]
+                if low[u] < num[u]:
+                    continue
+                at = len(stack) - 1
+                while stack[at] != u:
+                    at -= 1
+                members = stack[at:]
+                del stack[at:]
+                vec = nothing
+                for w in members:
+                    got = row[w + 1]  # None when w + 1 is a member
+                    if got is not None and got is not vec:
+                        vec = got if vec is nothing else [a if a < b else b for a, b in zip(vec, got)]
+                    for v, q, r in edges[w]:
+                        got = row[v]
+                        if got is None or got is nothing:
+                            vec = vec[:]  # vec may still be another node's row
+                        else:
+                            vec = [a if a < b else b for a, b in zip(vec, got)]
+                        if r < vec[q]:
+                            vec[q] = r
+                for w in members:
+                    row[w] = vec
+    return {p: row[b : b + counts[p] + 2] for p, b in base.items()}
+
+
 def _index(trace: Trace) -> _ZigzagIndex:
     idx = getattr(trace, "_zz_index", None)
     if idx is None:
@@ -445,11 +525,9 @@ def consistent_membership_bruteforce(
     useless_checkpoints over the real checkpoints.
     """
     idx = _index(trace)
-    candidates = []
-    for p in range(1, trace.n + 1):
-        own = [r for r in trace.sorted_checkpoints() if r.process == p]
-        own.append(virtual_terminals(trace)[p - 1])
-        candidates.append(own)
+    candidates = [[] for _ in range(trace.n)]
+    for rec in trace.sorted_checkpoints() + virtual_terminals(trace):
+        candidates[rec.process - 1].append(rec)
     total = 1
     for group in candidates:
         total *= len(group)

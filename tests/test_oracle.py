@@ -1,5 +1,7 @@
+import sys
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +30,7 @@ from cicsim.oracle import (
 )
 from cicsim.protocols import PROTOCOL_NAMES
 from cicsim.rng import SplitMix64
-from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, random_scenario
+from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, parse_scenario, random_scenario
 from cicsim.simulator import run_scenario
 
 
@@ -110,6 +112,78 @@ def test_zigzag_exists_matches_definition_reference():
                 )
                 cycles += want and a is b
     assert cycles > 0
+
+
+def rounds_reach(trace):
+    """``reach`` as the least fixpoint of the recurrence in the
+    ``cicsim.oracle`` docstring, by full passes over every interval until
+    no row moves."""
+    counts = {p: trace.ckpt_counts.get(p, 0) for p in range(1, trace.n + 1)}
+    sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in counts.items()}
+    for name in trace.delivered_messages():
+        sp, si, _, rp, ri, _ = trace.delivered[name]
+        sent[sp][si].append((rp, ri))
+    nothing = [trace.event_count + 2] * (trace.n + 1)
+    reach = {p: [nothing] * (cnt + 2) for p, cnt in counts.items()}
+    changed = True
+    while changed:
+        changed = False
+        for p, cnt in counts.items():
+            rows = reach[p]
+            for x in range(cnt, 0, -1):
+                vec = rows[x + 1]
+                for q, r in sent[p][x]:
+                    vec = [min(a, b) for a, b in zip(vec, reach[q][r])]
+                    vec[q] = min(vec[q], r)
+                if vec != rows[x]:
+                    rows[x] = vec
+                    changed = True
+    return reach
+
+
+def reach_traces():
+    """(label, trace): the reference traces, long-safe-shaped runs, and
+    dense unprotected runs whose interval graphs have large components."""
+    yield from reference_traces()
+    for seed in range(10):
+        scen = random_scenario(FuzzParams(n=8, events=600, max_in_flight=16, seed=seed + 9100))
+        for protocol in ("pi", "fi-clockv", "fi-greater", "lazy-fi"):
+            yield f"long seed {seed + 9100}/{protocol}", run_scenario(scen, protocol).trace
+    for seed in range(8):
+        scen = random_scenario(FuzzParams(n=5 + seed % 4, events=200 + seed * 257, p_send=0.45,
+                                          seed=seed + 9200))
+        yield f"dense seed {seed + 9200}/none", run_scenario(scen, "none").trace
+
+
+def test_reach_rows_match_rounds_reference():
+    count = 0
+    for label, trace in reach_traces():
+        assert oracle._index(trace).reach == rounds_reach(trace), label
+        count += 1
+    assert count == 690 + 40 + 8
+
+
+def test_reach_is_iterative_on_chains_deeper_than_the_recursion_limit():
+    # P1 takes about 20,000 basic checkpoints, so the program edges of the
+    # interval graph form a path far deeper than the recursion limit.
+    # Each of two message pairs puts one checkpoint on a Z-cycle.
+    run = ["ckpt 1"] * 10_000
+    steps = ["procs 2"]
+    for k in (1, 2):
+        steps += [f"send 2 1 a{k}", f"recv 1 a{k}", "ckpt 1", f"send 1 2 b{k}", f"recv 2 b{k}",
+                  "ckpt 2", *run]
+    scen = parse_scenario("\n".join(steps) + "\n")
+    trace = run_scenario(scen, "none").trace
+    assert trace.ckpt_counts[1] > sys.getrecursionlimit()
+    want = rounds_reach(trace)
+    useless = useless_checkpoints(trace)
+    assert oracle._index(trace).reach == want
+    assert keys(useless) == {(1, 2), (1, 10_003)}
+    assert keys(useless) == {(p, x) for p, rows in want.items()
+                             for x in range(1, len(rows) - 1) if rows[x][p] < x}
+    recs = trace.sorted_checkpoints()
+    violations = sum(1 for _ in oracle._violating_pairs(SimpleNamespace(reach=want), recs))
+    assert quick_findings(trace) == (2, violations)
 
 
 def reference_chains(events):
