@@ -46,14 +46,21 @@ row is the minimum of its messages' units and of the final rows of the
 components it reaches.
 
 Witnesses are chains in the message graph, ordered by length and then by
-name sequence.  One layered search finds the first such chain between
-two sets of messages: breadth-first layers backwards from the last
-messages, then the lowest name of each layer forwards.  A witness is that
-search from a checkpoint's first messages to another's last ones; the
-Z-cycle witnesses of a checkpoint are the first ``cap`` message-simple
-chains, found by Yen's k shortest loopless paths with Lawler's rule, so
-that the cap bounds the work, O(cap · L · m) mask operations for m
-messages and chains of at most L, and not only the output.
+name sequence.  Breadth-first layers backwards from a checkpoint's last
+messages are built once per end mask and cached: layer d holds the
+messages whose shortest chain into it has d more messages.  A shortest
+witness walks down those layers from the first one that meets the
+source's first messages, taking the lowest name among the successors at
+each step.  The Z-cycle witnesses of a checkpoint are its first ``cap``
+message-simple chains, found by Yen's k shortest loopless paths with
+Lawler's rule.  Its spurs are lazy: each waits on the heap under a lower
+bound of its length, and when it reaches the top a walk down the cached
+layers that avoids the spur's root resolves it; only a walk that meets a
+dead end runs a search restricted to the messages outside the root.
+The first ``cap`` chains in (length, names) order, and whether another
+one exists, do not depend on how they are found, so the output is that
+of eager Yen.  The cap bounds the work, O(cap · L · m) mask operations
+for m messages and chains of at most L, and not only the output.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
+from operator import le
 
 from .computation import (
     CKPT_VIRTUAL,
@@ -100,6 +108,10 @@ class OracleReport:
         return not self.z_cycles and not self.violations
 
 
+# States of a witness-search heap entry (see _ZigzagIndex._simple).
+_CHAIN, _WALK, _SEARCH = 0, 1, 2
+
+
 class _ZigzagIndex:
     """Zigzag reachability of one trace: the per-checkpoint ``reach``
     vectors of the module docstring, plus the message masks that witness
@@ -116,7 +128,9 @@ class _ZigzagIndex:
     Witness search walks the message graph: a chain ending with message i
     continues with any message in ``adj[i]``, and ``pred[j]`` holds the
     messages that j continues.  These masks are built in O(m) on the first
-    witness query, so existence-only callers never pay for them.
+    witness query, so existence-only callers never pay for them.  So are
+    the breadth-first layers into each end mask, once per mask, which
+    every witness into that checkpoint shares.
     """
 
     def __init__(self, trace: Trace):
@@ -136,6 +150,10 @@ class _ZigzagIndex:
 
         # Every entry of ``nothing`` exceeds every ordinal: no path ends there.
         self.reach = _reach_rows(counts, sent, recv, [trace.event_count + 2] * (trace.n + 1))
+        self._by_end: dict[int, list[int]] = {}  # end mask -> its layers
+        # The checkpoints in (process, ordinal) order, sorted once for every
+        # oracle call on this trace.
+        self.recs = trace.sorted_checkpoints()
 
     @cached_property
     def _start(self) -> dict[int, list[int]]:
@@ -203,24 +221,30 @@ class _ZigzagIndex:
         ends = self.trace.delivered
         return all(ends[a][5] <= ends[b][2] for a, b in zip(names, names[1:]))
 
-    def _chain(self, first: int, allowed: int, end: int) -> tuple[int, ...] | None:
-        """Bits of the lexicographically smallest shortest chain whose
-        first message is in ``first``, whose last is in ``end`` and whose
-        messages all lie in ``allowed``; None when there is none.
+    @cached_property
+    def _at(self) -> tuple[list[int], list[int]]:
+        """The send positions and the receive positions of the messages,
+        by bit."""
+        ends = [self.trace.delivered[nm] for nm in self.names]
+        return [e[2] for e in ends], [e[5] for e in ends]
 
-        Backwards, layer d holds the allowed messages whose shortest chain
-        into ``end`` has d more messages; the search stops at the first
-        layer that meets ``first``.  Forwards, each step takes the lowest
-        bit of the next layer among the current message's successors.
-        Every message joins at most one layer, so this is O(m) mask
-        operations.  A shortest chain never repeats a message."""
+    def _witness(self, src, dst, chain: tuple[int, ...]) -> ZigzagWitness:
+        """The witness of a chain of bits: its names, and whether each
+        receive comes before the next send."""
+        sent_at, got_at = self._at
+        causal = all(map(le, map(got_at.__getitem__, chain[:-1]),
+                         map(sent_at.__getitem__, chain[1:])))
+        return ZigzagWitness(src, dst, tuple(map(self.names.__getitem__, chain)), causal)
+
+    def _back(self, end: int, allowed: int):
+        """Breadth-first layers backwards from ``end``: layer d holds the
+        allowed messages whose shortest chain into ``end`` has d more
+        messages.  Every message joins at most one layer, so all of them
+        cost O(m) mask operations."""
         pred = self.pred
         layer = seen = end & allowed
-        layers = []
         while layer:
-            layers.append(layer)
-            if layer & first:
-                break
+            yield layer
             back = 0
             while layer:
                 low = layer & -layer
@@ -228,69 +252,164 @@ class _ZigzagIndex:
                 layer ^= low
             layer = back & allowed & ~seen
             seen |= layer
-        else:
-            return None
+
+    def _layers(self, end: int) -> list[int]:
+        """Every unrestricted layer into ``end``, built once per end mask
+        and shared by all the searches into it."""
+        layers = self._by_end.get(end)
+        if layers is None:
+            layers = self._by_end[end] = list(self._back(end, -1))
+        return layers
+
+    def _walk(self, first: int, layers: list[int], d: int, avoid: int) -> tuple[int, ...]:
+        """Greedy walk down layers d, d-1, .., 0: the lowest bit outside
+        ``avoid``, first in ``first`` and then among the successors of the
+        message before.  It stops early at a dead end.
+
+        A chain of d + 1 messages from ``first`` into the end of the layers
+        takes its k-th message from layer d - k, so when the walk completes
+        it is the lexicographically smallest such chain outside ``avoid``;
+        when it does not, every such chain is above the walked prefix."""
+        adj = self.adj
         chain = []
         options = first
-        for layer in reversed(layers):
-            pick = options & layer
+        for k in range(d, -1, -1):
+            pick = options & layers[k] & ~avoid
+            if not pick:
+                break
             j = (pick & -pick).bit_length() - 1
             chain.append(j)
-            options = self.adj[j]
+            options = adj[j]
         return tuple(chain)
+
+    def _chain(self, first: int, allowed: int, end: int) -> tuple[int, ...] | None:
+        """Bits of the lexicographically smallest shortest chain whose
+        first message is in ``first``, whose last is in ``end`` and whose
+        messages all lie in ``allowed``; None when there is none.
+
+        The restricted search: :meth:`_back` layers of the allowed
+        messages, up to the first one that meets ``first``, then a
+        :meth:`_walk` down them, which always completes.  O(m) mask
+        operations.  A shortest chain never repeats a message."""
+        layers = []
+        for layer in self._back(end, allowed):
+            layers.append(layer)
+            if layer & first:
+                return self._walk(first, layers, len(layers) - 1, 0)
+        return None
+
+    def _best(self, first: int, layers: list[int]) -> tuple[int, ...] | None:
+        """Bits of the lexicographically smallest shortest chain from
+        ``first`` down ``layers``: a :meth:`_walk` from the first layer
+        that meets ``first``, which always completes."""
+        for d, layer in enumerate(layers):
+            if layer & first:
+                return self._walk(first, layers, d, 0)
+        return None
+
+    def _shortest(self, src, dst) -> tuple[int, ...] | None:
+        """Bits of the chain that :meth:`shortest_chain` names."""
+        return self._best(self.start_mask(src), self._layers(self.end_mask(dst)))
 
     def shortest_chain(self, src, dst) -> tuple[str, ...] | None:
         """Shortest chain, ties broken lexicographically by name sequence:
-        one :meth:`_chain` from the start mask of src into the end mask of
-        dst."""
-        chain = self._chain(self.start_mask(src), -1, self.end_mask(dst))
+        :meth:`_best` from the start mask of src down the cached layers
+        into the end mask of dst.  Equal to ``_chain(start, -1, end)``,
+        which would build the same layers again for every source."""
+        chain = self._shortest(src, dst)
         return None if chain is None else tuple(self.names[j] for j in chain)
 
     def simple_chains(self, src, dst, cap=None):
         """All message-simple chains from src to dst, shortest first, lex
         ties; a chain may extend beyond an earlier completion.  Returns
         (chains, truncated): truncated is True when a chain beyond the
-        cap exists.
+        cap exists."""
+        chains, truncated = self._simple(src, dst, cap)
+        names = self.names
+        return [tuple(names[j] for j in chain) for chain in chains], truncated
+
+    def _simple(self, src, dst, cap):
+        """Bits of the chains of :meth:`simple_chains`, and its flag.
 
         Yen's k shortest loopless paths (Management Science, 1971), over
         the message graph with a virtual source (the start mask of src)
         and a virtual sink (the end mask of dst).  Each accepted chain is
         spurred only at or after the position where it left the chain it
         was spurred from (Lawler, Management Science, 1972).  A spur at
-        position v keeps the chain's first v messages (the root) and asks
-        :meth:`_chain` for the best suffix that avoids the root and every
-        next hop that an accepted chain with the same root already takes.
-        Suffixes of one root keep their (length, names) order once the
-        root is put in front, so the candidate heap yields the chains in
-        exactly that order.  With L the longest chain
-        returned, a capped search costs O(cap · L · m) mask operations."""
+        position v keeps the chain's first v messages (the root); its
+        suffix is the best chain into the sink whose first message follows
+        the root but is no next hop that an accepted chain with the same
+        root already takes, and which avoids the root.  Suffixes of one
+        root keep their (length, names) order once the root is put in
+        front, so the candidate heap yields the chains in exactly that
+        order.
+
+        Spurs are resolved lazily.  When it is made, a spur records its
+        first and root masks and goes on the heap under the key
+        (v + d + 1, root), where d is the first cached layer of the sink
+        that meets its first mask: no suffix is shorter, and the root
+        sorts before every chain that extends it.  At the top of the heap
+        a :meth:`_walk` down the cached layers that avoids the root
+        resolves it; a completed walk is exactly the suffix that
+        :meth:`_chain` would find.  Only a dead end pushes the walked
+        prefix back as a tighter key, and only when that key reaches the
+        top does the restricted :meth:`_chain` search run.  A real chain
+        is popped only when no pending key is smaller, so the first
+        ``cap`` chains, and whether another exists, are those of eager
+        Yen, which is canonical: the first ``cap`` message-simple chains
+        in (length, names) order.
+
+        Each accepted chain makes at most L + 1 spurs for L the longest
+        chain returned, and each spur costs one O(L) walk and at most one
+        O(m) search, so a capped search costs O(cap · L · m) mask
+        operations."""
         start, end = self.start_mask(src), self.end_mask(dst)
-        best = self._chain(start, -1, end)
+        layers = self._layers(end)
+        best = self._best(start, layers)
         if best is None:
             return [], False
+        adj = self.adj
         out: list[tuple[int, ...]] = []
         hops: dict[tuple[int, ...], int] = {}  # root -> mask of next hops taken
-        heap = [(len(best), best, 0)]
         queued = {best}
-        while heap and (cap is None or len(out) < cap):
-            ln, chain, dev = heapq.heappop(heap)
-            out.append(chain)
-            root_mask = sum(1 << j for j in chain[:dev])
-            for v in range(dev, ln + 1):
-                # A spur never stops at its root: a root that reaches dst is
-                # a shorter chain, accepted already, and _chain returns at
-                # least one message.
-                root = chain[:v]
-                hop = 1 << chain[v] if v < ln else 0  # 0: the sink
-                hops[root] = taken = hops.get(root, 0) | hop
-                first = (self.adj[root[-1]] if root else start) & ~taken
-                spur = self._chain(first, ~root_mask, end) if first else None
-                if spur is not None and root + spur not in queued:
-                    queued.add(root + spur)
-                    heapq.heappush(heap, (v + len(spur), root + spur, v))
-                root_mask |= hop
-        names = self.names
-        return [tuple(names[j] for j in chain) for chain in out], bool(heap)
+        # (key length, key chain, v, first, avoid, state): a candidate chain
+        # (_CHAIN), a spur to walk, or a walked spur to search; avoid masks
+        # the root, the first v messages of the chain.
+        heap = [(len(best), best, 0, 0, 0, _CHAIN)]
+        while heap:
+            ln, chain, v, first, avoid, state = heapq.heappop(heap)
+            if state == _CHAIN:
+                if len(out) == cap:  # never for cap None
+                    return out, True
+                out.append(chain)
+                for v in range(v, ln + 1):
+                    # A spur never stops at its root: a root that reaches dst
+                    # is a shorter chain, accepted already.
+                    root = chain[:v]
+                    hop = 1 << chain[v] if v < ln else 0  # 0: the sink
+                    hops[root] = taken = hops.get(root, 0) | hop
+                    first = (adj[root[-1]] if root else start) & ~taken & ~avoid
+                    for d, layer in enumerate(layers):
+                        if layer & first:
+                            heapq.heappush(heap, (v + d + 1, root, v, first, avoid, _WALK))
+                            break
+                    avoid |= hop
+                continue
+            root = chain[:v]
+            if state == _WALK:
+                suffix = self._walk(first, layers, ln - v - 1, avoid)
+                if len(suffix) < ln - v:
+                    heapq.heappush(heap, (ln, root + suffix, v, first, avoid, _SEARCH))
+                    continue
+            else:
+                suffix = self._chain(first, ~avoid, end)
+                if suffix is None:
+                    continue
+            chain = root + suffix
+            if chain not in queued:
+                queued.add(chain)
+                heapq.heappush(heap, (len(chain), chain, v, 0, avoid, _CHAIN))
+        return out, False
 
 
 def _reach_rows(counts, sent, recv, nothing):
@@ -395,8 +514,7 @@ def zigzag_exists(src: CheckpointRecord, dst: CheckpointRecord, trace: Trace):
     idx = _index(trace)
     if not idx.exists(src.key(), dst.key()):
         return None
-    names = idx.shortest_chain(src.key(), dst.key())
-    return ZigzagWitness(src, dst, names, idx.chain_is_causal(names))
+    return idx._witness(src, dst, idx._shortest(src.key(), dst.key()))
 
 
 DEFAULT_MAX_WITNESSES = 32
@@ -412,16 +530,13 @@ def _z_cycles(trace: Trace, cap: int | None):
     cycles = []
     useless = set()
     truncated = 0
-    for rec in trace.sorted_checkpoints():
+    for rec in idx.recs:
         if not idx.exists(rec.key(), rec.key()):
             continue
         useless.add(rec)
-        chains, cut = idx.simple_chains(rec.key(), rec.key(), cap=cap)
+        chains, cut = idx._simple(rec.key(), rec.key(), cap)
         truncated += cut
-        for names in chains:
-            cycles.append(
-                (rec, ZigzagWitness(rec, rec, names, idx.chain_is_causal(names)))
-            )
+        cycles += [(rec, idx._witness(rec, rec, chain)) for chain in chains]
     return cycles, useless, truncated
 
 
@@ -488,11 +603,8 @@ def check_z_consistency(trace: Trace):
     witness per pair.  Requires every checkpoint to carry a timestamp.
     """
     idx = _index(trace)
-    out = []
-    for a, b in _violating_pairs(idx, trace.sorted_checkpoints()):
-        names = idx.shortest_chain(a.key(), b.key())
-        out.append((a, b, ZigzagWitness(a, b, names, idx.chain_is_causal(names))))
-    return out
+    return [(a, b, idx._witness(a, b, idx._shortest(a.key(), b.key())))
+            for a, b in _violating_pairs(idx, idx.recs)]
 
 
 def quick_findings(trace: Trace) -> tuple[int, int]:
@@ -500,7 +612,8 @@ def quick_findings(trace: Trace) -> tuple[int, int]:
 
     Existence-only fast path for fuzz campaigns.
     """
-    violations = sum(1 for _ in _violating_pairs(_index(trace), trace.sorted_checkpoints()))
+    idx = _index(trace)
+    violations = sum(1 for _ in _violating_pairs(idx, idx.recs))
     return len(useless_checkpoints(trace)), violations
 
 
@@ -526,7 +639,7 @@ def consistent_membership_bruteforce(
     """
     idx = _index(trace)
     candidates = [[] for _ in range(trace.n)]
-    for rec in trace.sorted_checkpoints() + virtual_terminals(trace):
+    for rec in idx.recs + virtual_terminals(trace):
         candidates[rec.process - 1].append(rec)
     total = 1
     for group in candidates:

@@ -1,3 +1,4 @@
+import heapq
 import sys
 import time
 from dataclasses import replace
@@ -250,6 +251,67 @@ def test_witness_search_matches_definition_reference():
                     )
                 many += len(want) > 32
     assert many > 0
+
+
+def eager_simple_chains(idx, src, dst, cap=None):
+    """``simple_chains`` by eager Yen with Lawler's rule: every spur runs
+    its restricted ``_chain`` search as soon as it is made, and the heap
+    holds only whole chains."""
+    start, end = idx.start_mask(src), idx.end_mask(dst)
+    best = idx._chain(start, -1, end)
+    if best is None:
+        return [], False
+    out = []
+    hops = {}  # root -> mask of next hops taken
+    heap = [(len(best), best, 0)]
+    queued = {best}
+    while heap and (cap is None or len(out) < cap):
+        ln, chain, dev = heapq.heappop(heap)
+        out.append(chain)
+        root_mask = sum(1 << j for j in chain[:dev])
+        for v in range(dev, ln + 1):
+            root = chain[:v]
+            hop = 1 << chain[v] if v < ln else 0  # 0: the sink
+            hops[root] = taken = hops.get(root, 0) | hop
+            first = (idx.adj[root[-1]] if root else start) & ~taken
+            spur = idx._chain(first, ~root_mask, end) if first else None
+            if spur is not None and root + spur not in queued:
+                queued.add(root + spur)
+                heapq.heappush(heap, (v + len(spur), root + spur, v))
+            root_mask |= hop
+    return [tuple(idx.names[j] for j in chain) for chain in out], bool(heap)
+
+
+def dense_none_traces():
+    """(label, trace): unprotected runs shaped like the ``report-none``
+    benchmark, n 5-6 and 100-400 events, where most useless checkpoints
+    lie on more Z-cycles than the default cap."""
+    for seed in range(16):
+        n = 5 + seed % 2
+        rates = tuple(0.02 + 0.04 * ((seed + p) % 7) for p in range(n))
+        params = FuzzParams(n=n, events=100 + seed * 20, p_ckpt=rates, seed=seed + 9300)
+        yield f"dense seed {seed + 9300}", run_scenario(random_scenario(params), "none").trace
+
+
+def test_lazy_witness_search_matches_eager_yen_on_dense_traces():
+    useless = truncated = pairs = 0
+    for label, trace in dense_none_traces():
+        idx = oracle._index(trace)
+        for rec in useless_checkpoints(trace):
+            useless += 1
+            for cap in (1, 2, 5, 32):
+                got = idx.simple_chains(rec.key(), rec.key(), cap)
+                assert got == eager_simple_chains(idx, rec.key(), rec.key(), cap), (
+                    f"{label}: {rec.label()}, cap {cap}"
+                )
+                truncated += got[1]
+        for a, b in oracle._violating_pairs(idx, idx.recs):
+            want = idx._chain(idx.start_mask(a.key()), -1, idx.end_mask(b.key()))
+            assert idx.shortest_chain(a.key(), b.key()) == tuple(idx.names[j] for j in want), (
+                f"{label}: {a.label()} -> {b.label()}"
+            )
+            pairs += 1
+    assert useless > 100 and truncated > 100 and pairs > 1000
 
 
 def test_witnesses_truncated_means_a_chain_beyond_the_cap(fixture_run):
@@ -552,3 +614,42 @@ def test_dense_report_time_is_bounded():
     assert time.time() - t0 < 10.0
     assert rep.stats["useless"] > 0
     assert rep.stats["witnesses_truncated"] > 0
+
+
+def test_witness_search_work_is_bounded_by_the_cap(monkeypatch):
+    # Each accepted chain makes at most L + 1 spurs, for L the longest
+    # chain returned.  Each spur runs at most one restricted search and
+    # pushes at most two more heap entries: the prefix of a walk that met
+    # a dead end, and its chain.  The trace is that of
+    # test_dense_report_time_is_bounded.
+    scen = random_scenario(
+        FuzzParams(n=6, events=400, p_ckpt=0.1, p_send=0.35, max_in_flight=8, seed=7)
+    )
+    trace = run_scenario(scen, "none").trace
+    idx = oracle._index(trace)
+    count = {"searches": 0, "spurs": 0, "pushes": 0}
+    chain = oracle._ZigzagIndex._chain
+
+    def search(self, *args):
+        count["searches"] += 1
+        return chain(self, *args)
+
+    def push(heap, entry):
+        count["spurs"] += entry[-1] == oracle._WALK
+        count["pushes"] += 1
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(oracle._ZigzagIndex, "_chain", search)
+    monkeypatch.setattr(oracle, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    cap = oracle.DEFAULT_MAX_WITNESSES
+    searches = spurs = 0
+    for rec in useless_checkpoints(trace):
+        count.update(searches=0, spurs=0, pushes=0)
+        chains, _ = idx.simple_chains(rec.key(), rec.key(), cap)
+        bound = cap * (max(map(len, chains)) + 1)
+        assert count["searches"] <= bound and count["spurs"] <= bound, rec.label()
+        assert count["pushes"] <= 3 * bound, rec.label()
+        searches += count["searches"]
+        spurs += count["spurs"]
+    # Almost every spur is resolved by a walk down the cached layers.
+    assert 0 < 20 * searches < spurs
