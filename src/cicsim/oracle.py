@@ -218,8 +218,10 @@ class _ZigzagIndex:
         return self.reach[src[0]][src[1]][dst[0]] < dst[1]
 
     def chain_is_causal(self, names: tuple[str, ...]) -> bool:
-        ends = self.trace.delivered
-        return all(ends[a][5] <= ends[b][2] for a, b in zip(names, names[1:]))
+        """Whether each receive of the named chain comes before the next
+        send: :meth:`_causal` on the chain's bits."""
+        bit = {nm: i for i, nm in enumerate(self.names)}
+        return self._causal([bit[nm] for nm in names])
 
     @cached_property
     def _at(self) -> tuple[list[int], list[int]]:
@@ -228,13 +230,17 @@ class _ZigzagIndex:
         ends = [self.trace.delivered[nm] for nm in self.names]
         return [e[2] for e in ends], [e[5] for e in ends]
 
-    def _witness(self, src, dst, chain: tuple[int, ...]) -> ZigzagWitness:
-        """The witness of a chain of bits: its names, and whether each
-        receive comes before the next send."""
+    def _causal(self, chain) -> bool:
+        """Whether each receive of a chain of bits comes before the next
+        send."""
         sent_at, got_at = self._at
-        causal = all(map(le, map(got_at.__getitem__, chain[:-1]),
-                         map(sent_at.__getitem__, chain[1:])))
-        return ZigzagWitness(src, dst, tuple(map(self.names.__getitem__, chain)), causal)
+        return all(map(le, map(got_at.__getitem__, chain[:-1]),
+                       map(sent_at.__getitem__, chain[1:])))
+
+    def _witness(self, src, dst, chain: tuple[int, ...]) -> ZigzagWitness:
+        """The witness of a chain of bits: its names and :meth:`_causal`."""
+        return ZigzagWitness(src, dst, tuple(map(self.names.__getitem__, chain)),
+                             self._causal(chain))
 
     def _back(self, end: int, allowed: int):
         """Breadth-first layers backwards from ``end``: layer d holds the
@@ -353,7 +359,9 @@ class _ZigzagIndex:
         resolves it; a completed walk is exactly the suffix that
         :meth:`_chain` would find.  Only a dead end pushes the walked
         prefix back as a tighter key, and only when that key reaches the
-        top does the restricted :meth:`_chain` search run.  A real chain
+        top does the restricted :meth:`_chain` search run.  On dense
+        traces most spurs never reach the top before the cap is met, so
+        most walks and searches are never run.  A real chain
         is popped only when no pending key is smaller, so the first
         ``cap`` chains, and whether another exists, are those of eager
         Yen, which is canonical: the first ``cap`` message-simple chains

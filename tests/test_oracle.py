@@ -340,6 +340,29 @@ def test_ccp_noncausal_zigzag(fixture_run):
     assert not w.causal
 
 
+def test_chain_is_causal_matches_the_witness_flag(fixture_run):
+    # chain_is_causal maps names to bits and runs the check behind every
+    # witness's ``causal`` flag; both agree with the definition, read off
+    # the send and receive positions of the trace, on Z-cycle witnesses
+    # and on the shortest witness of every checkpoint pair.
+    traces = [fixture_run("ccp", "none").trace] + [
+        run_scenario(random_scenario(FuzzParams(n=4, events=80, seed=s)), "none").trace
+        for s in range(6)
+    ]
+    seen = set()
+    for trace in traces:
+        idx = oracle._index(trace)
+        ends = trace.delivered
+        recs = trace.sorted_checkpoints()
+        witnesses = [w for _, w in find_z_cycles(trace)]
+        witnesses += [zigzag_exists(a, b, trace) for a in recs for b in recs]
+        for w in filter(None, witnesses):
+            want = all(ends[a][5] <= ends[b][2] for a, b in zip(w.messages, w.messages[1:]))
+            assert idx.chain_is_causal(w.messages) == w.causal == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def test_zigzag_absent_without_messages():
     events = [
         Event(i, 1, "ckpt", checkpoint=CheckpointRecord(i, 1, CKPT_INITIAL, 1))
@@ -618,38 +641,37 @@ def test_dense_report_time_is_bounded():
 
 def test_witness_search_work_is_bounded_by_the_cap(monkeypatch):
     # Each accepted chain makes at most L + 1 spurs, for L the longest
-    # chain returned.  Each spur runs at most one restricted search and
-    # pushes at most two more heap entries: the prefix of a walk that met
-    # a dead end, and its chain.  The trace is that of
+    # chain returned, and each spur costs at most one walk down the cached
+    # layers and one restricted search.  The other walks are the shortest
+    # chain's and the one that ends each search.  The trace is that of
     # test_dense_report_time_is_bounded.
     scen = random_scenario(
         FuzzParams(n=6, events=400, p_ckpt=0.1, p_send=0.35, max_in_flight=8, seed=7)
     )
     trace = run_scenario(scen, "none").trace
     idx = oracle._index(trace)
-    count = {"searches": 0, "spurs": 0, "pushes": 0}
-    chain = oracle._ZigzagIndex._chain
+    count = {"_chain": 0, "_walk": 0}
 
-    def search(self, *args):
-        count["searches"] += 1
-        return chain(self, *args)
+    def counted(name):
+        method = getattr(oracle._ZigzagIndex, name)
 
-    def push(heap, entry):
-        count["spurs"] += entry[-1] == oracle._WALK
-        count["pushes"] += 1
-        heapq.heappush(heap, entry)
+        def call(self, *args):
+            count[name] += 1
+            return method(self, *args)
 
-    monkeypatch.setattr(oracle._ZigzagIndex, "_chain", search)
-    monkeypatch.setattr(oracle, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+        monkeypatch.setattr(oracle._ZigzagIndex, name, call)
+
+    counted("_chain")
+    counted("_walk")
     cap = oracle.DEFAULT_MAX_WITNESSES
-    searches = spurs = 0
+    searches = walks = 0
     for rec in useless_checkpoints(trace):
-        count.update(searches=0, spurs=0, pushes=0)
+        count.update(_chain=0, _walk=0)
         chains, _ = idx.simple_chains(rec.key(), rec.key(), cap)
         bound = cap * (max(map(len, chains)) + 1)
-        assert count["searches"] <= bound and count["spurs"] <= bound, rec.label()
-        assert count["pushes"] <= 3 * bound, rec.label()
-        searches += count["searches"]
-        spurs += count["spurs"]
+        assert count["_chain"] <= bound, rec.label()
+        assert count["_walk"] <= bound + 1 + count["_chain"], rec.label()
+        searches += count["_chain"]
+        walks += count["_walk"]
     # Almost every spur is resolved by a walk down the cached layers.
-    assert 0 < 20 * searches < spurs
+    assert 0 < 20 * searches < walks
