@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from cicsim.protocols import (
     Piggyback,
+    PROTOCOL_NAMES,
     ProtocolError,
     eval_c_fi1_clockv,
     eval_c_fi1_greater,
@@ -16,7 +18,7 @@ from cicsim.protocols import (
     eval_c_pi,
     make_protocol,
 )
-from cicsim.scenarios import FuzzParams, random_scenario
+from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, random_scenario
 from cicsim.simulator import run_scenario
 
 INF = math.inf
@@ -398,3 +400,38 @@ def test_condition_implications(data):
         assert eval_c_lazyfi1(state, m)
     if eval_c_fi1_clockv(state, m):
         assert eval_c_pi(state, m)
+
+
+# -- behaviour pin ------------------------------------------------------------
+
+
+def _behaviour_scenarios():
+    yield from (builtin(name)[0] for name in FIXTURE_NAMES)
+    for seed in range(300):
+        n = 2 + seed % 5
+        yield random_scenario(FuzzParams(
+            n=n, events=20 + seed % 41, p_ckpt=(0.05, 0.15, 0.3)[seed % 3],
+            p_send=0.3 + 0.05 * (seed % 4), max_in_flight=1 + seed % 8, seed=seed,
+        ))
+
+
+def test_protocol_behaviour_digest_is_pinned():
+    """One SHA-256 over what every protocol decides and emits on the
+    builtin fixtures and 300 seeded scenarios: each forced step with its
+    fired conditions, timestamp and pre-update state, every checkpoint
+    record, and the rendered fields of every piggyback.  Any change to a
+    protocol's state representation must leave it unchanged."""
+    sha = hashlib.sha256()
+    for scen in _behaviour_scenarios():
+        for protocol in PROTOCOL_NAMES:
+            run = run_scenario(scen, protocol)
+            rows = [protocol]
+            for f in run.forced:
+                rows.append((f.step_index, sorted(f.decision.fired), f.record.timestamp,
+                             sorted(f.prestate.items())))
+            for key, r in sorted(run.trace.checkpoints.items()):
+                rows.append((key, r.kind, r.timestamp))
+            for step, name, pb in run.piggybacks:
+                rows.append((step, name, pb.fields()))
+            sha.update(repr(rows).encode())
+    assert sha.hexdigest() == "c834bac35952cb8df7d4301c7f40ecf49b8c2a2ec145fff1579cb4d151692173"
