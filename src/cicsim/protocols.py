@@ -7,9 +7,9 @@ the pre-update state, possibly forces a checkpoint, then applies the update
 rules and delivers).  A protocol is only what it plugs into that
 skeleton: its first and second conditions (``_c1``/``_c2``, bound to the
 ``eval_c_*`` predicates below), the vectors it piggybacks
-(``payload_fields``), its update rules (``_update``), and the checkpoint
-hooks ``_at_checkpoint``, ``_advance_clock`` and ``_after_save``.  The
-shared clock discipline: the clock is incremented before a checkpoint is
+(``payload_fields``, built by ``_payload``), its update rules
+(``_update``), and its checkpoint rule (``take_checkpoint``, one override
+per family).  The shared clock discipline: the clock is incremented before a checkpoint is
 saved and the checkpoint is stamped with the new value (the lazy
 protocols skip the increment unless a receive asked for it); sends
 piggyback the clock; receives raise the clock to the incoming timestamp.
@@ -37,8 +37,15 @@ Implemented protocols:
 ``fine-ri``/``lazy-fine-ri`` are experimental variants that test the
 receiver's taken entry instead of the witness's; see eval_c_fine1.
 
-All vectors are 1-based (index 0 is an unused placeholder) so the update
-rules read like the protocol definitions.
+State and payload representation: a per-process boolean vector
+(``sent_to``, ``greater``, ``taken``, ``equal_incr``) is an int mask,
+bit k standing for process k, so a boolean condition is one AND over
+masks and the integer ones loop only over the processes in ``sent_to``; an
+integer vector (``clockv``, ``ckptv``, ``min_to``) is a 1-based list
+(index 0 is an unused placeholder) in the state and a tuple in a
+payload, so the update rules read like the protocol definitions and a
+payload can never alias the state it was copied from.  ``snapshot()`` and
+``Piggyback.fields()`` render masks back as lists of bools.
 """
 
 from __future__ import annotations
@@ -52,34 +59,73 @@ INF = math.inf
 
 
 class ProtocolError(ValueError):
-    """Malformed protocol interaction (wrong vector sizes, self-send...)."""
+    """Malformed protocol interaction (wrong payload shape, self-send...)."""
 
 
 _VECTOR_FIELDS = ("clockv", "greater", "equal_incr", "ckptv", "taken")
+# The vectors held as int masks, in the state or in a payload.
+_MASK_FIELDS = frozenset({"sent_to", "greater", "equal_incr", "taken"})
 
 
-@dataclass
+def _bools(mask: int, n: int) -> list:
+    """A mask as the 1-based list of n+1 bools it stands for."""
+    return [mask >> k & 1 == 1 for k in range(n + 1)]
+
+
+def _members(mask: int):
+    """The processes whose bit is set in mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Piggyback:
     """Control payload attached to one application message.
 
-    Only the fields of the owning protocol family are populated;
-    vectors are 1-based lists of length n+1.
+    ``t`` is the sender's clock and ``n`` the process count the payload is
+    built for.  Only the vectors of the sending protocol family are given,
+    the others stay None: ``greater``, ``equal_incr`` and ``taken`` are int
+    masks (bit k for process k), ``clockv`` and ``ckptv`` are stored as
+    1-based tuples of n+1 entries.  A payload is not changed after it is
+    built.  ``field_set`` has bit j set when ``_VECTOR_FIELDS[j]`` is
+    present; with ``n`` it is what a receiver checks, in O(1).
     """
 
-    t: int
-    clockv: list | None = None
-    greater: list | None = None
-    equal_incr: list | None = None
-    ckptv: list | None = None
-    taken: list | None = None
+    __slots__ = ("t", "n", *_VECTOR_FIELDS, "field_set")
+
+    def __init__(self, t: int, n: int, clockv=None, greater: int | None = None,
+                 equal_incr: int | None = None, ckptv=None, taken: int | None = None):
+        if clockv is not None:
+            clockv = tuple(clockv)
+            if len(clockv) != n + 1:
+                raise ProtocolError(f"'clockv' sized for {len(clockv) - 1} processes, expected {n}")
+        if ckptv is not None:
+            ckptv = tuple(ckptv)
+            if len(ckptv) != n + 1:
+                raise ProtocolError(f"'ckptv' sized for {len(ckptv) - 1} processes, expected {n}")
+        self.t = t
+        self.n = n
+        self.clockv = clockv
+        self.greater = greater
+        self.equal_incr = equal_incr
+        self.ckptv = ckptv
+        self.taken = taken
+        self.field_set = (
+            (clockv is not None) | (greater is not None) << 1
+            | (equal_incr is not None) << 2 | (ckptv is not None) << 3
+            | (taken is not None) << 4
+        )
 
     def fields(self) -> dict:
-        """Present fields with the index-0 placeholder stripped."""
+        """Present fields as lists with the index-0 placeholder stripped;
+        masks render as bools."""
         out = {"t": self.t}
         for name in _VECTOR_FIELDS:
             vec = getattr(self, name)
-            if vec is not None:
-                out[name] = list(vec[1:])
+            if vec is None:
+                continue
+            out[name] = _bools(vec, self.n)[1:] if name in _MASK_FIELDS else list(vec[1:])
         return out
 
 
@@ -89,8 +135,14 @@ class ForcedDecision:
     fired: frozenset
 
 
-# The decision of every receive at which no condition fires.
-_NOT_FORCED = ForcedDecision(False, frozenset())
+# The only four decisions a receive can reach, keyed by (C1 fired, C2 fired).
+_DECISIONS = {
+    (c1, c2): ForcedDecision(
+        c1 or c2, frozenset(name for name, hit in (("C1", c1), ("C2", c2)) if hit)
+    )
+    for c1 in (False, True)
+    for c2 in (False, True)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -98,39 +150,31 @@ _NOT_FORCED = ForcedDecision(False, frozenset())
 #
 # Pure predicates over (receiver pre-update state, incoming payload); the
 # state only needs the attributes each condition reads, which keeps them
-# directly testable on synthetic states.
+# directly testable on synthetic states.  Boolean vectors are masks.
 # ---------------------------------------------------------------------------
-
-
-def _procs(state):
-    return range(1, state.n + 1)
 
 
 def eval_c_pi(state, m: Piggyback) -> bool:
     """Partly-informed condition: the incoming timestamp exceeds the
     timestamp of the first message sent to some k this interval."""
-    return any(
-        state.sent_to[k] and m.t > state.min_to[k] for k in _procs(state)
-    )
+    min_to = state.min_to
+    return any(m.t > min_to[k] for k in _members(state.sent_to))
 
 
 def eval_c_fi1_clockv(state, m: Piggyback) -> bool:
     """Fully-informed first condition, integer-vector form: partly
     informed, and neither side knows that k's clock already reached m.t."""
+    t, min_to, mine, theirs = m.t, state.min_to, state.clockv, m.clockv
     return any(
-        state.sent_to[k]
-        and m.t > state.min_to[k]
-        and m.t > max(state.clockv[k], m.clockv[k])
-        for k in _procs(state)
+        t > min_to[k] and t > mine[k] and t > theirs[k]
+        for k in _members(state.sent_to)
     )
 
 
 def eval_c_fi1_greater(state, m: Piggyback) -> bool:
     """Fully-informed first condition, boolean form: the sender's clock
     went past k's clock as far as it knows, and past the receiver's."""
-    return any(
-        state.sent_to[k] and m.greater[k] and m.t > state.lc for k in _procs(state)
-    )
+    return m.t > state.lc and state.sent_to & m.greater != 0
 
 
 def eval_c_fi2(state, m: Piggyback) -> bool:
@@ -138,17 +182,14 @@ def eval_c_fi2(state, m: Piggyback) -> bool:
     the receiver's current interval and crossed a checkpoint; delivering
     in this interval would close a Z-cycle."""
     i = state.i
-    return m.ckptv[i] == state.ckptv[i] and m.taken[i]
+    return m.ckptv[i] == state.ckptv[i] and m.taken >> i & 1 == 1
 
 
 def eval_c_lazyfi1(state, m: Piggyback) -> bool:
     """Lazy first condition: with lazy increments an equal remote clock is
     only safe when that process is known to increment before its next
     checkpoint, so the boolean test flips to equal_incr."""
-    return any(
-        state.sent_to[k] and not m.equal_incr[k] and m.t > state.lc
-        for k in _procs(state)
-    )
+    return m.t > state.lc and state.sent_to & ~m.equal_incr != 0
 
 
 def eval_c_fine1(state, m: Piggyback, taken_index: str = "witness") -> bool:
@@ -160,22 +201,16 @@ def eval_c_fine1(state, m: Piggyback, taken_index: str = "witness") -> bool:
     discrepancy can be explored; ``witness`` is the protocol default.
     """
     if taken_index == "ri":
-        return eval_c_fi1_greater(state, m) and m.taken[state.i]
-    return any(
-        state.sent_to[k] and m.greater[k] and m.t > state.lc and m.taken[k]
-        for k in _procs(state)
-    )
+        return eval_c_fi1_greater(state, m) and m.taken >> state.i & 1 == 1
+    return m.t > state.lc and state.sent_to & m.greater & m.taken != 0
 
 
 def eval_c_lazyfine1(state, m: Piggyback, taken_index: str = "witness") -> bool:
     """lazy-fine's weakening of the lazy first condition; same
     taken-index variants as eval_c_fine1."""
     if taken_index == "ri":
-        return eval_c_lazyfi1(state, m) and m.taken[state.i]
-    return any(
-        state.sent_to[k] and not m.equal_incr[k] and m.t > state.lc and m.taken[k]
-        for k in _procs(state)
-    )
+        return eval_c_lazyfi1(state, m) and m.taken >> state.i & 1 == 1
+    return m.t > state.lc and state.sent_to & ~m.equal_incr & m.taken != 0
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +223,14 @@ class BaseProtocol:
 
     * ``_c1``/``_c2``: the first and second checkpoint-inducing conditions,
       an ``eval_c_*`` predicate bound as a method (default: never fires);
-    * ``payload_fields``: the state vectors that ``on_send`` copies into
-      the Piggyback next to the clock;
+    * ``payload_fields``: the vectors it piggybacks next to the clock, and
+      ``_payload``, which builds that Piggyback from the state;
     * ``_update``: the update rules applied after the conditions;
-    * ``_init_structures`` for the vectors no checkpoint hook resets, and
-      ``_mark_send`` for the send bookkeeping;
-    * the checkpoint hooks, in the order take_checkpoint runs them:
-      ``_at_checkpoint`` resets per-interval structures, ``_advance_clock``
-      applies the clock rule (one increment by default), and
-      ``_after_save`` updates what depends on the new timestamp.
+    * ``_init_structures`` for its state, and ``_mark_send`` for the send
+      bookkeeping;
+    * ``take_checkpoint``, one override per family: it resets the
+      per-interval structures, applies the clock rule (one increment here)
+      and updates what depends on the new timestamp.
 
     Construction runs ``_init_structures`` and takes the initial checkpoint
     (ordinal 1, timestamp 1), retrievable as initial_record.
@@ -204,6 +238,13 @@ class BaseProtocol:
 
     name = "?"
     payload_fields: tuple[str, ...] = ()
+    _field_set = 0
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._field_set = sum(
+            1 << j for j, f in enumerate(_VECTOR_FIELDS) if f in cls.payload_fields
+        )
 
     def __init__(self, n: int, i: int):
         if not 1 <= i <= n:
@@ -231,22 +272,14 @@ class BaseProtocol:
     def _mark_send(self, dest: int) -> None:
         pass
 
-    def _at_checkpoint(self) -> None:
-        pass
-
-    def _advance_clock(self) -> None:
-        self.lc += 1
-
-    def _after_save(self) -> None:
-        pass
+    def _payload(self) -> Piggyback:
+        return Piggyback(self.lc, self.n)
 
     # lifecycle ----------------------------------------------------------
 
     def take_checkpoint(self, kind: str = CKPT_BASIC) -> CheckpointRecord:
-        self._at_checkpoint()
-        self._advance_clock()
+        self.lc += 1
         self.ckpt_count += 1
-        self._after_save()
         return CheckpointRecord(self.i, self.ckpt_count, kind, self.lc)
 
     def on_send(self, dest: int) -> Piggyback:
@@ -255,41 +288,32 @@ class BaseProtocol:
         if not 1 <= dest <= self.n:
             raise ProtocolError(f"destination {dest} out of range 1..{self.n}")
         self._mark_send(dest)
-        return Piggyback(
-            t=self.lc, **{f: list(getattr(self, f)) for f in self.payload_fields}
-        )
+        return self._payload()
 
     def on_receive(self, m: Piggyback):
         """Returns (decision, forced checkpoint record or None, pre-update
         state snapshot when a checkpoint was forced)."""
-        self._check_payload(m)
+        if m.n != self.n or m.field_set != self._field_set:
+            raise ProtocolError(self._payload_problem(m))
         c1 = self._c1(m)
         c2 = self._c2(m)
         if not (c1 or c2):
             self._update(m)
-            return _NOT_FORCED, None, None
-        fired = frozenset(name for name, hit in (("C1", c1), ("C2", c2)) if hit)
+            return _DECISIONS[False, False], None, None
         snapshot = self.snapshot()
         record = self.take_checkpoint(CKPT_FORCED)
         self._update(m)
-        return ForcedDecision(True, fired), record, snapshot
+        return _DECISIONS[c1, c2], record, snapshot
 
     # helpers ------------------------------------------------------------
 
-    def _check_payload(self, m: Piggyback) -> None:
-        want = set(self.payload_fields)
+    def _payload_problem(self, m: Piggyback) -> str:
         for f in _VECTOR_FIELDS:
-            vec = getattr(m, f)
-            if f in want:
-                if vec is None:
-                    raise ProtocolError(f"{self.name}: payload missing '{f}'")
-                if len(vec) != self.n + 1:
-                    raise ProtocolError(
-                        f"{self.name}: '{f}' sized for {len(vec) - 1} processes, "
-                        f"expected {self.n}"
-                    )
-            elif vec is not None:
-                raise ProtocolError(f"{self.name}: unexpected payload field '{f}'")
+            if f in self.payload_fields and getattr(m, f) is None:
+                return f"{self.name}: payload missing '{f}'"
+            if f not in self.payload_fields and getattr(m, f) is not None:
+                return f"{self.name}: unexpected payload field '{f}'"
+        return f"{self.name}: payload built for {m.n} processes, expected {self.n}"
 
     def snapshot(self) -> dict:
         out = {"protocol": self.name, "n": self.n, "i": self.i, "lc": self.lc}
@@ -297,7 +321,11 @@ class BaseProtocol:
                   "ckptv", "taken", "increment"):
             if hasattr(self, f):
                 val = getattr(self, f)
-                out[f] = list(val) if isinstance(val, list) else val
+                if f in _MASK_FIELDS:
+                    val = _bools(val, self.n)
+                elif isinstance(val, list):
+                    val = list(val)
+                out[f] = val
         return out
 
 
@@ -311,12 +339,13 @@ class PartlyInformed(BaseProtocol):
     name = "pi"
     _c1 = eval_c_pi
 
-    def _at_checkpoint(self):
-        self.sent_to = [False] * (self.n + 1)
+    def take_checkpoint(self, kind=CKPT_BASIC):
+        self.sent_to = 0
         self.min_to = [INF] * (self.n + 1)
+        return super().take_checkpoint(kind)
 
     def _mark_send(self, dest):
-        self.sent_to[dest] = True
+        self.sent_to |= 1 << dest
         # Only the first send of the interval matters; min-merge makes
         # repeated sends harmless.
         self.min_to[dest] = min(self.min_to[dest], self.lc)
@@ -324,35 +353,39 @@ class PartlyInformed(BaseProtocol):
 
 class _FIFamily(BaseProtocol):
     """Shared ckptv/taken bookkeeping and second condition of the
-    fully-informed protocols."""
+    fully-informed protocols.  Every checkpoint clears ``sent_to``, marks
+    every other process as having taken one, and counts itself in
+    ``ckptv``; ``_saved`` does the last step and builds the record."""
 
     _c2 = eval_c_fi2
 
     def _init_structures(self):
-        self.ckptv = [0] * (self.n + 1)
-        self.taken = [False] * (self.n + 1)
+        n, i = self.n, self.i
+        self._peers = [k for k in range(1, n + 1) if k != i]
+        self._others = ((1 << (n + 1)) - 2) ^ (1 << i)  # every process but i
+        self.ckptv = [0] * (n + 1)
+        self.taken = 0
 
-    def _at_checkpoint(self):
-        self.sent_to = [False] * (self.n + 1)
-        for k in _procs(self):
-            if k != self.i:
-                self.taken[k] = True
-
-    def _after_save(self):
+    def _saved(self, kind):
+        self.ckpt_count += 1
         self.ckptv[self.i] += 1
+        return CheckpointRecord(self.i, self.ckpt_count, kind, self.lc)
 
     def _mark_send(self, dest):
-        self.sent_to[dest] = True
+        self.sent_to |= 1 << dest
 
     def _merge_ckpt_knowledge(self, m):
-        for k in _procs(self):
-            if k == self.i:
-                continue
-            if m.ckptv[k] > self.ckptv[k]:
-                self.ckptv[k] = m.ckptv[k]
-                self.taken[k] = m.taken[k]
-            elif m.ckptv[k] == self.ckptv[k]:
-                self.taken[k] = self.taken[k] or m.taken[k]
+        """Per k != i: a larger ckptv entry wins with its taken bit, an
+        equal one ORs the taken bits."""
+        mine, theirs = self.ckptv, m.ckptv
+        raised = same = 0
+        for k in self._peers:
+            if theirs[k] > mine[k]:
+                mine[k] = theirs[k]
+                raised |= 1 << k
+            elif theirs[k] == mine[k]:
+                same |= 1 << k
+        self.taken = self.taken & ~raised | m.taken & (raised | same)
 
 
 class ClockvFI(_FIFamily):
@@ -364,25 +397,30 @@ class ClockvFI(_FIFamily):
         super()._init_structures()
         self.clockv = [0] * (self.n + 1)
 
-    def _at_checkpoint(self):
-        super()._at_checkpoint()
+    def take_checkpoint(self, kind=CKPT_BASIC):
+        self.sent_to = 0
         self.min_to = [INF] * (self.n + 1)
-
-    def _after_save(self):
-        super()._after_save()
+        self.taken |= self._others
+        self.lc += 1
         self.clockv[self.i] = self.lc
+        return self._saved(kind)
 
     def _mark_send(self, dest):
-        super()._mark_send(dest)
+        self.sent_to |= 1 << dest
         self.min_to[dest] = min(self.min_to[dest], self.lc)
+
+    def _payload(self):
+        return Piggyback(self.lc, self.n, clockv=self.clockv, ckptv=self.ckptv,
+                         taken=self.taken)
 
     def _update(self, m):
         if m.t > self.lc:
             self.lc = m.t
             self.clockv[self.i] = self.lc
-        for k in _procs(self):
-            if k != self.i and m.clockv[k] > self.clockv[k]:
-                self.clockv[k] = m.clockv[k]
+        mine, theirs = self.clockv, m.clockv
+        for k in self._peers:
+            if theirs[k] > mine[k]:
+                mine[k] = theirs[k]
         self._merge_ckpt_knowledge(m)
 
 
@@ -393,24 +431,26 @@ class GreaterFI(_FIFamily):
 
     def _init_structures(self):
         super()._init_structures()
-        self.greater = [False] * (self.n + 1)
+        self.greater = 0
 
-    def _at_checkpoint(self):
-        super()._at_checkpoint()
-        for k in _procs(self):
-            if k != self.i:
-                self.greater[k] = True
+    def take_checkpoint(self, kind=CKPT_BASIC):
+        self.sent_to = 0
+        self.taken |= self._others
+        self.greater = self._others
+        self.lc += 1
+        return self._saved(kind)
+
+    def _payload(self):
+        return Piggyback(self.lc, self.n, greater=self.greater, ckptv=self.ckptv,
+                         taken=self.taken)
 
     def _update(self, m):
+        # The own entry is never set, so it stays False in both branches.
         if m.t > self.lc:
             self.lc = m.t
-            for k in _procs(self):
-                if k != self.i:
-                    self.greater[k] = m.greater[k]
+            self.greater = m.greater & self._others
         elif m.t == self.lc:
-            for k in _procs(self):
-                if k != self.i:
-                    self.greater[k] = self.greater[k] and m.greater[k]
+            self.greater &= m.greater
         self._merge_ckpt_knowledge(m)
 
 
@@ -421,30 +461,33 @@ class LazyFI(_FIFamily):
 
     def _init_structures(self):
         super()._init_structures()
-        self.equal_incr = [False] * (self.n + 1)
+        self.equal_incr = 0
         self.increment = True
 
-    def _advance_clock(self):
+    def take_checkpoint(self, kind=CKPT_BASIC):
+        self.sent_to = 0
+        self.taken |= self._others
         # Lazy clock rule: the increment only happens when flagged, so a
         # checkpoint may reuse its predecessor's timestamp.
         if self.increment:
             self.lc += 1
-            self.equal_incr = [False] * (self.n + 1)
+            self.equal_incr = 0
         self.increment = False
+        return self._saved(kind)
+
+    def _payload(self):
+        return Piggyback(self.lc, self.n, equal_incr=self.equal_incr, ckptv=self.ckptv,
+                         taken=self.taken)
 
     def _update(self, m):
+        own = 1 << self.i
         if m.t > self.lc:
             self.lc = m.t
             self.increment = True
-            self.equal_incr[self.i] = True
-            for k in _procs(self):
-                if k != self.i:
-                    self.equal_incr[k] = m.equal_incr[k]
+            self.equal_incr = own | m.equal_incr & self._others
         elif m.t == self.lc:
             self.increment = True
-            self.equal_incr[self.i] = True
-            for k in _procs(self):
-                self.equal_incr[k] = self.equal_incr[k] or m.equal_incr[k]
+            self.equal_incr |= own | m.equal_incr & (self._others | own)
         self._merge_ckpt_knowledge(m)
 
 

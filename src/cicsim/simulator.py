@@ -33,8 +33,10 @@ from .computation import (
 from .protocols import ForcedDecision, Piggyback, make_protocol
 
 
-# A run builds one protocol object per process, each holding vectors of
-# N+1 entries, so its set-up memory grows as N squared.
+# A run builds one protocol object per process.  Its boolean vectors are
+# N+1-bit masks, but its integer vectors (ckptv, and clockv or min_to for
+# some protocols) are lists of N+1 entries, so a run's set-up memory still
+# grows as N squared.
 MAX_PROCS = 256
 
 

@@ -1,7 +1,22 @@
+import warnings
+
 import pytest
 
 from cicsim.scenarios import builtin
 from cicsim.simulator import run_scenario
+
+# When a @given test fails, Hypothesis imports its patch writer, which
+# imports libcst, which raises a DeprecationWarning from mypy_extensions;
+# under ``filterwarnings = error`` that warning aborts the whole session
+# with an internal error.  Importing it here, with that one warning
+# category silenced, lets the failure report as a plain test failure and
+# leaves every other warning an error.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 @pytest.fixture(scope="session")

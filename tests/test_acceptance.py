@@ -14,7 +14,6 @@ import pytest
 
 from cicsim import oracle
 from cicsim.protocols import (
-    Piggyback,
     eval_c_fi1_clockv,
     eval_c_fi1_greater,
     eval_c_fine1,
@@ -25,6 +24,7 @@ from cicsim.protocols import (
 from cicsim.rng import SplitMix64
 from cicsim.scenarios import FuzzParams, builtin, random_scenario
 from cicsim.simulator import amplify_violation, run_scenario
+from list_conditions import masked_agreeing
 
 CAMPAIGN_RUNS = 10_000
 CAMPAIGN_PROTOCOLS = ("pi", "fi-clockv", "fi-greater", "lazy-fi")
@@ -208,10 +208,11 @@ def test_criterion_9_condition_implications():
             clockv=ints(5), greater=bools(), equal_incr=bools(),
             ckptv=ints(3), taken=bools(),
         )
-        m = Piggyback(
+        m = SimpleNamespace(
             t=1 + rng.below(6), clockv=ints(5), greater=bools(),
             equal_incr=bools(), ckptv=ints(3), taken=bools(),
         )
+        state, m = masked_agreeing(state, m)
         if eval_c_fine1(state, m):
             assert eval_c_fi1_greater(state, m)
         if eval_c_lazyfine1(state, m):
@@ -219,8 +220,9 @@ def test_criterion_9_condition_implications():
         if eval_c_fi1_clockv(state, m):
             assert eval_c_pi(state, m)
         checked += 1
-    _ok(9, f"{checked} randomized (state, payload) pairs: fine1=>fi1, "
-           "lazyfine1=>lazyfi1, fi1-clockv=>pi, 0 counterexamples")
+    _ok(9, f"{checked} randomized (state, payload) pairs: each condition equals "
+           "its list form; fine1=>fi1, lazyfine1=>lazyfi1, fi1-clockv=>pi, "
+           "0 counterexamples")
 
 
 def test_criterion_10_membership_cross_validation():

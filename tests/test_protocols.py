@@ -20,15 +20,14 @@ from cicsim.protocols import (
 )
 from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, random_scenario
 from cicsim.simulator import run_scenario
+from list_conditions import masked_agreeing
 
 INF = math.inf
 
 
-def bvec(n, true_at=()):
-    v = [None] + [False] * n
-    for k in true_at:
-        v[k] = True
-    return v
+def bits(true_at=()):
+    """The mask with bit k set for each k in true_at."""
+    return sum(1 << k for k in set(true_at))
 
 
 def ivec(n, pairs=(), default=0):
@@ -44,35 +43,36 @@ def mk_state(n=3, i=2, lc=1, sent_to=(), min_to=(), clockv=(), greater=(),
         n=n,
         i=i,
         lc=lc,
-        sent_to=bvec(n, sent_to),
+        sent_to=bits(sent_to),
         min_to=ivec(n, min_to, INF),
         clockv=ivec(n, clockv),
-        greater=bvec(n, greater),
-        equal_incr=bvec(n, equal_incr),
+        greater=bits(greater),
+        equal_incr=bits(equal_incr),
         ckptv=ivec(n, ckptv),
-        taken=bvec(n, taken),
+        taken=bits(taken),
     )
 
 
 def mk_pb(n=3, t=1, clockv=(), greater=(), equal_incr=(), ckptv=(), taken=()):
     return Piggyback(
         t=t,
+        n=n,
         clockv=ivec(n, clockv),
-        greater=bvec(n, greater),
-        equal_incr=bvec(n, equal_incr),
+        greater=bits(greater),
+        equal_incr=bits(equal_incr),
         ckptv=ivec(n, ckptv),
-        taken=bvec(n, taken),
+        taken=bits(taken),
     )
 
 
 def fi_pb(n=3, t=1, greater=(), ckptv=(), taken=()):
-    return Piggyback(t=t, greater=bvec(n, greater), ckptv=ivec(n, ckptv),
-                     taken=bvec(n, taken))
+    return Piggyback(t=t, n=n, greater=bits(greater), ckptv=ivec(n, ckptv),
+                     taken=bits(taken))
 
 
 def lazy_pb(n=3, t=1, equal_incr=(), ckptv=(), taken=()):
-    return Piggyback(t=t, equal_incr=bvec(n, equal_incr), ckptv=ivec(n, ckptv),
-                     taken=bvec(n, taken))
+    return Piggyback(t=t, n=n, equal_incr=bits(equal_incr), ckptv=ivec(n, ckptv),
+                     taken=bits(taken))
 
 
 # -- initialization ---------------------------------------------------------
@@ -80,36 +80,40 @@ def lazy_pb(n=3, t=1, equal_incr=(), ckptv=(), taken=()):
 
 def test_fi_greater_init():
     p = make_protocol("fi-greater", 3, 2)
+    snap = p.snapshot()
     assert p.lc == 1
-    assert p.ckptv[1:] == [0, 1, 0]
-    assert p.taken[1:] == [True, False, True]
-    assert p.greater[1:] == [True, False, True]
-    assert p.sent_to[1:] == [False, False, False]
+    assert snap["ckptv"][1:] == [0, 1, 0]
+    assert snap["taken"][1:] == [True, False, True]
+    assert snap["greater"][1:] == [True, False, True]
+    assert snap["sent_to"][1:] == [False, False, False]
     assert p.initial_record.kind == "initial"
     assert p.initial_record.timestamp == 1
 
 
 def test_lazy_fi_init():
     p = make_protocol("lazy-fi", 3, 1)
+    snap = p.snapshot()
     assert p.lc == 1
     assert p.increment is False
-    assert p.equal_incr[1:] == [False, False, False]
-    assert p.ckptv[1:] == [1, 0, 0]
-    assert p.taken[1:] == [False, True, True]
+    assert snap["equal_incr"][1:] == [False, False, False]
+    assert snap["ckptv"][1:] == [1, 0, 0]
+    assert snap["taken"][1:] == [False, True, True]
 
 
 def test_pi_init():
     p = make_protocol("pi", 2, 1)
+    snap = p.snapshot()
     assert p.lc == 1
-    assert p.sent_to[1:] == [False, False]
-    assert p.min_to[1:] == [INF, INF]
+    assert snap["sent_to"][1:] == [False, False]
+    assert snap["min_to"][1:] == [INF, INF]
 
 
 def test_fi_clockv_init():
     p = make_protocol("fi-clockv", 3, 3)
-    assert p.clockv[1:] == [0, 0, 1]
+    snap = p.snapshot()
+    assert snap["clockv"][1:] == [0, 0, 1]
     assert p.lc == 1
-    assert p.min_to[1:] == [INF, INF, INF]
+    assert snap["min_to"][1:] == [INF, INF, INF]
 
 
 def test_unknown_protocol():
@@ -124,9 +128,10 @@ def test_fi_checkpoint_bumps_clock_and_resets_vectors():
     p = make_protocol("fi-greater", 3, 2)
     rec = p.take_checkpoint()
     assert rec.timestamp == 2 and rec.ordinal == 2 and rec.kind == "basic"
-    assert p.greater[1:] == [True, False, True]
-    assert p.taken[1:] == [True, False, True]
-    assert p.ckptv[2] == 2
+    snap = p.snapshot()
+    assert snap["greater"][1:] == [True, False, True]
+    assert snap["taken"][1:] == [True, False, True]
+    assert snap["ckptv"][2] == 2
 
 
 def test_lazy_checkpoint_reuses_timestamp_without_increment():
@@ -141,10 +146,10 @@ def test_lazy_checkpoint_increments_when_flagged():
     p = make_protocol("lazy-fi", 3, 1)
     p.lc = 2
     p.increment = True
-    p.equal_incr = bvec(3, (2, 3))
+    p.equal_incr = bits((2, 3))
     rec = p.take_checkpoint()
     assert rec.timestamp == 3
-    assert p.equal_incr[1:] == [False, False, False]
+    assert p.snapshot()["equal_incr"][1:] == [False, False, False]
     assert p.increment is False
 
 
@@ -155,8 +160,9 @@ def test_pi_first_send_records_clock():
     p = make_protocol("pi", 3, 1)
     pb = p.on_send(3)
     assert pb.t == 1
-    assert p.min_to[3] == 1
-    assert p.sent_to[3] is True
+    snap = p.snapshot()
+    assert snap["min_to"][3] == 1
+    assert snap["sent_to"][3] is True
     assert pb.greater is None and pb.ckptv is None
 
 
@@ -173,7 +179,7 @@ def test_pi_min_to_keeps_minimum():
     p.on_send(3)
     p.lc = 5
     p.on_send(3)
-    assert p.min_to[3] == 1
+    assert p.snapshot()["min_to"][3] == 1
 
 
 def test_lazy_payload_fields():
@@ -275,15 +281,16 @@ def test_fi_receive_low_timestamp_merges_only():
     decision, rec, _ = p.on_receive(fi_pb(t=1, ckptv=((1, 1),), taken=(1,)))
     assert not decision.forced and rec is None
     assert p.lc == 2
-    assert p.ckptv[1] == 1 and p.taken[1] is True
-    assert p.greater[1] is True  # untouched below the clock
+    snap = p.snapshot()
+    assert snap["ckptv"][1] == 1 and snap["taken"][1] is True
+    assert snap["greater"][1] is True  # untouched below the clock
 
 
 def test_fi_equal_clock_and_merges_greater():
     p = make_protocol("fi-greater", 3, 2)
-    assert p.greater[1:] == [True, False, True]
+    assert p.snapshot()["greater"][1:] == [True, False, True]
     p.on_receive(fi_pb(t=1, greater=(1,)))
-    assert p.greater[1:] == [True, False, False]
+    assert p.snapshot()["greater"][1:] == [True, False, False]
 
 
 def test_lazy_receive_sets_increment_on_equal_clock():
@@ -291,14 +298,14 @@ def test_lazy_receive_sets_increment_on_equal_clock():
     assert p.increment is False
     p.on_receive(lazy_pb(t=1))
     assert p.increment is True
-    assert p.equal_incr[2] is True
+    assert p.snapshot()["equal_incr"][2] is True
 
 
 def test_lazy_receive_overwrites_equal_incr_on_greater_clock():
     p = make_protocol("lazy-fi", 3, 2)
     p.on_receive(lazy_pb(t=3, equal_incr=(1, 3)))
     assert p.lc == 3
-    assert p.equal_incr[1:] == [True, True, True]
+    assert p.snapshot()["equal_incr"][1:] == [True, True, True]
 
 
 def test_vector_length_mismatch_rejected():
@@ -310,12 +317,12 @@ def test_vector_length_mismatch_rejected():
 def test_missing_field_rejected():
     p = make_protocol("lazy-fi", 3, 2)
     with pytest.raises(ProtocolError):
-        p.on_receive(Piggyback(t=1))
+        p.on_receive(Piggyback(t=1, n=3))
 
 
 def test_none_protocol_only_tracks_clock():
     p = make_protocol("none", 3, 1)
-    decision, rec, _ = p.on_receive(Piggyback(t=7))
+    decision, rec, _ = p.on_receive(Piggyback(t=7, n=3))
     assert not decision.forced and rec is None
     assert p.lc == 7
 
@@ -355,7 +362,7 @@ def test_own_greater_entry_stays_false():
         else:
             machines[step.process].on_receive(in_flight.pop(step.message))
         for i, m in machines.items():
-            assert m.greater[i] is False
+            assert m.snapshot()["greater"][i] is False
 
 
 # -- implication properties -------------------------------------------------
@@ -363,6 +370,8 @@ def test_own_greater_entry_stays_false():
 
 @given(st.data())
 def test_condition_implications(data):
+    """List-form (state, payload) pairs: every mask predicate equals its
+    list form, and the weakened conditions imply the ones they weaken."""
     n = data.draw(st.integers(2, 5))
     i = data.draw(st.integers(1, n))
 
@@ -386,7 +395,7 @@ def test_condition_implications(data):
         ckptv=ints(3),
         taken=bools(),
     )
-    m = Piggyback(
+    m = SimpleNamespace(
         t=data.draw(st.integers(1, 6)),
         clockv=ints(5),
         greater=bools(),
@@ -394,6 +403,7 @@ def test_condition_implications(data):
         ckptv=ints(3),
         taken=bools(),
     )
+    state, m = masked_agreeing(state, m)
     if eval_c_fine1(state, m):
         assert eval_c_fi1_greater(state, m)
     if eval_c_lazyfine1(state, m):

@@ -38,6 +38,7 @@ from cicsim.simulator import (
     send,
     step_problems,
 )
+from list_conditions import masked_state
 
 CONDITION_FUNCS = {
     "pi": {"C1": eval_c_pi},
@@ -85,7 +86,7 @@ def test_forced_decisions_replay_on_logged_prestate():
         run = run_scenario(scen, protocol)
         assert run.forced, (name, protocol)
         for ev in run.forced:
-            state = SimpleNamespace(**ev.prestate)
+            state = masked_state(SimpleNamespace(**ev.prestate))
             for cond in ev.decision.fired:
                 func = CONDITION_FUNCS[protocol][cond]
                 assert func(state, ev.payload), (name, protocol, cond)
