@@ -9,10 +9,11 @@ skeleton: its first and second conditions (``_c1``/``_c2``, bound to the
 ``eval_c_*`` predicates below), the vectors it piggybacks
 (``payload_fields``, built by ``_payload``), its update rules
 (``_update``), and its checkpoint rule (``take_checkpoint``, one override
-per family).  The shared clock discipline: the clock is incremented before a checkpoint is
-saved and the checkpoint is stamped with the new value (the lazy
-protocols skip the increment unless a receive asked for it); sends
-piggyback the clock; receives raise the clock to the incoming timestamp.
+per family).  The shared clock discipline: the clock is incremented
+before a checkpoint is saved and the checkpoint is stamped with the new
+value (the lazy protocols skip the increment unless a receive asked for
+it); sends piggyback the clock; receives raise the clock to the incoming
+timestamp.
 
 Implemented protocols:
 
@@ -87,9 +88,10 @@ class Piggyback:
     built for.  Only the vectors of the sending protocol family are given,
     the others stay None: ``greater``, ``equal_incr`` and ``taken`` are int
     masks (bit k for process k), ``clockv`` and ``ckptv`` are stored as
-    1-based tuples of n+1 entries.  A payload is not changed after it is
-    built.  ``field_set`` has bit j set when ``_VECTOR_FIELDS[j]`` is
-    present; with ``n`` it is what a receiver checks, in O(1).
+    1-based tuples of n+1 entries.  Every vector is an immutable value, so
+    a payload never shares state with its sender.  ``field_set`` has bit j
+    set when ``_VECTOR_FIELDS[j]`` is present; with ``n`` it is what a
+    receiver checks, in O(1).
     """
 
     __slots__ = ("t", "n", *_VECTOR_FIELDS, "field_set")
@@ -353,9 +355,10 @@ class PartlyInformed(BaseProtocol):
 
 class _FIFamily(BaseProtocol):
     """Shared ckptv/taken bookkeeping and second condition of the
-    fully-informed protocols.  Every checkpoint clears ``sent_to``, marks
-    every other process as having taken one, and counts itself in
-    ``ckptv``; ``_saved`` does the last step and builds the record."""
+    fully-informed protocols.  A family's take_checkpoint applies its own
+    resets and clock rule, then ``_saved`` does what every checkpoint
+    shares: it clears ``sent_to``, marks every other process as having
+    taken a checkpoint, counts itself in ``ckptv`` and builds the record."""
 
     _c2 = eval_c_fi2
 
@@ -367,6 +370,8 @@ class _FIFamily(BaseProtocol):
         self.taken = 0
 
     def _saved(self, kind):
+        self.sent_to = 0
+        self.taken |= self._others
         self.ckpt_count += 1
         self.ckptv[self.i] += 1
         return CheckpointRecord(self.i, self.ckpt_count, kind, self.lc)
@@ -398,9 +403,7 @@ class ClockvFI(_FIFamily):
         self.clockv = [0] * (self.n + 1)
 
     def take_checkpoint(self, kind=CKPT_BASIC):
-        self.sent_to = 0
         self.min_to = [INF] * (self.n + 1)
-        self.taken |= self._others
         self.lc += 1
         self.clockv[self.i] = self.lc
         return self._saved(kind)
@@ -434,8 +437,6 @@ class GreaterFI(_FIFamily):
         self.greater = 0
 
     def take_checkpoint(self, kind=CKPT_BASIC):
-        self.sent_to = 0
-        self.taken |= self._others
         self.greater = self._others
         self.lc += 1
         return self._saved(kind)
@@ -465,8 +466,6 @@ class LazyFI(_FIFamily):
         self.increment = True
 
     def take_checkpoint(self, kind=CKPT_BASIC):
-        self.sent_to = 0
-        self.taken |= self._others
         # Lazy clock rule: the increment only happens when flagged, so a
         # checkpoint may reuse its predecessor's timestamp.
         if self.increment:
