@@ -312,6 +312,9 @@ def test_vector_length_mismatch_rejected():
     p = make_protocol("fi-greater", 4, 2)
     with pytest.raises(ProtocolError):
         p.on_receive(fi_pb(n=3, t=1))
+    # An integer vector whose length disagrees with n is refused when built.
+    with pytest.raises(ProtocolError):
+        Piggyback(t=1, n=4, greater=0, ckptv=ivec(3), taken=0)
 
 
 def test_missing_field_rejected():
