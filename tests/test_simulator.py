@@ -280,6 +280,41 @@ def test_amplify_handles_forced_target_checkpoint():
     assert again.scenario == result.scenario  # deterministic
 
 
+AMPLIFY_PIN_PROTOCOLS = ("none", "fine", "lazy-fine", "fine-ri", "lazy-fine-ri")
+
+
+def test_amplify_digest_is_pinned():
+    """One SHA-256 over every amplified scenario and its useless set, on
+    600 seeded scenarios x the protocols that admit violations.  The set
+    must hold a forced target and a basic target that follows a forced
+    checkpoint of its own process, the two cases where the anchor step is
+    not simply the target's own ckpt step counted from the start."""
+    import hashlib
+
+    sha = hashlib.sha256()
+    forced_targets = basic_after_forced = 0
+    for seed in range(5000, 5600):
+        scen = random_scenario(FuzzParams(
+            n=3 + seed % 3, events=30 + seed % 20,
+            p_ckpt=0.05 + 0.05 * (seed % 4), seed=seed,
+        ))
+        for protocol in AMPLIFY_PIN_PROTOCOLS:
+            result = amplify_violation(scen, protocol)
+            if result is None:
+                sha.update(b"none\n")
+                continue
+            sha.update(serialize_scenario(result.scenario).encode())
+            sha.update(repr(sorted(r.key() for r in result.report.useless)).encode())
+            dst = result.violation[1]
+            if dst.kind == "forced":
+                forced_targets += 1
+            elif any(f.record.process == dst.process and f.record.ordinal < dst.ordinal
+                     for f in run_scenario(scen, protocol).forced):
+                basic_after_forced += 1
+    assert forced_targets > 0 and basic_after_forced > 0
+    assert sha.hexdigest() == "8f4e70a8e4e6726697eb6ec8fee88ffb6bb1bd2c82d4f00b23f3f35d8b044405"
+
+
 def test_amplified_scenarios_stay_valid():
     for name, protocol in (("fine-proposal", "fine"), ("theorem1-a", "none")):
         scen, _ = builtin(name)
