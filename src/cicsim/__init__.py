@@ -40,8 +40,10 @@ from .protocols import (
     eval_c_fi1_greater,
     eval_c_fi2,
     eval_c_fine1,
+    eval_c_fine1_ri,
     eval_c_lazyfi1,
     eval_c_lazyfine1,
+    eval_c_lazyfine1_ri,
     eval_c_pi,
     make_protocol,
 )

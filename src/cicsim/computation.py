@@ -172,12 +172,6 @@ class Trace:
             raise ValueError(f"checkpoint {record.label()} not in trace")
         return self.events[pos]
 
-    def checkpoint_position(self, record) -> int:
-        key = record.key() if isinstance(record, CheckpointRecord) else tuple(record)
-        if key not in self._ckpt_pos:
-            raise ValueError(f"checkpoint C_{key[0]}^{key[1]} not in trace")
-        return self._ckpt_pos[key]
-
     def sorted_checkpoints(self) -> list[CheckpointRecord]:
         return [self.checkpoints[k] for k in sorted(self.checkpoints)]
 

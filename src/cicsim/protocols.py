@@ -36,7 +36,7 @@ Implemented protocols:
 * ``lazy-fine``   the lazy counterpart of fine; same caveat.
 
 ``fine-ri``/``lazy-fine-ri`` are experimental variants that test the
-receiver's taken entry instead of the witness's; see eval_c_fine1.
+receiver's taken entry instead of the witness's; see eval_c_fine1_ri.
 
 State and payload representation: a per-process boolean vector
 (``sent_to``, ``greater``, ``taken``, ``equal_incr``) is an int mask,
@@ -194,25 +194,28 @@ def eval_c_lazyfi1(state, m: Piggyback) -> bool:
     return m.t > state.lc and state.sent_to & ~m.equal_incr != 0
 
 
-def eval_c_fine1(state, m: Piggyback, taken_index: str = "witness") -> bool:
-    """fine's weakening of the fully-informed first condition.
-
-    ``witness`` (the published condition box) additionally requires the
-    witness entry m.taken[k]; ``ri`` is the receiver-index reading
-    (m.taken[i]) that some descriptions use.  Both are implemented so the
-    discrepancy can be explored; ``witness`` is the protocol default.
-    """
-    if taken_index == "ri":
-        return eval_c_fi1_greater(state, m) and m.taken >> state.i & 1 == 1
+def eval_c_fine1(state, m: Piggyback) -> bool:
+    """fine's weakening of the fully-informed first condition: the
+    published condition box additionally requires the witness entry
+    m.taken[k]."""
     return m.t > state.lc and state.sent_to & m.greater & m.taken != 0
 
 
-def eval_c_lazyfine1(state, m: Piggyback, taken_index: str = "witness") -> bool:
-    """lazy-fine's weakening of the lazy first condition; same
-    taken-index variants as eval_c_fine1."""
-    if taken_index == "ri":
-        return eval_c_lazyfi1(state, m) and m.taken >> state.i & 1 == 1
+def eval_c_fine1_ri(state, m: Piggyback) -> bool:
+    """The receiver-index reading of eval_c_fine1 that some descriptions
+    use (``fine-ri``): the fully-informed first condition and m.taken[i]."""
+    return eval_c_fi1_greater(state, m) and m.taken >> state.i & 1 == 1
+
+
+def eval_c_lazyfine1(state, m: Piggyback) -> bool:
+    """lazy-fine's weakening of the lazy first condition by the witness
+    entry m.taken[k]."""
     return m.t > state.lc and state.sent_to & ~m.equal_incr & m.taken != 0
+
+
+def eval_c_lazyfine1_ri(state, m: Piggyback) -> bool:
+    """The receiver-index reading of eval_c_lazyfine1 (``lazy-fine-ri``)."""
+    return eval_c_lazyfi1(state, m) and m.taken >> state.i & 1 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -492,28 +495,22 @@ class LazyFI(_FIFamily):
 
 class Fine(GreaterFI):
     name = "fine"
-    taken_index = "witness"
-
-    def _c1(self, m):
-        return eval_c_fine1(self, m, self.taken_index)
+    _c1 = eval_c_fine1
 
 
 class FineRI(Fine):
     name = "fine-ri"
-    taken_index = "ri"
+    _c1 = eval_c_fine1_ri
 
 
 class LazyFine(LazyFI):
     name = "lazy-fine"
-    taken_index = "witness"
-
-    def _c1(self, m):
-        return eval_c_lazyfine1(self, m, self.taken_index)
+    _c1 = eval_c_lazyfine1
 
 
 class LazyFineRI(LazyFine):
     name = "lazy-fine-ri"
-    taken_index = "ri"
+    _c1 = eval_c_lazyfine1_ri
 
 
 _REGISTRY = {

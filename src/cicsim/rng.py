@@ -34,6 +34,3 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

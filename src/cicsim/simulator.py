@@ -165,7 +165,6 @@ class AnnotatedTrace:
     trace: Trace
     forced: list[ForcedEvent]
     piggybacks: list[tuple[int, str, Piggyback]]
-    step_of_event: list[int | None]
 
     @property
     def forced_count(self) -> int:
@@ -177,9 +176,6 @@ class AnnotatedTrace:
 
     def forced_step_indexes(self) -> list[int]:
         return [f.step_index for f in self.forced]
-
-    def checkpoint(self, process: int, ordinal: int) -> CheckpointRecord:
-        return self.trace.checkpoints[(process, ordinal)]
 
 
 def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
@@ -193,27 +189,17 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     The trace is written as columns while the steps run: one tuple per
     event, the checkpoint records, and the endpoints of each delivered
     message, whose intervals are the checkpoint counts at its send and at
-    its receive.  No Event is built unless a caller asks for one."""
+    its receive.  The log is the only per-event record: which step made a
+    checkpoint follows from the steps and the forced list.  No Event is
+    built unless a caller asks for one."""
     n = scenario.n
     machines = [None] + [make_protocol(protocol, n, i) for i in range(1, n + 1)]
 
-    log: list[tuple] = []
-    step_of_event: list[int | None] = []
-    ordinals = [0] * (n + 1)
-    counts = [0] * (n + 1)  # checkpoints so far: the current interval
-    checkpoints: dict[tuple[int, int], CheckpointRecord] = {}
+    log = [(i, 1, EV_CKPT, None, machines[i].initial_record) for i in range(1, n + 1)]
+    checkpoints = {(i, 1): machines[i].initial_record for i in range(1, n + 1)}
+    ordinals = [0] + [1] * n
+    counts = [0] + [1] * n  # checkpoints so far: the current interval
     delivered: dict[str, tuple[int, int, int, int, int, int]] = {}
-
-    def checkpoint(p, rec, step_idx):
-        counts[p] += 1
-        checkpoints[rec.key()] = rec
-        ordinals[p] += 1
-        log.append((p, ordinals[p], EV_CKPT, None, rec))
-        step_of_event.append(step_idx)
-
-    for i in range(1, n + 1):
-        checkpoint(i, machines[i].initial_record, None)
-
     # message -> (piggyback, sender, send interval, send position)
     in_flight: dict[str, tuple[Piggyback, int, int, int]] = {}
     forced: list[ForcedEvent] = []
@@ -221,30 +207,34 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
 
     for idx, st in enumerate(scenario.steps):
         p = st.process
-        if st.kind == "ckpt":
-            checkpoint(p, machines[p].take_checkpoint(), idx)
-            continue
         name = st.message
         if st.kind == "send":
             pb = machines[p].on_send(st.dest)
             in_flight[name] = (pb, p, counts[p], len(log))
             piggybacks.append((idx, name, pb))
-            kind = EV_SEND
+            ordinals[p] += 1
+            log.append((p, ordinals[p], EV_SEND, name, None))
+            continue
+        if st.kind == "ckpt":
+            rec = machines[p].take_checkpoint()
         else:
             pb, sp, si, spos = in_flight.pop(name)
             decision, rec, prestate = machines[p].on_receive(pb)
             if rec is not None:
-                checkpoint(p, rec, idx)
                 forced.append(ForcedEvent(idx, p, name, decision, rec, pb, prestate))
+        if rec is not None:
+            counts[p] += 1
+            checkpoints[(p, counts[p])] = rec
+            ordinals[p] += 1
+            log.append((p, ordinals[p], EV_CKPT, None, rec))
+        if st.kind == "recv":
             delivered[name] = (sp, si, spos, p, counts[p], len(log))
-            kind = EV_RECV
-        ordinals[p] += 1
-        log.append((p, ordinals[p], kind, name, None))
-        step_of_event.append(idx)
+            ordinals[p] += 1
+            log.append((p, ordinals[p], EV_RECV, name, None))
 
     ckpt_counts = {p: counts[p] for p in range(1, n + 1)}
     trace = Trace._from_log(n, log, checkpoints, ckpt_counts, delivered)
-    return AnnotatedTrace(scenario, protocol, trace, forced, piggybacks, step_of_event)
+    return AnnotatedTrace(scenario, protocol, trace, forced, piggybacks)
 
 
 @dataclass
@@ -296,6 +286,8 @@ def amplify_violation(scenario: Scenario, protocol: str) -> AmplifyResult | None
     Returns None when the run has no cross-process timestamping violation
     (nothing to amplify).  Deterministic: among violations the one with the
     lexicographically smallest (target, source) identity is amplified.
+    The insertion points are found in the scenario's steps, read with the
+    base run's forced list, so neither run builds an Event.
     """
     base = run_scenario(scenario, protocol)
     violations = [
@@ -310,19 +302,22 @@ def amplify_violation(scenario: Scenario, protocol: str) -> AmplifyResult | None
         key=lambda v: (v[1].process, v[1].ordinal, v[0].process, v[0].ordinal),
     )
 
-    # Anchor positions in scenario-step coordinates.  The target
-    # checkpoint's creating event maps to a 'ckpt' step for basic
-    # checkpoints or to the triggering 'recv' step for forced ones; in the
-    # latter case the receive itself is the first event of the interval,
-    # so the new send goes before it.
-    dst_pos = base.trace.checkpoint_position(dst)
-    dst_step = base.step_of_event[dst_pos]
-    if dst_step is None:
-        raise ValueError("cannot amplify a violation targeting an initial checkpoint")
-    if scenario.steps[dst_step].kind == "ckpt":
-        send_at = dst_step + 1
+    # The step that made the target checkpoint: on its process, each
+    # 'ckpt' step and each receive in the run's forced list made one
+    # checkpoint after the initial one.  A basic target's new send goes
+    # right after its 'ckpt' step; a forced target's triggering receive is
+    # itself the first event of the target interval, so the send goes
+    # right before it.
+    forced_steps = set(base.forced_step_indexes())
+    made = 1
+    for dst_step, st in enumerate(scenario.steps):
+        if st.process == dst.process and (st.kind == "ckpt" or dst_step in forced_steps):
+            made += 1
+            if made == dst.ordinal:
+                break
     else:
-        send_at = dst_step
+        raise ValueError("cannot amplify a violation targeting an initial checkpoint")
+    send_at = dst_step + 1 if scenario.steps[dst_step].kind == "ckpt" else dst_step
 
     name = _fresh_message_name(scenario)
     steps = list(scenario.steps)

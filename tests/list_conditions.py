@@ -16,8 +16,10 @@ from cicsim.protocols import (
     eval_c_fi1_greater,
     eval_c_fi2,
     eval_c_fine1,
+    eval_c_fine1_ri,
     eval_c_lazyfi1,
     eval_c_lazyfine1,
+    eval_c_lazyfine1_ri,
     eval_c_pi,
 )
 
@@ -104,7 +106,7 @@ def list_c_lazyfine1(state, m, taken_index: str = "witness") -> bool:
     )
 
 
-# (name, mask form, list form, extra arguments)
+# (name, mask form, list form, the list form's extra arguments)
 PAIRS = (
     ("pi", eval_c_pi, list_c_pi, ()),
     ("fi1-clockv", eval_c_fi1_clockv, list_c_fi1_clockv, ()),
@@ -112,9 +114,9 @@ PAIRS = (
     ("fi2", eval_c_fi2, list_c_fi2, ()),
     ("lazyfi1", eval_c_lazyfi1, list_c_lazyfi1, ()),
     ("fine1", eval_c_fine1, list_c_fine1, ("witness",)),
-    ("fine1-ri", eval_c_fine1, list_c_fine1, ("ri",)),
+    ("fine1-ri", eval_c_fine1_ri, list_c_fine1, ("ri",)),
     ("lazyfine1", eval_c_lazyfine1, list_c_lazyfine1, ("witness",)),
-    ("lazyfine1-ri", eval_c_lazyfine1, list_c_lazyfine1, ("ri",)),
+    ("lazyfine1-ri", eval_c_lazyfine1_ri, list_c_lazyfine1, ("ri",)),
 )
 
 
@@ -124,6 +126,6 @@ def masked_agreeing(state, m):
     the masked pair."""
     ms, mm = masked_state(state), masked_payload(state.n, m)
     for name, fast, ref, extra in PAIRS:
-        got, want = fast(ms, mm, *extra), ref(state, m, *extra)
+        got, want = fast(ms, mm), ref(state, m, *extra)
         assert got is want, (name, got, want, state, m)
     return ms, mm

@@ -13,6 +13,7 @@ from cicsim.protocols import (
     eval_c_fi1_greater,
     eval_c_fi2,
     eval_c_fine1,
+    eval_c_fine1_ri,
     eval_c_lazyfi1,
     eval_c_lazyfine1,
     eval_c_pi,
@@ -251,8 +252,8 @@ def test_eval_c_fine1_cases():
 def test_eval_c_fine1_receiver_index_variant():
     st_ = mk_state(i=2, lc=1, sent_to=(3,))
     m = mk_pb(t=2, greater=(3,), taken=(2,))
-    assert eval_c_fine1(st_, m, "ri")
-    assert not eval_c_fine1(st_, m, "witness")
+    assert eval_c_fine1_ri(st_, m)
+    assert not eval_c_fine1(st_, m)
 
 
 def test_eval_c_lazyfine1_cases():

@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -66,7 +67,7 @@ def test_forced_checkpoint_sits_before_its_receive():
     scen, _ = builtin("ccp")
     run = run_scenario(scen, "fi")
     (forced,) = run.forced
-    pos = run.trace.checkpoint_position(forced.record)
+    pos = run.trace.position(run.trace.checkpoint_event(forced.record))
     after = run.trace.events[pos + 1]
     assert after.kind == "recv" and after.message == forced.message
 
@@ -287,10 +288,8 @@ def test_amplify_digest_is_pinned():
     """One SHA-256 over every amplified scenario and its useless set, on
     600 seeded scenarios x the protocols that admit violations.  The set
     must hold a forced target and a basic target that follows a forced
-    checkpoint of its own process, the two cases where the anchor step is
-    not simply the target's own ckpt step counted from the start."""
-    import hashlib
-
+    checkpoint of its own process, the two cases where counting only the
+    process's ckpt steps would find the wrong anchor step."""
     sha = hashlib.sha256()
     forced_targets = basic_after_forced = 0
     for seed in range(5000, 5600):
@@ -313,6 +312,22 @@ def test_amplify_digest_is_pinned():
                 basic_after_forced += 1
     assert forced_targets > 0 and basic_after_forced > 0
     assert sha.hexdigest() == "8f4e70a8e4e6726697eb6ec8fee88ffb6bb1bd2c82d4f00b23f3f35d8b044405"
+
+
+def test_amplify_builds_no_events(monkeypatch):
+    import cicsim.computation
+
+    made = []
+    real = cicsim.computation.Event
+
+    def counting_event(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cicsim.computation, "Event", counting_event)
+    for name, protocol in (("fine-proposal", "fine"), ("theorem1-a", "none")):
+        assert amplify_violation(builtin(name)[0], protocol) is not None
+    assert made == []
 
 
 def test_amplified_scenarios_stay_valid():
