@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import sys
 import time
@@ -30,8 +31,16 @@ from cicsim.oracle import (
     zigzag_exists,
 )
 from cicsim.protocols import PROTOCOL_NAMES
+from cicsim.report import run_report, to_json
 from cicsim.rng import SplitMix64
-from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, parse_scenario, random_scenario
+from cicsim.scenarios import (
+    FIXTURE_NAMES,
+    FuzzParams,
+    builtin,
+    parse_scenario,
+    random_scenario,
+    serialize_scenario,
+)
 from cicsim.simulator import run_scenario
 
 
@@ -282,15 +291,23 @@ def eager_simple_chains(idx, src, dst, cap=None):
     return [tuple(idx.names[j] for j in chain) for chain in out], bool(heap)
 
 
-def dense_none_traces():
-    """(label, trace): unprotected runs shaped like the ``report-none``
-    benchmark, n 5-6 and 100-400 events, where most useless checkpoints
-    lie on more Z-cycles than the default cap."""
+def dense_none_runs():
+    """(label, scenario, run): unprotected runs shaped like the
+    ``report-none`` benchmark, n 5-6 and 100-400 events, where most
+    useless checkpoints lie on more Z-cycles than the default cap."""
     for seed in range(16):
         n = 5 + seed % 2
         rates = tuple(0.02 + 0.04 * ((seed + p) % 7) for p in range(n))
-        params = FuzzParams(n=n, events=100 + seed * 20, p_ckpt=rates, seed=seed + 9300)
-        yield f"dense seed {seed + 9300}", run_scenario(random_scenario(params), "none").trace
+        scen = random_scenario(
+            FuzzParams(n=n, events=100 + seed * 20, p_ckpt=rates, seed=seed + 9300)
+        )
+        yield f"dense seed {seed + 9300}", scen, run_scenario(scen, "none")
+
+
+def dense_none_traces():
+    """(label, trace) of :func:`dense_none_runs`."""
+    for label, _, run in dense_none_runs():
+        yield label, run.trace
 
 
 def test_lazy_witness_search_matches_eager_yen_on_dense_traces():
@@ -312,6 +329,26 @@ def test_lazy_witness_search_matches_eager_yen_on_dense_traces():
             )
             pairs += 1
     assert useless > 100 and truncated > 100 and pairs > 1000
+
+
+def test_capped_witness_reports_on_dense_traces_are_pinned():
+    # One SHA-256 over the JSON reports of the dense traces at several
+    # caps: a change to the witness search that keeps its output keeps
+    # these bytes.  eager_simple_chains calls the same _chain as the
+    # search, so it alone cannot catch a change to _chain.
+    digest = hashlib.sha256()
+    useless = truncated = 0
+    for _, scen, run in dense_none_runs():
+        text = serialize_scenario(scen)
+        for cap in (1, 2, 5, 32):
+            rep = oracle_report(run.trace, cap)
+            digest.update(to_json(run_report(run, rep, text)).encode())
+            useless += rep.stats["useless"]
+            truncated += rep.stats["witnesses_truncated"]
+    assert (useless, truncated) == (2008, 1995)
+    assert digest.hexdigest() == (
+        "7ad3ed34057f5d39c623a5cfd7a8d6ea89f4afd3833811353b9ae48e97ccd593"
+    )
 
 
 def test_witnesses_truncated_means_a_chain_beyond_the_cap(fixture_run):
