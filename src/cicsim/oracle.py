@@ -108,10 +108,6 @@ class OracleReport:
         return not self.z_cycles and not self.violations
 
 
-# States of a witness-search heap entry (see _ZigzagIndex._simple).
-_CHAIN, _WALK, _SEARCH = 0, 1, 2
-
-
 class _ZigzagIndex:
     """Zigzag reachability of one trace: the per-checkpoint ``reach``
     vectors of the module docstring, plus the message masks that witness
@@ -288,30 +284,32 @@ class _ZigzagIndex:
             options = adj[j]
         return tuple(chain)
 
+    def _best(self, first: int, layers) -> tuple[int, ...] | None:
+        """Bits of the lexicographically smallest shortest chain from
+        ``first`` down ``layers``, or None when no layer meets ``first``.
+
+        ``layers`` is any iterable of layers into one end, nearest first:
+        the cached list of :meth:`_layers`, or :meth:`_back` as it runs,
+        which then stops at the first layer that meets ``first``.  A
+        :meth:`_walk` down the layers seen, from that one, always
+        completes.  A shortest chain never repeats a message."""
+        seen = []
+        for layer in layers:
+            seen.append(layer)
+            if layer & first:
+                return self._walk(first, seen, len(seen) - 1, 0)
+        return None
+
     def _chain(self, first: int, allowed: int, end: int) -> tuple[int, ...] | None:
         """Bits of the lexicographically smallest shortest chain whose
         first message is in ``first``, whose last is in ``end`` and whose
         messages all lie in ``allowed``; None when there is none.
 
-        The restricted search: :meth:`_back` layers of the allowed
-        messages, up to the first one that meets ``first``, then a
-        :meth:`_walk` down them, which always completes.  O(m) mask
-        operations.  A shortest chain never repeats a message."""
-        layers = []
-        for layer in self._back(end, allowed):
-            layers.append(layer)
-            if layer & first:
-                return self._walk(first, layers, len(layers) - 1, 0)
-        return None
-
-    def _best(self, first: int, layers: list[int]) -> tuple[int, ...] | None:
-        """Bits of the lexicographically smallest shortest chain from
-        ``first`` down ``layers``: a :meth:`_walk` from the first layer
-        that meets ``first``, which always completes."""
-        for d, layer in enumerate(layers):
-            if layer & first:
-                return self._walk(first, layers, d, 0)
-        return None
+        The restricted search: :meth:`_best` down the :meth:`_back` layers
+        of the allowed messages, O(m) mask operations.  A spur of
+        :meth:`_simple` runs it as soon as its walk down the cached layers
+        dead-ends."""
+        return self._best(first, self._back(end, allowed))
 
     def _shortest(self, src, dst) -> tuple[int, ...] | None:
         """Bits of the chain that :meth:`shortest_chain` names."""
@@ -357,15 +355,14 @@ class _ZigzagIndex:
         sorts before every chain that extends it.  At the top of the heap
         a :meth:`_walk` down the cached layers that avoids the root
         resolves it; a completed walk is exactly the suffix that
-        :meth:`_chain` would find.  Only a dead end pushes the walked
-        prefix back as a tighter key, and only when that key reaches the
-        top does the restricted :meth:`_chain` search run.  On dense
-        traces most spurs never reach the top before the cap is met, so
-        most walks and searches are never run.  A real chain
-        is popped only when no pending key is smaller, so the first
-        ``cap`` chains, and whether another exists, are those of eager
-        Yen, which is canonical: the first ``cap`` message-simple chains
-        in (length, names) order.
+        :meth:`_chain` would find.  A walk that dead-ends runs the
+        restricted :meth:`_chain` search at once, and the chain it finds
+        goes on the heap as a candidate.  On dense traces most spurs
+        never reach the top before the cap is met, so most walks and
+        searches are never run.  A candidate chain is popped only when no
+        pending key is smaller, so the first ``cap`` chains, and whether
+        another exists, are those of eager Yen, which is canonical: the
+        first ``cap`` message-simple chains in (length, names) order.
 
         Each accepted chain makes at most L + 1 spurs for L the longest
         chain returned, and each spur costs one O(L) walk and at most one
@@ -380,13 +377,14 @@ class _ZigzagIndex:
         out: list[tuple[int, ...]] = []
         hops: dict[tuple[int, ...], int] = {}  # root -> mask of next hops taken
         queued = {best}
-        # (key length, key chain, v, first, avoid, state): a candidate chain
-        # (_CHAIN), a spur to walk, or a walked spur to search; avoid masks
-        # the root, the first v messages of the chain.
-        heap = [(len(best), best, 0, 0, 0, _CHAIN)]
+        # (key length, key chain, v, first, avoid): a candidate chain, with
+        # first 0, or a spur, whose key chain is its root and whose first
+        # meets a layer; avoid masks the root, the first v messages of the
+        # chain.
+        heap = [(len(best), best, 0, 0, 0)]
         while heap:
-            ln, chain, v, first, avoid, state = heapq.heappop(heap)
-            if state == _CHAIN:
+            ln, chain, v, first, avoid = heapq.heappop(heap)
+            if not first:
                 if len(out) == cap:  # never for cap None
                     return out, True
                 out.append(chain)
@@ -399,24 +397,19 @@ class _ZigzagIndex:
                     first = (adj[root[-1]] if root else start) & ~taken & ~avoid
                     for d, layer in enumerate(layers):
                         if layer & first:
-                            heapq.heappush(heap, (v + d + 1, root, v, first, avoid, _WALK))
+                            heapq.heappush(heap, (v + d + 1, root, v, first, avoid))
                             break
                     avoid |= hop
                 continue
-            root = chain[:v]
-            if state == _WALK:
-                suffix = self._walk(first, layers, ln - v - 1, avoid)
-                if len(suffix) < ln - v:
-                    heapq.heappush(heap, (ln, root + suffix, v, first, avoid, _SEARCH))
-                    continue
-            else:
+            suffix = self._walk(first, layers, ln - v - 1, avoid)
+            if len(suffix) < ln - v:
                 suffix = self._chain(first, ~avoid, end)
                 if suffix is None:
                     continue
-            chain = root + suffix
+            chain += suffix
             if chain not in queued:
                 queued.add(chain)
-                heapq.heappush(heap, (len(chain), chain, v, 0, avoid, _CHAIN))
+                heapq.heappush(heap, (len(chain), chain, v, 0, avoid))
         return out, False
 
 

@@ -231,8 +231,8 @@ class BaseProtocol:
     * ``payload_fields``: the vectors it piggybacks next to the clock, and
       ``_payload``, which builds that Piggyback from the state;
     * ``_update``: the update rules applied after the conditions;
-    * ``_init_structures`` for its state, and ``_mark_send`` for the send
-      bookkeeping;
+    * ``_init_structures`` for the state that the initial checkpoint does
+      not set, and ``_mark_send`` for the send bookkeeping;
     * ``take_checkpoint``, one override per family: it resets the
       per-interval structures, applies the clock rule (one increment here)
       and updates what depends on the new timestamp.
@@ -411,9 +411,7 @@ class ClockvFI(_FIFamily):
         self.clockv[self.i] = self.lc
         return self._saved(kind)
 
-    def _mark_send(self, dest):
-        self.sent_to |= 1 << dest
-        self.min_to[dest] = min(self.min_to[dest], self.lc)
+    _mark_send = PartlyInformed._mark_send
 
     def _payload(self):
         return Piggyback(self.lc, self.n, clockv=self.clockv, ckptv=self.ckptv,
@@ -434,10 +432,6 @@ class GreaterFI(_FIFamily):
     name = "fi-greater"
     payload_fields = ("greater", "ckptv", "taken")
     _c1 = eval_c_fi1_greater
-
-    def _init_structures(self):
-        super()._init_structures()
-        self.greater = 0
 
     def take_checkpoint(self, kind=CKPT_BASIC):
         self.greater = self._others
@@ -465,7 +459,6 @@ class LazyFI(_FIFamily):
 
     def _init_structures(self):
         super()._init_structures()
-        self.equal_incr = 0
         self.increment = True
 
     def take_checkpoint(self, kind=CKPT_BASIC):

@@ -11,9 +11,9 @@ pre-update state snapshots, and the piggyback log.
 amplify_violation implements the adversarial construction that turns a
 zigzag-timestamping violation into a scenario extension closing a Z-cycle:
 given a run where C_i^x reaches C_j^y over a zigzag path with
-C_i^x.t >= C_j^y.t, a fresh message is inserted, sent by P_j as the first
-event of interval y and received by P_i right after the witness chain's
-first send.  The re-run is judged by the oracle; uselessness is the
+C_i^x.t >= C_j^y.t, a fresh message is inserted, sent by P_j in interval y
+right after the step that made C_j^y and received by P_i right after the
+witness chain's first send.  The re-run is judged by the oracle; uselessness is the
 expected outcome for protocols that lack zigzag-consistent timestamps, not
 a guarantee.
 """
@@ -286,8 +286,11 @@ def amplify_violation(scenario: Scenario, protocol: str) -> AmplifyResult | None
     Returns None when the run has no cross-process timestamping violation
     (nothing to amplify).  Deterministic: among violations the one with the
     lexicographically smallest (target, source) identity is amplified.
-    The insertion points are found in the scenario's steps, read with the
-    base run's forced list, so neither run builds an Event.
+    The new message is sent by the target's process in the target
+    interval, right after the step that made the target checkpoint, and
+    received by the source's process right after the witness's first
+    send.  The insertion points are found in the scenario's steps, read
+    with the base run's forced list, so neither run builds an Event.
     """
     base = run_scenario(scenario, protocol)
     violations = [
@@ -304,10 +307,10 @@ def amplify_violation(scenario: Scenario, protocol: str) -> AmplifyResult | None
 
     # The step that made the target checkpoint: on its process, each
     # 'ckpt' step and each receive in the run's forced list made one
-    # checkpoint after the initial one.  A basic target's new send goes
-    # right after its 'ckpt' step; a forced target's triggering receive is
-    # itself the first event of the target interval, so the send goes
-    # right before it.
+    # checkpoint after the initial one.  The new send goes right after
+    # that step, so it lies in the target interval: a forced checkpoint is
+    # taken before its triggering receive is delivered.  The steps up to
+    # it are unchanged, so the target is made as in the base run.
     forced_steps = set(base.forced_step_indexes())
     made = 1
     for dst_step, st in enumerate(scenario.steps):
@@ -317,7 +320,7 @@ def amplify_violation(scenario: Scenario, protocol: str) -> AmplifyResult | None
                 break
     else:
         raise ValueError("cannot amplify a violation targeting an initial checkpoint")
-    send_at = dst_step + 1 if scenario.steps[dst_step].kind == "ckpt" else dst_step
+    send_at = dst_step + 1
 
     name = _fresh_message_name(scenario)
     steps = list(scenario.steps)

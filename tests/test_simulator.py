@@ -252,10 +252,11 @@ def test_amplify_lazy_fine_precursor():
 
 def test_amplify_handles_forced_target_checkpoint():
     # Fuzz-found case (campaign derivation, seed 101) where the chosen
-    # violation targets a forced checkpoint: the new send must precede the
-    # triggering receive, which is itself the first event of the target
-    # interval.  The re-run may legitimately diverge; the contract is a
-    # valid deterministic scenario and an oracle report, not uselessness.
+    # violation targets a forced checkpoint.  The checkpoint is taken
+    # before its triggering receive is delivered, so the new send must
+    # follow that receive to lie in the target interval.  The re-run may
+    # legitimately diverge; the contract is a valid deterministic scenario
+    # and an oracle report, not uselessness.
     from cicsim.oracle import check_z_consistency
     from cicsim.rng import SplitMix64
     from cicsim.scenarios import FuzzParams, random_scenario
@@ -277,6 +278,10 @@ def test_amplify_handles_forced_target_checkpoint():
     result = amplify_violation(scen, "fine")
     assert result is not None
     assert scenario_violations(result.scenario) == []
+    target = chosen[1]
+    assert result.run.trace.delivered[result.inserted_message][:2] == (
+        target.process, target.ordinal
+    )
     again = amplify_violation(scen, "fine")
     assert again.scenario == result.scenario  # deterministic
 
@@ -305,13 +310,17 @@ def test_amplify_digest_is_pinned():
             sha.update(serialize_scenario(result.scenario).encode())
             sha.update(repr(sorted(r.key() for r in result.report.useless)).encode())
             dst = result.violation[1]
+            # The new message is sent in the target interval.
+            assert result.run.trace.delivered[result.inserted_message][:2] == (
+                dst.process, dst.ordinal
+            ), (seed, protocol)
             if dst.kind == "forced":
                 forced_targets += 1
             elif any(f.record.process == dst.process and f.record.ordinal < dst.ordinal
                      for f in run_scenario(scen, protocol).forced):
                 basic_after_forced += 1
     assert forced_targets > 0 and basic_after_forced > 0
-    assert sha.hexdigest() == "8f4e70a8e4e6726697eb6ec8fee88ffb6bb1bd2c82d4f00b23f3f35d8b044405"
+    assert sha.hexdigest() == "7aae3795f493b9c25a06dbc1a5e5ce0f360cedc3e00dfad2c1e237f990ca77cc"
 
 
 def test_amplify_builds_no_events(monkeypatch):
