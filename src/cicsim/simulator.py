@@ -13,9 +13,9 @@ zigzag-timestamping violation into a scenario extension closing a Z-cycle:
 given a run where C_i^x reaches C_j^y over a zigzag path with
 C_i^x.t >= C_j^y.t, a fresh message is inserted, sent by P_j in interval y
 right after the step that made C_j^y and received by P_i right after the
-witness chain's first send.  The re-run is judged by the oracle; uselessness is the
-expected outcome for protocols that lack zigzag-consistent timestamps, not
-a guarantee.
+witness chain's first send.  The re-run is judged by the oracle;
+uselessness is the expected outcome for protocols that lack
+zigzag-consistent timestamps, not a guarantee.
 """
 
 from __future__ import annotations
