@@ -11,7 +11,13 @@ from cicsim.cli import main
 from cicsim.diagram import ascii_diagram, svg_diagram
 from cicsim.protocols import PROTOCOL_NAMES
 from cicsim.report import run_report, scenario_hash, to_json
-from cicsim.scenarios import FIXTURE_NAMES, builtin, serialize_scenario
+from cicsim.scenarios import (
+    FIXTURE_NAMES,
+    FuzzParams,
+    builtin,
+    random_scenario,
+    serialize_scenario,
+)
 from cicsim.simulator import Scenario, run_scenario
 
 
@@ -160,6 +166,24 @@ def test_svg_structure_counts_forced_diamonds():
     root = ET.fromstring(svg_diagram(run_fi))
     polygons = [el for el in root.iter() if el.tag.endswith("polygon")]
     assert len(polygons) == run_fi.forced_count == 1
+
+
+def test_diagram_bytes_are_pinned():
+    # Every built-in under every protocol, then 60 seeded scenarios (many
+    # with sends still in flight at the end) under three protocols: a
+    # refactor that keeps behaviour keeps both renderings' bytes.
+    runs = [run_scenario(builtin(name)[0], protocol)
+            for name in FIXTURE_NAMES for protocol in PROTOCOL_NAMES]
+    for s in range(60):
+        scen = random_scenario(FuzzParams(n=3 + s % 4, events=20 + s % 60, seed=s + 7000))
+        runs += [run_scenario(scen, protocol) for protocol in ("none", "fi", "lazy-fine")]
+    digest = hashlib.sha256()
+    for run in runs:
+        digest.update(ascii_diagram(run).encode())
+        digest.update(svg_diagram(run).encode())
+    assert digest.hexdigest() == (
+        "d8b5e128a75679c7d7c3bab1019d59edffce74b4f1dfd5aa1e20494f9c3763db"
+    )
 
 
 # -- CLI ---------------------------------------------------------------------
