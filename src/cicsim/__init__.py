@@ -15,10 +15,10 @@ from .computation import (
     Event,
     Interval,
     Trace,
+    TraceError,
     causally_precedes,
     interval_of,
     is_consistent_global_checkpoint,
-    validate_trace,
 )
 from .oracle import (
     BudgetExceededError,

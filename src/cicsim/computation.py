@@ -3,8 +3,11 @@
 Processes are numbered 1..n.  A trace is a globally ordered list of events
 (internal, send, receive, checkpoint); the list order is the single source
 of determinism and must linearly extend both per-process order and
-send-before-receive.  Channels are reliable but not FIFO, and messages may
-still be in flight when the trace ends.
+send-before-receive.  Every process begins with its initial checkpoint,
+and each message is sent once and received at most once.  Channels are
+reliable but not FIFO, and messages may still be in flight when the trace
+ends.  ``Trace(n, events)`` checks all of this while it indexes the
+events and raises :class:`TraceError` when a rule breaks.
 
 Checkpoints are identified as C_i^x: the x-th checkpoint of process i,
 1-based, with ordinal 1 always the initial checkpoint.  An interval I_i^x
@@ -67,31 +70,37 @@ class Interval:
         return f"I_{self.process}^{self.index}"
 
 
+class TraceError(ValueError):
+    """A ``Trace(n, events)`` that breaks a trace invariant; ``problems``
+    holds one text per broken rule."""
+
+    def __init__(self, problems: list[str]):
+        self.problems = problems
+        super().__init__("; ".join(problems))
+
+
 class Trace:
     """Ordered, immutable-by-convention record of one computation.
 
     Every trace carries the columns the zigzag oracle reads: ``n``,
     ``event_count``, the checkpoint records by (process, ordinal), the
     per-process checkpoint counts ``ckpt_counts``, and ``delivered``,
-    which maps each message with both endpoints to the integers
-    (sender, send interval, send position, receiver, receive interval,
-    receive position) of its first send and first receive.
+    which maps each received message to the integers (sender, send
+    interval, send position, receiver, receive interval, receive
+    position) of its send and its receive.  ``delivered`` is the only
+    message index.
 
-    The event-level view (``events`` and the positional index
-    ``message_sends``/``message_recvs``, ``_pos``, ``_ckpt_pos``,
-    ``_interval``) is built at construction for a hand-built
-    ``Trace(n, events)``, in the same pass that derives the columns.  A
-    trace the simulator writes holds the columns and a tuple log instead,
-    and builds the event-level view from the log on its first use.
-
-    Construction is tolerant of invariant violations so that
-    :func:`validate_trace` can report them as data; the derived indexes
-    are only meaningful on valid traces.
+    The event-level view (``events`` and the positional index ``_pos``,
+    ``_ckpt_pos``, ``_interval``) is built at construction for a
+    hand-built ``Trace(n, events)``, in the same pass that derives the
+    columns and checks every trace rule: a trace is valid by construction,
+    and an invalid event list raises :class:`TraceError`.  A trace the
+    simulator writes holds the columns and a tuple log instead, and builds
+    the event-level view from the log, through the same pass, on its
+    first use.
     """
 
-    _EVENT_VIEW = frozenset(
-        ("events", "message_sends", "message_recvs", "_pos", "_ckpt_pos", "_interval")
-    )
+    _EVENT_VIEW = frozenset(("events", "_pos", "_ckpt_pos", "_interval"))
 
     def __init__(self, n: int, events: list[Event]):
         self.n = n
@@ -125,37 +134,82 @@ class Trace:
         return getattr(self, name)
 
     def _index(self) -> None:
-        self._pos = {}  # (process, ordinal) -> global position
-        self.message_sends: dict[str, list[int]] = {}
-        self.message_recvs: dict[str, list[int]] = {}
-        self.checkpoints: dict[tuple[int, int], CheckpointRecord] = {}
-        self._ckpt_pos: dict[tuple[int, int], int] = {}
-        self._interval = [0] * len(self.events)
-        ckpt_count = {p: 0 for p in range(1, self.n + 1)}
-        for pos, ev in enumerate(self.events):
-            self._pos.setdefault((ev.process, ev.ordinal), pos)
-            if ev.kind == EV_SEND:
-                self.message_sends.setdefault(ev.message, []).append(pos)
-            elif ev.kind == EV_RECV:
-                self.message_recvs.setdefault(ev.message, []).append(pos)
-            elif ev.kind == EV_CKPT and ev.checkpoint is not None:
-                if ev.process in ckpt_count:
-                    ckpt_count[ev.process] += 1
-                self.checkpoints.setdefault(ev.checkpoint.key(), ev.checkpoint)
-                self._ckpt_pos.setdefault(ev.checkpoint.key(), pos)
-            if ev.process in ckpt_count:
-                self._interval[pos] = max(ckpt_count[ev.process], 1)
-        self.ckpt_counts = ckpt_count
-        self.event_count = len(self.events)
-        self.delivered = {}
-        for name, sends in self.message_sends.items():
-            recvs = self.message_recvs.get(name)
-            if recvs:
-                s, r = sends[0], recvs[0]
-                self.delivered[name] = (
-                    self.events[s].process, self._interval[s], s,
-                    self.events[r].process, self._interval[r], r,
-                )
+        """Build the columns and the event-level view in one pass that
+        checks every rule.  A problem's text is built only when its rule
+        breaks, and an event that breaks one is still indexed, so it
+        causes no follow-on problem."""
+        n, events = self.n, self.events
+        bad = [f"process count {n} < 2"] if n < 2 else []
+
+        def broken(pos, text):
+            ev = events[pos]
+            bad.append(f"event #{pos} ({ev.kind} by P{ev.process}): {text}")
+
+        pos_of = self._pos = {}  # (process, ordinal) -> global position
+        checkpoints = self.checkpoints = {}
+        ckpt_pos = self._ckpt_pos = {}
+        interval = self._interval = [0] * len(events)
+        seen = [0] * (n + 1)  # per process: the last event ordinal
+        count = [0] * (n + 1)  # per process: the last checkpoint ordinal
+        sends: dict[str, list[int]] = {}
+        recvs: dict[str, list[int]] = {}
+        for pos, ev in enumerate(events):
+            p, kind = ev.process, ev.kind
+            if kind == EV_SEND or kind == EV_RECV:
+                (sends if kind == EV_SEND else recvs).setdefault(ev.message, []).append(pos)
+                if not ev.message:
+                    broken(pos, "missing message name")
+            elif kind != EV_CKPT and kind != EV_INTERNAL:
+                broken(pos, f"unknown event kind {kind!r}")
+            if not 1 <= p <= n:
+                broken(pos, f"process out of range 1..{n}")
+                continue
+            if ev.ordinal != seen[p] + 1:
+                broken(pos, f"ordinal {ev.ordinal}, expected {seen[p] + 1}")
+            if not seen[p] and kind != EV_CKPT:
+                broken(pos, f"P{p} must begin with its initial checkpoint")
+            seen[p] = ev.ordinal
+            pos_of[(p, ev.ordinal)] = pos
+            if kind == EV_CKPT:
+                rec = ev.checkpoint
+                if rec is None:
+                    broken(pos, "checkpoint event without record")
+                    continue
+                x = count[p] + 1
+                if rec.process != p:
+                    broken(pos, f"record process {rec.process} mismatch")
+                if rec.ordinal != x:
+                    broken(pos, f"checkpoint ordinal {rec.ordinal}, expected {x}")
+                if x == 1 and rec.kind != CKPT_INITIAL:
+                    broken(pos, "first checkpoint must be kind 'initial'")
+                if x > 1 and rec.kind == CKPT_INITIAL:
+                    broken(pos, "duplicate initial checkpoint")
+                if rec.kind == CKPT_VIRTUAL:
+                    broken(pos, "virtual-terminal checkpoints may not appear in traces")
+                if rec.timestamp is not None and rec.timestamp < 1:
+                    broken(pos, f"timestamp {rec.timestamp} < 1")
+                count[p] = rec.ordinal
+                checkpoints[(p, rec.ordinal)] = rec
+                ckpt_pos[(p, rec.ordinal)] = pos
+            interval[pos] = count[p]
+        bad += [f"P{p} has no initial checkpoint" for p in range(1, n + 1) if not seen[p]]
+        bad += [f"message {m}: sent {len(at)} times" for m, at in sends.items() if len(at) > 1]
+        delivered = self.delivered = {}
+        for name, got in recvs.items():
+            at = sends.get(name)
+            if at is None:
+                bad.append(f"message {name}: received but never sent")
+                continue
+            if len(got) > 1:
+                bad.append(f"message {name}: received {len(got)} times")
+            s, r = at[0], got[0]
+            if r < s:
+                bad.append(f"message {name}: receive precedes its send in the global order")
+            delivered[name] = (events[s].process, interval[s], s, events[r].process, interval[r], r)
+        if bad:
+            raise TraceError(bad)
+        self.ckpt_counts = {p: count[p] for p in range(1, n + 1)}
+        self.event_count = len(events)
         self._vclock: list[list[int]] | None = None
 
     # -- basic lookups -------------------------------------------------
@@ -195,72 +249,13 @@ class Trace:
             prev = last_of.get(ev.process)
             cur = list(vc[prev]) if prev is not None else [0] * (self.n + 1)
             if ev.kind == EV_RECV:
-                sends = self.message_sends.get(ev.message, [])
-                if sends and sends[0] < pos:
-                    other = vc[sends[0]]
-                    cur = [max(a, b) for a, b in zip(cur, other)]
-            if ev.process <= self.n:
-                cur[ev.process] = ev.ordinal
+                other = vc[self.delivered[ev.message][2]]
+                cur = [max(a, b) for a, b in zip(cur, other)]
+            cur[ev.process] = ev.ordinal
             vc.append(cur)
             last_of[ev.process] = pos
         self._vclock = vc
         return vc
-
-
-def validate_trace(trace: Trace) -> list[str]:
-    """Check every trace invariant; returns one message per violation.
-
-    Violations are data, not failures: an empty list means the trace is
-    well formed.
-    """
-    bad = []
-    if trace.n < 2:
-        bad.append(f"process count {trace.n} < 2")
-    seen_ord: dict[int, int] = {}
-    ckpt_ord: dict[int, int] = {}
-    for pos, ev in enumerate(trace.events):
-        tag = f"event #{pos} ({ev.kind} by P{ev.process})"
-        if not 1 <= ev.process <= trace.n:
-            bad.append(f"{tag}: process out of range 1..{trace.n}")
-            continue
-        expected = seen_ord.get(ev.process, 0) + 1
-        if ev.ordinal != expected:
-            bad.append(f"{tag}: ordinal {ev.ordinal}, expected {expected}")
-        seen_ord[ev.process] = ev.ordinal
-        if ev.kind in (EV_SEND, EV_RECV) and not ev.message:
-            bad.append(f"{tag}: missing message name")
-        if ev.kind == EV_CKPT:
-            rec = ev.checkpoint
-            if rec is None:
-                bad.append(f"{tag}: checkpoint event without record")
-                continue
-            if rec.process != ev.process:
-                bad.append(f"{tag}: record process {rec.process} mismatch")
-            x = ckpt_ord.get(ev.process, 0) + 1
-            if rec.ordinal != x:
-                bad.append(f"{tag}: checkpoint ordinal {rec.ordinal}, expected {x}")
-            ckpt_ord[ev.process] = rec.ordinal
-            if x == 1 and rec.kind != CKPT_INITIAL:
-                bad.append(f"{tag}: first checkpoint must be kind 'initial'")
-            if x > 1 and rec.kind == CKPT_INITIAL:
-                bad.append(f"{tag}: duplicate initial checkpoint")
-            if rec.kind == CKPT_VIRTUAL:
-                bad.append(f"{tag}: virtual-terminal checkpoints may not appear in traces")
-            if rec.timestamp is not None and rec.timestamp < 1:
-                bad.append(f"{tag}: timestamp {rec.timestamp} < 1")
-    for name, sends in trace.message_sends.items():
-        if len(sends) > 1:
-            bad.append(f"message {name}: sent {len(sends)} times")
-    for name, recvs in trace.message_recvs.items():
-        sends = trace.message_sends.get(name, [])
-        if not sends:
-            bad.append(f"message {name}: received but never sent")
-            continue
-        if len(recvs) > 1:
-            bad.append(f"message {name}: received {len(recvs)} times")
-        if recvs and sends and recvs[0] < sends[0]:
-            bad.append(f"message {name}: receive precedes its send in the global order")
-    return bad
 
 
 def causally_precedes(e1: Event, e2: Event, trace: Trace) -> bool:

@@ -70,14 +70,10 @@ def svg_diagram(run: AnnotatedTrace) -> str:
             'stroke="black" stroke-width="1"/>'
         )
         out.append(f'<text x="{_X0 - 62}" y="{y(p) + 5}" font-size="14">P{p}</text>')
-    for name in sorted(trace.message_sends):
-        sends = trace.message_sends[name]
-        recvs = trace.message_recvs.get(name, [])
-        if not sends or not recvs:
-            continue
-        sp, rp = sends[0], recvs[0]
-        x1, y1 = x(sp), y(trace.events[sp].process)
-        x2, y2 = x(rp), y(trace.events[rp].process)
+    for name in sorted(trace.delivered):
+        sender, _, sp, receiver, _, rp = trace.delivered[name]
+        x1, y1 = x(sp), y(sender)
+        x2, y2 = x(rp), y(receiver)
         out.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" '
             'stroke-width="1" marker-end="url(#arr)"/>'

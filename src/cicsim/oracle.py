@@ -138,11 +138,10 @@ class _ZigzagIndex:
         # each process sends per interval.  Index cnt+1 of a per-process
         # list is the virtual terminal checkpoint, which sends nothing.
         recv = self.recv = [(rp, ri) for _, _, _, rp, ri, _ in ends]
-        counts = self.counts = {p: trace.ckpt_counts.get(p, 0) for p in range(1, trace.n + 1)}
+        counts = self.counts = {p: trace.ckpt_counts[p] for p in range(1, trace.n + 1)}
         sent = self.sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in counts.items()}
         for i, (sp, si, _, _, _, _) in enumerate(ends):
-            if si <= counts[sp]:
-                sent[sp][si].append(i)
+            sent[sp][si].append(i)
 
         # Every entry of ``nothing`` exceeds every ordinal: no path ends there.
         self.reach = _reach_rows(counts, sent, recv, [trace.event_count + 2] * (trace.n + 1))
@@ -154,8 +153,8 @@ class _ZigzagIndex:
     @cached_property
     def _start(self) -> dict[int, list[int]]:
         """``_start[p][x]`` masks the messages P_p sends in interval x or
-        later.  Each process has an initial checkpoint, so every interval
-        lies in 1..cnt."""
+        later.  A Trace is valid by construction, so each process has an
+        initial checkpoint and every interval lies in 1..cnt."""
         start = {}
         for p, cnt in self.counts.items():
             row = [0] * (cnt + 2)
@@ -171,8 +170,7 @@ class _ZigzagIndex:
         chains that end at C_q^y."""
         got = {p: [0] * (cnt + 1) for p, cnt in self.counts.items()}
         for i, (rp, ri) in enumerate(self.recv):
-            if ri < len(got[rp]):
-                got[rp][ri] |= 1 << i
+            got[rp][ri] |= 1 << i
         for row in got.values():
             for x in range(1, len(row)):
                 row[x] |= row[x - 1]
@@ -622,7 +620,7 @@ def virtual_terminals(trace: Trace) -> list[CheckpointRecord]:
     """One terminal checkpoint per process, representing the state at
     trace end; used only by the membership analysis."""
     return [
-        CheckpointRecord(p, trace.ckpt_counts.get(p, 0) + 1, CKPT_VIRTUAL, None)
+        CheckpointRecord(p, trace.ckpt_counts[p] + 1, CKPT_VIRTUAL, None)
         for p in range(1, trace.n + 1)
     ]
 

@@ -212,7 +212,7 @@ def _eval_claim(claim: FixtureClaim, scen: Scenario, run_for, report_for):
         return got == expected, f"causally_precedes={got}, expected {expected}"
     if kind == "interval":
         msg, key = e
-        pos = trace.message_recvs[msg][0]
+        pos = trace.delivered[msg][5]
         iv = interval_of(trace.events[pos], trace)
         return (iv.process, iv.index) == tuple(key), f"recv {msg} in {iv.label()}"
     raise ValueError(f"unknown claim kind {kind!r}")

@@ -6,11 +6,12 @@ from cicsim.computation import (
     Event,
     Interval,
     Trace,
+    TraceError,
     causally_precedes,
     interval_of,
     is_consistent_global_checkpoint,
-    validate_trace,
 )
+from cicsim.oracle import useless_checkpoints
 from cicsim.scenarios import FuzzParams, random_scenario
 from cicsim.simulator import run_scenario
 
@@ -22,16 +23,22 @@ def initial_events(n):
     ]
 
 
+def problems(n, events):
+    """The problems Trace(n, events) raises with."""
+    with pytest.raises(TraceError) as exc:
+        Trace(n, events)
+    return exc.value.problems
+
+
 def test_minimal_trace_is_valid():
-    trace = Trace(3, initial_events(3))
-    assert validate_trace(trace) == []
+    Trace(3, initial_events(3))
 
 
 def test_receive_before_send_is_flagged():
     events = initial_events(2)
     events.append(Event(2, 2, "recv", message="m1"))
     events.append(Event(1, 2, "send", message="m1"))
-    bad = validate_trace(Trace(2, events))
+    bad = problems(2, events)
     assert any("receive precedes its send" in msg for msg in bad)
 
 
@@ -40,7 +47,7 @@ def test_orphan_receive_and_double_send_flagged():
     events.append(Event(1, 2, "send", message="m1"))
     events.append(Event(1, 3, "send", message="m1"))
     events.append(Event(2, 2, "recv", message="mx"))
-    bad = validate_trace(Trace(2, events))
+    bad = problems(2, events)
     assert any("sent 2 times" in msg for msg in bad)
     assert any("never sent" in msg for msg in bad)
 
@@ -48,21 +55,53 @@ def test_orphan_receive_and_double_send_flagged():
 def test_ordinal_gaps_flagged():
     events = initial_events(2)
     events.append(Event(1, 5, "internal"))
-    bad = validate_trace(Trace(2, events))
+    bad = problems(2, events)
     assert any("ordinal 5, expected 2" in msg for msg in bad)
+
+
+def motivation_events(p2_initial):
+    """P2 sends m2 and receives m1; P1 receives m2, takes C_1^2 and sends
+    m1.  With P2's initial checkpoint, [m1, m2] is a Z-cycle on C_1^2."""
+    c11 = Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, 1))
+    c12 = Event(1, 3, "ckpt", checkpoint=CheckpointRecord(1, 2, "basic", 2))
+    c21 = [Event(2, 1, "ckpt", checkpoint=CheckpointRecord(2, 1, CKPT_INITIAL, 1))]
+    first = 2 if p2_initial else 1
+    return [
+        c11, *(c21 if p2_initial else []), Event(2, first, "send", message="m2"),
+        Event(1, 2, "recv", message="m2"), c12, Event(1, 4, "send", message="m1"),
+        Event(2, first + 1, "recv", message="m1"),
+    ]
+
+
+def test_process_without_initial_checkpoint_is_refused():
+    bad = problems(2, motivation_events(p2_initial=False))
+    assert bad == ["event #1 (send by P2): P2 must begin with its initial checkpoint"]
+    trace = Trace(2, motivation_events(p2_initial=True))
+    assert {rec.key() for rec in useless_checkpoints(trace)} == {(1, 2)}
+
+
+def test_unknown_event_kind_is_refused():
+    events = initial_events(2)
+    events.append(Event(1, 2, "rollback"))
+    assert problems(2, events) == ["event #2 (rollback by P1): unknown event kind 'rollback'"]
+
+
+def test_process_without_events_is_refused():
+    assert problems(3, initial_events(2)) == ["P3 has no initial checkpoint"]
 
 
 def test_fixture_traces_validate(fixture_run):
     for name in ("ccp", "fine-proposal", "lazy-fine-counterexample"):
         for protocol in ("none", "fi"):
-            assert validate_trace(fixture_run(name, protocol).trace) == []
+            trace = fixture_run(name, protocol).trace
+            Trace(trace.n, trace.events)
 
 
 def test_send_precedes_receive(fixture_run):
     trace = fixture_run("ccp", "none").trace
     for name in trace.delivered_messages():
-        s = trace.events[trace.message_sends[name][0]]
-        r = trace.events[trace.message_recvs[name][0]]
+        s = trace.events[trace.delivered[name][2]]
+        r = trace.events[trace.delivered[name][5]]
         assert causally_precedes(s, r, trace)
         assert not causally_precedes(r, s, trace)
 
@@ -115,13 +154,13 @@ def test_interval_of_checkpoint_event(fixture_run):
 
 def test_interval_before_any_basic_checkpoint(fixture_run):
     trace = fixture_run("ccp", "none").trace
-    first_send = trace.events[trace.message_sends["m1"][0]]
+    first_send = trace.events[trace.delivered["m1"][2]]
     assert interval_of(first_send, trace) == Interval(1, 1)
 
 
 def test_interval_of_m3_receive_in_fine_proposal(fixture_run):
     trace = fixture_run("fine-proposal", "none").trace
-    recv_m3 = trace.events[trace.message_recvs["m3"][0]]
+    recv_m3 = trace.events[trace.delivered["m3"][5]]
     assert interval_of(recv_m3, trace) == Interval(2, 1)
 
 

@@ -16,6 +16,7 @@ from cicsim.computation import (
     CheckpointRecord,
     Event,
     Trace,
+    TraceError,
     causally_precedes,
     is_consistent_global_checkpoint,
 )
@@ -419,10 +420,11 @@ def test_ccp_cycle_witnesses_exact(fixture_run):
     ]
 
 
-def test_cycles_empty_on_single_process_trace():
+def test_single_process_trace_is_refused():
     events = [Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, 1))]
-    trace = Trace(1, events)
-    assert find_z_cycles(trace) == []
+    with pytest.raises(TraceError) as exc:
+        Trace(1, events)
+    assert exc.value.problems == ["process count 1 < 2"]
 
 
 def test_z_consistent_fixture_has_no_cycles(fixture_run):
@@ -492,7 +494,8 @@ def restamped(trace, seed):
 
 def test_violation_scan_matches_all_pairs_reference():
     def ckpt(p, ordinal, x, t):
-        return Event(p, ordinal, EV_CKPT, checkpoint=CheckpointRecord(p, x, "basic", t))
+        kind = CKPT_INITIAL if x == 1 else "basic"
+        return Event(p, ordinal, EV_CKPT, checkpoint=CheckpointRecord(p, x, kind, t))
 
     # m1 leaves P1's last interval and reaches P2 in its first, so the
     # reach row of each P1 checkpoint covers every P2 ordinal above 1 and

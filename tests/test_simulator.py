@@ -126,7 +126,7 @@ def test_unknown_protocol_rejected():
 
 # -- columnar traces ---------------------------------------------------------
 
-EVENT_VIEW = ("events", "message_sends", "message_recvs", "_pos", "_ckpt_pos", "_interval")
+EVENT_VIEW = ("events", "_pos", "_ckpt_pos", "_interval")
 
 
 def columnar_cases():
