@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from . import oracle, report
 from .diagram import ascii_diagram, svg_diagram
@@ -59,8 +60,11 @@ def _load_scenario(ref: str):
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -163,7 +167,8 @@ def cmd_fuzz(args) -> int:
     forced_totals = {p: 0 for p in protocols}
     findings = []
     for seed in range(args.seed, args.seed + args.runs):
-        scen = random_scenario(_fuzz_params(args, procs, seed))
+        params = _fuzz_params(args, procs, seed)
+        scen = random_scenario(params)
         for row in compare_runs(scen, protocols):
             forced_totals[row.protocol] += row.forced
             if row.useless or row.violations:
@@ -174,6 +179,7 @@ def cmd_fuzz(args) -> int:
                         "useless": row.useless,
                         "violations": row.violations,
                         "hash": report.scenario_hash(serialize_scenario(scen)),
+                        "params": {**asdict(params), "p_ckpt": checked_rates(params)},
                     }
                 )
     findings.sort(key=lambda f: (f["seed"], f["protocol"]))

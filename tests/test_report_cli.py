@@ -354,10 +354,19 @@ def test_cli_fuzz_bad_flag_is_usage_error(flags, capsys):
     assert captured.out == ""
 
 
-def test_cli_unwritable_output_is_internal_error(capsys):
-    code = main(["diagram", "ccp", "none", "--out", "/nonexistent-dir/x.txt"])
-    assert code == 3
-    assert "internal error" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["run", "ccp", "none", "--json"],
+    ["fuzz", "--runs", "2", "--json"],
+    ["amplify", "fine-proposal", "fine", "--json"],
+    ["diagram", "ccp", "none"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_cli_unwritable_output_is_usage_error(argv, where, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.txt" if where == "missing-dir" else tmp_path
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cicsim: cannot write")
+    assert captured.out == ""
 
 
 def test_cli_fuzz_fine_finds_failures(capsys):
@@ -371,7 +380,7 @@ def test_cli_fuzz_fine_finds_failures(capsys):
     (["fuzz", "--json"],
      "1f1e05e0e8417462ff5ede3fa1463433a294b65b5fd1b29be3053a8a2410aa5c"),
     (["fuzz", "--runs", "200", "--protocols", "none,fine,lazy-fine", "--json"],
-     "d301ab5c271a5f1d67af0cd1f92e2efec997de0843a9a966e440d005b0a69c49"),
+     "cd11f515b5bb4cf7f3d4d0ec3165bb1e169f14073ffb442d36b93570ca43f2b8"),
     (["amplify", "fine-proposal", "fine", "--json"],
      "bdd686a9fcb80d3821213109700b89c20adb2ec2bf7733792676787dd0b96bc7"),
 ], ids=["fuzz-default", "fuzz-unsafe-200", "amplify-fine-proposal"])
@@ -381,6 +390,17 @@ def test_cli_json_bytes_are_pinned(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_fuzz_findings_reproduce_from_their_params(capsys):
+    assert main(["fuzz", "--runs", "200", "--protocols", "none,fine,lazy-fine", "--json"]) == 0
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert len(findings) > 100
+    for f in findings:
+        params = FuzzParams(**{**f["params"], "p_ckpt": tuple(f["params"]["p_ckpt"])})
+        assert params.seed == f["seed"]
+        scen = random_scenario(params)
+        assert scenario_hash(serialize_scenario(scen)) == f["hash"], f["seed"]
 
 
 def test_cli_fuzz_json(tmp_path, capsys):
