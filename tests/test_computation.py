@@ -62,14 +62,16 @@ def test_ordinal_gaps_flagged():
 def motivation_events(p2_initial):
     """P2 sends m2 and receives m1; P1 receives m2, takes C_1^2 and sends
     m1.  With P2's initial checkpoint, [m1, m2] is a Z-cycle on C_1^2."""
-    c11 = Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, 1))
-    c12 = Event(1, 3, "ckpt", checkpoint=CheckpointRecord(1, 2, "basic", 2))
-    c21 = [Event(2, 1, "ckpt", checkpoint=CheckpointRecord(2, 1, CKPT_INITIAL, 1))]
-    first = 2 if p2_initial else 1
+    k = 1 if p2_initial else 0  # P2's events before it sends m2
+    c21 = Event(2, 1, "ckpt", checkpoint=CheckpointRecord(2, 1, CKPT_INITIAL, 1))
     return [
-        c11, *(c21 if p2_initial else []), Event(2, first, "send", message="m2"),
-        Event(1, 2, "recv", message="m2"), c12, Event(1, 4, "send", message="m1"),
-        Event(2, first + 1, "recv", message="m1"),
+        Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, 1)),
+        *([c21] if p2_initial else []),
+        Event(2, k + 1, "send", message="m2"),
+        Event(1, 2, "recv", message="m2"),
+        Event(1, 3, "ckpt", checkpoint=CheckpointRecord(1, 2, "basic", 2)),
+        Event(1, 4, "send", message="m1"),
+        Event(2, k + 2, "recv", message="m1"),
     ]
 
 
