@@ -9,6 +9,7 @@ error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import asdict
@@ -58,6 +59,31 @@ def _load_scenario(ref: str):
     )
 
 
+def _check_out(out: str | None) -> None:
+    """Raise the UsageError that _write would raise for ``out``, before any
+    work is done; nothing is created or truncated."""
+    if not out:
+        return
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    exc = OSError(code, os.strerror(code), out)
+    raise UsageError(f"cannot write {out!r}: {exc}")
+
+
+def _check_json_out(args) -> None:
+    """``--out`` writes the ``--json`` report, so it needs ``--json``."""
+    if args.out and not args.json:
+        raise UsageError("--out writes the --json report: add --json or drop --out")
+    _check_out(args.out)
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         try:
@@ -96,6 +122,7 @@ def _print_human(rep: dict) -> None:
 
 
 def cmd_run(args) -> int:
+    _check_json_out(args)
     scen, text = _load_scenario(args.scenario)
     run = run_scenario(scen, args.protocol)
     orep = oracle.oracle_report(run.trace)
@@ -152,6 +179,7 @@ def _fuzz_params(args, procs: tuple[int, int], seed: int) -> FuzzParams:
 
 
 def cmd_fuzz(args) -> int:
+    _check_json_out(args)
     protocols = _parse_protocols(args.protocols)
     if args.runs < 0:
         raise UsageError(f"--runs must be at least 0, got {args.runs}")
@@ -224,6 +252,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_amplify(args) -> int:
+    _check_json_out(args)
     scen, _ = _load_scenario(args.scenario)
     result = amplify_violation(scen, args.protocol)
     if result is None:
@@ -257,6 +286,7 @@ def cmd_amplify(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    _check_out(args.out)
     scen, _ = _load_scenario(args.scenario)
     run = run_scenario(scen, args.protocol)
     text = ascii_diagram(run) if args.format == "ascii" else svg_diagram(run)

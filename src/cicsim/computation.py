@@ -29,14 +29,23 @@ EV_RECV = "recv"
 EV_CKPT = "ckpt"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckpointRecord:
-    """Identity and protocol-assigned timestamp of one checkpoint."""
+    """Identity and protocol-assigned timestamp of one checkpoint.
+
+    A frozen value; its ``__init__`` fills the fields in one dict update
+    instead of the generated four frozen ``__setattr__`` calls, because
+    the simulator builds one record per checkpoint."""
 
     process: int
     ordinal: int
     kind: str = CKPT_BASIC
     timestamp: int | None = None
+
+    def __init__(self, process: int, ordinal: int, kind: str = CKPT_BASIC,
+                 timestamp: int | None = None):
+        self.__dict__.update(process=process, ordinal=ordinal, kind=kind,
+                             timestamp=timestamp)
 
     def key(self) -> tuple[int, int]:
         return (self.process, self.ordinal)

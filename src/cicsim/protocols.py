@@ -45,14 +45,22 @@ masks and the integer ones loop only over the processes in ``sent_to``; an
 integer vector (``clockv``, ``ckptv``, ``min_to``) is a 1-based list
 (index 0 is an unused placeholder) in the state and a tuple in a
 payload, so the update rules read like the protocol definitions and a
-payload can never alias the state it was copied from.  ``snapshot()`` and
-``Piggyback.fields()`` render masks back as lists of bools.
+payload can never alias the state it was copied from.
+``Piggyback.fields()`` renders masks back as lists of bools.
+
+Pre-update state: each family declares once, in ``state_fields`` beside
+``payload_fields``, the state a forced checkpoint logs next to ``lc``.
+A forced receive captures that state raw (``BaseProtocol.capture``:
+masks kept as ints, lists copied) and nothing renders it on the run's
+path; ``render_state`` turns a capture into the dict of bools and ints
+that ``snapshot()`` and ``ForcedEvent.prestate`` return, when it is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .computation import CKPT_BASIC, CKPT_FORCED, CKPT_INITIAL, CheckpointRecord
 
@@ -66,6 +74,8 @@ class ProtocolError(ValueError):
 _VECTOR_FIELDS = ("clockv", "greater", "equal_incr", "ckptv", "taken")
 # The vectors held as int masks, in the state or in a payload.
 _MASK_FIELDS = frozenset({"sent_to", "greater", "equal_incr", "taken"})
+# The state vectors held as lists, which a capture copies.
+_LIST_FIELDS = frozenset({"min_to", "clockv", "ckptv"})
 
 
 def _bools(mask: int, n: int) -> list:
@@ -230,6 +240,7 @@ class BaseProtocol:
       an ``eval_c_*`` predicate bound as a method (default: never fires);
     * ``payload_fields``: the vectors it piggybacks next to the clock, and
       ``_payload``, which builds that Piggyback from the state;
+    * ``state_fields``: the state a forced checkpoint logs next to ``lc``;
     * ``_update``: the update rules applied after the conditions;
     * ``_init_structures`` for the state that the initial checkpoint does
       not set, and ``_mark_send`` for the send bookkeeping;
@@ -239,16 +250,30 @@ class BaseProtocol:
 
     Construction runs ``_init_structures`` and takes the initial checkpoint
     (ordinal 1, timestamp 1), retrievable as initial_record.
+
+    A forced receive keeps the pre-update state as ``capture()`` takes
+    it, raw: the class, ``n``, ``i``, ``lc`` and the ``state_fields``
+    values, with masks kept as ints and lists copied.  ``render_state``
+    turns a capture into the logged dict only when someone reads it.
     """
 
     name = "?"
     payload_fields: tuple[str, ...] = ()
+    state_fields: tuple[str, ...] = ()
     _field_set = 0
+    _raw_state = attrgetter("__class__", "n", "i", "lc")
+    _list_at: tuple[int, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._field_set = sum(
             1 << j for j, f in enumerate(_VECTOR_FIELDS) if f in cls.payload_fields
+        )
+        # Attributes are read by name: touching a machine's __dict__
+        # would build it and slow every later attribute access.
+        cls._raw_state = attrgetter("__class__", "n", "i", "lc", *cls.state_fields)
+        cls._list_at = tuple(
+            4 + j for j, f in enumerate(cls.state_fields) if f in _LIST_FIELDS
         )
 
     def __init__(self, n: int, i: int):
@@ -296,8 +321,8 @@ class BaseProtocol:
         return self._payload()
 
     def on_receive(self, m: Piggyback):
-        """Returns (decision, forced checkpoint record or None, pre-update
-        state snapshot when a checkpoint was forced)."""
+        """Returns (decision, forced checkpoint record or None, the raw
+        pre-update ``capture()`` when a checkpoint was forced)."""
         if m.n != self.n or m.field_set != self._field_set:
             raise ProtocolError(self._payload_problem(m))
         c1 = self._c1(m)
@@ -305,10 +330,10 @@ class BaseProtocol:
         if not (c1 or c2):
             self._update(m)
             return _DECISIONS[False, False], None, None
-        snapshot = self.snapshot()
+        state = self.capture()
         record = self.take_checkpoint(CKPT_FORCED)
         self._update(m)
-        return _DECISIONS[c1, c2], record, snapshot
+        return _DECISIONS[c1, c2], record, state
 
     # helpers ------------------------------------------------------------
 
@@ -320,18 +345,31 @@ class BaseProtocol:
                 return f"{self.name}: unexpected payload field '{f}'"
         return f"{self.name}: payload built for {m.n} processes, expected {self.n}"
 
+    def capture(self) -> tuple:
+        """The current state, raw: (class, n, i, lc, *state_fields values),
+        masks as ints, lists copied so later updates cannot reach it."""
+        state = [*self._raw_state(self)]
+        for k in self._list_at:
+            state[k] = state[k][:]
+        return tuple(state)
+
     def snapshot(self) -> dict:
-        out = {"protocol": self.name, "n": self.n, "i": self.i, "lc": self.lc}
-        for f in ("sent_to", "min_to", "clockv", "greater", "equal_incr",
-                  "ckptv", "taken", "increment"):
-            if hasattr(self, f):
-                val = getattr(self, f)
-                if f in _MASK_FIELDS:
-                    val = _bools(val, self.n)
-                elif isinstance(val, list):
-                    val = list(val)
-                out[f] = val
-        return out
+        return render_state(self.capture())
+
+
+def render_state(capture: tuple) -> dict:
+    """A ``BaseProtocol.capture()`` as the logged state dict: protocol,
+    n, i, lc, then each state field, masks as 1-based lists of bools and
+    lists as fresh lists."""
+    cls, n, i, lc, *values = capture
+    out = {"protocol": cls.name, "n": n, "i": i, "lc": lc}
+    for f, val in zip(cls.state_fields, values):
+        if f in _MASK_FIELDS:
+            val = _bools(val, n)
+        elif f in _LIST_FIELDS:
+            val = list(val)
+        out[f] = val
+    return out
 
 
 class NoneProtocol(BaseProtocol):
@@ -342,6 +380,7 @@ class NoneProtocol(BaseProtocol):
 
 class PartlyInformed(BaseProtocol):
     name = "pi"
+    state_fields = ("sent_to", "min_to")
     _c1 = eval_c_pi
 
     def take_checkpoint(self, kind=CKPT_BASIC):
@@ -399,6 +438,7 @@ class _FIFamily(BaseProtocol):
 class ClockvFI(_FIFamily):
     name = "fi-clockv"
     payload_fields = ("clockv", "ckptv", "taken")
+    state_fields = ("sent_to", "min_to", "clockv", "ckptv", "taken")
     _c1 = eval_c_fi1_clockv
 
     def _init_structures(self):
@@ -431,6 +471,7 @@ class ClockvFI(_FIFamily):
 class GreaterFI(_FIFamily):
     name = "fi-greater"
     payload_fields = ("greater", "ckptv", "taken")
+    state_fields = ("sent_to", "greater", "ckptv", "taken")
     _c1 = eval_c_fi1_greater
 
     def take_checkpoint(self, kind=CKPT_BASIC):
@@ -455,6 +496,7 @@ class GreaterFI(_FIFamily):
 class LazyFI(_FIFamily):
     name = "lazy-fi"
     payload_fields = ("equal_incr", "ckptv", "taken")
+    state_fields = ("sent_to", "equal_incr", "ckptv", "taken", "increment")
     _c1 = eval_c_lazyfi1
 
     def _init_structures(self):

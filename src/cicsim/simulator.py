@@ -6,7 +6,8 @@ valid by construction (its constructor runs the one checker,
 step_problems), so nothing that takes a Scenario checks it again.  Running
 a scenario yields an annotated trace: the trace itself (with protocol
 timestamps), the forced-checkpoint events with their fired conditions and
-pre-update state snapshots, and the piggyback log.
+pre-update states (captured raw, rendered when read), and the piggyback
+log.
 
 amplify_violation implements the adversarial construction that turns a
 zigzag-timestamping violation into a scenario extension closing a Z-cycle:
@@ -30,7 +31,7 @@ from .computation import (
     CheckpointRecord,
     Trace,
 )
-from .protocols import ForcedDecision, Piggyback, make_protocol
+from .protocols import ForcedDecision, Piggyback, make_protocol, render_state
 
 
 # A run builds one protocol object per process.  Its boolean vectors are
@@ -149,13 +150,20 @@ def scenario_violations(s: Scenario) -> list[str]:
 
 @dataclass
 class ForcedEvent:
+    """One forced checkpoint; ``capture`` is the receiver's raw pre-update
+    state (``BaseProtocol.capture``), ``prestate`` its rendered dict."""
+
     step_index: int
     process: int
     message: str
     decision: ForcedDecision
     record: CheckpointRecord
     payload: Piggyback
-    prestate: dict
+    capture: tuple
+
+    @property
+    def prestate(self) -> dict:
+        return render_state(self.capture)
 
 
 @dataclass
@@ -219,9 +227,9 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
             rec = machines[p].take_checkpoint()
         else:
             pb, sp, si, spos = in_flight.pop(name)
-            decision, rec, prestate = machines[p].on_receive(pb)
+            decision, rec, state = machines[p].on_receive(pb)
             if rec is not None:
-                forced.append(ForcedEvent(idx, p, name, decision, rec, pb, prestate))
+                forced.append(ForcedEvent(idx, p, name, decision, rec, pb, state))
         if rec is not None:
             counts[p] += 1
             checkpoints[(p, counts[p])] = rec

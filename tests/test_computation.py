@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from cicsim.computation import (
@@ -187,3 +189,22 @@ def test_initial_checkpoints_always_consistent():
         trace = run_scenario(scen, "none").trace
         initials = [trace.checkpoints[(p, 1)] for p in range(1, 5)]
         assert is_consistent_global_checkpoint(initials, trace)
+
+
+def test_checkpoint_record_is_a_frozen_value():
+    rec = CheckpointRecord(2, 3, "forced", 4)
+    assert [f.name for f in dataclasses.fields(CheckpointRecord)] == [
+        "process", "ordinal", "kind", "timestamp"]
+    assert repr(rec) == "CheckpointRecord(process=2, ordinal=3, kind='forced', timestamp=4)"
+    same = CheckpointRecord(process=2, ordinal=3, kind="forced", timestamp=4)
+    assert rec == same and hash(rec) == hash(same) == hash((2, 3, "forced", 4))
+    assert rec != CheckpointRecord(2, 3, "forced", 5)
+    assert CheckpointRecord(1, 2) == CheckpointRecord(1, 2, "basic", None)
+    for name in ("process", "timestamp", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, 9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del rec.kind
+    moved = dataclasses.replace(rec, timestamp=7)
+    assert moved == CheckpointRecord(2, 3, "forced", 7) and rec.timestamp == 4
+    assert len({rec, same, moved}) == 2

@@ -18,6 +18,7 @@ from cicsim.protocols import (
     eval_c_lazyfine1,
     eval_c_pi,
     make_protocol,
+    render_state,
 )
 from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, random_scenario
 from cicsim.simulator import run_scenario
@@ -269,11 +270,14 @@ def test_eval_c_lazyfine1_cases():
 def test_fi_receive_forces_then_updates():
     p = make_protocol("fi-greater", 3, 2)
     p.on_send(3)
-    decision, rec, prestate = p.on_receive(fi_pb(t=2, greater=(1, 3)))
+    before = p.snapshot()
+    decision, rec, state = p.on_receive(fi_pb(t=2, greater=(1, 3)))
     assert decision.forced and "C1" in decision.fired
     assert rec.kind == "forced" and rec.timestamp == 2
     assert p.lc == 2
+    prestate = render_state(state)
     assert prestate["lc"] == 1 and prestate["sent_to"][3] is True
+    assert prestate == before
 
 
 def test_fi_receive_low_timestamp_merges_only():

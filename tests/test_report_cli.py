@@ -6,7 +6,7 @@ from collections import OrderedDict, namedtuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cicsim import oracle
+from cicsim import cli, oracle, simulator
 from cicsim.cli import main
 from cicsim.diagram import ascii_diagram, svg_diagram
 from cicsim.protocols import PROTOCOL_NAMES
@@ -361,12 +361,54 @@ def test_cli_fuzz_bad_flag_is_usage_error(flags, capsys):
     ["diagram", "ccp", "none"],
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
-def test_cli_unwritable_output_is_usage_error(argv, where, tmp_path, capsys):
+def test_cli_unwritable_output_is_usage_error(argv, where, tmp_path, capsys, monkeypatch):
+    # The target is checked before the work: no scenario is generated or run.
+    calls = []
+
+    def counting(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "random_scenario", counting(cli.random_scenario))
+    monkeypatch.setattr(cli, "run_scenario", counting(cli.run_scenario))
+    monkeypatch.setattr(simulator, "run_scenario", counting(simulator.run_scenario))
     out = tmp_path / "missing" / "x.txt" if where == "missing-dir" else tmp_path
     assert main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("cicsim: cannot write")
     assert captured.out == ""
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "ccp", "fi"],
+    ["fuzz", "--runs", "2"],
+    ["amplify", "theorem1-a", "none"],
+], ids=lambda argv: argv[0])
+def test_cli_out_without_json_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "f"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cicsim: ") and "--json" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "no-such-scenario", "fi", "--json"],
+    ["fuzz", "--runs", "2", "--json", "--procs", "1"],
+    ["diagram", "no-such-scenario", "fi"],
+], ids=lambda argv: argv[0])
+def test_cli_out_is_untouched_when_the_work_fails(argv, tmp_path, capsys):
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("old")
+    assert main([*argv, "--out", str(kept)]) == 2
+    assert main([*argv, "--out", str(fresh)]) == 2
+    capsys.readouterr()
+    assert kept.read_text() == "old"
+    assert not fresh.exists()
 
 
 def test_cli_fuzz_fine_finds_failures(capsys):

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from cicsim import protocols
 from cicsim.computation import Trace
 from cicsim.oracle import oracle_report, quick_findings
 from cicsim.protocols import (
@@ -15,6 +16,7 @@ from cicsim.protocols import (
     eval_c_lazyfi1,
     eval_c_lazyfine1,
     eval_c_pi,
+    make_protocol,
 )
 from cicsim.report import run_report, to_json
 from cicsim.rng import SplitMix64
@@ -91,6 +93,76 @@ def test_forced_decisions_replay_on_logged_prestate():
             for cond in ev.decision.fired:
                 func = CONDITION_FUNCS[protocol][cond]
                 assert func(state, ev.payload), (name, protocol, cond)
+
+
+def eager_snapshot(m):
+    """The state dict every forced receive rendered eagerly before states
+    were captured raw: the reference ForcedEvent.prestate reproduces."""
+    out = {"protocol": m.name, "n": m.n, "i": m.i, "lc": m.lc}
+    for f in ("sent_to", "min_to", "clockv", "greater", "equal_incr",
+              "ckptv", "taken", "increment"):
+        if hasattr(m, f):
+            val = getattr(m, f)
+            if f in ("sent_to", "greater", "equal_incr", "taken"):
+                val = [val >> k & 1 == 1 for k in range(m.n + 1)]
+            elif isinstance(val, list):
+                val = list(val)
+            out[f] = val
+    return out
+
+
+def eager_prestates(scen, protocol):
+    """(step index, eager snapshot) of each forced receive, replayed on
+    fresh machines."""
+    machines = [None] + [make_protocol(protocol, scen.n, i) for i in range(1, scen.n + 1)]
+    in_flight, out = {}, []
+    for idx, st in enumerate(scen.steps):
+        m = machines[st.process]
+        if st.kind == "ckpt":
+            m.take_checkpoint()
+        elif st.kind == "send":
+            in_flight[st.message] = m.on_send(st.dest)
+        else:
+            before = eager_snapshot(m)
+            if m.on_receive(in_flight.pop(st.message))[1] is not None:
+                out.append((idx, before))
+    return out
+
+
+def test_a_run_renders_no_prestate(monkeypatch):
+    renders = []
+
+    def counting(real):
+        def call(*args):
+            renders.append(real.__name__)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(protocols, "_bools", counting(protocols._bools))
+    monkeypatch.setattr(protocols, "render_state", counting(protocols.render_state))
+    scenarios = [builtin(name)[0] for name in FIXTURE_NAMES]
+    scenarios += [random_scenario(FuzzParams(n=2 + s % 4, events=40, seed=s + 4100))
+                  for s in range(20)]
+    runs = [(scen, protocol, run_scenario(scen, protocol))
+            for scen in scenarios for protocol in PROTOCOL_NAMES]
+    assert renders == []
+
+    forced = {protocol: 0 for protocol in PROTOCOL_NAMES}
+    for scen, protocol, run in runs:
+        got = [(f.step_index, list(f.prestate.items())) for f in run.forced]
+        want = [(idx, list(snap.items())) for idx, snap in eager_prestates(scen, protocol)]
+        assert got == want, (scen.name, protocol)
+        forced[protocol] += len(got)
+    assert forced["none"] == 0
+    assert all(forced[p] > 0 for p in PROTOCOL_NAMES if p != "none"), forced
+
+    # Each read renders fresh lists: changing one leaves the capture as it was.
+    f = next(f for _, _, run in runs for f in run.forced)
+    first = f.prestate
+    for val in first.values():
+        if isinstance(val, list):
+            val.append(None)
+    assert f.prestate != first
 
 
 def test_none_adds_no_checkpoints():
