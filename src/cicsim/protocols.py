@@ -251,10 +251,8 @@ class BaseProtocol:
     Construction runs ``_init_structures`` and takes the initial checkpoint
     (ordinal 1, timestamp 1), retrievable as initial_record.
 
-    A forced receive keeps the pre-update state as ``capture()`` takes
-    it, raw: the class, ``n``, ``i``, ``lc`` and the ``state_fields``
-    values, with masks kept as ints and lists copied.  ``render_state``
-    turns a capture into the logged dict only when someone reads it.
+    A forced receive keeps its pre-update state raw, as ``capture()``
+    takes it; ``render_state`` turns it into the logged dict when read.
     """
 
     name = "?"
@@ -269,6 +267,7 @@ class BaseProtocol:
         cls._field_set = sum(
             1 << j for j, f in enumerate(_VECTOR_FIELDS) if f in cls.payload_fields
         )
+        # In a capture the state_fields values follow class, n, i and lc.
         # Attributes are read by name: touching a machine's __dict__
         # would build it and slow every later attribute access.
         cls._raw_state = attrgetter("__class__", "n", "i", "lc", *cls.state_fields)
