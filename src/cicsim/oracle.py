@@ -23,27 +23,38 @@ in an interval before y.  A Z-cycle is a zigzag path from a checkpoint to
 itself and is exactly what makes a checkpoint useless.
 
 Reachability is decided on checkpoints, as in the rollback-dependency
-view of Wang (IEEE TC 1997) and Netzer and Xu (IEEE TPDS 1995).
-``reach[p][x][q]`` is the smallest interval of a receive at P_q that ends
-a zigzag path from C_p^x (above every ordinal when none does).  It is the
-least fixpoint of
+view of Wang (IEEE TC 1997) and Netzer and Xu (IEEE TPDS 1995), with one
+int mask per checkpoint.  The checkpoints of P_p, which has cnt of them,
+own the bits base[p] .. base[p] + cnt + 1, process-major: C_p^x is bit
+base[p] + x, ordinal cnt+1 is the virtual terminal, which sends nothing,
+and bit base[p] is never set.  ``zz[base[p] + x]`` has bit base[q] + y set
+exactly when a zigzag path from C_p^x reaches C_q^y.  It is the least
+fixpoint of
 
-    reach[p][x] = reach[p][x+1] ⊓ ⋃ ({q: r} ⊓ reach[q][r])
+    zz(p, x) = zz(p, x+1) | ⋃ (unit(q, r) | zz(q, r))
 
 where the union runs over the messages sent by P_p in interval x, each
-received in interval r of P_q, and both ⊓ and ⋃ take pointwise minima.
-A zigzag path from C_p^x to C_q^y exists exactly when
-``reach[p][x][q] < y``.  Ordinal cnt+1 of a process with cnt checkpoints
-is its virtual terminal, which sends nothing.
+received in interval r of P_q, and the message's unit masks C_q^{r+1} ..
+C_q^{cnt+1}, the checkpoints of P_q after its receive.  So each process's
+share of a mask is a suffix of its ordinals.
 
 The fixpoint takes one pass over the strongly connected components of the
 interval graph, whose nodes are the intervals (p, x), with a program edge
 (p, x) -> (p, x+1) and an edge (p, x) -> (q, r) for each delivered
 message, from the interval in which P_p sends it to the interval in which
-P_q receives it.  Rows are equal across a component, and Tarjan's algorithm
-(SIAM J. Computing, 1972) emits components sinks first, so a component's
-row is the minimum of its messages' units and of the final rows of the
-components it reaches.
+P_q receives it.  Masks are equal across a component, and Tarjan's
+algorithm (SIAM J. Computing, 1972) emits components sinks first, so a
+component's mask is the OR of its messages' units and of the final masks
+of the components it reaches.  A mask has V bits for V intervals, so the
+masks take at most V²/8 bytes; a component whose only out-edge is its
+program edge shares its successor's int, so a stretch of intervals
+without sends holds one mask.
+
+A pair (a, b) violates zigzag-consistent timestamping when b is a set bit
+of ``zz[a] & below(t(a))``, where below(t) masks the checkpoints whose
+timestamp is at most t.  The count of violations is a popcount per
+source, with the sources visited in timestamp order and one running
+below mask, so it enumerates no pair.
 
 Witnesses are chains in the message graph, ordered by length and then by
 name sequence.  Breadth-first layers backwards from a checkpoint's last
@@ -68,8 +79,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from math import inf
-from operator import le
+from operator import itemgetter, le
 
 from .computation import (
     CKPT_VIRTUAL,
@@ -109,13 +121,15 @@ class OracleReport:
 
 
 class _ZigzagIndex:
-    """Zigzag reachability of one trace: the per-checkpoint ``reach``
-    vectors of the module docstring, plus the message masks that witness
-    search walks.
+    """Zigzag reachability of one trace: the per-checkpoint masks ``zz``
+    of the module docstring, plus the message masks that witness search
+    walks.
 
-    ``reach`` comes from one iterative Tarjan pass over the condensation
-    of the interval graph, sinks first; every member of a component gets
-    the same row object.
+    ``zz`` comes from one iterative Tarjan pass over the condensation of
+    the interval graph, sinks first; every member of a component gets the
+    same int.  ``base[p] + x`` is both the node of interval x of P_p and
+    the bit of C_p^x.  The pass reads ``trace.delivered`` in any order, so
+    existence-only callers never sort message names.
 
     Bit i of a message mask stands for the i-th delivered message in name
     order, so the lowest set bit is the first name.  Undelivered messages
@@ -123,32 +137,41 @@ class _ZigzagIndex:
 
     Witness search walks the message graph: a chain ending with message i
     continues with any message in ``adj[i]``, and ``pred[j]`` holds the
-    messages that j continues.  These masks are built in O(m) on the first
-    witness query, so existence-only callers never pay for them.  So are
-    the breadth-first layers into each end mask, once per mask, which
-    every witness into that checkpoint shares.
+    messages that j continues.  These masks, and the names, receive ends
+    and per-interval sends behind them, are built in O(m) on the first
+    witness query.  So are the breadth-first layers into each end mask,
+    once per mask, which every witness into that checkpoint shares.
     """
 
     def __init__(self, trace: Trace):
         self.trace = trace
-        self.names = trace.delivered_messages()
-        ends = [trace.delivered[nm] for nm in self.names]
-
-        # (process, interval) of each message's receive, and the messages
-        # each process sends per interval.  Index cnt+1 of a per-process
-        # list is the virtual terminal checkpoint, which sends nothing.
-        recv = self.recv = [(rp, ri) for _, _, _, rp, ri, _ in ends]
         counts = self.counts = {p: trace.ckpt_counts[p] for p in range(1, trace.n + 1)}
-        sent = self.sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in counts.items()}
-        for i, (sp, si, _, _, _, _) in enumerate(ends):
-            sent[sp][si].append(i)
-
-        # Every entry of ``nothing`` exceeds every ordinal: no path ends there.
-        self.reach = _reach_rows(counts, sent, recv, [trace.event_count + 2] * (trace.n + 1))
+        self.base, self.zz = _zigzag_masks(counts, trace.delivered.values())
         self._by_end: dict[int, list[int]] = {}  # end mask -> its layers
         # The checkpoints in (process, ordinal) order, sorted once for every
         # oracle call on this trace.
         self.recs = trace.sorted_checkpoints()
+
+    @cached_property
+    def names(self) -> list[str]:
+        return self.trace.delivered_messages()
+
+    @cached_property
+    def recv(self) -> list[tuple[int, int]]:
+        """(process, interval) of each message's receive, by bit."""
+        delivered = self.trace.delivered
+        return [delivered[nm][3:5] for nm in self.names]
+
+    @cached_property
+    def sent(self) -> dict[int, list[list[int]]]:
+        """``sent[p][x]``: the bits of the messages P_p sends in interval
+        x.  Index cnt+1 is the virtual terminal, which sends nothing."""
+        sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in self.counts.items()}
+        delivered = self.trace.delivered
+        for i, nm in enumerate(self.names):
+            sp, si = delivered[nm][:2]
+            sent[sp][si].append(i)
+        return sent
 
     @cached_property
     def _start(self) -> dict[int, list[int]]:
@@ -193,23 +216,23 @@ class _ZigzagIndex:
                     pred[j] = self._got[p][x]
         return pred
 
-    def _check_key(self, key: tuple[int, int]) -> None:
+    def _bit(self, key: tuple[int, int]) -> int:
+        """The bit of checkpoint ``key``, a virtual terminal included."""
         p, x = key
-        if p not in self.reach or not 1 <= x <= len(self.reach[p]) - 1:
+        if p not in self.counts or not 1 <= x <= self.counts[p] + 1:
             raise ValueError(f"checkpoint C_{p}^{x} does not exist in this trace")
+        return self.base[p] + x
 
     def start_mask(self, key: tuple[int, int]) -> int:
-        self._check_key(key)
+        self._bit(key)
         return self._start[key[0]][key[1]]
 
     def end_mask(self, key: tuple[int, int]) -> int:
-        self._check_key(key)
+        self._bit(key)
         return self._got[key[0]][key[1] - 1]
 
     def exists(self, src: tuple[int, int], dst: tuple[int, int]) -> bool:
-        self._check_key(src)
-        self._check_key(dst)
-        return self.reach[src[0]][src[1]][dst[0]] < dst[1]
+        return self.zz[self._bit(src)] >> self._bit(dst) & 1 == 1
 
     def chain_is_causal(self, names: tuple[str, ...]) -> bool:
         """Whether each receive of the named chain comes before the next
@@ -411,36 +434,39 @@ class _ZigzagIndex:
         return out, False
 
 
-def _reach_rows(counts, sent, recv, nothing):
-    """The ``reach`` rows of every process, in one pass over the strongly
-    connected components of the interval graph (module docstring).
+def _zigzag_masks(counts, delivered):
+    """(base, zz): the bit of each process's ordinal 0 and the ``zz`` mask
+    of every interval, in one pass over the strongly connected components
+    of the interval graph (module docstring).
 
     Node base[p] + x is interval x of P_p, and its program edge goes to the
-    next node.  edges[u] holds (v, q, r) for each message edge of node u,
-    to node v, interval r of P_q.  Slots 0 and cnt+1 of each process are
-    visited nodes without edges whose row is ``nothing``.
+    next node.  edges[u] holds (v, unit) for each message that P_p sends in
+    interval u, received at node v, with its unit.  Slots 0 and cnt+1 of
+    each process are visited nodes without edges whose mask is 0.
 
     Tarjan's algorithm (SIAM J. Computing, 1972) runs iteratively, so no
     trace is too long for it.  It emits a component only after every
-    component it reaches, so the rows outside it are final, and a visited
-    node without a row lies on its stack.  A component's row is the
-    pointwise minimum of the units of its message edges and of the rows
-    of the edges that leave it, one object for all its members."""
-    base, size = {}, 0
+    component it reaches, so the masks outside it are final, and a visited
+    node without a mask lies on its stack.  A component's mask is the OR
+    of the units of its message edges and of the masks of the edges that
+    leave it, one int for all its members."""
+    base, top, size = {}, {}, 0
     for p, cnt in counts.items():
         base[p] = size
         size += cnt + 2
-    row = [None] * size
+        top[p] = 1 << size  # above the bit of P_p's virtual terminal
+    zz = [None] * size
     num = [0] * size  # DFS number, 0 while unvisited
-    edges = [()] * size
     for p, cnt in counts.items():
         b = base[p]
-        row[b] = row[b + cnt + 1] = nothing
+        zz[b] = zz[b + cnt + 1] = 0
         num[b] = num[b + cnt + 1] = -1
-        for x in range(1, cnt + 1):
-            if sent[p][x]:
-                ends_at = [recv[i] for i in sent[p][x]]
-                edges[b + x] = [(base[q] + r, q, r) for q, r in ends_at]
+    edges = [()] * size
+    for sp, si, _, rp, ri, _ in delivered:
+        u, v = base[sp] + si, base[rp] + ri
+        if not edges[u]:
+            edges[u] = []
+        edges[u].append((v, top[rp] - (2 << v)))  # the bits above v
 
     low = [0] * size
     taken = [0] * size  # edges followed so far; edge 0 is the program edge
@@ -465,7 +491,7 @@ def _reach_rows(counts, sent, recv, nothing):
                     stack.append(v)
                     calls.append(v)
                     break
-                if row[v] is None and num[v] < low[u]:
+                if zz[v] is None and num[v] < low[u]:
                     low[u] = num[v]
             else:
                 calls.pop()
@@ -478,22 +504,17 @@ def _reach_rows(counts, sent, recv, nothing):
                     at -= 1
                 members = stack[at:]
                 del stack[at:]
-                vec = nothing
+                mask = 0
                 for w in members:
-                    got = row[w + 1]  # None when w + 1 is a member
-                    if got is not None and got is not vec:
-                        vec = got if vec is nothing else [a if a < b else b for a, b in zip(vec, got)]
-                    for v, q, r in edges[w]:
-                        got = row[v]
-                        if got is None or got is nothing:
-                            vec = vec[:]  # vec may still be another node's row
-                        else:
-                            vec = [a if a < b else b for a, b in zip(vec, got)]
-                        if r < vec[q]:
-                            vec[q] = r
+                    got = zz[w + 1]  # None when w + 1 is a member
+                    if got and got is not mask:
+                        mask = mask | got if mask else got
+                    for v, unit in edges[w]:
+                        got = zz[v]
+                        mask |= unit if got is None else unit | got
                 for w in members:
-                    row[w] = vec
-    return {p: row[b : b + counts[p] + 2] for p, b in base.items()}
+                    zz[w] = mask
+    return base, zz
 
 
 def _index(trace: Trace) -> _ZigzagIndex:
@@ -557,41 +578,47 @@ def find_z_cycles(
 
 def useless_checkpoints(trace: Trace) -> set[CheckpointRecord]:
     """Exactly the checkpoints that sit on at least one Z-cycle."""
-    reach = _index(trace).reach
-    return {rec for (p, x), rec in trace.checkpoints.items() if reach[p][x][p] < x}
+    idx = _index(trace)
+    base, zz = idx.base, idx.zz
+    return {rec for (p, x), rec in trace.checkpoints.items()
+            if zz[base[p] + x] >> (base[p] + x) & 1}
 
 
-def _violating_pairs(idx: _ZigzagIndex, recs: list[CheckpointRecord]):
+def _below_hits(idx: _ZigzagIndex):
+    """Yield (bit of a, ``zz[a] & below(t(a))``) for every checkpoint a,
+    in timestamp order: below(t) masks the checkpoints whose timestamp is
+    at most t, and one running mask grows as t does.  Raises ValueError,
+    before anything is yielded, for a checkpoint without a timestamp."""
+    for rec in idx.recs:
+        if rec.timestamp is None:
+            raise ValueError(f"checkpoint {rec.label()} has no timestamp")
+    base, zz = idx.base, idx.zz
+    order = sorted([(rec.timestamp, base[p] + x) for (p, x), rec in idx.trace.checkpoints.items()])
+    below = 0
+    for _, group in groupby(order, itemgetter(0)):
+        group = [a for _, a in group]
+        for a in group:
+            below |= 1 << a
+        for a in group:
+            yield a, zz[a] & below
+
+
+def _violating_pairs(idx: _ZigzagIndex):
     """Yield (a, b) in checkpoint order for every pair connected by a
     zigzag path a -> b with a.timestamp >= b.timestamp.
 
-    ``recs`` is in (process, ordinal) order.  A path a -> C_q^y exists
-    exactly when y > reach[a][q], so the row of q is scanned for a only
-    when ``floor[reach[a][q]]``, the least timestamp of q's checkpoints
-    above that ordinal, is at most a's.  Raises ValueError, before any
-    pair, for a checkpoint without a timestamp."""
-    rows: dict[int, list[CheckpointRecord]] = {}
-    for rec in recs:
-        if rec.timestamp is None:
-            raise ValueError(f"checkpoint {rec.label()} has no timestamp")
-        rows.setdefault(rec.process, []).append(rec)
-    scan = []
-    for q, row in rows.items():
-        floor = [inf] * (row[-1].ordinal + 1)
-        for rec in row:
-            floor[rec.ordinal - 1] = rec.timestamp
-        for r in range(len(floor) - 2, -1, -1):
-            if floor[r + 1] < floor[r]:
-                floor[r] = floor[r + 1]
-        scan.append((q, floor, row))
-    for a in recs:
-        reach, t = idx.reach[a.process][a.ordinal], a.timestamp
-        for q, floor, row in scan:
-            r = reach[q]
-            if r < len(floor) and floor[r] <= t:
-                for b in row:
-                    if b.ordinal > r and b.timestamp <= t:
-                        yield a, b
+    The targets of a are the set bits of ``zz[a] & below(t(a))`` (module
+    docstring), taken lowest first; the bits are process-major, so that is
+    checkpoint order.  Raises ValueError, before any pair, for a
+    checkpoint without a timestamp."""
+    hits = {a: hit for a, hit in _below_hits(idx) if hit}
+    at = {idx.base[p] + x: rec for (p, x), rec in idx.trace.checkpoints.items()}
+    for a in sorted(hits):
+        hit, src = hits[a], at[a]
+        while hit:
+            low = hit & -hit
+            yield src, at[low.bit_length() - 1]
+            hit ^= low
 
 
 def check_z_consistency(trace: Trace):
@@ -603,17 +630,23 @@ def check_z_consistency(trace: Trace):
     """
     idx = _index(trace)
     return [(a, b, idx._witness(a, b, idx._shortest(a.key(), b.key())))
-            for a, b in _violating_pairs(idx, idx.recs)]
+            for a, b in _violating_pairs(idx)]
 
 
 def quick_findings(trace: Trace) -> tuple[int, int]:
     """(useless count, violation count) without witness construction.
 
-    Existence-only fast path for fuzz campaigns.
+    Existence-only fast path for fuzz campaigns: a checkpoint is useless
+    when its own bit is set in its mask, and its violations are a
+    popcount of :func:`_below_hits`.
     """
     idx = _index(trace)
-    violations = sum(1 for _ in _violating_pairs(idx, idx.recs))
-    return len(useless_checkpoints(trace)), violations
+    zz = idx.zz
+    useless = violations = 0
+    for a, hit in _below_hits(idx):
+        useless += zz[a] >> a & 1
+        violations += hit.bit_count()
+    return useless, violations
 
 
 def virtual_terminals(trace: Trace) -> list[CheckpointRecord]:
@@ -631,14 +664,18 @@ def consistent_membership_bruteforce(
     """Checkpoints that belong to at least one consistent global checkpoint.
 
     Enumerates every one-per-process selection over the real checkpoints
-    plus a virtual terminal per process; a selection is consistent when no
-    two members are connected by a zigzag path in either direction.
-    Within budget, the returned useful set is the exact complement of
-    useless_checkpoints over the real checkpoints.
+    plus a virtual terminal per process.  A selection is consistent by the
+    definition: no delivered message is an orphan between two members,
+    i.e. sent by P_p in interval x or later and received by P_q in an
+    interval before y, for members C_p^x and C_q^y.  ``first[p, q][x]``,
+    the suffix minimum of the receive intervals at P_q of the messages
+    P_p sends in interval x or later, decides that in O(1) per pair.  So
+    this route reads ``trace.delivered`` and no zigzag mask.  Within
+    budget, the returned useful set is the exact complement of
+    useless_checkpoints over the real checkpoints (Netzer and Xu).
     """
-    idx = _index(trace)
     candidates = [[] for _ in range(trace.n)]
-    for rec in idx.recs + virtual_terminals(trace):
+    for rec in trace.sorted_checkpoints() + virtual_terminals(trace):
         candidates[rec.process - 1].append(rec)
     total = 1
     for group in candidates:
@@ -648,30 +685,32 @@ def consistent_membership_bruteforce(
             f"{total} selections exceed the enumeration budget of {budget}"
         )
 
-    keys = [[r.key() for r in group] for group in candidates]
-    pair_ok: dict[tuple, bool] = {}
+    counts = trace.ckpt_counts
+    first: dict[tuple[int, int], list] = {}
+    for sp, si, _, rp, ri, _ in trace.delivered.values():
+        row = first.setdefault((sp, rp), [inf] * (counts[sp] + 2))
+        if ri < row[si]:
+            row[si] = ri
+    for (p, _), row in first.items():
+        for x in range(counts[p] - 1, 0, -1):
+            if row[x + 1] < row[x]:
+                row[x] = row[x + 1]
+    never = [inf] * (max(counts.values()) + 2)
 
-    def compatible(ka, kb) -> bool:
-        got = pair_ok.get((ka, kb))
-        if got is None:
-            got = not idx.exists(ka, kb) and not idx.exists(kb, ka)
-            pair_ok[(ka, kb)] = got
-            pair_ok[(kb, ka)] = got
-        return got
+    def compatible(a: CheckpointRecord, b: CheckpointRecord) -> bool:
+        p, x, q, y = a.process, a.ordinal, b.process, b.ordinal
+        return first.get((p, q), never)[x] >= y and first.get((q, p), never)[y] >= x
 
     useful: set[CheckpointRecord] = set()
-    chosen: list[int] = []
+    chosen: list[CheckpointRecord] = []
 
     def dfs(p: int) -> None:
         if p == len(candidates):
-            for q, c in enumerate(chosen):
-                rec = candidates[q][c]
-                if rec.kind != CKPT_VIRTUAL:
-                    useful.add(rec)
+            useful.update(rec for rec in chosen if rec.kind != CKPT_VIRTUAL)
             return
-        for c, key in enumerate(keys[p]):
-            if all(compatible(keys[q][chosen[q]], key) for q in range(p)):
-                chosen.append(c)
+        for rec in candidates[p]:
+            if all(compatible(other, rec) for other in chosen):
+                chosen.append(rec)
                 dfs(p + 1)
                 chosen.pop()
 
@@ -690,12 +729,11 @@ def oracle_report(
     ``witnesses_truncated`` count of the checkpoints that lie on more
     Z-cycles than the cap)."""
     cycles, useless, truncated = _z_cycles(trace, max_witnesses_per_checkpoint)
-    idx = _index(trace)
     violations = check_z_consistency(trace)
     stats = {
         "processes": trace.n,
         "events": trace.event_count,
-        "messages_delivered": len(idx.names),
+        "messages_delivered": len(trace.delivered),
         "checkpoints": len(trace.checkpoints),
         "z_cycles": len(cycles),
         "useless": len(useless),

@@ -2,8 +2,9 @@ import hashlib
 import heapq
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
+from math import inf
 
 import pytest
 
@@ -166,35 +167,98 @@ def reach_traces():
         yield f"dense seed {seed + 9200}/none", run_scenario(scen, "none").trace
 
 
+def rows_as_masks(trace, reach):
+    """The ``zz`` masks, in node order, that ``reach`` rows stand for:
+    P_p owns bits base[p] .. base[p] + cnt + 1, and a row sets the bit of
+    every ordinal y of P_q with reach[q] < y, the virtual terminal
+    included.  Rows shared between intervals are encoded once."""
+    counts = [trace.ckpt_counts[p] for p in range(1, trace.n + 1)]
+    base = [sum(cnt + 2 for cnt in counts[:p]) for p in range(trace.n)]
+    memo = {}
+
+    def encode(row):
+        mask = 0
+        for q, (b, cnt) in enumerate(zip(base, counts), 1):
+            if row[q] <= cnt:
+                mask |= (1 << (b + cnt + 2)) - (2 << (b + row[q]))
+        return mask
+
+    masks = []
+    for p in range(1, trace.n + 1):
+        for row in reach[p]:
+            if id(row) not in memo:
+                memo[id(row)] = encode(row)
+            masks.append(memo[id(row)])
+    return masks
+
+
+def rows_violation_count(reach, recs):
+    """The violation count from ``reach`` rows by a per-row scan: for a
+    source a and a process q, the checkpoints of q above reach[a][q] with
+    a timestamp at most a's, scanned only when the least timestamp among
+    them is at most a's."""
+    scan = []
+    for q in sorted({rec.process for rec in recs}):
+        row = [rec for rec in recs if rec.process == q]
+        floor = [rec.timestamp for rec in row] + [inf]  # floor[r]: ordinals above r
+        for r in range(len(row) - 1, -1, -1):
+            floor[r] = min(floor[r], floor[r + 1])
+        scan.append((q, floor, row))
+    count = 0
+    for a in recs:
+        got, t = reach[a.process][a.ordinal], a.timestamp
+        for q, floor, row in scan:
+            r = got[q]
+            if r < len(floor) and floor[r] <= t:
+                count += sum(1 for b in row[r:] if b.timestamp <= t)
+    return count
+
+
 def test_reach_rows_match_rounds_reference():
     count = 0
     for label, trace in reach_traces():
-        assert oracle._index(trace).reach == rounds_reach(trace), label
+        assert oracle._index(trace).zz == rows_as_masks(trace, rounds_reach(trace)), label
         count += 1
     assert count == 690 + 40 + 8
 
 
-def test_reach_is_iterative_on_chains_deeper_than_the_recursion_limit():
-    # P1 takes about 20,000 basic checkpoints, so the program edges of the
-    # interval graph form a path far deeper than the recursion limit.
-    # Each of two message pairs puts one checkpoint on a Z-cycle.
+def deep_chain_trace():
+    """P1 takes about 20,000 basic checkpoints, so the program edges of
+    the interval graph form a path far deeper than the recursion limit.
+    Each of two message pairs puts one checkpoint on a Z-cycle."""
     run = ["ckpt 1"] * 10_000
     steps = ["procs 2"]
     for k in (1, 2):
         steps += [f"send 2 1 a{k}", f"recv 1 a{k}", "ckpt 1", f"send 1 2 b{k}", f"recv 2 b{k}",
                   "ckpt 2", *run]
-    scen = parse_scenario("\n".join(steps) + "\n")
-    trace = run_scenario(scen, "none").trace
+    return run_scenario(parse_scenario("\n".join(steps) + "\n"), "none").trace
+
+
+def test_reach_is_iterative_on_chains_deeper_than_the_recursion_limit():
+    trace = deep_chain_trace()
     assert trace.ckpt_counts[1] > sys.getrecursionlimit()
     want = rounds_reach(trace)
     useless = useless_checkpoints(trace)
-    assert oracle._index(trace).reach == want
+    assert oracle._index(trace).zz == rows_as_masks(trace, want)
     assert keys(useless) == {(1, 2), (1, 10_003)}
     assert keys(useless) == {(p, x) for p, rows in want.items()
                              for x in range(1, len(rows) - 1) if rows[x][p] < x}
-    recs = trace.sorted_checkpoints()
-    violations = sum(1 for _ in oracle._violating_pairs(SimpleNamespace(reach=want), recs))
+    violations = rows_violation_count(want, trace.sorted_checkpoints())
     assert quick_findings(trace) == (2, violations)
+
+
+def test_quick_findings_memory_is_bounded_on_deep_chains():
+    # The count keeps one running "timestamp <= t" mask.  A cumulative
+    # mask kept per timestamp would grow as V² here: V = 20,010 intervals,
+    # and about as many distinct timestamps.
+    trace = deep_chain_trace()
+    tracemalloc.start()
+    try:
+        quick_findings(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def reference_chains(events):
@@ -323,7 +387,7 @@ def test_lazy_witness_search_matches_eager_yen_on_dense_traces():
                     f"{label}: {rec.label()}, cap {cap}"
                 )
                 truncated += got[1]
-        for a, b in oracle._violating_pairs(idx, idx.recs):
+        for a, b in oracle._violating_pairs(idx):
             want = idx._chain(idx.start_mask(a.key()), -1, idx.end_mask(b.key()))
             assert idx.shortest_chain(a.key(), b.key()) == tuple(idx.names[j] for j in want), (
                 f"{label}: {a.label()} -> {b.label()}"
@@ -471,10 +535,11 @@ def test_missing_timestamp_rejected(entry):
         entry(Trace(2, events))
 
 
-def reference_violating_pairs(idx, recs):
-    """The all-pairs scan: every source against every checkpoint."""
+def reference_violating_pairs(reach, recs):
+    """The all-pairs scan of ``reach`` rows: every source against every
+    checkpoint."""
     for a in recs:
-        row = idx.reach[a.process][a.ordinal]
+        row = reach[a.process][a.ordinal]
         for b in recs:
             if a.timestamp >= b.timestamp and row[b.process] < b.ordinal:
                 yield a, b
@@ -504,7 +569,7 @@ def test_violation_scan_matches_all_pairs_reference():
         ckpt(1, 1, 1, 4), ckpt(2, 1, 1, 1), ckpt(1, 2, 2, 2), Event(1, 3, EV_SEND, "m1"),
         Event(2, 2, EV_RECV, "m1"), ckpt(2, 3, 2, 9), ckpt(2, 4, 3, 3), ckpt(2, 5, 4, 4),
     ])
-    pairs = oracle._violating_pairs(oracle._index(hand), hand.sorted_checkpoints())
+    pairs = oracle._violating_pairs(oracle._index(hand))
     assert [(a.key(), b.key()) for a, b in pairs] == [((1, 1), (2, 3)), ((1, 1), (2, 4))]
     traces = [hand]
     for seed in range(60):
@@ -515,10 +580,9 @@ def test_violation_scan_matches_all_pairs_reference():
             traces += [trace, restamped(trace, seed)]
     found = 0
     for trace in traces:
-        idx = oracle._index(trace)
-        recs = trace.sorted_checkpoints()
-        got = list(oracle._violating_pairs(idx, recs))
-        assert got == list(reference_violating_pairs(idx, recs))
+        got = list(oracle._violating_pairs(oracle._index(trace)))
+        assert got == list(reference_violating_pairs(rounds_reach(trace),
+                                                     trace.sorted_checkpoints()))
         assert quick_findings(trace)[1] == len(got)
         found += len(got)
     assert found > 1000
@@ -529,6 +593,22 @@ def test_membership_on_ccp(fixture_run):
     useful = consistent_membership_bruteforce(trace)
     all_real = keys(trace.checkpoints.values())
     assert all_real - keys(useful) == {(3, 3)}
+
+
+def test_membership_catches_a_corrupted_mask():
+    # Membership decides compatibility from the messages alone.  Masks
+    # corrupted to hide every zigzag path into or out of the useless C_3^3
+    # make the two routes disagree; a membership test read off the same
+    # masks would agree with them and miss it.
+    trace = run_scenario(builtin("ccp")[0], "none").trace
+    real = keys(trace.checkpoints.values())
+    assert real - keys(consistent_membership_bruteforce(trace)) == {(3, 3)}
+    assert keys(useless_checkpoints(trace)) == {(3, 3)}
+    idx = oracle._index(trace)
+    bit = idx.base[3] + 3
+    idx.zz = [0 if u == bit else mask & ~(1 << bit) for u, mask in enumerate(idx.zz)]
+    assert keys(useless_checkpoints(trace)) == set()
+    assert real - keys(consistent_membership_bruteforce(trace)) == {(3, 3)}
 
 
 def test_membership_trivial_without_messages():
