@@ -145,12 +145,15 @@ class _ZigzagIndex:
 
     def __init__(self, trace: Trace):
         self.trace = trace
-        counts = self.counts = {p: trace.ckpt_counts[p] for p in range(1, trace.n + 1)}
-        self.base, self.zz = _zigzag_masks(counts, trace.delivered.values())
+        self.counts = trace.ckpt_counts
+        self.base, self.zz = _zigzag_masks(self.counts, trace.delivered.values())
         self._by_end: dict[int, list[int]] = {}  # end mask -> its layers
-        # The checkpoints in (process, ordinal) order, sorted once for every
-        # oracle call on this trace.
-        self.recs = trace.sorted_checkpoints()
+
+    @cached_property
+    def recs(self) -> list[CheckpointRecord]:
+        """The checkpoints in (process, ordinal) order, sorted once for
+        every cycle search on this trace."""
+        return self.trace.sorted_checkpoints()
 
     @cached_property
     def names(self) -> list[str]:
@@ -588,12 +591,15 @@ def _below_hits(idx: _ZigzagIndex):
     """Yield (bit of a, ``zz[a] & below(t(a))``) for every checkpoint a,
     in timestamp order: below(t) masks the checkpoints whose timestamp is
     at most t, and one running mask grows as t does.  Raises ValueError,
-    before anything is yielded, for a checkpoint without a timestamp."""
-    for rec in idx.recs:
-        if rec.timestamp is None:
-            raise ValueError(f"checkpoint {rec.label()} has no timestamp")
+    before anything is yielded, naming the lowest (process, ordinal)
+    checkpoint without a timestamp."""
+    checkpoints = idx.trace.checkpoints
+    missing = min((key for key, rec in checkpoints.items() if rec.timestamp is None),
+                  default=None)
+    if missing is not None:
+        raise ValueError(f"checkpoint {checkpoints[missing].label()} has no timestamp")
     base, zz = idx.base, idx.zz
-    order = sorted([(rec.timestamp, base[p] + x) for (p, x), rec in idx.trace.checkpoints.items()])
+    order = sorted([(rec.timestamp, base[p] + x) for (p, x), rec in checkpoints.items()])
     below = 0
     for _, group in groupby(order, itemgetter(0)):
         group = [a for _, a in group]

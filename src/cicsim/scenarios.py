@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .computation import causally_precedes, interval_of, is_consistent_global_checkpoint
+from .computation import causally_precedes, is_consistent_global_checkpoint
 from .rng import SplitMix64
 from .simulator import MAX_PROCS, Scenario, ScenarioError, Step, run_scenario
 
@@ -212,9 +212,8 @@ def _eval_claim(claim: FixtureClaim, scen: Scenario, run_for, report_for):
         return got == expected, f"causally_precedes={got}, expected {expected}"
     if kind == "interval":
         msg, key = e
-        pos = trace.delivered[msg][5]
-        iv = interval_of(trace.events[pos], trace)
-        return (iv.process, iv.index) == tuple(key), f"recv {msg} in {iv.label()}"
+        p, x = trace.delivered[msg][3:5]  # the receive's process and interval
+        return (p, x) == tuple(key), f"recv {msg} in I_{p}^{x}"
     raise ValueError(f"unknown claim kind {kind!r}")
 
 
@@ -253,7 +252,21 @@ def verify_fixture(name: str) -> list[str]:
 # Fixture library.
 # ---------------------------------------------------------------------------
 
-_CCP_TEXT = """\
+
+@dataclass(frozen=True)
+class _Fixture:
+    """One built-in: its one-line description, its scenario text (with the
+    event-order choices as comments) and the claims its runs must meet."""
+
+    description: str
+    text: str
+    claims: tuple
+
+
+_FIXTURES: dict[str, _Fixture] = {
+    "ccp": _Fixture(
+        "three processes, six messages, one useless checkpoint (C_3^3)",
+        """\
 procs 3
 # Motivating pattern: three processes, six messages, basic checkpoints
 # placed so that P3's third checkpoint sits on two zigzag cycles while
@@ -276,14 +289,10 @@ send 3 2 m6
 recv 2 m6
 recv 1 m5
 ckpt 1
-"""
-
-
-def _ccp_claims():
-    return [
+""", (
         _c("timestamp", "none", (3, 3), 3, note="bare clock rules stamp C_3^3 with 3"),
         _c("timestamp", "none", (1, 3), 3, note="C_1^3 collides with C_3^3"),
-        _c("z_cycles_exact", "none", (3, 3), ((("m6", "m3")), ("m6", "m5", "m4", "m3")),
+        _c("z_cycles_exact", "none", (3, 3), (("m6", "m3"), ("m6", "m5", "m4", "m3")),
            note="both cycles through C_3^3, shortest first"),
         _c("useless", "none", ((3, 3),), True, note="exactly one useless checkpoint"),
         _c("zigzag", "none", (1, 1), (3, 2), ("m1", "m2"), True,
@@ -307,10 +316,11 @@ def _ccp_claims():
         _c("clean", "fi-clockv"),
         _c("forced_total", "pi", 1),
         _c("clean", "pi"),
-    ]
+    )),
 
-
-_Z_CONSISTENT_TEXT = """\
+    "z-consistent": _Fixture(
+        "ccp plus one checkpoint on P2; zigzag-consistent under bare clocks",
+        """\
 procs 3
 # The ccp pattern with one extra checkpoint on P2 before m6 is delivered;
 # the addition breaks both cycles and makes the bare-clock timestamps
@@ -333,19 +343,16 @@ ckpt 2
 recv 2 m6
 recv 1 m5
 ckpt 1
-"""
-
-
-def _z_consistent_claims():
-    return [
+""", (
         _c("clean", "none", note="one added checkpoint restores consistency"),
         _c("useless", "none", (), True),
         _c("timestamp", "none", (2, 3), 3),
         _c("forced_total", "none", 0),
-    ]
+    )),
 
-
-_STRICT_A_TEXT = """\
+    "strict-a": _Fixture(
+        "two-message zigzag, equal timestamps: partly informed stays quiet",
+        """\
 procs 3
 # Two-message zigzag where the incoming timestamp equals the timestamp of
 # the earlier outgoing message; no forced checkpoint is needed.
@@ -354,21 +361,18 @@ recv 3 m1
 ckpt 3
 send 1 2 m2
 recv 2 m2
-"""
-
-
-def _strict_a_claims():
-    return [
+""", (
         _c("forced_total", "pi", 0, note="equal timestamps force nothing"),
         _c("not_forced_at", "pi", "m2"),
         _c("clean", "pi"),
         _c("zigzag", "pi", (1, 1), (3, 2), ("m2", "m1"), False,
            note="the two-message zigzag the condition watches"),
         _c("clean", "none"),
-    ]
+    )),
 
-
-_STRICT_B_TEXT = """\
+    "strict-b": _Fixture(
+        "two-message zigzag, greater timestamp: partly informed forces",
+        """\
 procs 3
 # Same shape with the sender one checkpoint ahead: the incoming timestamp
 # exceeds the first outgoing one and the receiver must force, otherwise
@@ -379,11 +383,7 @@ recv 3 m1
 ckpt 3
 send 1 2 m2
 recv 2 m2
-"""
-
-
-def _strict_b_claims():
-    return [
+""", (
         _c("forced_at", "pi", "m2", ("C1",), note="partly-informed condition fires"),
         _c("forced_total", "pi", 1),
         _c("clean", "pi"),
@@ -393,10 +393,11 @@ def _strict_b_claims():
            note="a violation without any Z-cycle yet"),
         _c("timestamp", "none", (1, 2), 2),
         _c("timestamp", "none", (3, 2), 2),
-    ]
+    )),
 
-
-_CLOCKV_A_TEXT = """\
+    "clockv-a": _Fixture(
+        "sender-side clock knowledge suppresses the partly-informed force",
+        """\
 procs 3
 # The sender of m3 has piggybacked knowledge that P3's clock already
 # reached m3.t, so the integer-vector refinement can skip the forced
@@ -411,11 +412,7 @@ recv 3 m1
 send 1 2 m3
 recv 2 m3
 ckpt 3
-"""
-
-
-def _clockv_a_claims():
-    return [
+""", (
         _c("not_forced_at", "fi-clockv", "m3",
            note="m3.clockv already covers P3's clock"),
         _c("forced_total", "fi-clockv", 0),
@@ -426,10 +423,11 @@ def _clockv_a_claims():
            note="the path stays consistent: 2 < 3"),
         _c("timestamp", "fi-clockv", (1, 2), 2),
         _c("timestamp", "fi-clockv", (3, 3), 3),
-    ]
+    )),
 
-
-_CLOCKV_B_TEXT = """\
+    "clockv-b": _Fixture(
+        "receiver-side clock knowledge suppresses the partly-informed force",
+        """\
 procs 3
 # Same refinement with the knowledge arriving at the receiver itself:
 # m2 teaches P2 that P3 reached clock 2, so neither m2 nor the later m3
@@ -443,11 +441,7 @@ ckpt 1
 send 1 2 m3
 recv 2 m3
 ckpt 3
-"""
-
-
-def _clockv_b_claims():
-    return [
+""", (
         _c("not_forced_at", "fi-clockv", "m2"),
         _c("not_forced_at", "fi-clockv", "m3",
            note="receiver-side clock knowledge suppresses the force"),
@@ -457,10 +451,11 @@ def _clockv_b_claims():
         _c("forced_total", "fi-greater", 0),
         _c("clean", "fi-clockv"),
         _c("zigzag", "fi-clockv", (1, 2), (3, 3), ("m3", "m1"), None),
-    ]
+    )),
 
-
-_GREATER_C_TEXT = """\
+    "greater-c": _Fixture(
+        "boolean clock encoding: greater flag plus greater timestamp forces",
+        """\
 procs 3
 # Boolean encoding of the same information: m3 arrives with a greater
 # clock and its sender believes P3 is still behind, so the receiver must
@@ -473,11 +468,7 @@ send 1 2 m3
 recv 2 m3
 recv 3 m1
 ckpt 3
-"""
-
-
-def _greater_c_claims():
-    return [
+""", (
         _c("forced_at", "fi-greater", "m3", ("C1",),
            note="m3.greater[3] with a greater timestamp forces"),
         _c("forced_total", "fi-greater", 1),
@@ -487,10 +478,11 @@ def _greater_c_claims():
         _c("violation", "none", (1, 2), (3, 2),
            note="skipping the force collides the timestamps"),
         _c("useless", "none", (), True),
-    ]
+    )),
 
-
-_TAKEN_TEXT = """\
+    "taken": _Fixture(
+        "checkpoint counts with taken marks catch a cycle the clock test misses",
+        """\
 procs 3
 # Why the checkpoint-count vector with taken marks is needed: the first
 # condition stays quiet at m3 (the sender knows P3's clock caught up),
@@ -503,11 +495,7 @@ send 3 1 m2
 recv 1 m2
 send 1 2 m3
 recv 2 m3
-"""
-
-
-def _taken_claims():
-    return [
+""", (
         _c("forced_at", "fi-greater", "m3", ("C2",),
            note="only the causal-chain-with-checkpoint test fires"),
         _c("forced_total", "fi-greater", 1),
@@ -516,10 +504,11 @@ def _taken_claims():
         _c("useless", "none", ((3, 2),), True,
            note="without the force C_3^2 is useless"),
         _c("z_cycle", "none", (3, 2), ("m2", "m3", "m1")),
-    ]
+    )),
 
-
-_LAZY_A_TEXT = """\
+    "lazy-a": _Fixture(
+        "lazy increments: lower-stamped receive lets a checkpoint reuse its stamp",
+        """\
 procs 3
 # Lazy increments: P2 receives only a lower-stamped message in its
 # interval, so the next basic checkpoint may reuse timestamp 2.
@@ -529,21 +518,18 @@ ckpt 2
 send 1 2 m2
 recv 2 m2
 ckpt 2
-"""
-
-
-def _lazy_a_claims():
-    return [
+""", (
         _c("forced_total", "lazy-fi", 0),
         _c("timestamp", "lazy-fi", (2, 2), 2),
         _c("timestamp", "lazy-fi", (2, 3), 2, note="timestamp reused"),
         _c("clean", "lazy-fi"),
         _c("timestamp", "fi-greater", (2, 3), 3,
            note="the eager protocol spends a fresh timestamp here"),
-    ]
+    )),
 
-
-_LAZY_B_TEXT = """\
+    "lazy-b": _Fixture(
+        "lazy increments: equal-stamped receive requires an increment",
+        """\
 procs 3
 # An equal-stamped message arrives in the interval, so the next basic
 # checkpoint must increment: reusing 2 would equal C_1^2 across [m3].
@@ -556,21 +542,18 @@ ckpt 1
 send 1 2 m3
 recv 2 m3
 ckpt 2
-"""
-
-
-def _lazy_b_claims():
-    return [
+""", (
         _c("forced_total", "lazy-fi", 0),
         _c("timestamp", "lazy-fi", (2, 2), 2),
         _c("timestamp", "lazy-fi", (1, 2), 2),
         _c("timestamp", "lazy-fi", (2, 3), 3, note="increment on equal clock"),
         _c("clean", "lazy-fi"),
         _c("zigzag", "lazy-fi", (1, 2), (2, 3), ("m3",), None),
-    ]
+    )),
 
-
-_LAZY_C_TEXT = """\
+    "lazy-c": _Fixture(
+        "lazy increments: greater-stamped receive bumps the clock then increments",
+        """\
 procs 3
 # A greater-stamped message arrives; the clock jumps and the next basic
 # checkpoint increments past it.  P2's first basic checkpoint closes an
@@ -585,21 +568,18 @@ ckpt 1
 send 1 2 m3
 recv 2 m3
 ckpt 2
-"""
-
-
-def _lazy_c_claims():
-    return [
+""", (
         _c("forced_total", "lazy-fi", 0),
         _c("timestamp", "lazy-fi", (2, 2), 1, note="empty interval reuses 1"),
         _c("timestamp", "lazy-fi", (3, 2), 2),
         _c("timestamp", "lazy-fi", (1, 2), 3),
         _c("timestamp", "lazy-fi", (2, 3), 4, note="increment past the jump"),
         _c("clean", "lazy-fi"),
-    ]
+    )),
 
-
-_LAZY_GREATER_A_TEXT = """\
+    "lazy-greater-a": _Fixture(
+        "lazy run where the eager boolean vector is not informative enough",
+        """\
 procs 4
 # Why the eager boolean vector is not enough under lazy increments: P1
 # knows P3's clock equals m5.t, but not whether P3 will increment before
@@ -617,11 +597,7 @@ recv 1 m4
 recv 2 m5
 recv 3 m2
 ckpt 3
-"""
-
-
-def _lazy_greater_a_claims():
-    return [
+""", (
         _c("forced_at", "lazy-fi", "m5", ("C1",),
            note="equal_incr gives no increment promise for P3"),
         _c("forced_total", "lazy-fi", 1),
@@ -631,10 +607,11 @@ def _lazy_greater_a_claims():
            note="eager increments make the same pattern safe"),
         _c("clean", "fi-greater"),
         _c("timestamp", "fi-greater", (3, 3), 3),
-    ]
+    )),
 
-
-_LAZY_GREATER_B_TEXT = """\
+    "lazy-greater-b": _Fixture(
+        "increment promises propagate and suppress the forced checkpoint",
+        """\
 procs 5
 # The increment promise travels: P5's reply re-arms P3's increment flag
 # after its checkpoint, m6 carries equal_incr[3], and P2 can deliver m7
@@ -655,20 +632,17 @@ send 1 2 m7
 recv 2 m7
 recv 3 m2
 ckpt 3
-"""
-
-
-def _lazy_greater_b_claims():
-    return [
+""", (
         _c("not_forced_at", "lazy-fi", "m7",
            note="the piggybacked increment promise suppresses the force"),
         _c("forced_total", "lazy-fi", 0),
         _c("clean", "lazy-fi"),
         _c("timestamp", "lazy-fi", (3, 3), 3, note="P3 keeps the promise"),
-    ]
+    )),
 
-
-_LAZY_GREATER_C_TEXT = """\
+    "lazy-greater-c": _Fixture(
+        "increment promise present but a pending cycle still forces",
+        """\
 procs 5
 # Even with the increment promise, the checkpoint-count machinery is
 # still needed: delivering m7 in P2's interval would close the cycle
@@ -690,11 +664,7 @@ recv 1 m6
 ckpt 1
 send 1 2 m7
 recv 2 m7
-"""
-
-
-def _lazy_greater_c_claims():
-    return [
+""", (
         _c("forced_at", "lazy-fi", "m7", ("C1", "C2"),
            note="the count/taken test detects the pending cycle"),
         _c("forced_total", "lazy-fi", 1),
@@ -702,10 +672,11 @@ def _lazy_greater_c_claims():
         _c("z_cycle", "none", (1, 2), ("m7", "m4", "m6"),
            note="the cycle the force breaks"),
         _c("useless", "none", ((1, 2),), False),
-    ]
+    )),
 
-
-_FINE_PROPOSAL_TEXT = """\
+    "fine-proposal": _Fixture(
+        "fine declines a force and loses zigzag-consistent timestamps",
+        """\
 procs 3
 # The weakened first condition in action: at m3 every classic trigger is
 # up (greater clock, sender thinks P3 is behind) but no checkpoint is
@@ -720,11 +691,7 @@ ckpt 1
 recv 1 m2
 send 1 2 m3
 recv 2 m3
-"""
-
-
-def _fine_proposal_claims():
-    return [
+""", (
         _c("not_forced_at", "fine", "m3", note="no known checkpoint on the chain"),
         _c("forced_total", "fine", 0),
         _c("message_t", "fine", "m1", 1),
@@ -741,10 +708,11 @@ def _fine_proposal_claims():
         _c("clean", "fi-greater"),
         _c("forced_total", "fine-ri", 0,
            note="the receiver-index variant also declines"),
-    ]
+    )),
 
-
-_FINE_COUNTEREXAMPLE_TEXT = """\
+    "fine-counterexample": _Fixture(
+        "amplified continuation: fine admits a useless checkpoint",
+        """\
 procs 3
 # Continuation of fine-proposal produced by the violation amplifier: m4
 # leaves P3 right after C_3^2 and lands at P1 inside the interval where
@@ -760,11 +728,7 @@ recv 1 m2
 send 1 2 m3
 recv 1 m4
 recv 2 m3
-"""
-
-
-def _fine_counterexample_claims():
-    return [
+""", (
         _c("forced_total", "fine", 0, note="zero forced checkpoints"),
         _c("useless", "fine", ((3, 2),), True,
            note="P3's second checkpoint is useless"),
@@ -776,10 +740,11 @@ def _fine_counterexample_claims():
         _c("forced_total", "fine-ri", 0),
         _c("useless", "fine-ri", ((3, 2),), True,
            note="the receiver-index variant fails here too"),
-    ]
+    )),
 
-
-_LAZY_FINE_COUNTEREXAMPLE_TEXT = """\
+    "lazy-fine-counterexample": _Fixture(
+        "lazy-fine admits a useless checkpoint where lazy-fi stays safe",
+        """\
 procs 4
 # The lazy variant of the same failure.  m3 teaches P2 about P4 before
 # P4 checkpoints; m4 then carries a greater clock to P3, which has sent
@@ -798,11 +763,7 @@ send 2 3 m4
 recv 3 m4
 send 4 2 m5
 recv 2 m5
-"""
-
-
-def _lazy_fine_counterexample_claims():
-    return [
+""", (
         _c("not_forced_at", "lazy-fine", "m4",
            note="no checkpoint known behind the witness"),
         _c("not_forced_at", "lazy-fine", "m5", note="equal clock fires nothing"),
@@ -817,10 +778,11 @@ def _lazy_fine_counterexample_claims():
         _c("clean", "lazy-fi"),
         _c("forced_at", "lazy-fine-ri", "m4", None,
            note="receiver-index variant forces here and misses the failure"),
-    ]
+    )),
 
-
-_THEOREM1_A_TEXT = """\
+    "theorem1-a": _Fixture(
+        "timestamp violation without any Z-cycle (amplifier input)",
+        """\
 procs 3
 # Minimal violating-but-harmless computation: C_1^2 reaches C_3^2 over
 # the non-causal chain [m1, m2] with equal timestamps, yet no Z-cycle
@@ -831,20 +793,17 @@ send 1 2 m1
 recv 2 m1
 recv 3 m2
 ckpt 3
-"""
-
-
-def _theorem1_a_claims():
-    return [
+""", (
         _c("violation", "none", (1, 2), (3, 2)),
         _c("useless", "none", (), True, note="violation without a cycle"),
         _c("zigzag", "none", (1, 2), (3, 2), ("m1", "m2"), False),
         _c("timestamp", "none", (1, 2), 2),
         _c("timestamp", "none", (3, 2), 2),
-    ]
+    )),
 
-
-_THEOREM1_B_TEXT = """\
+    "theorem1-b": _Fixture(
+        "theorem1-a plus the amplifier's message: the cycle closes",
+        """\
 procs 3
 # theorem1-a extended by the amplifier: m3 leaves P3 right after C_3^2
 # and lands at P1 after m1 was sent, closing the cycle [m3, m1, m2].
@@ -856,101 +815,31 @@ recv 3 m2
 ckpt 3
 send 3 1 m3
 recv 1 m3
-"""
-
-
-def _theorem1_b_claims():
-    return [
+""", (
         _c("useless", "none", ((3, 2),), True),
         _c("z_cycle", "none", (3, 2), ("m3", "m1", "m2")),
-    ]
-
-
-@dataclass(frozen=True)
-class _Fixture:
-    description: str
-    text: str
-    claims: tuple
-
-
-_FIXTURES: dict[str, _Fixture] = {
-    "ccp": _Fixture(
-        "three processes, six messages, one useless checkpoint (C_3^3)",
-        _CCP_TEXT, tuple(_ccp_claims())),
-    "z-consistent": _Fixture(
-        "ccp plus one checkpoint on P2; zigzag-consistent under bare clocks",
-        _Z_CONSISTENT_TEXT, tuple(_z_consistent_claims())),
-    "strict-a": _Fixture(
-        "two-message zigzag, equal timestamps: partly informed stays quiet",
-        _STRICT_A_TEXT, tuple(_strict_a_claims())),
-    "strict-b": _Fixture(
-        "two-message zigzag, greater timestamp: partly informed forces",
-        _STRICT_B_TEXT, tuple(_strict_b_claims())),
-    "clockv-a": _Fixture(
-        "sender-side clock knowledge suppresses the partly-informed force",
-        _CLOCKV_A_TEXT, tuple(_clockv_a_claims())),
-    "clockv-b": _Fixture(
-        "receiver-side clock knowledge suppresses the partly-informed force",
-        _CLOCKV_B_TEXT, tuple(_clockv_b_claims())),
-    "greater-c": _Fixture(
-        "boolean clock encoding: greater flag plus greater timestamp forces",
-        _GREATER_C_TEXT, tuple(_greater_c_claims())),
-    "taken": _Fixture(
-        "checkpoint counts with taken marks catch a cycle the clock test misses",
-        _TAKEN_TEXT, tuple(_taken_claims())),
-    "lazy-a": _Fixture(
-        "lazy increments: lower-stamped receive lets a checkpoint reuse its stamp",
-        _LAZY_A_TEXT, tuple(_lazy_a_claims())),
-    "lazy-b": _Fixture(
-        "lazy increments: equal-stamped receive requires an increment",
-        _LAZY_B_TEXT, tuple(_lazy_b_claims())),
-    "lazy-c": _Fixture(
-        "lazy increments: greater-stamped receive bumps the clock then increments",
-        _LAZY_C_TEXT, tuple(_lazy_c_claims())),
-    "lazy-greater-a": _Fixture(
-        "lazy run where the eager boolean vector is not informative enough",
-        _LAZY_GREATER_A_TEXT, tuple(_lazy_greater_a_claims())),
-    "lazy-greater-b": _Fixture(
-        "increment promises propagate and suppress the forced checkpoint",
-        _LAZY_GREATER_B_TEXT, tuple(_lazy_greater_b_claims())),
-    "lazy-greater-c": _Fixture(
-        "increment promise present but a pending cycle still forces",
-        _LAZY_GREATER_C_TEXT, tuple(_lazy_greater_c_claims())),
-    "fine-proposal": _Fixture(
-        "fine declines a force and loses zigzag-consistent timestamps",
-        _FINE_PROPOSAL_TEXT, tuple(_fine_proposal_claims())),
-    "fine-counterexample": _Fixture(
-        "amplified continuation: fine admits a useless checkpoint",
-        _FINE_COUNTEREXAMPLE_TEXT, tuple(_fine_counterexample_claims())),
-    "lazy-fine-counterexample": _Fixture(
-        "lazy-fine admits a useless checkpoint where lazy-fi stays safe",
-        _LAZY_FINE_COUNTEREXAMPLE_TEXT, tuple(_lazy_fine_counterexample_claims())),
-    "theorem1-a": _Fixture(
-        "timestamp violation without any Z-cycle (amplifier input)",
-        _THEOREM1_A_TEXT, tuple(_theorem1_a_claims())),
-    "theorem1-b": _Fixture(
-        "theorem1-a plus the amplifier's message: the cycle closes",
-        _THEOREM1_B_TEXT, tuple(_theorem1_b_claims())),
+    )),
 }
 
 FIXTURE_NAMES = tuple(_FIXTURES)
 
 
+def _fixture(name: str) -> _Fixture:
+    try:
+        return _FIXTURES[name]
+    except KeyError:
+        raise UnknownScenarioError(name) from None
+
+
 def builtin(name: str) -> tuple[Scenario, list[FixtureClaim]]:
     """Reconstructed scenario and its claims; unknown names list the
     registry."""
-    try:
-        fx = _FIXTURES[name]
-    except KeyError:
-        raise UnknownScenarioError(name) from None
+    fx = _fixture(name)
     return parse_scenario(fx.text, name=name), list(fx.claims)
 
 
 def builtin_description(name: str) -> str:
-    try:
-        return _FIXTURES[name].description
-    except KeyError:
-        raise UnknownScenarioError(name) from None
+    return _fixture(name).description
 
 
 # ---------------------------------------------------------------------------

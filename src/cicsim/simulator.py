@@ -90,7 +90,7 @@ class Scenario:
     def __post_init__(self):
         located = list(step_problems(self.n, self.steps))
         if located:
-            raise ScenarioError(scenario_violations(self), located)
+            raise ScenarioError(_problem_texts(self.steps, located), located)
 
     def message_names(self) -> set[str]:
         return {s.message for s in self.steps if s.message}
@@ -139,13 +139,18 @@ def step_problems(n: int, steps):
             yield idx, f"unknown step kind {st.kind!r}"
 
 
+def _problem_texts(steps, located) -> list[str]:
+    """(step index, problem) pairs as text, each tagged with its step."""
+    return [
+        problem if idx is None else f"step {idx} ({steps[idx].text()}): {problem}"
+        for idx, problem in located
+    ]
+
+
 def scenario_violations(s: Scenario) -> list[str]:
     """The problems of :func:`step_problems` as text, each tagged with its
     step; empty for every Scenario, which cannot be built invalid."""
-    return [
-        problem if idx is None else f"step {idx} ({s.steps[idx].text()}): {problem}"
-        for idx, problem in step_problems(s.n, s.steps)
-    ]
+    return _problem_texts(s.steps, step_problems(s.n, s.steps))
 
 
 @dataclass
@@ -301,17 +306,17 @@ def amplify_violation(scenario: Scenario, protocol: str) -> AmplifyResult | None
     with the base run's forced list, so neither run builds an Event.
     """
     base = run_scenario(scenario, protocol)
-    violations = [
-        v
-        for v in oracle.check_z_consistency(base.trace)
-        if v[0].process != v[1].process
-    ]
-    if not violations:
-        return None
-    src, dst, witness = min(
-        violations,
+    # Only the chosen pair needs a witness, so the pairs come bare.
+    pair = min(
+        ((a, b) for a, b in oracle._violating_pairs(oracle._index(base.trace))
+         if a.process != b.process),
         key=lambda v: (v[1].process, v[1].ordinal, v[0].process, v[0].ordinal),
+        default=None,
     )
+    if pair is None:
+        return None
+    src, dst = pair
+    witness = oracle.zigzag_exists(src, dst, base.trace)
 
     # The step that made the target checkpoint: on its process, each
     # 'ckpt' step and each receive in the run's forced list made one

@@ -535,6 +535,17 @@ def test_missing_timestamp_rejected(entry):
         entry(Trace(2, events))
 
 
+def test_missing_timestamp_names_the_lowest_checkpoint():
+    # C_2^1 comes first in the trace, but C_1^1 is the lower (process,
+    # ordinal) key, so it is the one named.
+    events = [
+        Event(2, 1, "ckpt", checkpoint=CheckpointRecord(2, 1, CKPT_INITIAL, None)),
+        Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, None)),
+    ]
+    with pytest.raises(ValueError, match=r"^checkpoint C_1\^1 has no timestamp$"):
+        quick_findings(Trace(2, events))
+
+
 def reference_violating_pairs(reach, recs):
     """The all-pairs scan of ``reach`` rows: every source against every
     checkpoint."""

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,10 +7,13 @@ from cicsim.computation import Trace
 from cicsim.rng import SplitMix64
 from cicsim.scenarios import (
     FIXTURE_NAMES,
+    FixtureClaim,
     FuzzParams,
     ScenarioParseError,
     UnknownScenarioError,
+    _eval_claim,
     builtin,
+    builtin_description,
     parse_scenario,
     random_scenario,
     serialize_scenario,
@@ -121,6 +126,34 @@ def test_unknown_builtin_lists_registry():
 def test_fixture_claims_hold(name):
     failures = verify_fixture(name)
     assert not failures, "\n".join(failures)
+
+
+def test_fixture_library_digest_is_pinned():
+    # One SHA-256 over every fixture's name, description, canonical text
+    # and claims, in registry order: verify_fixture only checks the claims
+    # that exist, so a dropped or edited claim shows here.
+    sha = hashlib.sha256()
+    total = 0
+    for name in FIXTURE_NAMES:
+        scen, claims = builtin(name)
+        total += len(claims)
+        sha.update(repr((
+            name, builtin_description(name), serialize_scenario(scen),
+            [(c.kind, c.protocol, c.expect, c.note) for c in claims],
+        )).encode())
+    assert (len(FIXTURE_NAMES), total) == (19, 135)
+    assert sha.hexdigest() == (
+        "2aa74adcf05834f559d0d362a1b5b968e32eb638222251eea7bb26dcb03f9935"
+    )
+
+
+def test_interval_claim_reads_the_receive_interval():
+    scen, _ = builtin("fine-proposal")
+    run = run_scenario(scen, "fine")
+    for key, verdict in (((2, 1), True), ((2, 2), False)):
+        claim = FixtureClaim("interval", "fine", ("m3", key))
+        got = _eval_claim(claim, scen, lambda proto: run, None)
+        assert got == (verdict, "recv m3 in I_2^1")
 
 
 def test_z_consistent_is_ccp_plus_one_checkpoint():

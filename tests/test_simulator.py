@@ -411,6 +411,35 @@ def test_amplify_builds_no_events(monkeypatch):
     assert made == []
 
 
+def test_amplify_builds_one_witness_for_its_target(monkeypatch):
+    # The base run needs a witness only for the pair it amplifies; every
+    # other _shortest call is the amplified run's report, one per violation.
+    from cicsim.oracle import _ZigzagIndex
+
+    calls = []
+    real = _ZigzagIndex._shortest
+
+    def counting_shortest(self, src, dst):
+        calls.append((src, dst))
+        return real(self, src, dst)
+
+    monkeypatch.setattr(_ZigzagIndex, "_shortest", counting_shortest)
+    scenarios = [(builtin(name)[0], protocol)
+                 for name, protocol in (("fine-proposal", "fine"), ("theorem1-a", "none"))]
+    scenarios += [(random_scenario(FuzzParams(n=4, events=60, seed=seed)), "none")
+                  for seed in range(5)]
+    amplified = 0
+    for scen, protocol in scenarios:
+        calls.clear()
+        result = amplify_violation(scen, protocol)
+        if result is None:
+            assert calls == []
+            continue
+        amplified += 1
+        assert len(calls) == 1 + len(result.report.violations)
+    assert amplified >= 5
+
+
 def test_amplified_scenarios_stay_valid():
     for name, protocol in (("fine-proposal", "fine"), ("theorem1-a", "none")):
         scen, _ = builtin(name)
@@ -439,6 +468,24 @@ def test_scenario_violation_messages():
         "step 6 (recv 2 m1): message m1 received twice",
         "step 7 (recv 1 None): unknown step kind 'bogus'",
     ]
+
+
+def test_invalid_scenario_checks_its_steps_once(monkeypatch):
+    import cicsim.simulator
+
+    calls = []
+    real = cicsim.simulator.step_problems
+
+    def counting_step_problems(n, steps):
+        calls.append(n)
+        return real(n, steps)
+
+    monkeypatch.setattr(cicsim.simulator, "step_problems", counting_step_problems)
+    for n, steps in ((2, INVALID_STEPS), (1, ()), (2, (recv(1, "m1"),))):
+        calls.clear()
+        with pytest.raises(ScenarioError):
+            Scenario(n, steps)
+        assert calls == [n]
 
 
 def test_parser_reports_the_constructor_problems_at_their_lines():
