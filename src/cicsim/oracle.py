@@ -94,18 +94,30 @@ class BudgetExceededError(RuntimeError):
     """Raised when the membership enumeration would exceed its budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ZigzagWitness:
     """One concrete zigzag chain between two checkpoints.
 
     ``causal`` means consecutive messages are also chained by program
-    order (each receive happens before the next send in real time).
-    """
+    order (each receive happens before the next send in real time).  A
+    Z-cycle witness on C_p^x is never causal: it ends with a receive by
+    P_p in an interval before x and starts with a send by P_p in interval
+    x or later, so that receive comes before that send, while a causal
+    chain puts its first send before its last receive.
+
+    A frozen value; its ``__init__`` fills the fields in one dict update,
+    as :class:`CheckpointRecord`'s does, because a report on a dense trace
+    builds hundreds of witnesses."""
 
     source: CheckpointRecord
     target: CheckpointRecord
     messages: tuple[str, ...]
     causal: bool
+
+    def __init__(self, source: CheckpointRecord, target: CheckpointRecord,
+                 messages: tuple[str, ...], causal: bool):
+        self.__dict__.update(source=source, target=target, messages=messages,
+                             causal=causal)
 
 
 @dataclass
@@ -386,7 +398,9 @@ class _ZigzagIndex:
         searches are never run.  A candidate chain is popped only when no
         pending key is smaller, so the first ``cap`` chains, and whether
         another exists, are those of eager Yen, which is canonical: the
-        first ``cap`` message-simple chains in (length, names) order.
+        first ``cap`` message-simple chains in (length, names) order.  A
+        candidate still on the heap when the cap-th chain is accepted is
+        such another chain, so the search stops there.
 
         Each accepted chain makes at most L + 1 spurs for L the longest
         chain returned, and each spur costs one O(L) walk and at most one
@@ -398,6 +412,7 @@ class _ZigzagIndex:
         if best is None:
             return [], False
         adj = self.adj
+        push, pop = heapq.heappush, heapq.heappop
         out: list[tuple[int, ...]] = []
         hops: dict[tuple[int, ...], int] = {}  # root -> mask of next hops taken
         queued = {best}
@@ -406,12 +421,17 @@ class _ZigzagIndex:
         # meets a layer; avoid masks the root, the first v messages of the
         # chain.
         heap = [(len(best), best, 0, 0, 0)]
+        waiting = 1  # candidate chains on the heap
         while heap:
-            ln, chain, v, first, avoid = heapq.heappop(heap)
+            ln, chain, v, first, avoid = pop(heap)
             if not first:
+                waiting -= 1
                 if len(out) == cap:  # never for cap None
                     return out, True
                 out.append(chain)
+                if len(out) == cap and waiting:
+                    # A waiting candidate is a further simple chain.
+                    return out, True
                 for v in range(v, ln + 1):
                     # A spur never stops at its root: a root that reaches dst
                     # is a shorter chain, accepted already.
@@ -419,10 +439,11 @@ class _ZigzagIndex:
                     hop = 1 << chain[v] if v < ln else 0  # 0: the sink
                     hops[root] = taken = hops.get(root, 0) | hop
                     first = (adj[root[-1]] if root else start) & ~taken & ~avoid
-                    for d, layer in enumerate(layers):
-                        if layer & first:
-                            heapq.heappush(heap, (v + d + 1, root, v, first, avoid))
-                            break
+                    if first:
+                        for d, layer in enumerate(layers):
+                            if layer & first:
+                                push(heap, (v + d + 1, root, v, first, avoid))
+                                break
                     avoid |= hop
                 continue
             suffix = self._walk(first, layers, ln - v - 1, avoid)
@@ -433,7 +454,8 @@ class _ZigzagIndex:
             chain += suffix
             if chain not in queued:
                 queued.add(chain)
-                heapq.heappush(heap, (len(chain), chain, v, 0, avoid))
+                push(heap, (len(chain), chain, v, 0, avoid))
+                waiting += 1
         return out, False
 
 
@@ -550,6 +572,7 @@ def _z_cycles(trace: Trace, cap: int | None):
     if cap is not None and cap < 1:
         raise ValueError("witness cap must be at least 1")
     idx = _index(trace)
+    names = idx.names
     cycles = []
     useless = set()
     truncated = 0
@@ -559,7 +582,9 @@ def _z_cycles(trace: Trace, cap: int | None):
         useless.add(rec)
         chains, cut = idx._simple(rec.key(), rec.key(), cap)
         truncated += cut
-        cycles += [(rec, idx._witness(rec, rec, chain)) for chain in chains]
+        # Never causal (ZigzagWitness), so no chain is checked.
+        cycles += [(rec, ZigzagWitness(rec, rec, tuple(map(names.__getitem__, chain)), False))
+                   for chain in chains]
     return cycles, useless, truncated
 
 

@@ -28,15 +28,6 @@ def scenario_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _witness(w) -> dict:
-    return {
-        "from": [w.source.process, w.source.ordinal],
-        "to": [w.target.process, w.target.ordinal],
-        "messages": list(w.messages),
-        "causal": w.causal,
-    }
-
-
 def run_report(run: AnnotatedTrace, oracle_report: OracleReport, scenario_text: str,
                scenario_id: str | None = None) -> dict:
     per_process = [{"process": p, "checkpoints": []} for p in range(1, run.scenario.n + 1)]
@@ -71,7 +62,13 @@ def run_report(run: AnnotatedTrace, oracle_report: OracleReport, scenario_text: 
         "piggybacks": piggybacks,
         "oracle": {
             "z_cycles": [
-                {"checkpoint": [r.process, r.ordinal], **_witness(w)}
+                {
+                    "checkpoint": [r.process, r.ordinal],
+                    "from": [w.source.process, w.source.ordinal],
+                    "to": [w.target.process, w.target.ordinal],
+                    "messages": list(w.messages),
+                    "causal": w.causal,
+                }
                 for r, w in oracle_report.z_cycles
             ],
             "useless": sorted([r.process, r.ordinal] for r in oracle_report.useless),
@@ -150,9 +147,29 @@ def _encode(v, depth: int) -> str:
             return "{}"
         close, item, sep = _INDENTS[depth]
         depth += 1
-        # _escape raises TypeError for a key that is not a str.
-        body = sep.join([f"{_escape(k)}: {_encode(v[k], depth)}" for k in sorted(v)])
-        return f"{{{item}{body}{close}}}"
+        inner_close, inner_item, inner_sep = _INDENTS[depth]
+        # One join over the pieces, so each value's text is copied once.
+        parts = ["{", item]
+        for k in sorted(v):
+            x = v[k]
+            t = type(x)
+            # Scalars and non-empty leaf lists inline, as the branches above
+            # write them; everything else recursively.
+            if t is str:
+                x = _escape(x)
+            elif t is int:
+                x = int.__repr__(x)
+            elif t is list and x and _INTS.issuperset(map(type, x)):
+                x = f"[{inner_item}{inner_sep.join(map(int.__repr__, x))}{inner_close}]"
+            elif t is list and x and _STRS.issuperset(map(type, x)):
+                x = f"[{inner_item}{inner_sep.join(map(_escape, x))}{inner_close}]"
+            else:
+                x = _encode(x, depth)
+            # _escape raises TypeError for a key that is not a str.
+            parts += (_escape(k), ": ", x, sep)
+        parts[-1] = close  # no separator after the last item
+        parts.append("}")
+        return "".join(parts)
     if v is True:
         return "true"
     if v is False:

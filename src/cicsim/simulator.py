@@ -51,12 +51,32 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(problems))
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Step:
+    """One scenario step.
+
+    A frozen value with slots, because parsing and generating scenarios
+    build one per step.  Its ``__init__`` sets the slots directly, which
+    is faster than the generated one; an ``__init__`` that fills an
+    instance dict in one update would be faster still, but that dict
+    nearly doubles the size of a step.  The defaults live in ``__init__``
+    since a slot cannot have a class-level default."""
+
+    __slots__ = ("kind", "process", "dest", "message")
     kind: str  # "ckpt" | "send" | "recv"
     process: int
-    dest: int | None = None
-    message: str | None = None
+    dest: int | None
+    message: str | None
+
+    def __init__(self, kind: str, process: int, dest: int | None = None,
+                 message: str | None = None):
+        _setattr(self, "kind", kind)
+        _setattr(self, "process", process)
+        _setattr(self, "dest", dest)
+        _setattr(self, "message", message)
 
     def text(self) -> str:
         if self.kind == "ckpt":

@@ -3,7 +3,7 @@ import heapq
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from math import inf
 
 import pytest
@@ -23,6 +23,7 @@ from cicsim.computation import (
 )
 from cicsim.oracle import (
     BudgetExceededError,
+    ZigzagWitness,
     check_z_consistency,
     consistent_membership_bruteforce,
     find_z_cycles,
@@ -463,6 +464,62 @@ def test_chain_is_causal_matches_the_witness_flag(fixture_run):
             assert idx.chain_is_causal(w.messages) == w.causal == want
             seen.add(want)
     assert seen == {True, False}
+
+
+def test_z_cycle_witnesses_are_never_causal():
+    # A Z-cycle on C_p^x ends with a receive by P_p before x and starts
+    # with a send by P_p at x or later, so the witnesses skip the check.
+    traces = [trace for _, trace in dense_none_traces()]
+    for name in FIXTURE_NAMES:
+        scen, _ = builtin(name)
+        traces += [run_scenario(scen, p).trace for p in ("none", "fine", "lazy-fine")]
+    chains = 0
+    for trace in traces:
+        idx = oracle._index(trace)
+        for rec in useless_checkpoints(trace):
+            k = rec.key()
+            for cap in (1, 5, 32):
+                for chain in idx._simple(k, k, cap)[0]:
+                    assert not idx._causal(chain), (rec.label(), chain)
+                    chains += 1
+    assert chains > 1000
+
+
+def test_find_z_cycles_checks_no_chain_for_causality(monkeypatch):
+    trace = next(dense_none_traces())[1]
+    calls = []
+    causal = oracle._ZigzagIndex._causal
+
+    def counted(self, chain):
+        calls.append(chain)
+        return causal(self, chain)
+
+    monkeypatch.setattr(oracle._ZigzagIndex, "_causal", counted)
+    cycles = find_z_cycles(trace)
+    assert cycles and not any(w.causal for _, w in cycles)
+    assert calls == []
+    # The violation witnesses of the same trace still run the check.
+    assert check_z_consistency(trace) and calls
+
+
+def test_zigzag_witness_is_a_frozen_value():
+    a, b = CheckpointRecord(1, 2, "basic", 3), CheckpointRecord(2, 1, "initial", 1)
+    w = ZigzagWitness(a, b, ("m1", "m2"), True)
+    assert [f.name for f in fields(ZigzagWitness)] == [
+        "source", "target", "messages", "causal"]
+    assert repr(w) == (
+        f"ZigzagWitness(source={a!r}, target={b!r}, messages=('m1', 'm2'), causal=True)")
+    same = ZigzagWitness(source=a, target=b, messages=("m1", "m2"), causal=True)
+    assert w == same and hash(w) == hash(same) == hash((a, b, ("m1", "m2"), True))
+    assert w != ZigzagWitness(a, b, ("m1", "m2"), False)
+    for name in ("source", "causal", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(w, name, None)
+    with pytest.raises(FrozenInstanceError):
+        del w.messages
+    moved = replace(w, causal=False)
+    assert moved == ZigzagWitness(a, b, ("m1", "m2"), False) and w.causal
+    assert len({w, same, moved}) == 2
 
 
 def test_zigzag_absent_without_messages():

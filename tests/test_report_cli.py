@@ -92,6 +92,10 @@ _json_trees = st.recursive(
     "big": [10**30, -(10**30)], "floats": [float("nan"), float("-inf")],
     "subclasses": [OrderedDict(b=1, a=[]), Point(3, "p")],
 })
+@example({
+    "bool_int": [True, 1], "bools": [True], "empty": [], "ints": [1, 2],
+    "strs": ["x"], "tuple": (1, 2), "flag": True,
+})
 @settings(max_examples=400, deadline=None)
 def test_to_json_matches_the_stdlib_encoder(tree):
     assert to_json(tree) == _stdlib_json(tree)

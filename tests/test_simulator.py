@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from types import SimpleNamespace
 
@@ -180,6 +181,27 @@ def test_empty_scenario_only_initials():
         assert run.checkpoint_total == 3
         assert {r.timestamp for r in run.trace.checkpoints.values()} == {1}
         assert run.forced == []
+
+
+def test_step_is_a_frozen_value():
+    step = Step("send", 1, 2, "m1")
+    assert [f.name for f in dataclasses.fields(Step)] == [
+        "kind", "process", "dest", "message"]
+    assert repr(step) == "Step(kind='send', process=1, dest=2, message='m1')"
+    assert not hasattr(step, "__dict__")  # slots: no per-step dict
+    same = Step(kind="send", process=1, dest=2, message="m1")
+    assert step == same and hash(step) == hash(same) == hash(("send", 1, 2, "m1"))
+    assert step != Step("send", 1, 3, "m1")
+    assert Step("recv", 2, message="m1") == Step("recv", 2, None, "m1")
+    assert Step("ckpt", 3) == Step("ckpt", 3, None, None)
+    for name in ("kind", "message", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(step, name, "x")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del step.dest
+    moved = dataclasses.replace(step, dest=3)
+    assert moved == Step("send", 1, 3, "m1") and step.dest == 2
+    assert len({step, same, moved}) == 2
 
 
 def test_invalid_scenarios_rejected():
