@@ -33,25 +33,40 @@ EV_CKPT = "ckpt"
 class CheckpointRecord:
     """Identity and protocol-assigned timestamp of one checkpoint.
 
-    A frozen value; its ``__init__`` fills the fields in one dict update
-    instead of the generated four frozen ``__setattr__`` calls, because
-    the simulator builds one record per checkpoint."""
+    A frozen value with slots, because the simulator builds one record per
+    checkpoint and a long trace holds them all.  Its ``__init__`` stores
+    each field through the slot's own descriptor, which is faster than
+    the generated frozen ``__setattr__`` calls; the defaults live in
+    ``__init__`` since a slot cannot have a class-level default."""
 
+    __slots__ = ("process", "ordinal", "kind", "timestamp")
     process: int
     ordinal: int
-    kind: str = CKPT_BASIC
-    timestamp: int | None = None
+    kind: str
+    timestamp: int | None
 
     def __init__(self, process: int, ordinal: int, kind: str = CKPT_BASIC,
                  timestamp: int | None = None):
-        self.__dict__.update(process=process, ordinal=ordinal, kind=kind,
-                             timestamp=timestamp)
+        _set_process(self, process)
+        _set_ordinal(self, ordinal)
+        _set_kind(self, kind)
+        _set_timestamp(self, timestamp)
+
+    def __reduce__(self):
+        # Copying and pickling rebuild the value through __init__: the
+        # default would set each slot through the frozen __setattr__.
+        return (CheckpointRecord, (self.process, self.ordinal, self.kind, self.timestamp))
 
     def key(self) -> tuple[int, int]:
         return (self.process, self.ordinal)
 
     def label(self) -> str:
         return f"C_{self.process}^{self.ordinal}"
+
+
+_set_process, _set_ordinal, _set_kind, _set_timestamp = (
+    CheckpointRecord.__dict__[name].__set__ for name in CheckpointRecord.__slots__
+)
 
 
 @dataclass(frozen=True)
@@ -104,9 +119,10 @@ class Trace:
     hand-built ``Trace(n, events)``, in the same pass that derives the
     columns and checks every trace rule: a trace is valid by construction,
     and an invalid event list raises :class:`TraceError`.  A trace the
-    simulator writes holds the columns and a tuple log instead, and builds
-    the event-level view from the log, through the same pass, on its
-    first use.
+    simulator writes holds the columns and no per-event record: on its
+    first use, the event-level view is replayed from the scenario's steps,
+    the forced step indexes and the checkpoint records, and indexed
+    through the same pass.
     """
 
     _EVENT_VIEW = frozenset(("events", "_pos", "_ckpt_pos", "_interval"))
@@ -117,14 +133,16 @@ class Trace:
         self._index()
 
     @classmethod
-    def _from_log(cls, n, log, checkpoints, ckpt_counts, delivered) -> "Trace":
-        """A trace from columns written while the computation ran; ``log``
-        holds one (process, ordinal, kind, message, checkpoint) tuple per
-        event, the fields of its :class:`Event`."""
+    def _from_run(cls, n, steps, forced_steps, checkpoints, ckpt_counts, delivered) -> "Trace":
+        """A trace from columns written while the computation ran.
+        ``steps`` are the scenario's steps, in order, and ``forced_steps``
+        the indexes of the receive steps a forced checkpoint preceded: the
+        run made one event per process (its initial checkpoint), one per
+        step and one per forced checkpoint."""
         trace = cls.__new__(cls)
         trace.n = n
-        trace._log = log
-        trace.event_count = len(log)
+        trace._run = (steps, forced_steps)
+        trace.event_count = n + len(steps) + len(forced_steps)
         trace.checkpoints = checkpoints
         trace.ckpt_counts = ckpt_counts
         trace.delivered = delivered
@@ -133,14 +151,36 @@ class Trace:
 
     def __getattr__(self, name):
         # Reached only for attributes not yet set: the event-level view of
-        # a trace built from a log.
-        log = self.__dict__.get("_log")
-        if log is None or name not in self._EVENT_VIEW:
+        # a trace built from a run.
+        run = self.__dict__.get("_run")
+        if run is None or name not in self._EVENT_VIEW:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.events = [Event(*entry) for entry in log]
-        del self._log
+        self.events = self._replay(*run)
+        del self._run
         self._index()
         return getattr(self, name)
+
+    def _replay(self, steps, forced_steps) -> list[Event]:
+        """The events of a run, in its global order: each process's initial
+        checkpoint, then per step a checkpoint (a ``ckpt`` step, or the
+        forced one before a receive) and the step's send or receive.  A
+        step's kind is its event's kind; the checkpoint events carry the
+        run's records."""
+        n, records = self.n, self.checkpoints
+        events = [Event(p, 1, EV_CKPT, None, records[(p, 1)]) for p in range(1, n + 1)]
+        ordinals = [0] + [1] * n
+        counts = [0] + [1] * n
+        forced = set(forced_steps)
+        for idx, st in enumerate(steps):
+            p, kind = st.process, st.kind
+            if kind == EV_CKPT or idx in forced:
+                counts[p] += 1
+                ordinals[p] += 1
+                events.append(Event(p, ordinals[p], EV_CKPT, None, records[(p, counts[p])]))
+            if kind != EV_CKPT:
+                ordinals[p] += 1
+                events.append(Event(p, ordinals[p], kind, st.message))
+        return events
 
     def _index(self) -> None:
         """Build the columns and the event-level view in one pass that

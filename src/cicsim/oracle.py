@@ -105,10 +105,11 @@ class ZigzagWitness:
     x or later, so that receive comes before that send, while a causal
     chain puts its first send before its last receive.
 
-    A frozen value; its ``__init__`` fills the fields in one dict update,
-    as :class:`CheckpointRecord`'s does, because a report on a dense trace
-    builds hundreds of witnesses."""
+    A frozen value with slots, as :class:`CheckpointRecord` is, because a
+    report on a dense trace builds hundreds of witnesses; its ``__init__``
+    stores each field through the slot's own descriptor."""
 
+    __slots__ = ("source", "target", "messages", "causal")
     source: CheckpointRecord
     target: CheckpointRecord
     messages: tuple[str, ...]
@@ -116,8 +117,20 @@ class ZigzagWitness:
 
     def __init__(self, source: CheckpointRecord, target: CheckpointRecord,
                  messages: tuple[str, ...], causal: bool):
-        self.__dict__.update(source=source, target=target, messages=messages,
-                             causal=causal)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_messages(self, messages)
+        _set_causal(self, causal)
+
+    def __reduce__(self):
+        # Copying and pickling rebuild the value through __init__: the
+        # default would set each slot through the frozen __setattr__.
+        return (ZigzagWitness, (self.source, self.target, self.messages, self.causal))
+
+
+_set_source, _set_target, _set_messages, _set_causal = (
+    ZigzagWitness.__dict__[name].__set__ for name in ZigzagWitness.__slots__
+)
 
 
 @dataclass

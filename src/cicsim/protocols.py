@@ -101,7 +101,9 @@ class Piggyback:
     1-based tuples of n+1 entries.  Every vector is an immutable value, so
     a payload never shares state with its sender.  ``field_set`` has bit j
     set when ``_VECTOR_FIELDS[j]`` is present; with ``n`` it is what a
-    receiver checks, in O(1).
+    receiver checks, in O(1).  The constructor checks the vector sizes of
+    a payload built by hand; a protocol's ``on_send`` builds its payload
+    through ``_sent_payload``, without the checks.
     """
 
     __slots__ = ("t", "n", *_VECTOR_FIELDS, "field_set")
@@ -141,6 +143,25 @@ class Piggyback:
         return out
 
 
+_new_payload = object.__new__
+
+
+def _sent_payload(t, n, clockv, greater, equal_incr, ckptv, taken, field_set) -> Piggyback:
+    """A Piggyback with every slot given, built without the constructor's
+    checks: a sender's ``_payload`` sized the vectors itself (copied into
+    tuples) and knows its class's ``_field_set``."""
+    pb = _new_payload(Piggyback)
+    pb.t = t
+    pb.n = n
+    pb.clockv = clockv
+    pb.greater = greater
+    pb.equal_incr = equal_incr
+    pb.ckptv = ckptv
+    pb.taken = taken
+    pb.field_set = field_set
+    return pb
+
+
 @dataclass(frozen=True)
 class ForcedDecision:
     forced: bool
@@ -169,18 +190,21 @@ _DECISIONS = {
 def eval_c_pi(state, m: Piggyback) -> bool:
     """Partly-informed condition: the incoming timestamp exceeds the
     timestamp of the first message sent to some k this interval."""
-    min_to = state.min_to
-    return any(m.t > min_to[k] for k in _members(state.sent_to))
+    t, min_to = m.t, state.min_to
+    for k in _members(state.sent_to):
+        if t > min_to[k]:
+            return True
+    return False
 
 
 def eval_c_fi1_clockv(state, m: Piggyback) -> bool:
     """Fully-informed first condition, integer-vector form: partly
     informed, and neither side knows that k's clock already reached m.t."""
     t, min_to, mine, theirs = m.t, state.min_to, state.clockv, m.clockv
-    return any(
-        t > min_to[k] and t > mine[k] and t > theirs[k]
-        for k in _members(state.sent_to)
-    )
+    for k in _members(state.sent_to):
+        if t > min_to[k] and t > mine[k] and t > theirs[k]:
+            return True
+    return False
 
 
 def eval_c_fi1_greater(state, m: Piggyback) -> bool:
@@ -302,7 +326,7 @@ class BaseProtocol:
         pass
 
     def _payload(self) -> Piggyback:
-        return Piggyback(self.lc, self.n)
+        return _sent_payload(self.lc, self.n, None, None, None, None, None, 0)
 
     # lifecycle ----------------------------------------------------------
 
@@ -312,10 +336,9 @@ class BaseProtocol:
         return CheckpointRecord(self.i, self.ckpt_count, kind, self.lc)
 
     def on_send(self, dest: int) -> Piggyback:
-        if dest == self.i:
-            raise ProtocolError(f"P{self.i} cannot send to itself")
-        if not 1 <= dest <= self.n:
-            raise ProtocolError(f"destination {dest} out of range 1..{self.n}")
+        if dest == self.i or not 1 <= dest <= self.n:
+            raise ProtocolError(f"P{self.i} cannot send to itself" if dest == self.i
+                                else f"destination {dest} out of range 1..{self.n}")
         self._mark_send(dest)
         return self._payload()
 
@@ -426,10 +449,11 @@ class _FIFamily(BaseProtocol):
         mine, theirs = self.ckptv, m.ckptv
         raised = same = 0
         for k in self._peers:
-            if theirs[k] > mine[k]:
-                mine[k] = theirs[k]
+            got, had = theirs[k], mine[k]
+            if got > had:
+                mine[k] = got
                 raised |= 1 << k
-            elif theirs[k] == mine[k]:
+            elif got == had:
                 same |= 1 << k
         self.taken = self.taken & ~raised | m.taken & (raised | same)
 
@@ -453,8 +477,8 @@ class ClockvFI(_FIFamily):
     _mark_send = PartlyInformed._mark_send
 
     def _payload(self):
-        return Piggyback(self.lc, self.n, clockv=self.clockv, ckptv=self.ckptv,
-                         taken=self.taken)
+        return _sent_payload(self.lc, self.n, tuple(self.clockv), None, None,
+                             tuple(self.ckptv), self.taken, self._field_set)
 
     def _update(self, m):
         if m.t > self.lc:
@@ -479,8 +503,8 @@ class GreaterFI(_FIFamily):
         return self._saved(kind)
 
     def _payload(self):
-        return Piggyback(self.lc, self.n, greater=self.greater, ckptv=self.ckptv,
-                         taken=self.taken)
+        return _sent_payload(self.lc, self.n, None, self.greater, None,
+                             tuple(self.ckptv), self.taken, self._field_set)
 
     def _update(self, m):
         # The own entry is never set, so it stays False in both branches.
@@ -512,8 +536,8 @@ class LazyFI(_FIFamily):
         return self._saved(kind)
 
     def _payload(self):
-        return Piggyback(self.lc, self.n, equal_incr=self.equal_incr, ckptv=self.ckptv,
-                         taken=self.taken)
+        return _sent_payload(self.lc, self.n, None, None, self.equal_incr,
+                             tuple(self.ckptv), self.taken, self._field_set)
 
     def _update(self, m):
         own = 1 << self.i

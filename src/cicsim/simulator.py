@@ -4,10 +4,11 @@ A scenario is an ordered list of steps (basic checkpoint, send, receive);
 the step order is the global order of the resulting trace.  A Scenario is
 valid by construction (its constructor runs the one checker,
 step_problems), so nothing that takes a Scenario checks it again.  Running
-a scenario yields an annotated trace: the trace itself (with protocol
-timestamps), the forced-checkpoint events with their fired conditions and
-pre-update states (captured raw, rendered when read), and the piggyback
-log.
+a scenario yields an annotated trace: the trace itself (its columns, with
+protocol timestamps; its events are replayed from the steps and the
+forced list only when read), the forced-checkpoint events with their
+fired conditions and pre-update states (captured raw, rendered when
+read), and the piggyback of each send.
 
 amplify_violation implements the adversarial construction that turns a
 zigzag-timestamping violation into a scenario extension closing a Z-cycle:
@@ -24,13 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import oracle
-from .computation import (
-    EV_CKPT,
-    EV_RECV,
-    EV_SEND,
-    CheckpointRecord,
-    Trace,
-)
+from .computation import CheckpointRecord, Trace
 from .protocols import ForcedDecision, Piggyback, make_protocol, render_state
 
 
@@ -51,19 +46,17 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(problems))
 
 
-_setattr = object.__setattr__
-
-
 @dataclass(frozen=True, init=False)
 class Step:
     """One scenario step.
 
     A frozen value with slots, because parsing and generating scenarios
-    build one per step.  Its ``__init__`` sets the slots directly, which
-    is faster than the generated one; an ``__init__`` that fills an
-    instance dict in one update would be faster still, but that dict
-    nearly doubles the size of a step.  The defaults live in ``__init__``
-    since a slot cannot have a class-level default."""
+    build one per step.  Its ``__init__`` stores each field through the
+    slot's own descriptor, as :class:`CheckpointRecord`'s does, which is
+    faster than the generated frozen ``__setattr__`` calls; an
+    ``__init__`` that fills an instance dict in one update would nearly
+    double the size of a step.  The defaults live in ``__init__`` since a
+    slot cannot have a class-level default."""
 
     __slots__ = ("kind", "process", "dest", "message")
     kind: str  # "ckpt" | "send" | "recv"
@@ -73,10 +66,15 @@ class Step:
 
     def __init__(self, kind: str, process: int, dest: int | None = None,
                  message: str | None = None):
-        _setattr(self, "kind", kind)
-        _setattr(self, "process", process)
-        _setattr(self, "dest", dest)
-        _setattr(self, "message", message)
+        _set_kind(self, kind)
+        _set_process(self, process)
+        _set_dest(self, dest)
+        _set_message(self, message)
+
+    def __reduce__(self):
+        # Copying and pickling rebuild the value through __init__: the
+        # default would set each slot through the frozen __setattr__.
+        return (Step, (self.kind, self.process, self.dest, self.message))
 
     def text(self) -> str:
         if self.kind == "ckpt":
@@ -84,6 +82,11 @@ class Step:
         if self.kind == "send":
             return f"send {self.process} {self.dest} {self.message}"
         return f"recv {self.process} {self.message}"
+
+
+_set_kind, _set_process, _set_dest, _set_message = (
+    Step.__dict__[name].__set__ for name in Step.__slots__
+)
 
 
 def ckpt(p: int) -> Step:
@@ -219,19 +222,18 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     before their triggering receive.  Bit-for-bit deterministic in
     (scenario, protocol).
 
-    The trace is written as columns while the steps run: one tuple per
-    event, the checkpoint records, and the endpoints of each delivered
-    message, whose intervals are the checkpoint counts at its send and at
-    its receive.  The log is the only per-event record: which step made a
-    checkpoint follows from the steps and the forced list.  No Event is
+    The trace is written as columns while the steps run: the checkpoint
+    records, and the endpoints of each delivered message, whose intervals
+    are the checkpoint counts at its send and at its receive and whose
+    positions come from one event counter.  No per-event record is kept:
+    the events follow from the steps and the forced list, and no Event is
     built unless a caller asks for one."""
     n = scenario.n
     machines = [None] + [make_protocol(protocol, n, i) for i in range(1, n + 1)]
 
-    log = [(i, 1, EV_CKPT, None, machines[i].initial_record) for i in range(1, n + 1)]
     checkpoints = {(i, 1): machines[i].initial_record for i in range(1, n + 1)}
-    ordinals = [0] + [1] * n
     counts = [0] + [1] * n  # checkpoints so far: the current interval
+    pos = n  # the next event's global position, after the initial checkpoints
     delivered: dict[str, tuple[int, int, int, int, int, int]] = {}
     # message -> (piggyback, sender, send interval, send position)
     in_flight: dict[str, tuple[Piggyback, int, int, int]] = {}
@@ -240,33 +242,31 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
 
     for idx, st in enumerate(scenario.steps):
         p = st.process
-        name = st.message
-        if st.kind == "send":
+        kind = st.kind
+        if kind == "send":
+            name = st.message
             pb = machines[p].on_send(st.dest)
-            in_flight[name] = (pb, p, counts[p], len(log))
+            in_flight[name] = (pb, p, counts[p], pos)
             piggybacks.append((idx, name, pb))
-            ordinals[p] += 1
-            log.append((p, ordinals[p], EV_SEND, name, None))
-            continue
-        if st.kind == "ckpt":
+        elif kind == "ckpt":
             rec = machines[p].take_checkpoint()
+            counts[p] += 1
+            checkpoints[(p, counts[p])] = rec
         else:
+            name = st.message
             pb, sp, si, spos = in_flight.pop(name)
             decision, rec, state = machines[p].on_receive(pb)
             if rec is not None:
                 forced.append(ForcedEvent(idx, p, name, decision, rec, pb, state))
-        if rec is not None:
-            counts[p] += 1
-            checkpoints[(p, counts[p])] = rec
-            ordinals[p] += 1
-            log.append((p, ordinals[p], EV_CKPT, None, rec))
-        if st.kind == "recv":
-            delivered[name] = (sp, si, spos, p, counts[p], len(log))
-            ordinals[p] += 1
-            log.append((p, ordinals[p], EV_RECV, name, None))
+                counts[p] += 1
+                checkpoints[(p, counts[p])] = rec
+                pos += 1
+            delivered[name] = (sp, si, spos, p, counts[p], pos)
+        pos += 1
 
     ckpt_counts = {p: counts[p] for p in range(1, n + 1)}
-    trace = Trace._from_log(n, log, checkpoints, ckpt_counts, delivered)
+    trace = Trace._from_run(n, scenario.steps, [f.step_index for f in forced],
+                            checkpoints, ckpt_counts, delivered)
     return AnnotatedTrace(scenario, protocol, trace, forced, piggybacks)
 
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -196,6 +198,7 @@ def test_checkpoint_record_is_a_frozen_value():
     assert [f.name for f in dataclasses.fields(CheckpointRecord)] == [
         "process", "ordinal", "kind", "timestamp"]
     assert repr(rec) == "CheckpointRecord(process=2, ordinal=3, kind='forced', timestamp=4)"
+    assert not hasattr(rec, "__dict__")  # slots: no per-record dict
     same = CheckpointRecord(process=2, ordinal=3, kind="forced", timestamp=4)
     assert rec == same and hash(rec) == hash(same) == hash((2, 3, "forced", 4))
     assert rec != CheckpointRecord(2, 3, "forced", 5)
@@ -208,3 +211,4 @@ def test_checkpoint_record_is_a_frozen_value():
     moved = dataclasses.replace(rec, timestamp=7)
     assert moved == CheckpointRecord(2, 3, "forced", 7) and rec.timestamp == 4
     assert len({rec, same, moved}) == 2
+    assert copy.copy(rec) == copy.deepcopy(rec) == pickle.loads(pickle.dumps(rec)) == rec

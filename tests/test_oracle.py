@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import heapq
+import pickle
 import sys
 import time
 import tracemalloc
@@ -509,6 +511,7 @@ def test_zigzag_witness_is_a_frozen_value():
         "source", "target", "messages", "causal"]
     assert repr(w) == (
         f"ZigzagWitness(source={a!r}, target={b!r}, messages=('m1', 'm2'), causal=True)")
+    assert not hasattr(w, "__dict__")  # slots: no per-witness dict
     same = ZigzagWitness(source=a, target=b, messages=("m1", "m2"), causal=True)
     assert w == same and hash(w) == hash(same) == hash((a, b, ("m1", "m2"), True))
     assert w != ZigzagWitness(a, b, ("m1", "m2"), False)
@@ -520,6 +523,7 @@ def test_zigzag_witness_is_a_frozen_value():
     moved = replace(w, causal=False)
     assert moved == ZigzagWitness(a, b, ("m1", "m2"), False) and w.causal
     assert len({w, same, moved}) == 2
+    assert copy.copy(w) == copy.deepcopy(w) == pickle.loads(pickle.dumps(w)) == w
 
 
 def test_zigzag_absent_without_messages():

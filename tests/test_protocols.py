@@ -204,6 +204,51 @@ def test_payload_snapshot_not_aliased():
     assert pb.ckptv[1] == 1  # still the value at send time
 
 
+PAYLOAD_SLOTS = ("t", "n", "clockv", "greater", "equal_incr", "ckptv", "taken", "field_set")
+
+
+def slot_values(pb):
+    return tuple(getattr(pb, name) for name in PAYLOAD_SLOTS)
+
+
+def test_sent_payloads_equal_checked_ones():
+    # on_send builds its payload without the constructor's checks.  Each
+    # must equal, slot by slot, what the checked constructor builds from
+    # the sender's state at the send, and keep those values while the
+    # sender runs on.
+    scenarios = [builtin(name)[0] for name in FIXTURE_NAMES]
+    scenarios += [random_scenario(FuzzParams(n=2 + s % 7, events=60, seed=s + 9100))
+                  for s in range(12)]
+    for name in PROTOCOL_NAMES:
+        sent = []
+        for scen in scenarios:
+            machines = [None] + [make_protocol(name, scen.n, i) for i in range(1, scen.n + 1)]
+            in_flight = {}
+            for st in scen.steps:
+                m = machines[st.process]
+                if st.kind == "ckpt":
+                    m.take_checkpoint()
+                elif st.kind == "recv":
+                    m.on_receive(in_flight.pop(st.message))
+                else:
+                    pb = m.on_send(st.dest)
+                    checked = Piggyback(m.lc, m.n, **{f: getattr(m, f) for f in m.payload_fields})
+                    assert slot_values(pb) == slot_values(checked), (name, scen.name, st)
+                    assert pb.field_set == m._field_set
+                    in_flight[st.message] = pb
+                    sent.append((pb, slot_values(checked)))
+        assert sent, name
+        assert all(slot_values(pb) == values for pb, values in sent), name
+
+
+def test_wrongly_sized_payload_vectors_rejected():
+    for field in ("clockv", "ckptv"):
+        for size in (3, 5):
+            with pytest.raises(ProtocolError, match=field):
+                Piggyback(t=1, n=3, **{field: [0] * size})
+    assert Piggyback(t=1, n=3, clockv=[0] * 4, ckptv=[0] * 4).field_set == 0b1001
+
+
 # -- condition evaluators ---------------------------------------------------
 
 

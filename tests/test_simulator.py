@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -202,6 +204,7 @@ def test_step_is_a_frozen_value():
     moved = dataclasses.replace(step, dest=3)
     assert moved == Step("send", 1, 3, "m1") and step.dest == 2
     assert len({step, same, moved}) == 2
+    assert copy.copy(step) == copy.deepcopy(step) == pickle.loads(pickle.dumps(step)) == step
 
 
 def test_invalid_scenarios_rejected():
@@ -271,6 +274,23 @@ def test_columnar_trace_equals_trace_rebuilt_from_its_events():
                 assert getattr(trace, name) == getattr(rebuilt, name), (where, name)
 
 
+def test_event_view_digest_is_pinned():
+    """One SHA-256 over the event view of every columnar_cases() run:
+    each event's process, ordinal, kind and message, and its checkpoint's
+    key, kind and timestamp.  Pinned before the run loop stopped keeping a
+    per-event log, so the view derived on first read is the one the log
+    gave."""
+    sha = hashlib.sha256()
+    for label, scen, protocols in columnar_cases():
+        for protocol in protocols:
+            sha.update(f"{label} {protocol}\n".encode())
+            for ev in run_scenario(scen, protocol).trace.events:
+                rec = ev.checkpoint
+                ckpt = None if rec is None else (rec.key(), rec.kind, rec.timestamp)
+                sha.update(repr((ev.process, ev.ordinal, ev.kind, ev.message, ckpt)).encode())
+    assert sha.hexdigest() == "9bbdb64295b9ad69c70469fb2ae6f8b7c0af82004c81eec1e3d3deeba82dd2b2"
+
+
 def test_reports_build_no_events():
     scen, _ = builtin("lazy-fine-counterexample")
     run = run_scenario(scen, "lazy-fine")
@@ -279,6 +299,42 @@ def test_reports_build_no_events():
     assert to_json(rep)
     assert all(name not in vars(run.trace) for name in EVENT_VIEW)
     assert len(run.trace.events) == run.trace.event_count == rep["oracle"]["stats"]["events"]
+
+    # A long run keeps no per-event record until its event view is read:
+    # every list or tuple within four references of the run is shorter
+    # than the event count (the scenario's steps are one event short per
+    # process).
+    scen = random_scenario(FuzzParams(n=8, events=600, p_ckpt=0.1, max_in_flight=16, seed=3))
+    run = run_scenario(scen, "lazy-fi")
+    trace = run.trace
+    assert run.forced and trace.event_count == scen.n + len(scen.steps) + len(run.forced)
+    assert max(map(len, sequences_near(run))) < trace.event_count
+    assert all(name not in vars(trace) for name in EVENT_VIEW)
+    assert len(trace.events) == trace.event_count
+    assert max(map(len, sequences_near(run))) == trace.event_count
+
+
+def sequences_near(obj, depth=4):
+    """The lists and tuples reachable from obj through at most ``depth``
+    attributes, items and dict values."""
+    found = []
+
+    def walk(x, d):
+        if isinstance(x, (list, tuple)):
+            found.append(x)
+            inner = x
+        elif isinstance(x, dict):
+            inner = x.values()
+        elif hasattr(x, "__dict__") and not isinstance(x, type):
+            inner = vars(x).values()
+        else:
+            return
+        if d:
+            for item in inner:
+                walk(item, d - 1)
+
+    walk(obj, depth)
+    return found
 
 
 # -- compare ----------------------------------------------------------------
