@@ -259,6 +259,7 @@ def cmd_amplify(args) -> int:
         print("nothing to amplify: the run has no cross-process timestamp violation")
         return EXIT_OK
     text = serialize_scenario(result.scenario)
+    useless, violations = oracle.quick_findings(result.run.trace)
     if args.json:
         rep = report.run_report(result.run, result.report, text, scenario_id="amplified")
         rep["amplified"] = {
@@ -276,11 +277,8 @@ def cmd_amplify(args) -> int:
             f"message {result.inserted_message}"
         )
         print(text, end="")
-        print(
-            f"result: useless={len(result.report.useless)} "
-            f"violations={len(result.report.violations)}"
-        )
-    if args.check and (result.report.useless or result.report.violations):
+        print(f"result: useless={useless} violations={violations}")
+    if args.check and (useless or violations):
         return EXIT_FINDINGS
     return EXIT_OK
 

@@ -79,9 +79,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 from math import inf
-from operator import itemgetter, le
+from operator import le
 
 from .computation import (
     CKPT_VIRTUAL,
@@ -169,25 +168,31 @@ class _ZigzagIndex:
     """
 
     def __init__(self, trace: Trace):
-        self.trace = trace
+        # The columns, not the trace: the trace caches its index, so an
+        # index that held the trace would make a cycle, and every dropped
+        # run would wait for the cyclic collector.
+        self.checkpoints = trace.checkpoints
+        self.delivered = trace.delivered
         self.counts = trace.ckpt_counts
-        self.base, self.zz = _zigzag_masks(self.counts, trace.delivered.values())
+        self.base, self.zz = _zigzag_masks(self.counts, self.delivered.values())
         self._by_end: dict[int, list[int]] = {}  # end mask -> its layers
 
     @cached_property
     def recs(self) -> list[CheckpointRecord]:
         """The checkpoints in (process, ordinal) order, sorted once for
         every cycle search on this trace."""
-        return self.trace.sorted_checkpoints()
+        checkpoints = self.checkpoints
+        return [checkpoints[key] for key in sorted(checkpoints)]
 
     @cached_property
     def names(self) -> list[str]:
-        return self.trace.delivered_messages()
+        """The delivered messages in name order."""
+        return sorted(self.delivered)
 
     @cached_property
     def recv(self) -> list[tuple[int, int]]:
         """(process, interval) of each message's receive, by bit."""
-        delivered = self.trace.delivered
+        delivered = self.delivered
         return [delivered[nm][3:5] for nm in self.names]
 
     @cached_property
@@ -195,7 +200,7 @@ class _ZigzagIndex:
         """``sent[p][x]``: the bits of the messages P_p sends in interval
         x.  Index cnt+1 is the virtual terminal, which sends nothing."""
         sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in self.counts.items()}
-        delivered = self.trace.delivered
+        delivered = self.delivered
         for i, nm in enumerate(self.names):
             sp, si = delivered[nm][:2]
             sent[sp][si].append(i)
@@ -272,7 +277,8 @@ class _ZigzagIndex:
     def _at(self) -> tuple[list[int], list[int]]:
         """The send positions and the receive positions of the messages,
         by bit."""
-        ends = [self.trace.delivered[nm] for nm in self.names]
+        delivered = self.delivered
+        ends = [delivered[nm] for nm in self.names]
         return [e[2] for e in ends], [e[5] for e in ends]
 
     def _causal(self, chain) -> bool:
@@ -507,36 +513,39 @@ def _zigzag_masks(counts, delivered):
         edges[u].append((v, top[rp] - (2 << v)))  # the bits above v
 
     low = [0] * size
-    taken = [0] * size  # edges followed so far; edge 0 is the program edge
     stack: list[int] = []
     count = 0
     for root in range(size):
         if num[root]:
             continue
-        count += 1
-        num[root] = low[root] = count
-        stack.append(root)
-        calls = [root]
-        while calls:
-            u = calls[-1]
-            out = edges[u]
-            for k in range(taken[u], len(out) + 1):
-                v = out[k - 1][0] if k else u + 1
+        calls = []  # (node, its message edges not yet followed)
+        v = root  # the next node to enter
+        while True:
+            if v is not None:
+                # Enter v.  Its program edge is followed first, so the
+                # search runs down the process while the nodes are new.
+                count += 1
+                num[v] = low[v] = count
+                stack.append(v)
+                calls.append((v, iter(edges[v])))
+                v += 1
                 if not num[v]:
-                    taken[u] = k + 1
-                    count += 1
-                    num[v] = low[v] = count
-                    stack.append(v)
-                    calls.append(v)
+                    continue
+                if zz[v] is None and num[v] < low[v - 1]:
+                    low[v - 1] = num[v]
+            u, out = calls[-1]
+            for v, _ in out:
+                if not num[v]:
                     break
                 if zz[v] is None and num[v] < low[u]:
                     low[u] = num[v]
             else:
+                v = None
                 calls.pop()
-                if calls and low[u] < low[calls[-1]]:
-                    low[calls[-1]] = low[u]
+                if calls and low[u] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[u]
                 if low[u] < num[u]:
-                    continue
+                    continue  # u is not the root, so calls is not empty
                 at = len(stack) - 1
                 while stack[at] != u:
                     at -= 1
@@ -547,16 +556,21 @@ def _zigzag_masks(counts, delivered):
                     got = zz[w + 1]  # None when w + 1 is a member
                     if got and got is not mask:
                         mask = mask | got if mask else got
-                    for v, unit in edges[w]:
-                        got = zz[v]
+                    for x, unit in edges[w]:
+                        got = zz[x]
                         mask |= unit if got is None else unit | got
                 for w in members:
                     zz[w] = mask
+                if not calls:
+                    break
     return base, zz
 
 
 def _index(trace: Trace) -> _ZigzagIndex:
-    idx = getattr(trace, "_zz_index", None)
+    """The trace's index, built on first use and cached on the trace.  The
+    cache is read from the instance dict: a miss through ``getattr`` would
+    go through ``Trace.__getattr__``, which raises and catches."""
+    idx = trace.__dict__.get("_zz_index")
     if idx is None:
         idx = _ZigzagIndex(trace)
         trace._zz_index = idx
@@ -631,16 +645,21 @@ def _below_hits(idx: _ZigzagIndex):
     at most t, and one running mask grows as t does.  Raises ValueError,
     before anything is yielded, naming the lowest (process, ordinal)
     checkpoint without a timestamp."""
-    checkpoints = idx.trace.checkpoints
-    missing = min((key for key, rec in checkpoints.items() if rec.timestamp is None),
-                  default=None)
-    if missing is not None:
-        raise ValueError(f"checkpoint {checkpoints[missing].label()} has no timestamp")
+    checkpoints = idx.checkpoints
     base, zz = idx.base, idx.zz
-    order = sorted([(rec.timestamp, base[p] + x) for (p, x), rec in checkpoints.items()])
+    at: dict[int | None, list[int]] = {}  # timestamp -> the bits of its checkpoints
+    for (p, x), rec in checkpoints.items():
+        t = rec.timestamp
+        if t in at:
+            at[t].append(base[p] + x)
+        else:
+            at[t] = [base[p] + x]
+    if None in at:
+        missing = min(key for key, rec in checkpoints.items() if rec.timestamp is None)
+        raise ValueError(f"checkpoint {checkpoints[missing].label()} has no timestamp")
     below = 0
-    for _, group in groupby(order, itemgetter(0)):
-        group = [a for _, a in group]
+    for t in sorted(at):
+        group = at[t]
         for a in group:
             below |= 1 << a
         for a in group:
@@ -656,7 +675,7 @@ def _violating_pairs(idx: _ZigzagIndex):
     checkpoint order.  Raises ValueError, before any pair, for a
     checkpoint without a timestamp."""
     hits = {a: hit for a, hit in _below_hits(idx) if hit}
-    at = {idx.base[p] + x: rec for (p, x), rec in idx.trace.checkpoints.items()}
+    at = {idx.base[p] + x: rec for (p, x), rec in idx.checkpoints.items()}
     for a in sorted(hits):
         hit, src = hits[a], at[a]
         while hit:
@@ -759,6 +778,9 @@ def consistent_membership_bruteforce(
                 chosen.pop()
 
     dfs(0)
+    # dfs calls itself through its closure cell, a function <-> cell cycle
+    # that only the cyclic collector would free.
+    del dfs
     return useful
 
 

@@ -23,6 +23,7 @@ zigzag-consistent timestamps, not a guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import oracle
 from .computation import CheckpointRecord, Trace
@@ -300,9 +301,15 @@ def compare_runs(scenario: Scenario, protocols) -> list[CompareRow]:
 class AmplifyResult:
     scenario: Scenario
     run: AnnotatedTrace
-    report: oracle.OracleReport
     inserted_message: str
     violation: tuple[CheckpointRecord, CheckpointRecord]
+
+    @cached_property
+    def report(self) -> oracle.OracleReport:
+        """The amplified run's full report, built on first read: its
+        witnesses cost far more than the counts that ``quick_findings``
+        gives."""
+        return oracle.oracle_report(self.run.trace)
 
 
 def _fresh_message_name(scenario: Scenario) -> str:
@@ -367,6 +374,4 @@ def amplify_violation(scenario: Scenario, protocol: str) -> AmplifyResult | None
     steps.insert(recv_at, recv(src.process, name))
 
     amplified = Scenario(scenario.n, tuple(steps), name=None)
-    run = run_scenario(amplified, protocol)
-    report = oracle.oracle_report(run.trace)
-    return AmplifyResult(amplified, run, report, name, (src, dst))
+    return AmplifyResult(amplified, run_scenario(amplified, protocol), name, (src, dst))
