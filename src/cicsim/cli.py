@@ -30,7 +30,7 @@ from .scenarios import (
     random_scenario,
     serialize_scenario,
 )
-from .simulator import MAX_PROCS, amplify_violation, compare_runs, run_scenario
+from .simulator import MAX_PROCS, Scenario, amplify_violation, compare_runs, run_scenario
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -42,17 +42,16 @@ class UsageError(Exception):
     pass
 
 
-def _load_scenario(ref: str):
+def _load_scenario(ref: str) -> Scenario:
     if ref in FIXTURE_NAMES:
-        scen, _ = builtin(ref)
-        return scen, serialize_scenario(scen)
+        return builtin(ref)[0]
     if os.path.exists(ref):
         try:
             with open(ref, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read scenario file {ref!r}: {exc}") from exc
-        return parse_scenario(text, name=os.path.basename(ref)), text
+        return parse_scenario(text, name=os.path.basename(ref))
     raise UsageError(
         f"unknown scenario {ref!r}: not a built-in name or readable file; "
         f"built-ins: {', '.join(FIXTURE_NAMES)}"
@@ -123,10 +122,12 @@ def _print_human(rep: dict) -> None:
 
 def cmd_run(args) -> int:
     _check_json_out(args)
-    scen, text = _load_scenario(args.scenario)
+    scen = _load_scenario(args.scenario)
     run = run_scenario(scen, args.protocol)
     orep = oracle.oracle_report(run.trace)
-    rep = report.run_report(run, orep, text, scenario_id=args.scenario)
+    # The digest is of the canonical text, so a file's comments and
+    # layout do not change it.
+    rep = report.run_report(run, orep, serialize_scenario(scen), scenario_id=args.scenario)
     if args.json:
         _write(report.to_json(rep), args.out)
     else:
@@ -240,7 +241,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_compare(args) -> int:
     protocols = _parse_protocols(args.protocols)
-    scen, _ = _load_scenario(args.scenario)
+    scen = _load_scenario(args.scenario)
     rows = compare_runs(scen, protocols)
     print(f"{'protocol':14s} {'forced':>6s} {'ckpts':>6s} {'useless':>8s} {'z-consistent':>13s}")
     for r in rows:
@@ -253,7 +254,7 @@ def cmd_compare(args) -> int:
 
 def cmd_amplify(args) -> int:
     _check_json_out(args)
-    scen, _ = _load_scenario(args.scenario)
+    scen = _load_scenario(args.scenario)
     result = amplify_violation(scen, args.protocol)
     if result is None:
         print("nothing to amplify: the run has no cross-process timestamp violation")
@@ -285,7 +286,7 @@ def cmd_amplify(args) -> int:
 
 def cmd_diagram(args) -> int:
     _check_out(args.out)
-    scen, _ = _load_scenario(args.scenario)
+    scen = _load_scenario(args.scenario)
     run = run_scenario(scen, args.protocol)
     text = ascii_diagram(run) if args.format == "ascii" else svg_diagram(run)
     _write(text, args.out)

@@ -72,6 +72,16 @@ The first ``cap`` chains in (length, names) order, and whether another
 one exists, do not depend on how they are found, so the output is that
 of eager Yen.  The cap bounds the work, O(cap · L · m) mask operations
 for m messages and chains of at most L, and not only the output.
+
+The message graph's nodes are the delivered messages, and message i
+continues with message j when P_receiver(i) sends j in the interval of
+its receive or later.  One pass over the messages in name order builds
+it, with two masks per interval node base[p] + x, the numbering of
+``zz``: the start mask, of the messages P_p sends in interval x or later
+(the first messages of the chains from C_p^x), and the got mask, of those
+P_p receives in interval x or earlier (the last messages of the chains
+into C_p^{x+1}).  Message i's successors are the start mask of its
+receive node, and its predecessors the got mask of its send node.
 """
 
 from __future__ import annotations
@@ -144,6 +154,10 @@ class OracleReport:
         return not self.z_cycles and not self.violations
 
 
+# The message graph's tables, set together by _ZigzagIndex._graph.
+_GRAPH = frozenset(("names", "start", "got", "adj", "pred", "sent_at", "got_at"))
+
+
 class _ZigzagIndex:
     """Zigzag reachability of one trace: the per-checkpoint masks ``zz``
     of the module docstring, plus the message masks that witness search
@@ -152,19 +166,23 @@ class _ZigzagIndex:
     ``zz`` comes from one iterative Tarjan pass over the condensation of
     the interval graph, sinks first; every member of a component gets the
     same int.  ``base[p] + x`` is both the node of interval x of P_p and
-    the bit of C_p^x.  The pass reads ``trace.delivered`` in any order, so
-    existence-only callers never sort message names.
+    the bit of C_p^x, and every per-interval table below is a flat list
+    indexed by that node id, as ``zz`` is.  The pass reads
+    ``trace.delivered`` in any order, so existence-only callers never sort
+    message names.
 
     Bit i of a message mask stands for the i-th delivered message in name
     order, so the lowest set bit is the first name.  Undelivered messages
     cannot appear in any zigzag chain and are ignored.
 
-    Witness search walks the message graph: a chain ending with message i
-    continues with any message in ``adj[i]``, and ``pred[j]`` holds the
-    messages that j continues.  These masks, and the names, receive ends
-    and per-interval sends behind them, are built in O(m) on the first
-    witness query.  So are the breadth-first layers into each end mask,
-    once per mask, which every witness into that checkpoint shares.
+    Witness search walks the message graph of the module docstring,
+    whose tables :meth:`_graph` builds in one O(m) pass on the first read
+    of any of them: the chains from C_p^x start in ``start[base[p] + x]``
+    and those into C_q^y end in ``got[base[q] + y - 1]``; a chain ending
+    with message i continues with any message in ``adj[i]``, and
+    ``pred[j]`` holds the messages that j continues.  The breadth-first
+    layers into each end mask are built once per mask, and every witness
+    into that checkpoint shares them.
     """
 
     def __init__(self, trace: Trace):
@@ -177,95 +195,67 @@ class _ZigzagIndex:
         self.base, self.zz = _zigzag_masks(self.counts, self.delivered.values())
         self._by_end: dict[int, list[int]] = {}  # end mask -> its layers
 
-    @cached_property
-    def recs(self) -> list[CheckpointRecord]:
-        """The checkpoints in (process, ordinal) order, sorted once for
-        every cycle search on this trace."""
-        checkpoints = self.checkpoints
-        return [checkpoints[key] for key in sorted(checkpoints)]
+    def __getattr__(self, name):
+        # Reached only before the message graph is built.
+        if name not in _GRAPH:
+            raise AttributeError(name)
+        self._graph()
+        return self.__dict__[name]
 
-    @cached_property
-    def names(self) -> list[str]:
-        """The delivered messages in name order."""
-        return sorted(self.delivered)
-
-    @cached_property
-    def recv(self) -> list[tuple[int, int]]:
-        """(process, interval) of each message's receive, by bit."""
-        delivered = self.delivered
-        return [delivered[nm][3:5] for nm in self.names]
-
-    @cached_property
-    def sent(self) -> dict[int, list[list[int]]]:
-        """``sent[p][x]``: the bits of the messages P_p sends in interval
-        x.  Index cnt+1 is the virtual terminal, which sends nothing."""
-        sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in self.counts.items()}
-        delivered = self.delivered
-        for i, nm in enumerate(self.names):
-            sp, si = delivered[nm][:2]
-            sent[sp][si].append(i)
-        return sent
-
-    @cached_property
-    def _start(self) -> dict[int, list[int]]:
-        """``_start[p][x]`` masks the messages P_p sends in interval x or
-        later.  A Trace is valid by construction, so each process has an
-        initial checkpoint and every interval lies in 1..cnt."""
-        start = {}
+    def _graph(self) -> None:
+        """Set the message graph's tables (``_GRAPH``): the names; the
+        start and got masks by node; ``adj``, ``pred`` and the send and
+        receive positions by bit.  A Trace is valid by construction, so
+        every interval lies in 1..cnt: slot 0 of each process and its
+        virtual terminal send and receive nothing."""
+        delivered, base = self.delivered, self.base
+        self.names = names = sorted(delivered)
+        start, got = [0] * len(self.zz), [0] * len(self.zz)
+        sends, recvs = [], []
+        self.sent_at, self.got_at = sent_at, got_at = [], []
+        for i, nm in enumerate(names):
+            sp, si, sa, rp, ri, ra = delivered[nm]
+            u, v = base[sp] + si, base[rp] + ri
+            start[u] |= 1 << i
+            got[v] |= 1 << i
+            sends.append(u)
+            recvs.append(v)
+            sent_at.append(sa)
+            got_at.append(ra)
         for p, cnt in self.counts.items():
-            row = [0] * (cnt + 2)
-            for x in range(cnt, 0, -1):
-                row[x] = row[x + 1] | sum(1 << i for i in self.sent[p][x])
-            start[p] = row
-        return start
+            b = base[p]
+            for u in range(b + cnt, b, -1):  # suffix: interval x or later
+                start[u] |= start[u + 1]
+            for u in range(b + 1, b + cnt + 1):  # prefix: interval x or earlier
+                got[u] |= got[u - 1]
+        self.start, self.got = start, got
+        self.adj = [start[v] for v in recvs]
+        self.pred = [got[u] for u in sends]
 
     @cached_property
-    def _got(self) -> dict[int, list[int]]:
-        """``_got[p][x]`` masks the messages P_p receives in interval x or
-        earlier, so ``_got[q][y - 1]`` is the set of last messages of the
-        chains that end at C_q^y."""
-        got = {p: [0] * (cnt + 1) for p, cnt in self.counts.items()}
-        for i, (rp, ri) in enumerate(self.recv):
-            got[rp][ri] |= 1 << i
-        for row in got.values():
-            for x in range(1, len(row)):
-                row[x] |= row[x - 1]
-        return got
-
-    @cached_property
-    def adj(self) -> list[int]:
-        """A chain ending with message i continues with exactly the
-        messages its receiver sends in the receive interval or later."""
-        return [self._start[rp][ri] for rp, ri in self.recv]
-
-    @cached_property
-    def pred(self) -> list[int]:
-        """``pred[j]``: the messages P_sender(j) receives in the send
-        interval of j or earlier, i.e. those whose ``adj`` holds j."""
-        pred = [0] * len(self.names)
-        for p, rows in self.sent.items():
-            for x, sent in enumerate(rows):
-                for j in sent:
-                    pred[j] = self._got[p][x]
-        return pred
+    def recs(self) -> list[CheckpointRecord | None]:
+        """The checkpoint record of each node, None at each process's slot
+        0 and virtual terminal; node order is (process, ordinal) order."""
+        recs = [None] * len(self.zz)
+        base = self.base
+        for (p, x), rec in self.checkpoints.items():
+            recs[base[p] + x] = rec
+        return recs
 
     def _bit(self, key: tuple[int, int]) -> int:
-        """The bit of checkpoint ``key``, a virtual terminal included."""
+        """The bit of checkpoint ``key``, a virtual terminal included.  The
+        tables are flat, so this check alone keeps a key (p, cnt+2) from
+        reading the next process's slot 0."""
         p, x = key
         if p not in self.counts or not 1 <= x <= self.counts[p] + 1:
             raise ValueError(f"checkpoint C_{p}^{x} does not exist in this trace")
         return self.base[p] + x
 
     def start_mask(self, key: tuple[int, int]) -> int:
-        self._bit(key)
-        return self._start[key[0]][key[1]]
+        return self.start[self._bit(key)]
 
     def end_mask(self, key: tuple[int, int]) -> int:
-        self._bit(key)
-        return self._got[key[0]][key[1] - 1]
-
-    def exists(self, src: tuple[int, int], dst: tuple[int, int]) -> bool:
-        return self.zz[self._bit(src)] >> self._bit(dst) & 1 == 1
+        return self.got[self._bit(key) - 1]
 
     def chain_is_causal(self, names: tuple[str, ...]) -> bool:
         """Whether each receive of the named chain comes before the next
@@ -273,23 +263,17 @@ class _ZigzagIndex:
         bit = {nm: i for i, nm in enumerate(self.names)}
         return self._causal([bit[nm] for nm in names])
 
-    @cached_property
-    def _at(self) -> tuple[list[int], list[int]]:
-        """The send positions and the receive positions of the messages,
-        by bit."""
-        delivered = self.delivered
-        ends = [delivered[nm] for nm in self.names]
-        return [e[2] for e in ends], [e[5] for e in ends]
-
     def _causal(self, chain) -> bool:
         """Whether each receive of a chain of bits comes before the next
         send."""
-        sent_at, got_at = self._at
-        return all(map(le, map(got_at.__getitem__, chain[:-1]),
-                       map(sent_at.__getitem__, chain[1:])))
+        return all(map(le, map(self.got_at.__getitem__, chain[:-1]),
+                       map(self.sent_at.__getitem__, chain[1:])))
 
-    def _witness(self, src, dst, chain: tuple[int, ...]) -> ZigzagWitness:
-        """The witness of a chain of bits: its names and :meth:`_causal`."""
+    def _witness(self, src: CheckpointRecord, dst: CheckpointRecord) -> ZigzagWitness:
+        """The shortest witness from src to dst, two checkpoints of this
+        trace joined by a zigzag path: its names and :meth:`_causal`."""
+        base = self.base
+        chain = self._shortest(base[src.process] + src.ordinal, base[dst.process] + dst.ordinal)
         return ZigzagWitness(src, dst, tuple(map(self.names.__getitem__, chain)),
                              self._causal(chain))
 
@@ -366,16 +350,17 @@ class _ZigzagIndex:
         dead-ends."""
         return self._best(first, self._back(end, allowed))
 
-    def _shortest(self, src, dst) -> tuple[int, ...] | None:
-        """Bits of the chain that :meth:`shortest_chain` names."""
-        return self._best(self.start_mask(src), self._layers(self.end_mask(dst)))
+    def _shortest(self, a: int, b: int) -> tuple[int, ...] | None:
+        """Bits of the chain that :meth:`shortest_chain` names, from node a
+        into node b."""
+        return self._best(self.start[a], self._layers(self.got[b - 1]))
 
     def shortest_chain(self, src, dst) -> tuple[str, ...] | None:
         """Shortest chain, ties broken lexicographically by name sequence:
         :meth:`_best` from the start mask of src down the cached layers
         into the end mask of dst.  Equal to ``_chain(start, -1, end)``,
         which would build the same layers again for every source."""
-        chain = self._shortest(src, dst)
+        chain = self._shortest(self._bit(src), self._bit(dst))
         return None if chain is None else tuple(self.names[j] for j in chain)
 
     def simple_chains(self, src, dst, cap=None):
@@ -383,16 +368,17 @@ class _ZigzagIndex:
         ties; a chain may extend beyond an earlier completion.  Returns
         (chains, truncated): truncated is True when a chain beyond the
         cap exists."""
-        chains, truncated = self._simple(src, dst, cap)
+        chains, truncated = self._simple(self._bit(src), self._bit(dst), cap)
         names = self.names
         return [tuple(names[j] for j in chain) for chain in chains], truncated
 
-    def _simple(self, src, dst, cap):
-        """Bits of the chains of :meth:`simple_chains`, and its flag.
+    def _simple(self, a: int, b: int, cap):
+        """Bits of the chains of :meth:`simple_chains`, and its flag, from
+        node a into node b.
 
         Yen's k shortest loopless paths (Management Science, 1971), over
-        the message graph with a virtual source (the start mask of src)
-        and a virtual sink (the end mask of dst).  Each accepted chain is
+        the message graph with a virtual source (the start mask of a)
+        and a virtual sink (the end mask of b).  Each accepted chain is
         spurred only at or after the position where it left the chain it
         was spurred from (Lawler, Management Science, 1972).  A spur at
         position v keeps the chain's first v messages (the root); its
@@ -425,7 +411,7 @@ class _ZigzagIndex:
         chain returned, and each spur costs one O(L) walk and at most one
         O(m) search, so a capped search costs O(cap · L · m) mask
         operations."""
-        start, end = self.start_mask(src), self.end_mask(dst)
+        start, end = self.start[a], self.got[b - 1]
         layers = self._layers(end)
         best = self._best(start, layers)
         if best is None:
@@ -584,9 +570,9 @@ def zigzag_exists(src: CheckpointRecord, dst: CheckpointRecord, trace: Trace):
     either end; the witness is one shortest chain.
     """
     idx = _index(trace)
-    if not idx.exists(src.key(), dst.key()):
+    if not idx.zz[idx._bit(src.key())] >> idx._bit(dst.key()) & 1:
         return None
-    return idx._witness(src, dst, idx._shortest(src.key(), dst.key()))
+    return idx._witness(src, dst)
 
 
 DEFAULT_MAX_WITNESSES = 32
@@ -599,18 +585,19 @@ def _z_cycles(trace: Trace, cap: int | None):
     if cap is not None and cap < 1:
         raise ValueError("witness cap must be at least 1")
     idx = _index(trace)
-    names = idx.names
+    zz = idx.zz
     cycles = []
     useless = set()
     truncated = 0
-    for rec in idx.recs:
-        if not idx.exists(rec.key(), rec.key()):
+    for a, rec in enumerate(idx.recs):
+        if not zz[a] >> a & 1:  # 0 at slot 0 and at the virtual terminal
             continue
         useless.add(rec)
-        chains, cut = idx._simple(rec.key(), rec.key(), cap)
+        chains, cut = idx._simple(a, a, cap)
         truncated += cut
         # Never causal (ZigzagWitness), so no chain is checked.
-        cycles += [(rec, ZigzagWitness(rec, rec, tuple(map(names.__getitem__, chain)), False))
+        name = idx.names.__getitem__
+        cycles += [(rec, ZigzagWitness(rec, rec, tuple(map(name, chain)), False))
                    for chain in chains]
     return cycles, useless, truncated
 
@@ -675,12 +662,12 @@ def _violating_pairs(idx: _ZigzagIndex):
     checkpoint order.  Raises ValueError, before any pair, for a
     checkpoint without a timestamp."""
     hits = {a: hit for a, hit in _below_hits(idx) if hit}
-    at = {idx.base[p] + x: rec for (p, x), rec in idx.checkpoints.items()}
+    recs = idx.recs
     for a in sorted(hits):
-        hit, src = hits[a], at[a]
+        hit, src = hits[a], recs[a]
         while hit:
             low = hit & -hit
-            yield src, at[low.bit_length() - 1]
+            yield src, recs[low.bit_length() - 1]
             hit ^= low
 
 
@@ -692,8 +679,7 @@ def check_z_consistency(trace: Trace):
     witness per pair.  Requires every checkpoint to carry a timestamp.
     """
     idx = _index(trace)
-    return [(a, b, idx._witness(a, b, idx._shortest(a.key(), b.key())))
-            for a, b in _violating_pairs(idx)]
+    return [(a, b, idx._witness(a, b)) for a, b in _violating_pairs(idx)]
 
 
 def quick_findings(trace: Trace) -> tuple[int, int]:

@@ -479,9 +479,9 @@ def test_z_cycle_witnesses_are_never_causal():
     for trace in traces:
         idx = oracle._index(trace)
         for rec in useless_checkpoints(trace):
-            k = rec.key()
+            a = idx._bit(rec.key())
             for cap in (1, 5, 32):
-                for chain in idx._simple(k, k, cap)[0]:
+                for chain in idx._simple(a, a, cap)[0]:
                     assert not idx._causal(chain), (rec.label(), chain)
                     chains += 1
     assert chains > 1000
@@ -718,6 +718,30 @@ def test_zigzag_accepts_virtual_endpoints(fixture_run):
             trace.checkpoints[(3, 3)],
             trace,
         )
+
+
+@pytest.mark.parametrize("bad", [(1, 0), (2, 4), (3, 5), (4, 1)])
+def test_every_entry_point_rejects_a_checkpoint_out_of_range(fixture_run, bad):
+    # Checkpoint counts {1: 3, 2: 2, 3: 3}: each key lies just outside a
+    # process's ordinals 1..cnt+1, or names no process.  The per-interval
+    # tables are flat, so (2, 4) would read P3's slot 0 without the check.
+    trace = fixture_run("ccp", "none").trace
+    assert trace.ckpt_counts == {1: 3, 2: 2, 3: 3}
+    idx = oracle._index(trace)
+    ok, rec = (1, 1), CheckpointRecord(*bad, "virtual-terminal", None)
+    calls = [
+        lambda: zigzag_exists(rec, trace.checkpoints[ok], trace),
+        lambda: zigzag_exists(trace.checkpoints[ok], rec, trace),
+        lambda: idx.start_mask(bad),
+        lambda: idx.end_mask(bad),
+        lambda: idx.shortest_chain(bad, ok),
+        lambda: idx.shortest_chain(ok, bad),
+        lambda: idx.simple_chains(bad, ok),
+        lambda: idx.simple_chains(ok, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="does not exist"):
+            call()
 
 
 def test_membership_complement_equals_useless_on_random_traces():

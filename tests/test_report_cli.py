@@ -6,7 +6,7 @@ from collections import OrderedDict, namedtuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cicsim import cli, oracle, simulator
+from cicsim import cli, oracle, scenarios, simulator
 from cicsim.cli import main
 from cicsim.diagram import ascii_diagram, svg_diagram
 from cicsim.protocols import PROTOCOL_NAMES
@@ -226,6 +226,22 @@ def test_cli_scenario_file_input(tmp_path, capsys):
     path = tmp_path / "two.scn"
     path.write_text("procs 2\nsend 1 2 m1\nrecv 2 m1\n")
     assert main(["run", str(path), "fi", "--check"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_scenario_file_reports_the_canonical_hash(tmp_path, capsys):
+    # The report digests the canonical scenario text, so a file holding a
+    # built-in's text, comments and blank lines included, reports the
+    # built-in's hash.
+    for name in FIXTURE_NAMES:
+        path = tmp_path / f"{name}.scn"
+        path.write_text(f"# {name}\n\n{scenarios._fixture(name).text}\n# end\n")
+        hashes = []
+        for ref in (name, str(path)):
+            out = tmp_path / "rep.json"
+            assert main(["run", ref, "none", "--json", "--out", str(out)]) == 0
+            hashes.append(json.loads(out.read_text())["scenario"]["hash"])
+        assert hashes[0] == hashes[1] == scenario_hash(serialize_scenario(builtin(name)[0])), name
     capsys.readouterr()
 
 
