@@ -112,6 +112,13 @@ def _print_human(rep: dict) -> None:
             f"  z-cycle on C_{z['checkpoint'][0]}^{z['checkpoint'][1]}: "
             f"{', '.join(z['messages'])}"
         )
+    truncated = rep["oracle"]["stats"]["witnesses_truncated"]
+    if truncated:
+        cap = oracle.DEFAULT_MAX_WITNESSES
+        print(
+            f"  witnesses cut: {truncated} checkpoint(s) lie on more than {cap} "
+            f"Z-cycles; the first {cap} of each are listed"
+        )
     for v in rep["oracle"]["violations"]:
         print(
             f"  violation: C_{v['from'][0]}^{v['from'][1]} (t={v['from_t']}) "

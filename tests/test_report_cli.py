@@ -2,6 +2,7 @@ import hashlib
 import json
 import xml.etree.ElementTree as ET
 from collections import OrderedDict, namedtuple
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -52,6 +53,11 @@ def test_builtin_report_bytes_are_pinned():
 Point = namedtuple("Point", "x y")
 
 
+class Side(IntEnum):
+    LEFT = 1
+    RIGHT = 2
+
+
 def _stdlib_json(v):
     return json.dumps(v, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
@@ -96,9 +102,24 @@ _json_trees = st.recursive(
     "bool_int": [True, 1], "bools": [True], "empty": [], "ints": [1, 2],
     "strs": ["x"], "tuple": (1, 2), "flag": True,
 })
+@example({"a": [1, 2], "b": {"c": [1, 2]}, "d": [[1, 2]]})  # one pair, three depths
+@example({"int_bool": [1, True], "bool_int": [True, 1]})
+@example({"enum": [Side.LEFT, Side.RIGHT], "mixed": [Side.LEFT, 2]})
+@example({"huge": [2**64 + 1, -(2**70)], "negative": [-1, -2]})
 @settings(max_examples=400, deadline=None)
 def test_to_json_matches_the_stdlib_encoder(tree):
     assert to_json(tree) == _stdlib_json(tree)
+
+
+def test_to_json_matches_the_stdlib_encoder_on_unprotected_run_reports():
+    # The report-none benchmark's shape: 100 events, n=6, no protocol, so
+    # the same [process, ordinal] pairs recur across many Z-cycle entries.
+    for seed in range(20):
+        rates = tuple(0.02 + 0.04 * ((seed + p) % 7) for p in range(6))
+        scen = random_scenario(FuzzParams(n=6, events=100, p_ckpt=rates, seed=seed))
+        run = run_scenario(scen, "none")
+        rep = run_report(run, oracle.oracle_report(run.trace), serialize_scenario(scen))
+        assert to_json(rep) == _stdlib_json(rep), f"seed {seed}"
 
 
 @pytest.mark.parametrize("tree", [{1: "a"}, {"a": [{2: 0}]}], ids=["top", "nested"])
@@ -227,6 +248,27 @@ def test_cli_scenario_file_input(tmp_path, capsys):
     path.write_text("procs 2\nsend 1 2 m1\nrecv 2 m1\n")
     assert main(["run", str(path), "fi", "--check"]) == 0
     capsys.readouterr()
+
+
+def test_cli_run_says_when_witness_lists_are_cut(tmp_path, capsys):
+    # Unprotected, dense enough that 8 checkpoints lie on more Z-cycles
+    # than the witness cap; the text output must say the lists were cut.
+    path = tmp_path / "dense.scn"
+    path.write_text(serialize_scenario(
+        random_scenario(FuzzParams(n=6, events=100, p_ckpt=0.15, seed=3))
+    ))
+    assert main(["run", str(path), "none"]) == 0
+    out = capsys.readouterr().out
+    cut = [line for line in out.splitlines() if "witnesses cut" in line]
+    assert cut == [
+        "  witnesses cut: 8 checkpoint(s) lie on more than 32 Z-cycles; "
+        "the first 32 of each are listed"
+    ]
+    assert main(["run", str(path), "none", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"]["stats"]["witnesses_truncated"] == 8
+    # No built-in truncates, so their text has no such line.
+    assert main(["run", "ccp", "none"]) == 0
+    assert "witnesses cut" not in capsys.readouterr().out
 
 
 def test_cli_scenario_file_reports_the_canonical_hash(tmp_path, capsys):
