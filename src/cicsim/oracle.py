@@ -73,6 +73,15 @@ one exists, do not depend on how they are found, so the output is that
 of eager Yen.  The cap bounds the work, O(cap · L · m) mask operations
 for m messages and chains of at most L, and not only the output.
 
+A search from C_p^x into C_q^y reads only two masks that depend on the
+pair: the start mask of C_p^x, whose messages can open a chain, and the
+end mask of C_q^y, whose messages can close one; the successor masks and
+the cached layers of that end mask are the same for the whole trace.  So
+one report runs each Z-cycle search, and each shortest-witness search
+with its causal check, once per distinct (start mask, end mask) pair and
+reuses the result for every checkpoint, or pair of checkpoints, with the
+same masks; the shared results live only for that call.
+
 The message graph's nodes are the delivered messages, and message i
 continues with message j when P_receiver(i) sends j in the interval of
 its receive or later.  One pass over the messages in name order builds
@@ -271,11 +280,16 @@ class _ZigzagIndex:
 
     def _witness(self, src: CheckpointRecord, dst: CheckpointRecord) -> ZigzagWitness:
         """The shortest witness from src to dst, two checkpoints of this
-        trace joined by a zigzag path: its names and :meth:`_causal`."""
+        trace joined by a zigzag path."""
         base = self.base
-        chain = self._shortest(base[src.process] + src.ordinal, base[dst.process] + dst.ordinal)
-        return ZigzagWitness(src, dst, tuple(map(self.names.__getitem__, chain)),
-                             self._causal(chain))
+        return ZigzagWitness(src, dst, *self._named(base[src.process] + src.ordinal,
+                                                    base[dst.process] + dst.ordinal))
+
+    def _named(self, a: int, b: int) -> tuple[tuple[str, ...], bool]:
+        """The names and the :meth:`_causal` flag of the :meth:`_shortest`
+        chain from node a into node b, two nodes joined by a zigzag path."""
+        chain = self._shortest(a, b)
+        return tuple(map(self.names.__getitem__, chain)), self._causal(chain)
 
     def _back(self, end: int, allowed: int):
         """Breadth-first layers backwards from ``end``: layer d holds the
@@ -367,7 +381,8 @@ class _ZigzagIndex:
         """All message-simple chains from src to dst, shortest first, lex
         ties; a chain may extend beyond an earlier completion.  Returns
         (chains, truncated): truncated is True when a chain beyond the
-        cap exists."""
+        cap exists.  The cap is None, for every chain, or at least 1: a
+        lower one raises ValueError, since it would bound no work."""
         chains, truncated = self._simple(self._bit(src), self._bit(dst), cap)
         names = self.names
         return [tuple(names[j] for j in chain) for chain in chains], truncated
@@ -397,20 +412,23 @@ class _ZigzagIndex:
         a :meth:`_walk` down the cached layers that avoids the root
         resolves it; a completed walk is exactly the suffix that
         :meth:`_chain` would find.  A walk that dead-ends runs the
-        restricted :meth:`_chain` search at once, and the chain it finds
-        goes on the heap as a candidate.  On dense traces most spurs
-        never reach the top before the cap is met, so most walks and
-        searches are never run.  A candidate chain is popped only when no
-        pending key is smaller, so the first ``cap`` chains, and whether
-        another exists, are those of eager Yen, which is canonical: the
-        first ``cap`` message-simple chains in (length, names) order.  A
-        candidate still on the heap when the cap-th chain is accepted is
-        such another chain, so the search stops there.
+        restricted :meth:`_chain` search at once.  The resolved chain is
+        accepted at once when its key is below every key on the heap,
+        since it would be popped next, and goes on the heap as a candidate
+        otherwise.  On dense traces most spurs never reach the top before
+        the cap is met, so most walks and searches are never run.  A
+        candidate chain is accepted only when no pending key is smaller,
+        so the first ``cap`` chains, and whether another exists, are those
+        of eager Yen, which is canonical: the first ``cap`` message-simple
+        chains in (length, names) order.  A candidate still on the heap
+        when the cap-th chain is accepted is such another chain, so the
+        search stops there.
 
         Each accepted chain makes at most L + 1 spurs for L the longest
         chain returned, and each spur costs one O(L) walk and at most one
         O(m) search, so a capped search costs O(cap · L · m) mask
         operations."""
+        _check_cap(cap)
         start, end = self.start[a], self.got[b - 1]
         layers = self._layers(end)
         best = self._best(start, layers)
@@ -429,38 +447,43 @@ class _ZigzagIndex:
         waiting = 1  # candidate chains on the heap
         while heap:
             ln, chain, v, first, avoid = pop(heap)
-            if not first:
-                waiting -= 1
-                if len(out) == cap:  # never for cap None
-                    return out, True
-                out.append(chain)
-                if len(out) == cap and waiting:
-                    # A waiting candidate is a further simple chain.
-                    return out, True
-                for v in range(v, ln + 1):
-                    # A spur never stops at its root: a root that reaches dst
-                    # is a shorter chain, accepted already.
-                    root = chain[:v]
-                    hop = 1 << chain[v] if v < ln else 0  # 0: the sink
-                    hops[root] = taken = hops.get(root, 0) | hop
-                    first = (adj[root[-1]] if root else start) & ~taken & ~avoid
-                    if first:
-                        for d, layer in enumerate(layers):
-                            if layer & first:
-                                push(heap, (v + d + 1, root, v, first, avoid))
-                                break
-                    avoid |= hop
-                continue
-            suffix = self._walk(first, layers, ln - v - 1, avoid)
-            if len(suffix) < ln - v:
-                suffix = self._chain(first, ~avoid, end)
-                if suffix is None:
+            if first:
+                suffix = self._walk(first, layers, ln - v - 1, avoid)
+                if len(suffix) < ln - v:
+                    suffix = self._chain(first, ~avoid, end)
+                    if suffix is None:
+                        continue
+                chain += suffix
+                if chain in queued:
                     continue
-            chain += suffix
-            if chain not in queued:
                 queued.add(chain)
-                push(heap, (len(chain), chain, v, 0, avoid))
-                waiting += 1
+                ln = len(chain)
+                if heap and heap[0] < (ln, chain):
+                    push(heap, (ln, chain, v, 0, avoid))
+                    waiting += 1
+                    continue
+                # Below every key on the heap: the next chain, accepted now.
+            else:
+                waiting -= 1
+            if len(out) == cap:  # never for cap None
+                return out, True
+            out.append(chain)
+            if len(out) == cap and waiting:
+                # A waiting candidate is a further simple chain.
+                return out, True
+            for v in range(v, ln + 1):
+                # A spur never stops at its root: a root that reaches dst
+                # is a shorter chain, accepted already.
+                root = chain[:v]
+                hop = 1 << chain[v] if v < ln else 0  # 0: the sink
+                hops[root] = taken = hops.get(root, 0) | hop
+                first = (adj[chain[v - 1]] if v else start) & ~(taken | avoid)
+                if first:
+                    for d, layer in enumerate(layers):
+                        if layer & first:
+                            push(heap, (v + d + 1, root, v, first, avoid))
+                            break
+                avoid |= hop
         return out, False
 
 
@@ -578,27 +601,41 @@ def zigzag_exists(src: CheckpointRecord, dst: CheckpointRecord, trace: Trace):
 DEFAULT_MAX_WITNESSES = 32
 
 
+def _check_cap(cap: int | None) -> None:
+    """A witness cap bounds the work, so it is None (exhaustive) or at
+    least 1."""
+    if cap is not None and cap < 1:
+        raise ValueError("witness cap must be at least 1")
+
+
 def _z_cycles(trace: Trace, cap: int | None):
     """(cycles, useless, truncated): capped simple-chain Z-cycle witnesses
     in checkpoint order, the useless set, and how many checkpoints lie on
-    more Z-cycles than the cap."""
-    if cap is not None and cap < 1:
-        raise ValueError("witness cap must be at least 1")
+    more Z-cycles than the cap.
+
+    The chains from node a into itself depend only on its start and end
+    masks, so checkpoints with equal masks share one search."""
+    _check_cap(cap)
     idx = _index(trace)
     zz = idx.zz
     cycles = []
     useless = set()
     truncated = 0
+    found = {}  # (start mask, end mask) -> (named chains, truncated)
     for a, rec in enumerate(idx.recs):
         if not zz[a] >> a & 1:  # 0 at slot 0 and at the virtual terminal
             continue
         useless.add(rec)
-        chains, cut = idx._simple(a, a, cap)
+        key = idx.start[a], idx.got[a - 1]
+        shared = found.get(key)
+        if shared is None:
+            chains, cut = idx._simple(a, a, cap)
+            name = idx.names.__getitem__
+            shared = found[key] = [tuple(map(name, chain)) for chain in chains], cut
+        named, cut = shared
         truncated += cut
         # Never causal (ZigzagWitness), so no chain is checked.
-        name = idx.names.__getitem__
-        cycles += [(rec, ZigzagWitness(rec, rec, tuple(map(name, chain)), False))
-                   for chain in chains]
+        cycles += [(rec, ZigzagWitness(rec, rec, names, False)) for names in named]
     return cycles, useless, truncated
 
 
@@ -677,9 +714,21 @@ def check_z_consistency(trace: Trace):
     One entry per ordered checkpoint pair (source may equal target) that
     is connected by a zigzag path yet has source.t >= target.t; a single
     witness per pair.  Requires every checkpoint to carry a timestamp.
+    Pairs with the same source start mask and target end mask share one
+    witness search.
     """
     idx = _index(trace)
-    return [(a, b, idx._witness(a, b)) for a, b in _violating_pairs(idx)]
+    base = idx.base
+    found = {}  # (start mask, end mask) -> (names, causal)
+    violations = []
+    for a, b in _violating_pairs(idx):
+        u, v = base[a.process] + a.ordinal, base[b.process] + b.ordinal
+        key = idx.start[u], idx.got[v - 1]
+        shared = found.get(key)
+        if shared is None:
+            shared = found[key] = idx._named(u, v)
+        violations.append((a, b, ZigzagWitness(a, b, *shared)))
+    return violations
 
 
 def quick_findings(trace: Trace) -> tuple[int, int]:

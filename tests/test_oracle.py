@@ -419,6 +419,95 @@ def test_capped_witness_reports_on_dense_traces_are_pinned():
     )
 
 
+def report_none_runs(count=20):
+    """(label, run): unprotected 100-event n=6 runs drawn like the
+    ``report-none`` benchmark's, one checkpoint rate per process."""
+    for seed in range(count):
+        prng = SplitMix64(seed ^ 0xC1C51A8)
+        rates = tuple(0.02 + 0.28 * prng.random() for _ in range(6))
+        params = FuzzParams(n=6, events=100, p_ckpt=rates, p_send=0.35,
+                            max_in_flight=8, seed=seed + 9400)
+        yield f"report-none seed {seed + 9400}", run_scenario(random_scenario(params), "none")
+
+
+def test_shared_witness_searches_equal_unshared_ones(monkeypatch):
+    # oracle_report searches once per distinct (start mask, end mask) pair
+    # and reuses the result.  Every checkpoint's chains and every pair's
+    # witness must equal a search of its own on a newly built index, and
+    # the searches run must be exactly one per distinct pair.
+    calls = {"_simple": 0, "_shortest": 0}
+    for name in calls:
+        method = getattr(oracle._ZigzagIndex, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(oracle._ZigzagIndex, name, counted)
+
+    cases = [(label, run.trace, (1, 2, 5, 32)) for label, _, run in dense_none_runs()]
+    for seed, (label, run) in enumerate(report_none_runs()):
+        cases.append((label, run.trace, (1, 2, 5, 32)))
+        # Arbitrary timestamps make some violation witnesses causal.
+        cases.append((f"{label}, restamped", restamped(run.trace, seed), (32,)))
+    for name in FIXTURE_NAMES:  # small enough for exhaustive search
+        scen, _ = builtin(name)
+        cases += [(f"{name} under {p}", run_scenario(scen, p).trace, (1, None))
+                  for p in ("none", "fine", "lazy-fine")]
+    shared_cycles = shared_pairs = 0
+    causal = set()
+    for label, trace, caps in cases:
+        fresh = oracle._ZigzagIndex(trace)
+        for cap in caps:
+            calls.update(_simple=0, _shortest=0)
+            rep = oracle_report(trace, cap)
+            cycle_keys = {(fresh.start_mask(r.key()), fresh.end_mask(r.key()))
+                          for r in rep.useless}
+            pair_keys = {(fresh.start_mask(a.key()), fresh.end_mask(b.key()))
+                         for a, b, _ in rep.violations}
+            assert calls == {"_simple": len(cycle_keys), "_shortest": len(pair_keys)}, (
+                f"{label}, cap {cap}"
+            )
+            got = {}
+            for rec, w in rep.z_cycles:
+                got.setdefault(rec, []).append(w.messages)
+            truncated = 0
+            for rec in sorted(rep.useless, key=CheckpointRecord.key):
+                a = fresh._bit(rec.key())
+                chains, cut = fresh._simple(a, a, cap)
+                assert got[rec] == [tuple(fresh.names[j] for j in c) for c in chains], (
+                    f"{label}, cap {cap}: {rec.label()}"
+                )
+                truncated += cut
+            assert rep.stats["witnesses_truncated"] == truncated, f"{label}, cap {cap}"
+            for a, b, w in rep.violations:
+                assert w == fresh._witness(a, b), f"{label}: {a.label()} -> {b.label()}"
+                causal.add(w.causal)
+            shared_cycles += len(rep.useless) - len(cycle_keys)
+            shared_pairs += len(rep.violations) - len(pair_keys)
+    # The traces do share mask pairs, so the shared path is exercised.
+    assert shared_cycles > 0 and shared_pairs > 0
+    assert causal == {True, False}
+
+
+def test_simple_chains_rejects_a_cap_below_one(fixture_run):
+    # A cap has to bound the work, so no entry point reads a cap below 1
+    # as "no cap"; None is the exhaustive search.
+    trace = fixture_run("ccp", "none").trace
+    idx = oracle._index(trace)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            idx.simple_chains((3, 3), (3, 3), cap)
+        with pytest.raises(ValueError, match="at least 1"):
+            find_z_cycles(trace, cap)
+    assert len(idx.simple_chains((3, 3), (3, 3), None)[0]) == 2
+    # find_z_cycles checks the cap before any work, even on a clean trace.
+    clean = fixture_run("ccp", "fi").trace
+    assert not useless_checkpoints(clean)
+    with pytest.raises(ValueError, match="at least 1"):
+        find_z_cycles(clean, -1)
+
+
 def test_witnesses_truncated_means_a_chain_beyond_the_cap(fixture_run):
     trace = fixture_run("ccp", "none").trace
     # C_3^3, the only useless checkpoint, lies on exactly two Z-cycles.

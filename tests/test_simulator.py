@@ -492,8 +492,9 @@ def test_amplify_builds_no_events(monkeypatch):
 def test_amplify_builds_one_witness_for_its_target(monkeypatch):
     # The base run needs a witness only for the pair it amplifies, and the
     # amplified run's report is built only when it is read: then every
-    # other _shortest call is that report's, one per violation.
-    from cicsim.oracle import _ZigzagIndex
+    # other _shortest call is that report's, one per distinct (start mask,
+    # end mask) pair among its violations.
+    from cicsim.oracle import _ZigzagIndex, _index
 
     calls = []
     real = _ZigzagIndex._shortest
@@ -516,8 +517,10 @@ def test_amplify_builds_one_witness_for_its_target(monkeypatch):
             continue
         amplified += 1
         assert len(calls) == 1
-        violations = len(result.report.violations)
-        assert len(calls) == 1 + violations
+        violations = result.report.violations
+        idx = _index(result.run.trace)
+        masks = {(idx.start_mask(a.key()), idx.end_mask(b.key())) for a, b, _ in violations}
+        assert len(calls) == 1 + len(masks)
     assert amplified >= 5
 
 
