@@ -10,8 +10,6 @@ checkpoint, ``m1>`` send, ``>m1`` receive.  Output is deterministic text.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .computation import CKPT_FORCED, EV_CKPT, EV_RECV, EV_SEND
 from .simulator import AnnotatedTrace
 
@@ -40,6 +38,14 @@ def ascii_diagram(run: AnnotatedTrace) -> str:
             parts.append(cells[r][c].center(w, "-"))
         lines.append("".join(parts).rstrip("-") or f"P{r + 1}")
     return "\n".join(lines) + "\n"
+
+
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped for XML character data,
+    as ``xml.sax.saxutils.escape`` writes it; that module's import pulls in
+    ``urllib.request`` and with it ``http.client``, ``ssl`` and ``email``,
+    which doubled the start-up time of every ``cicsim`` command."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 _X0, _XSTEP, _Y0, _YSTEP = 70, 46, 50, 80
@@ -80,7 +86,7 @@ def svg_diagram(run: AnnotatedTrace) -> str:
         )
         out.append(
             f'<text x="{(x1 + x2) / 2:.0f}" y="{(y1 + y2) / 2 - 4:.0f}" '
-            f'font-size="11">{escape(name)}</text>'
+            f'font-size="11">{_escape(name)}</text>'
         )
     for pos, ev in enumerate(trace.events):
         if ev.kind != EV_CKPT:

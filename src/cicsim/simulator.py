@@ -128,9 +128,13 @@ class Scenario:
 
 def step_problems(n: int, steps):
     """Yield (step index, problem) in step order, index None for a process
-    count outside 2..MAX_PROCS.  Rules: ids in 1..n, one send and at most
-    one receive per name, each receive after its send and at its
-    destination, no self-sends, known step kinds."""
+    count outside 2..MAX_PROCS.  Rules: ids (process and destination) are
+    exact ints in 1..n, a sent message's name is one token of the text
+    format (a str equal to its own ``split()`` and holding no ``#``), one
+    send and at most one receive per name, each receive after its send and
+    at its destination, no self-sends, known step kinds.  A send whose name
+    is rejected still counts as that name's send, so its receive adds no
+    problem of its own."""
     if n < 2:
         yield None, f"process count {n} < 2"
     elif n > MAX_PROCS:
@@ -138,18 +142,31 @@ def step_problems(n: int, steps):
     sends: dict[str, Step] = {}
     received: set[str] = set()
     for idx, st in enumerate(steps):
-        if not 1 <= st.process <= n:
+        p = st.process
+        if type(p) is not int:
+            yield idx, f"process id {p!r} is not an int"
+            continue
+        if not 1 <= p <= n:
             yield idx, "process out of range"
             continue
         if st.kind == "send":
-            if st.dest is None or not 1 <= st.dest <= n:
+            q = st.dest
+            if type(q) is not int:
+                yield idx, f"destination {q!r} is not an int"
+            elif not 1 <= q <= n:
                 yield idx, "destination out of range"
-            elif st.dest == st.process:
+            elif q == p:
                 yield idx, "self-send"
-            if st.message in sends:
-                yield idx, f"message {st.message} sent twice"
+            name = st.message
+            # isalnum() is a fast path: no letter or digit splits a token.
+            if type(name) is not str or not (
+                name.isalnum() or (name.split() == [name] and "#" not in name)
+            ):
+                yield idx, f"message name {name!r} is not one token without '#'"
+            if name in sends:
+                yield idx, f"message {name} sent twice"
             else:
-                sends[st.message] = st
+                sends[name] = st
         elif st.kind == "recv":
             origin = sends.get(st.message)
             if origin is None:

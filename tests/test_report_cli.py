@@ -1,8 +1,11 @@
 import hashlib
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections import OrderedDict, namedtuple
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +22,7 @@ from cicsim.scenarios import (
     random_scenario,
     serialize_scenario,
 )
-from cicsim.simulator import Scenario, run_scenario
+from cicsim.simulator import Scenario, recv, run_scenario, send
 
 
 def report_for(name, protocol):
@@ -111,6 +114,51 @@ def test_to_json_matches_the_stdlib_encoder(tree):
     assert to_json(tree) == _stdlib_json(tree)
 
 
+# Lists of same-keyed dicts take the table writer.  Each key's column is
+# mostly of one kind, so the writer chosen by the first row's value is
+# mostly right, but any value may be an arbitrary tree instead.
+_table_keys = ["a", "b", "%s", "{x}", "m\u00e9", ""]
+_column_values = [
+    _json_text,
+    st.integers(),
+    st.booleans(),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=2),
+    st.lists(st.integers(), min_size=1, max_size=4),
+    st.lists(_json_text, min_size=1, max_size=4),
+    _json_trees,
+]
+
+
+@st.composite
+def _same_keyed_rows(draw):
+    keys = draw(st.lists(st.sampled_from(_table_keys), min_size=1, unique=True))
+    columns = {k: draw(st.sampled_from(_column_values)) for k in keys}
+    rows = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        order = draw(st.permutations(keys))  # insertion order varies by row
+        rows.append({
+            k: draw(columns[k] if draw(st.integers(0, 4)) else _json_trees) for k in order
+        })
+    # Tables at several depths: alone, as a dict value, inside a list.
+    return draw(st.sampled_from([
+        rows, {"rows": rows, "n": len(rows)}, [rows, {"t": rows}],
+    ]))
+
+
+@given(_same_keyed_rows())
+@example([{"a": [1, 2]}, {"a": [True, 1]}])  # a later row's value is not the guess
+@example([{"m": ["x"]}, {"m": ["x", 1]}])
+@example([{"k": 1}, {"k": True}, {"k": None}, {"k": "s"}, {"k": 2.5}])
+@example([{"b": 1, "a": [1, 2]}, {"a": [3, 4], "b": 2}])  # keys in another order
+@example([{"a": 1, "b": 2}, OrderedDict(b=3, a=4)])  # a row that is a dict subclass
+@example([{}, {}])
+@example([{"%s": 1, "%": [1, 2], "%%": "%d"}, {"%": [1, 2], "%%": "%s", "%s": 2}])
+@example({"d": [{"p": [1, 2]}], "e": [[{"p": [1, 2]}]]})  # one pair in two tables
+@settings(max_examples=200, deadline=None)
+def test_to_json_writes_same_keyed_rows_as_the_stdlib(tree):
+    assert to_json(tree) == _stdlib_json(tree)
+
+
 def test_to_json_matches_the_stdlib_encoder_on_unprotected_run_reports():
     # The report-none benchmark's shape: 100 events, n=6, no protocol, so
     # the same [process, ordinal] pairs recur across many Z-cycle entries.
@@ -122,7 +170,8 @@ def test_to_json_matches_the_stdlib_encoder_on_unprotected_run_reports():
         assert to_json(rep) == _stdlib_json(rep), f"seed {seed}"
 
 
-@pytest.mark.parametrize("tree", [{1: "a"}, {"a": [{2: 0}]}], ids=["top", "nested"])
+@pytest.mark.parametrize("tree", [{1: "a"}, {"a": [{2: 0}]}, [{2: 0}, {2: 1}]],
+                         ids=["top", "nested", "table"])
 def test_to_json_rejects_int_keys(tree):
     with pytest.raises(TypeError):
         to_json(tree)
@@ -211,7 +260,29 @@ def test_diagram_bytes_are_pinned():
     )
 
 
+def test_svg_escapes_message_names():
+    scen = Scenario(2, (send(1, 2, "a&b<c>"), recv(2, "a&b<c>")))
+    doc = svg_diagram(run_scenario(scen, "none"))
+    assert "a&amp;b&lt;c&gt;" in doc
+    texts = [el.text for el in ET.fromstring(doc).iter() if el.tag.endswith("text")]
+    assert "a&b<c>" in texts
+
+
 # -- CLI ---------------------------------------------------------------------
+
+
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils pulls these in, which doubled every command's
+    # start-up time; the diagram's escape is local instead.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cicsim.cli; "
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'email') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_cli_run_check_exit_codes(capsys):

@@ -5,6 +5,7 @@ import pickle
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cicsim import protocols
 from cicsim.computation import Trace
@@ -37,6 +38,7 @@ from cicsim.simulator import (
     ScenarioError,
     Step,
     amplify_violation,
+    ckpt,
     compare_runs,
     recv,
     run_scenario,
@@ -552,6 +554,47 @@ def test_scenario_violation_messages():
         "step 6 (recv 2 m1): message m1 received twice",
         "step 7 (recv 1 None): unknown step kind 'bogus'",
     ]
+
+
+@pytest.mark.parametrize("steps, problem", [
+    ((ckpt(1.0),), "process id 1.0 is not an int"),
+    ((ckpt(True),), "process id True is not an int"),
+    ((send(1, 2, "a"), recv(2.0, "a")), None),  # located at step 1 below
+    ((Step("send", 1, 2.0, "a"), recv(2, "a")), "destination 2.0 is not an int"),
+    ((Step("send", 1, None, "a"),), "destination None is not an int"),
+    ((Step("send", 1, 2, None), recv(2, None)), "message name None is not one token without '#'"),
+    ((send(1, 2, ""), recv(2, "")), "message name '' is not one token without '#'"),
+    ((send(1, 2, "a b"), recv(2, "a b")), "message name 'a b' is not one token without '#'"),
+    ((send(1, 2, "x#y"), recv(2, "x#y")), "message name 'x#y' is not one token without '#'"),
+    ((send(1, 2, "a\u2028b"), recv(2, "a\u2028b")),
+     "message name 'a\\u2028b' is not one token without '#'"),
+    ((send(1, 2, 7), recv(2, 7)), "message name 7 is not one token without '#'"),
+], ids=["ckpt-float", "ckpt-bool", "recv-float", "dest-float", "dest-none", "name-none",
+        "name-empty", "name-space", "name-hash", "name-line-separator", "name-int"])
+def test_scenario_rejects_steps_the_text_format_cannot_hold(steps, problem):
+    # Each was accepted once and then failed in the run, in the trace or in
+    # parse(serialize(s)) == s.  A rejected send's receive adds no problem.
+    with pytest.raises(ScenarioError) as err:
+        Scenario(2, steps)
+    if problem is None:
+        assert err.value.located == [(1, "process id 2.0 is not an int")]
+    else:
+        assert err.value.located == [(0, problem)]
+
+
+@given(st.text(max_size=4))
+@example(" a")
+@example("a\x1cb")
+@example("a\x85")
+@example("#")
+@settings(max_examples=200, deadline=None)
+def test_every_accepted_message_name_survives_the_text_format(name):
+    try:
+        scen = Scenario(2, (send(1, 2, name), recv(2, name)))
+    except ScenarioError:
+        return
+    assert parse_scenario(serialize_scenario(scen)) == scen
+    assert run_scenario(scen, "none").trace.events
 
 
 def test_invalid_scenario_checks_its_steps_once(monkeypatch):
