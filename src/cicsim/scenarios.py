@@ -865,7 +865,12 @@ class FuzzParams:
 
 def checked_rates(params: FuzzParams) -> list[float]:
     """Per-process checkpoint probabilities of ``params``, after checking
-    every knob; raises ValueError for an out-of-range one."""
+    every knob; raises ValueError for an out-of-range one, or for a count
+    (``n``, ``events``, ``max_in_flight``) that is not an exact int."""
+    for knob in ("n", "events", "max_in_flight"):
+        value = getattr(params, knob)
+        if type(value) is not int:
+            raise ValueError(f"{knob} must be an int, got {value!r}")
     if not 2 <= params.n <= MAX_PROCS:
         raise ValueError(f"need 2 to {MAX_PROCS} processes, got {params.n}")
     if params.events < 1:
@@ -893,30 +898,38 @@ def random_scenario(params: FuzzParams) -> Scenario:
     drained at the end while the event budget lasts, so sends are received
     unless the budget truncates the trace.
     """
-    p_ckpt = checked_rates(params)
-    rng = SplitMix64(params.seed)
+    n, events, max_in_flight = params.n, params.events, params.max_in_flight
+    # r < p compares (d >> 11) * 2**-53 with p, so, exactly, d >> 11 with
+    # p * 2**53: per process, the checkpoint and the send threshold.
+    ckpt_below, send_below = [], []
+    for prob in checked_rates(params):
+        ckpt_below.append(prob * 2.0 ** 53)
+        send_below.append((prob + params.p_send) * 2.0 ** 53)
+    # SplitMix64.below and .random, inlined: one draw each, in the order
+    # p, r, then q or the index of the message delivered.
+    draw = SplitMix64(params.seed).draws.__next__
     steps: list[Step] = []
     in_flight: list[tuple[str, int]] = []
     counter = 0
-    attempts = 0
-    while len(steps) < params.events and attempts < params.events * 8:
-        attempts += 1
-        p = 1 + rng.below(params.n)
-        r = rng.random()
-        if r < p_ckpt[p - 1]:
-            steps.append(Step("ckpt", p))
-        elif r < p_ckpt[p - 1] + params.p_send and len(in_flight) < params.max_in_flight:
-            q = 1 + rng.below(params.n - 1)
-            if q >= p:
+    for _ in range(events * 8):
+        if len(steps) == events:
+            break
+        i = draw() % n  # process i + 1
+        r = draw() >> 11
+        if r < ckpt_below[i]:
+            steps.append(Step("ckpt", i + 1))
+        elif r < send_below[i] and len(in_flight) < max_in_flight:
+            q = 1 + draw() % (n - 1)
+            if q > i:
                 q += 1
             counter += 1
             name = f"m{counter}"
-            steps.append(Step("send", p, q, name))
+            steps.append(Step("send", i + 1, q, name))
             in_flight.append((name, q))
         elif in_flight:
-            name, dest = in_flight.pop(rng.below(len(in_flight)))
-            steps.append(Step("recv", dest, message=name))
-    while in_flight and len(steps) < params.events:
-        name, dest = in_flight.pop(rng.below(len(in_flight)))
-        steps.append(Step("recv", dest, message=name))
-    return Scenario(params.n, tuple(steps))
+            name, dest = in_flight.pop(draw() % len(in_flight))
+            steps.append(Step("recv", dest, None, name))
+    while in_flight and len(steps) < events:
+        name, dest = in_flight.pop(draw() % len(in_flight))
+        steps.append(Step("recv", dest, None, name))
+    return Scenario(n, tuple(steps))

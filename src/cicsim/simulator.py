@@ -134,7 +134,12 @@ def step_problems(n: int, steps):
     send and at most one receive per name, each receive after its send and
     at its destination, no self-sends, known step kinds.  A send whose name
     is rejected still counts as that name's send, so its receive adds no
-    problem of its own."""
+    problem of its own, unless the name is unhashable: then the send is not
+    recorded and its receive is rejected for its name.  A process count
+    that is not an exact int is the only problem found."""
+    if type(n) is not int:
+        yield None, f"process count {n!r} is not an int"
+        return
     if n < 2:
         yield None, f"process count {n} < 2"
     elif n > MAX_PROCS:
@@ -163,12 +168,20 @@ def step_problems(n: int, steps):
                 name.isalnum() or (name.split() == [name] and "#" not in name)
             ):
                 yield idx, f"message name {name!r} is not one token without '#'"
+                try:
+                    hash(name)
+                except TypeError:  # the send cannot be recorded
+                    continue
             if name in sends:
                 yield idx, f"message {name} sent twice"
             else:
                 sends[name] = st
         elif st.kind == "recv":
-            origin = sends.get(st.message)
+            try:
+                origin = sends.get(st.message)
+            except TypeError:  # unhashable, so no send recorded it
+                yield idx, f"message name {st.message!r} is not one token without '#'"
+                continue
             if origin is None:
                 yield idx, f"receive before send of {st.message}"
             elif origin.dest != st.process:

@@ -7,10 +7,15 @@ and the cyclic collector finds nothing to do.  Each test runs one group of
 entry points over built-in and seeded scenarios, with the collector off
 and ``gc.DEBUG_SAVEALL`` on, and asserts that one collection afterwards
 finds no unreachable object.  ``cli.main`` is left out: argparse builds
-cycles of its own.
+cycles of its own.  Scenario generation is checked too: a random stream
+that referred back to its owner would leave one cycle per scenario, and
+as such a cycle runs through a suspended generator, whose finalizer frees
+it before the collector can save it, that group also checks that a
+stream dies with its last reference.
 """
 
 import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -26,6 +31,7 @@ from cicsim.oracle import (
 )
 from cicsim.protocols import PROTOCOL_NAMES
 from cicsim.report import run_report, to_json
+from cicsim.rng import SplitMix64
 from cicsim.scenarios import (
     FIXTURE_NAMES,
     FuzzParams,
@@ -116,9 +122,22 @@ def event_views():
             oracle_report(hand)
 
 
+def generation():
+    for seed in range(4):
+        random_scenario(FuzzParams(n=3 + seed % 3, events=40, seed=seed))
+        rng = SplitMix64(seed)
+        for _ in range(20):  # past the end of the first batches
+            rng.next_u64()
+            rng.random()
+            rng.below(7)
+        owner = weakref.ref(rng)
+        del rng
+        assert owner() is None
+
+
 @pytest.mark.parametrize("op", [
     runs_and_quick_findings, reports, comparisons, amplifications, fixtures,
-    memberships, event_views,
+    memberships, event_views, generation,
 ], ids=lambda op: op.__name__)
 def test_run_paths_leave_no_cyclic_garbage(op):
     assert cyclic_garbage(op) == Counter()

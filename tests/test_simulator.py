@@ -582,6 +582,26 @@ def test_scenario_rejects_steps_the_text_format_cannot_hold(steps, problem):
         assert err.value.located == [(0, problem)]
 
 
+@pytest.mark.parametrize("n", [2.0, True, "2", None])
+def test_scenario_rejects_a_process_count_that_is_not_an_int(n):
+    # 2.0 was accepted once, then serialized as "procs 2.0" and failed in
+    # the run with a TypeError.
+    with pytest.raises(ScenarioError) as err:
+        Scenario(n, (send(1, 2, "a"), recv(2, "a")))
+    assert err.value.located == [(None, f"process count {n!r} is not an int")]
+
+
+def test_scenario_rejects_unhashable_message_names():
+    # Such a name once raised a bare TypeError from the send bookkeeping.
+    bad = "message name ['x'] is not one token without '#'"
+    with pytest.raises(ScenarioError) as err:
+        Scenario(2, (send(1, 2, ["x"]),))
+    assert err.value.located == [(0, bad)]
+    with pytest.raises(ScenarioError) as err:
+        Scenario(2, (send(1, 2, ["x"]), recv(2, ["x"]), send(1, 2, "a"), recv(2, "a")))
+    assert err.value.located == [(0, bad), (1, bad)]
+
+
 @given(st.text(max_size=4))
 @example(" a")
 @example("a\x1cb")
