@@ -139,7 +139,7 @@ def cmd_run(args) -> int:
         _write(report.to_json(rep), args.out)
     else:
         _print_human(rep)
-    if args.check and (orep.useless or orep.violations):
+    if args.check and not orep.clean:
         return EXIT_FINDINGS
     return EXIT_OK
 

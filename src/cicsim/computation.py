@@ -186,8 +186,14 @@ class Trace:
         """Build the columns and the event-level view in one pass that
         checks every rule.  A problem's text is built only when its rule
         breaks, and an event that breaks one is still indexed, so it
-        causes no follow-on problem."""
+        causes no follow-on problem.  As for a scenario, a process count
+        that is not an exact int is the only problem reported, and a
+        process id that is not an exact int, a timestamp that is neither
+        None nor an exact int, or an unhashable message name is one
+        problem of its event."""
         n, events = self.n, self.events
+        if type(n) is not int:
+            raise TraceError([f"process count {n!r} is not an int"])
         bad = [f"process count {n} < 2"] if n < 2 else []
 
         def broken(pos, text):
@@ -205,11 +211,18 @@ class Trace:
         for pos, ev in enumerate(events):
             p, kind = ev.process, ev.kind
             if kind == EV_SEND or kind == EV_RECV:
-                (sends if kind == EV_SEND else recvs).setdefault(ev.message, []).append(pos)
-                if not ev.message:
-                    broken(pos, "missing message name")
+                try:
+                    (sends if kind == EV_SEND else recvs).setdefault(ev.message, []).append(pos)
+                except TypeError:
+                    broken(pos, f"message name {ev.message!r} is not hashable")
+                else:
+                    if not ev.message:
+                        broken(pos, "missing message name")
             elif kind != EV_CKPT and kind != EV_INTERNAL:
                 broken(pos, f"unknown event kind {kind!r}")
+            if type(p) is not int:
+                broken(pos, f"process id {p!r} is not an int")
+                continue
             if not 1 <= p <= n:
                 broken(pos, f"process out of range 1..{n}")
                 continue
@@ -235,8 +248,12 @@ class Trace:
                     broken(pos, "duplicate initial checkpoint")
                 if rec.kind == CKPT_VIRTUAL:
                     broken(pos, "virtual-terminal checkpoints may not appear in traces")
-                if rec.timestamp is not None and rec.timestamp < 1:
-                    broken(pos, f"timestamp {rec.timestamp} < 1")
+                t = rec.timestamp
+                if t is not None:
+                    if type(t) is not int:
+                        broken(pos, f"timestamp {t!r} is not an int")
+                    elif t < 1:
+                        broken(pos, f"timestamp {t} < 1")
                 count[p] = rec.ordinal
                 checkpoints[(p, rec.ordinal)] = rec
                 ckpt_pos[(p, rec.ordinal)] = pos

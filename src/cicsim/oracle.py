@@ -117,15 +117,11 @@ class ZigzagWitness:
     """One concrete zigzag chain between two checkpoints.
 
     ``causal`` means consecutive messages are also chained by program
-    order (each receive happens before the next send in real time).  A
-    Z-cycle witness on C_p^x is never causal: it ends with a receive by
-    P_p in an interval before x and starts with a send by P_p in interval
-    x or later, so that receive comes before that send, while a causal
-    chain puts its first send before its last receive.
+    order (each receive happens before the next send in real time).
 
     A frozen value with slots, as :class:`CheckpointRecord` is, because a
-    report on a dense trace builds hundreds of witnesses; its ``__init__``
-    stores each field through the slot's own descriptor."""
+    report on a dense trace builds hundreds of violation witnesses; its
+    ``__init__`` stores each field through the slot's own descriptor."""
 
     __slots__ = ("source", "target", "messages", "causal")
     source: CheckpointRecord
@@ -153,10 +149,16 @@ _set_source, _set_target, _set_messages, _set_causal = (
 
 @dataclass
 class OracleReport:
-    z_cycles: list[tuple[CheckpointRecord, ZigzagWitness]]
-    useless: set[CheckpointRecord]
-    violations: list[tuple[CheckpointRecord, CheckpointRecord, ZigzagWitness]]
+    """The :func:`find_z_cycles` entries, the :func:`check_z_consistency`
+    witnesses and the counters; ``useless`` is read off the entries."""
+
+    z_cycles: list[tuple[CheckpointRecord, list[tuple[str, ...]], bool]]
+    violations: list[ZigzagWitness]
     stats: dict = field(default_factory=dict)
+
+    @property
+    def useless(self) -> set[CheckpointRecord]:
+        return {rec for rec, _, _ in self.z_cycles}
 
     @property
     def clean(self) -> bool:
@@ -608,51 +610,42 @@ def _check_cap(cap: int | None) -> None:
         raise ValueError("witness cap must be at least 1")
 
 
-def _z_cycles(trace: Trace, cap: int | None):
-    """(cycles, useless, truncated): capped simple-chain Z-cycle witnesses
-    in checkpoint order, the useless set, and how many checkpoints lie on
-    more Z-cycles than the cap.
+def find_z_cycles(
+    trace: Trace, max_witnesses_per_checkpoint: int | None = DEFAULT_MAX_WITNESSES
+) -> list[tuple[CheckpointRecord, list[tuple[str, ...]], bool]]:
+    """One (checkpoint, chains, truncated) entry per useless checkpoint, in
+    checkpoint order: its simple-chain Z-cycle witnesses as message names,
+    shortest first with lexicographic ties, and whether a chain beyond the
+    cap exists.
 
-    The chains from node a into itself depend only on its start and end
-    masks, so checkpoints with equal masks share one search."""
+    Dense unprotected traces can hold astronomically many simple cycles,
+    so enumeration stops at ``max_witnesses_per_checkpoint`` and its work
+    grows with the cap (None: every chain, for desk-scale traces);
+    uselessness is decided by reachability, never by this bound.
+    Checkpoints with equal start and end masks share one search and one
+    chains list.  No chain is causal, so none is checked: a Z-cycle on
+    C_p^x ends with a receive by P_p in an interval before x and starts
+    with a send by P_p in interval x or later, so that receive comes
+    before that send, while a causal chain puts its first send before its
+    last receive.
+    """
+    cap = max_witnesses_per_checkpoint
     _check_cap(cap)
     idx = _index(trace)
     zz = idx.zz
     cycles = []
-    useless = set()
-    truncated = 0
     found = {}  # (start mask, end mask) -> (named chains, truncated)
     for a, rec in enumerate(idx.recs):
         if not zz[a] >> a & 1:  # 0 at slot 0 and at the virtual terminal
             continue
-        useless.add(rec)
         key = idx.start[a], idx.got[a - 1]
         shared = found.get(key)
         if shared is None:
             chains, cut = idx._simple(a, a, cap)
             name = idx.names.__getitem__
             shared = found[key] = [tuple(map(name, chain)) for chain in chains], cut
-        named, cut = shared
-        truncated += cut
-        # Never causal (ZigzagWitness), so no chain is checked.
-        cycles += [(rec, ZigzagWitness(rec, rec, names, False)) for names in named]
-    return cycles, useless, truncated
-
-
-def find_z_cycles(
-    trace: Trace, max_witnesses_per_checkpoint: int | None = DEFAULT_MAX_WITNESSES
-):
-    """Every simple-chain Z-cycle witness for every checkpoint.
-
-    Witnesses never repeat a message; per checkpoint they are ordered
-    shortest first with lexicographic message-name tie-breaking.  Dense
-    unprotected traces can hold astronomically many simple cycles, so
-    enumeration stops at ``max_witnesses_per_checkpoint``, and its work
-    grows with the cap, not with the number of cycles (pass None for
-    exhaustive output on desk-scale traces; uselessness itself is always
-    decided by reachability, never by this bound).
-    """
-    return _z_cycles(trace, max_witnesses_per_checkpoint)[0]
+        cycles.append((rec, *shared))
+    return cycles
 
 
 def useless_checkpoints(trace: Trace) -> set[CheckpointRecord]:
@@ -708,14 +701,13 @@ def _violating_pairs(idx: _ZigzagIndex):
             hit ^= low
 
 
-def check_z_consistency(trace: Trace):
-    """Violations of zigzag-consistent timestamping.
-
-    One entry per ordered checkpoint pair (source may equal target) that
-    is connected by a zigzag path yet has source.t >= target.t; a single
-    witness per pair.  Requires every checkpoint to carry a timestamp.
-    Pairs with the same source start mask and target end mask share one
-    witness search.
+def check_z_consistency(trace: Trace) -> list[ZigzagWitness]:
+    """Violations of zigzag-consistent timestamping: one shortest witness
+    per ordered checkpoint pair (the witness's ``source`` and ``target``;
+    they may be equal) joined by a zigzag path yet with source.t >=
+    target.t, in checkpoint order.  Requires every checkpoint to carry a
+    timestamp.  Pairs with the same source start mask and target end mask
+    share one witness search.
     """
     idx = _index(trace)
     base = idx.base
@@ -727,7 +719,7 @@ def check_z_consistency(trace: Trace):
         shared = found.get(key)
         if shared is None:
             shared = found[key] = idx._named(u, v)
-        violations.append((a, b, ZigzagWitness(a, b, *shared)))
+        violations.append(ZigzagWitness(a, b, *shared))
     return violations
 
 
@@ -822,23 +814,23 @@ def consistent_membership_bruteforce(
 def oracle_report(
     trace: Trace, max_witnesses_per_checkpoint: int | None = DEFAULT_MAX_WITNESSES
 ) -> OracleReport:
-    """Full report: Z-cycles with witnesses, useless set, Z-consistency
-    violations, and summary counters.
+    """Full report: the Z-cycle entries of the useless checkpoints, the
+    Z-consistency violations, and summary counters.
 
     The useless set is decided by reachability, so it is exact even when
-    the witness cap truncates cycle enumeration (stats carry a
-    ``witnesses_truncated`` count of the checkpoints that lie on more
-    Z-cycles than the cap)."""
-    cycles, useless, truncated = _z_cycles(trace, max_witnesses_per_checkpoint)
+    the witness cap truncates cycle enumeration (stats carry the number
+    of chains as ``z_cycles`` and a ``witnesses_truncated`` count of the
+    checkpoints that lie on more Z-cycles than the cap)."""
+    cycles = find_z_cycles(trace, max_witnesses_per_checkpoint)
     violations = check_z_consistency(trace)
     stats = {
         "processes": trace.n,
         "events": trace.event_count,
         "messages_delivered": len(trace.delivered),
         "checkpoints": len(trace.checkpoints),
-        "z_cycles": len(cycles),
-        "useless": len(useless),
+        "z_cycles": sum(len(chains) for _, chains, _ in cycles),
+        "useless": len(cycles),
         "violations": len(violations),
-        "witnesses_truncated": truncated,
+        "witnesses_truncated": sum(cut for _, _, cut in cycles),
     }
-    return OracleReport(cycles, useless, violations, stats)
+    return OracleReport(cycles, violations, stats)

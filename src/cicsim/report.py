@@ -87,33 +87,36 @@ def run_report(run: AnnotatedTrace, oracle_report: OracleReport, scenario_text: 
         "forced_events": forced,
         "piggybacks": piggybacks,
         "oracle": {
+            # One row per chain; a Z-cycle is never causal (find_z_cycles).
             "z_cycles": [
                 {
                     "checkpoint": [r.process, r.ordinal],
-                    "from": [w.source.process, w.source.ordinal],
-                    "to": [w.target.process, w.target.ordinal],
-                    "messages": list(w.messages),
-                    "causal": w.causal,
+                    "from": [r.process, r.ordinal],
+                    "to": [r.process, r.ordinal],
+                    "messages": list(names),
+                    "causal": False,
                 }
-                for r, w in oracle_report.z_cycles
+                for r, chains, _ in oracle_report.z_cycles
+                for names in chains
             ],
-            "useless": sorted([r.process, r.ordinal] for r in oracle_report.useless),
+            # The entries are in checkpoint order, so this is sorted.
+            "useless": [[r.process, r.ordinal] for r, _, _ in oracle_report.z_cycles],
             "violations": [
                 {
-                    "from": [a.process, a.ordinal],
-                    "from_t": a.timestamp,
-                    "to": [b.process, b.ordinal],
-                    "to_t": b.timestamp,
+                    "from": [w.source.process, w.source.ordinal],
+                    "from_t": w.source.timestamp,
+                    "to": [w.target.process, w.target.ordinal],
+                    "to_t": w.target.timestamp,
                     "messages": list(w.messages),
                 }
-                for a, b, w in oracle_report.violations
+                for w in oracle_report.violations
             ],
             "stats": dict(oracle_report.stats),
         },
         "summary": {
             "forced": run.forced_count,
             "total_checkpoints": run.checkpoint_total,
-            "useless": len(oracle_report.useless),
+            "useless": len(oracle_report.z_cycles),
             "violations": len(oracle_report.violations),
             "z_consistent": not oracle_report.violations,
         },

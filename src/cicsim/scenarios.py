@@ -170,15 +170,16 @@ def _eval_claim(claim: FixtureClaim, scen: Scenario, run_for, report_for):
     if kind == "z_cycle":
         key, msgs = e
         rep = report_for(claim.protocol)
-        for rec, w in rep.z_cycles:
-            if rec.key() == tuple(key) and w.messages == tuple(msgs):
+        for rec, chains, _ in rep.z_cycles:
+            if rec.key() == tuple(key) and tuple(msgs) in chains:
                 return True, ""
-        got = [(r.label(), list(w.messages)) for r, w in rep.z_cycles]
+        got = [(r.label(), list(names)) for r, chains, _ in rep.z_cycles for names in chains]
         return False, f"cycle {list(msgs)} on C_{key[0]}^{key[1]} not in {got}"
     if kind == "z_cycles_exact":
         key, expected = e
         rep = report_for(claim.protocol)
-        got = [list(w.messages) for r, w in rep.z_cycles if r.key() == tuple(key)]
+        got = [list(names) for r, chains, _ in rep.z_cycles if r.key() == tuple(key)
+               for names in chains]
         want = [list(m) for m in expected]
         return got == want, f"witnesses {got}, expected {want}"
     if kind == "useless":
@@ -192,12 +193,12 @@ def _eval_claim(claim: FixtureClaim, scen: Scenario, run_for, report_for):
     if kind == "violation":
         a, b = e
         rep = report_for(claim.protocol)
-        pairs = {(x.key(), y.key()) for x, y, _ in rep.violations}
+        pairs = {(w.source.key(), w.target.key()) for w in rep.violations}
         return (tuple(a), tuple(b)) in pairs, f"violation pairs {sorted(pairs)}"
     if kind == "clean":
         rep = report_for(claim.protocol)
         return rep.clean, (
-            f"{len(rep.z_cycles)} cycles, {len(rep.violations)} violations"
+            f"{rep.stats['z_cycles']} cycles, {len(rep.violations)} violations"
         )
     if kind == "consistent":
         keys, expected = e
@@ -865,9 +866,11 @@ class FuzzParams:
 
 def checked_rates(params: FuzzParams) -> list[float]:
     """Per-process checkpoint probabilities of ``params``, after checking
-    every knob; raises ValueError for an out-of-range one, or for a count
-    (``n``, ``events``, ``max_in_flight``) that is not an exact int."""
-    for knob in ("n", "events", "max_in_flight"):
+    every knob; raises ValueError for an out-of-range one, for a count
+    (``n``, ``events``, ``max_in_flight``) or a ``seed`` that is not an
+    exact int, or for a ``p_send`` or ``p_ckpt`` entry that is not an int
+    or a float (a bool is neither here)."""
+    for knob in ("n", "events", "max_in_flight", "seed"):
         value = getattr(params, knob)
         if type(value) is not int:
             raise ValueError(f"{knob} must be an int, got {value!r}")
@@ -877,16 +880,16 @@ def checked_rates(params: FuzzParams) -> list[float]:
         raise ValueError(f"need at least 1 event, got {params.events}")
     if params.max_in_flight < 1:
         raise ValueError(f"max_in_flight must be at least 1, got {params.max_in_flight}")
-    if isinstance(params.p_ckpt, (int, float)):
-        p_ckpt = [float(params.p_ckpt)] * params.n
-    else:
-        p_ckpt = [float(x) for x in params.p_ckpt]
-        if len(p_ckpt) != params.n:
-            raise ValueError("p_ckpt must have one entry per process")
-    for prob in p_ckpt + [params.p_send]:
+    rates = params.p_ckpt
+    rates = [rates] * params.n if isinstance(rates, (int, float)) else list(rates)
+    if len(rates) != params.n:
+        raise ValueError("p_ckpt must have one entry per process")
+    for knob, prob in [("p_ckpt", x) for x in rates] + [("p_send", params.p_send)]:
+        if type(prob) is bool or not isinstance(prob, (int, float)):
+            raise ValueError(f"{knob} must be an int or a float, got {prob!r}")
         if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"probability {prob} outside [0, 1]")
-    return p_ckpt
+            raise ValueError(f"probability {float(prob)} outside [0, 1]")
+    return [float(x) for x in rates]
 
 
 def random_scenario(params: FuzzParams) -> Scenario:

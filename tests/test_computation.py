@@ -92,6 +92,37 @@ def test_unknown_event_kind_is_refused():
     assert problems(2, events) == ["event #2 (rollback by P1): unknown event kind 'rollback'"]
 
 
+def stamped(t):
+    """Two initial checkpoints, P1's with timestamp ``t``."""
+    return [Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, t)),
+            *initial_events(2)[1:]]
+
+
+@pytest.mark.parametrize("n, events, expected", [
+    (2.0, initial_events(2), ["process count 2.0 is not an int"]),
+    ("2", initial_events(2), ["process count '2' is not an int"]),
+    (True, initial_events(2), ["process count True is not an int"]),
+    (3, initial_events(3) + [Event(3.0, 2, "internal")],
+     ["event #3 (internal by P3.0): process id 3.0 is not an int"]),
+    (2, initial_events(2) + [Event("2", 2, "internal")],
+     ["event #2 (internal by P2): process id '2' is not an int"]),
+    (2, initial_events(2) + [Event(True, 2, "internal")],
+     ["event #2 (internal by PTrue): process id True is not an int"]),
+    (2, initial_events(2) + [Event(1, 2, "send", ["x"])],
+     ["event #2 (send by P1): message name ['x'] is not hashable"]),
+    (2, initial_events(2) + [Event(2, 2, "recv", ["x"])],
+     ["event #2 (recv by P2): message name ['x'] is not hashable"]),
+    (2, stamped("1"), ["event #0 (ckpt by P1): timestamp '1' is not an int"]),
+    (2, stamped(1.0), ["event #0 (ckpt by P1): timestamp 1.0 is not an int"]),
+    (2, stamped(True), ["event #0 (ckpt by P1): timestamp True is not an int"]),
+], ids=["float-count", "str-count", "bool-count", "float-process", "str-process",
+        "bool-process", "unhashable-send", "unhashable-recv", "str-timestamp",
+        "float-timestamp", "bool-timestamp"])
+def test_wrongly_typed_input_is_one_problem(n, events, expected):
+    # These once raised a bare TypeError out of the indexing pass.
+    assert problems(n, events) == expected
+
+
 def test_process_without_events_is_refused():
     assert problems(3, initial_events(2)) == ["P3 has no initial checkpoint"]
 

@@ -47,6 +47,7 @@ from cicsim.scenarios import (
     serialize_scenario,
 )
 from cicsim.simulator import run_scenario
+from oracle_rows import z_cycle_rows
 
 
 def keys(records):
@@ -432,9 +433,12 @@ def report_none_runs(count=20):
 
 def test_shared_witness_searches_equal_unshared_ones(monkeypatch):
     # oracle_report searches once per distinct (start mask, end mask) pair
-    # and reuses the result.  Every checkpoint's chains and every pair's
-    # witness must equal a search of its own on a newly built index, and
-    # the searches run must be exactly one per distinct pair.
+    # and reuses the result.  Every checkpoint's chains and truncation flag
+    # and every pair's witness must equal a search of its own on a newly
+    # built index, and the searches run must be exactly one per distinct
+    # pair.  The entries name exactly the useless checkpoints of a
+    # hand-built copy of the trace, and only the violations are built as
+    # ZigzagWitness values.
     calls = {"_simple": 0, "_shortest": 0}
     for name in calls:
         method = getattr(oracle._ZigzagIndex, name)
@@ -444,6 +448,14 @@ def test_shared_witness_searches_equal_unshared_ones(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(oracle._ZigzagIndex, name, counted)
+    built = []
+    make = ZigzagWitness.__init__
+
+    def counted_witness(self, *args):
+        built.append(args)
+        make(self, *args)
+
+    monkeypatch.setattr(ZigzagWitness, "__init__", counted_witness)
 
     cases = [(label, run.trace, (1, 2, 5, 32)) for label, _, run in dense_none_runs()]
     for seed, (label, run) in enumerate(report_none_runs()):
@@ -454,39 +466,46 @@ def test_shared_witness_searches_equal_unshared_ones(monkeypatch):
         scen, _ = builtin(name)
         cases += [(f"{name} under {p}", run_scenario(scen, p).trace, (1, None))
                   for p in ("none", "fine", "lazy-fine")]
-    shared_cycles = shared_pairs = 0
+    shared_cycles = shared_pairs = truncated = 0
     causal = set()
     for label, trace, caps in cases:
         fresh = oracle._ZigzagIndex(trace)
+        useless = useless_checkpoints(Trace(trace.n, trace.events))
         for cap in caps:
+            where = f"{label}, cap {cap}"
             calls.update(_simple=0, _shortest=0)
+            built.clear()
             rep = oracle_report(trace, cap)
+            assert len(built) == len(rep.violations), where
+            assert rep.useless == useless, where
             cycle_keys = {(fresh.start_mask(r.key()), fresh.end_mask(r.key()))
-                          for r in rep.useless}
-            pair_keys = {(fresh.start_mask(a.key()), fresh.end_mask(b.key()))
-                         for a, b, _ in rep.violations}
-            assert calls == {"_simple": len(cycle_keys), "_shortest": len(pair_keys)}, (
-                f"{label}, cap {cap}"
-            )
-            got = {}
-            for rec, w in rep.z_cycles:
-                got.setdefault(rec, []).append(w.messages)
-            truncated = 0
-            for rec in sorted(rep.useless, key=CheckpointRecord.key):
+                          for r, _, _ in rep.z_cycles}
+            pair_keys = {(fresh.start_mask(w.source.key()), fresh.end_mask(w.target.key()))
+                         for w in rep.violations}
+            assert calls == {"_simple": len(cycle_keys), "_shortest": len(pair_keys)}, where
+            order = [r.key() for r, _, _ in rep.z_cycles]
+            assert order == sorted(keys(useless)), where
+            for rec, chains, cut in rep.z_cycles:
                 a = fresh._bit(rec.key())
-                chains, cut = fresh._simple(a, a, cap)
-                assert got[rec] == [tuple(fresh.names[j] for j in c) for c in chains], (
-                    f"{label}, cap {cap}: {rec.label()}"
+                want, want_cut = fresh._simple(a, a, cap)
+                assert chains == [tuple(fresh.names[j] for j in c) for c in want], (
+                    f"{where}: {rec.label()}"
                 )
-                truncated += cut
-            assert rep.stats["witnesses_truncated"] == truncated, f"{label}, cap {cap}"
-            for a, b, w in rep.violations:
-                assert w == fresh._witness(a, b), f"{label}: {a.label()} -> {b.label()}"
+                assert cut == want_cut, f"{where}: {rec.label()}"
+            flags = sum(cut for _, _, cut in rep.z_cycles)
+            assert rep.stats["witnesses_truncated"] == flags, where
+            assert rep.stats["z_cycles"] == len(z_cycle_rows(rep.z_cycles)), where
+            truncated += flags
+            for w in rep.violations:
+                assert w == fresh._witness(w.source, w.target), (
+                    f"{label}: {w.source.label()} -> {w.target.label()}"
+                )
                 causal.add(w.causal)
-            shared_cycles += len(rep.useless) - len(cycle_keys)
+            shared_cycles += len(rep.z_cycles) - len(cycle_keys)
             shared_pairs += len(rep.violations) - len(pair_keys)
-    # The traces do share mask pairs, so the shared path is exercised.
-    assert shared_cycles > 0 and shared_pairs > 0
+    # The traces do share mask pairs, so the shared path is exercised, and
+    # some checkpoints lie on more Z-cycles than the cap.
+    assert shared_cycles > 0 and shared_pairs > 0 and truncated > 0
     assert causal == {True, False}
 
 
@@ -511,7 +530,7 @@ def test_simple_chains_rejects_a_cap_below_one(fixture_run):
 def test_witnesses_truncated_means_a_chain_beyond_the_cap(fixture_run):
     trace = fixture_run("ccp", "none").trace
     # C_3^3, the only useless checkpoint, lies on exactly two Z-cycles.
-    assert len(find_z_cycles(trace, max_witnesses_per_checkpoint=None)) == 2
+    assert len(z_cycle_rows(find_z_cycles(trace, max_witnesses_per_checkpoint=None))) == 2
     assert oracle_report(trace, 2).stats["witnesses_truncated"] == 0
     assert oracle_report(trace, 1).stats["witnesses_truncated"] == 1
     # The second chain extends the first one.
@@ -548,11 +567,13 @@ def test_chain_is_causal_matches_the_witness_flag(fixture_run):
         idx = oracle._index(trace)
         ends = trace.delivered
         recs = trace.sorted_checkpoints()
-        witnesses = [w for _, w in find_z_cycles(trace)]
-        witnesses += [zigzag_exists(a, b, trace) for a in recs for b in recs]
-        for w in filter(None, witnesses):
-            want = all(ends[a][5] <= ends[b][2] for a, b in zip(w.messages, w.messages[1:]))
-            assert idx.chain_is_causal(w.messages) == w.causal == want
+        # A Z-cycle chain is written with "causal": false.
+        chains = [(names, False) for _, names in z_cycle_rows(find_z_cycles(trace))]
+        chains += [(w.messages, w.causal) for a in recs for b in recs
+                   if (w := zigzag_exists(a, b, trace))]
+        for names, flag in chains:
+            want = all(ends[a][5] <= ends[b][2] for a, b in zip(names, names[1:]))
+            assert idx.chain_is_causal(names) == flag == want
             seen.add(want)
     assert seen == {True, False}
 
@@ -586,8 +607,7 @@ def test_find_z_cycles_checks_no_chain_for_causality(monkeypatch):
         return causal(self, chain)
 
     monkeypatch.setattr(oracle._ZigzagIndex, "_causal", counted)
-    cycles = find_z_cycles(trace)
-    assert cycles and not any(w.causal for _, w in cycles)
+    assert find_z_cycles(trace)
     assert calls == []
     # The violation witnesses of the same trace still run the check.
     assert check_z_consistency(trace) and calls
@@ -628,9 +648,8 @@ def test_zigzag_absent_without_messages():
 def test_ccp_cycle_witnesses_exact(fixture_run):
     trace = fixture_run("ccp", "none").trace
     cycles = find_z_cycles(trace)
-    assert [(rec.key(), w.messages) for rec, w in cycles] == [
-        ((3, 3), ("m6", "m3")),
-        ((3, 3), ("m6", "m5", "m4", "m3")),
+    assert [(rec.key(), chains, cut) for rec, chains, cut in cycles] == [
+        ((3, 3), [("m6", "m3"), ("m6", "m5", "m4", "m3")], False),
     ]
 
 
@@ -661,16 +680,16 @@ def test_fine_counterexample_useless(fixture_run):
 
 def test_ccp_z_consistency_violation(fixture_run):
     trace = fixture_run("ccp", "none").trace
-    pairs = {(a.key(), b.key()) for a, b, _ in check_z_consistency(trace)}
+    pairs = {(w.source.key(), w.target.key()) for w in check_z_consistency(trace)}
     assert ((3, 3), (1, 3)) in pairs
-    for a, b, w in check_z_consistency(trace):
-        assert a.timestamp >= b.timestamp
+    for w in check_z_consistency(trace):
+        assert w.source.timestamp >= w.target.timestamp
         assert w.messages
 
 
 def test_fine_proposal_violation(fixture_run):
     trace = fixture_run("fine-proposal", "fine").trace
-    pairs = [(a.key(), b.key()) for a, b, _ in check_z_consistency(trace)]
+    pairs = [(w.source.key(), w.target.key()) for w in check_z_consistency(trace)]
     assert pairs == [((1, 2), (3, 2))]
 
 
@@ -896,7 +915,6 @@ def test_quick_findings_matches_full_report(fixture_run):
         rep = oracle_report(trace)
         assert useless == len(rep.useless)
         assert violations == len(rep.violations)
-        assert keys(rep.useless) == {r.key() for r, _ in rep.z_cycles}
 
 
 def test_report_stats(fixture_run):
@@ -921,12 +939,8 @@ def test_witness_cap_keeps_dense_traces_tractable():
     assert time.time() - t0 < 10.0
     useless_count, _ = quick_findings(trace)
     assert len(rep.useless) == useless_count > 0
-    assert keys(rep.useless) == {r.key() for r, _ in rep.z_cycles}
     assert rep.stats["witnesses_truncated"] > 0
-    per_ckpt = {}
-    for rec, _ in rep.z_cycles:
-        per_ckpt[rec.key()] = per_ckpt.get(rec.key(), 0) + 1
-    assert max(per_ckpt.values()) <= 32
+    assert max(len(chains) for _, chains, _ in rep.z_cycles) <= 32
     with pytest.raises(ValueError):
         find_z_cycles(trace, max_witnesses_per_checkpoint=0)
 

@@ -47,6 +47,7 @@ from cicsim.simulator import (
     step_problems,
 )
 from list_conditions import masked_state
+from oracle_rows import z_cycle_rows
 
 CONDITION_FUNCS = {
     "pi": {"C1": eval_c_pi},
@@ -250,8 +251,8 @@ def oracle_view(trace, cap):
     rep = oracle_report(trace, cap)
     return (
         quick_findings(trace),
-        [(a.key(), b.key(), w.messages, w.causal) for a, b, w in rep.violations],
-        [(r.key(), w.messages, w.causal) for r, w in rep.z_cycles],
+        [(w.source.key(), w.target.key(), w.messages, w.causal) for w in rep.violations],
+        [(r.key(), names) for r, names in z_cycle_rows(rep.z_cycles)],
         sorted(r.key() for r in rep.useless),
         rep.stats,
     )
@@ -398,7 +399,7 @@ def test_amplify_lazy_fine_precursor():
     result = amplify_violation(precursor, "lazy-fine")
     assert result is not None
     assert result.inserted_message == "m5"
-    witnesses = {w.messages for _, w in result.report.z_cycles}
+    witnesses = {names for _, names in z_cycle_rows(result.report.z_cycles)}
     assert ("m5", "m4", "m2") in witnesses
 
 
@@ -423,14 +424,14 @@ def test_amplify_handles_forced_target_checkpoint():
     )
     base = run_scenario(scen, "fine")
     chosen = min(
-        (v for v in check_z_consistency(base.trace) if v[0].process != v[1].process),
-        key=lambda v: (v[1].process, v[1].ordinal, v[0].process, v[0].ordinal),
+        (w for w in check_z_consistency(base.trace) if w.source.process != w.target.process),
+        key=lambda w: (w.target.process, w.target.ordinal, w.source.process, w.source.ordinal),
     )
-    assert chosen[1].kind == "forced"
+    assert chosen.target.kind == "forced"
     result = amplify_violation(scen, "fine")
     assert result is not None
     assert scenario_violations(result.scenario) == []
-    target = chosen[1]
+    target = chosen.target
     assert result.run.trace.delivered[result.inserted_message][:2] == (
         target.process, target.ordinal
     )
@@ -521,7 +522,8 @@ def test_amplify_builds_one_witness_for_its_target(monkeypatch):
         assert len(calls) == 1
         violations = result.report.violations
         idx = _index(result.run.trace)
-        masks = {(idx.start_mask(a.key()), idx.end_mask(b.key())) for a, b, _ in violations}
+        masks = {(idx.start_mask(w.source.key()), idx.end_mask(w.target.key()))
+                 for w in violations}
         assert len(calls) == 1 + len(masks)
     assert amplified >= 5
 
