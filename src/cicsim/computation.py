@@ -12,6 +12,9 @@ events and raises :class:`TraceError` when a rule breaks.
 Checkpoints are identified as C_i^x: the x-th checkpoint of process i,
 1-based, with ordinal 1 always the initial checkpoint.  An interval I_i^x
 is the set of events from C_i^x (inclusive) to C_i^{x+1} (exclusive).
+A trace's columns place each delivered message by the intervals of its
+send and its receive; global event positions belong to the event-level
+view alone, which is built only when read.
 """
 
 from __future__ import annotations
@@ -110,22 +113,22 @@ class Trace:
     ``event_count``, the checkpoint records by (process, ordinal), the
     per-process checkpoint counts ``ckpt_counts``, and ``delivered``,
     which maps each received message to the integers (sender, send
-    interval, send position, receiver, receive interval, receive
-    position) of its send and its receive.  ``delivered`` is the only
-    message index.
+    interval, receiver, receive interval) of its send and its receive.
 
     The event-level view (``events`` and the positional index ``_pos``,
-    ``_ckpt_pos``, ``_interval``) is built at construction for a
-    hand-built ``Trace(n, events)``, in the same pass that derives the
-    columns and checks every trace rule: a trace is valid by construction,
-    and an invalid event list raises :class:`TraceError`.  A trace the
-    simulator writes holds the columns and no per-event record: on its
-    first use, the event-level view is replayed from the scenario's steps,
-    the forced step indexes and the checkpoint records, and indexed
-    through the same pass.
+    ``_ckpt_pos``, ``_interval``, and ``_msg_pos``, which maps each
+    received message to the global positions of its send and its
+    receive) is built at construction for a hand-built ``Trace(n,
+    events)``, in the same pass that derives the columns and checks every
+    trace rule: a trace is valid by construction, and an invalid event
+    list raises :class:`TraceError`.  A trace the simulator writes holds
+    the columns and no per-event record: on its first use, the
+    event-level view is replayed from the scenario's steps, the forced
+    step indexes and the checkpoint records, and indexed through the same
+    pass.  ``_msg_pos`` is the only place that message positions live.
     """
 
-    _EVENT_VIEW = frozenset(("events", "_pos", "_ckpt_pos", "_interval"))
+    _EVENT_VIEW = frozenset(("events", "_pos", "_ckpt_pos", "_interval", "_msg_pos"))
 
     def __init__(self, n: int, events: list[Event]):
         self.n = n
@@ -188,9 +191,10 @@ class Trace:
         breaks, and an event that breaks one is still indexed, so it
         causes no follow-on problem.  As for a scenario, a process count
         that is not an exact int is the only problem reported, and a
-        process id that is not an exact int, a timestamp that is neither
-        None nor an exact int, or an unhashable message name is one
-        problem of its event."""
+        process id, an event ordinal or a checkpoint ordinal that is not an
+        exact int, a timestamp that is neither None nor an exact int, or an
+        unhashable message name is one problem of its event; a wrongly
+        typed ordinal is indexed as the expected one."""
         n, events = self.n, self.events
         if type(n) is not int:
             raise TraceError([f"process count {n!r} is not an int"])
@@ -226,22 +230,29 @@ class Trace:
             if not 1 <= p <= n:
                 broken(pos, f"process out of range 1..{n}")
                 continue
-            if ev.ordinal != seen[p] + 1:
-                broken(pos, f"ordinal {ev.ordinal}, expected {seen[p] + 1}")
+            o = ev.ordinal
+            if type(o) is not int:
+                broken(pos, f"ordinal {o!r} is not an int")
+                o = seen[p] + 1
+            elif o != seen[p] + 1:
+                broken(pos, f"ordinal {o}, expected {seen[p] + 1}")
             if not seen[p] and kind != EV_CKPT:
                 broken(pos, f"P{p} must begin with its initial checkpoint")
-            seen[p] = ev.ordinal
-            pos_of[(p, ev.ordinal)] = pos
+            seen[p] = o
+            pos_of[(p, o)] = pos
             if kind == EV_CKPT:
                 rec = ev.checkpoint
                 if rec is None:
                     broken(pos, "checkpoint event without record")
                     continue
-                x = count[p] + 1
+                x, o = count[p] + 1, rec.ordinal
                 if rec.process != p:
                     broken(pos, f"record process {rec.process} mismatch")
-                if rec.ordinal != x:
-                    broken(pos, f"checkpoint ordinal {rec.ordinal}, expected {x}")
+                if type(o) is not int:
+                    broken(pos, f"checkpoint ordinal {o!r} is not an int")
+                    o = x
+                elif o != x:
+                    broken(pos, f"checkpoint ordinal {o}, expected {x}")
                 if x == 1 and rec.kind != CKPT_INITIAL:
                     broken(pos, "first checkpoint must be kind 'initial'")
                 if x > 1 and rec.kind == CKPT_INITIAL:
@@ -254,13 +265,14 @@ class Trace:
                         broken(pos, f"timestamp {t!r} is not an int")
                     elif t < 1:
                         broken(pos, f"timestamp {t} < 1")
-                count[p] = rec.ordinal
-                checkpoints[(p, rec.ordinal)] = rec
-                ckpt_pos[(p, rec.ordinal)] = pos
+                count[p] = o
+                checkpoints[(p, o)] = rec
+                ckpt_pos[(p, o)] = pos
             interval[pos] = count[p]
         bad += [f"P{p} has no initial checkpoint" for p in range(1, n + 1) if not seen[p]]
         bad += [f"message {m}: sent {len(at)} times" for m, at in sends.items() if len(at) > 1]
         delivered = self.delivered = {}
+        msg_pos = self._msg_pos = {}
         for name, got in recvs.items():
             at = sends.get(name)
             if at is None:
@@ -271,7 +283,8 @@ class Trace:
             s, r = at[0], got[0]
             if r < s:
                 bad.append(f"message {name}: receive precedes its send in the global order")
-            delivered[name] = (events[s].process, interval[s], s, events[r].process, interval[r], r)
+            delivered[name] = (events[s].process, interval[s], events[r].process, interval[r])
+            msg_pos[name] = (s, r)
         if bad:
             raise TraceError(bad)
         self.ckpt_counts = {p: count[p] for p in range(1, n + 1)}
@@ -315,7 +328,7 @@ class Trace:
             prev = last_of.get(ev.process)
             cur = list(vc[prev]) if prev is not None else [0] * (self.n + 1)
             if ev.kind == EV_RECV:
-                other = vc[self.delivered[ev.message][2]]
+                other = vc[self._msg_pos[ev.message][0]]
                 cur = [max(a, b) for a, b in zip(cur, other)]
             cur[ev.process] = ev.ordinal
             vc.append(cur)

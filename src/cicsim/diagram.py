@@ -77,7 +77,8 @@ def svg_diagram(run: AnnotatedTrace) -> str:
         )
         out.append(f'<text x="{_X0 - 62}" y="{y(p) + 5}" font-size="14">P{p}</text>')
     for name in sorted(trace.delivered):
-        sender, _, sp, receiver, _, rp = trace.delivered[name]
+        sender, _, receiver, _ = trace.delivered[name]
+        sp, rp = trace._msg_pos[name]
         x1, y1 = x(sp), y(sender)
         x2, y2 = x(rp), y(receiver)
         out.append(

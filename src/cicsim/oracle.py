@@ -5,12 +5,10 @@ useless-checkpoint detection, Z-consistent-timestamping checks, and an
 exhaustive consistent-global-checkpoint membership analysis.  Protocols
 are judged against these predicates, never against their own
 bookkeeping: the oracle reads only these integer columns of a trace,
-never its Event list:
+never its Event list nor any event position:
 
-* ``delivered``: per message with both endpoints, its sender, send
-  interval and send position, and its receiver, receive interval and
-  receive position (the positions only decide whether a witness is
-  causal);
+* ``delivered``: per message with both endpoints, its sender and send
+  interval, and its receiver and receive interval;
 * ``checkpoints`` and ``ckpt_counts``: the records by (process, ordinal)
   and the number of checkpoints per process;
 * ``n`` and ``event_count``.
@@ -77,10 +75,10 @@ A search from C_p^x into C_q^y reads only two masks that depend on the
 pair: the start mask of C_p^x, whose messages can open a chain, and the
 end mask of C_q^y, whose messages can close one; the successor masks and
 the cached layers of that end mask are the same for the whole trace.  So
-one report runs each Z-cycle search, and each shortest-witness search
-with its causal check, once per distinct (start mask, end mask) pair and
-reuses the result for every checkpoint, or pair of checkpoints, with the
-same masks; the shared results live only for that call.
+one report runs each Z-cycle search, and each shortest-witness search,
+once per distinct (start mask, end mask) pair and reuses the result for
+every checkpoint, or pair of checkpoints, with the same masks; the
+shared results live only for that call.
 
 The message graph's nodes are the delivered messages, and message i
 continues with message j when P_receiver(i) sends j in the interval of
@@ -99,7 +97,6 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
-from operator import le
 
 from .computation import (
     CKPT_VIRTUAL,
@@ -116,33 +113,28 @@ class BudgetExceededError(RuntimeError):
 class ZigzagWitness:
     """One concrete zigzag chain between two checkpoints.
 
-    ``causal`` means consecutive messages are also chained by program
-    order (each receive happens before the next send in real time).
-
     A frozen value with slots, as :class:`CheckpointRecord` is, because a
     report on a dense trace builds hundreds of violation witnesses; its
     ``__init__`` stores each field through the slot's own descriptor."""
 
-    __slots__ = ("source", "target", "messages", "causal")
+    __slots__ = ("source", "target", "messages")
     source: CheckpointRecord
     target: CheckpointRecord
     messages: tuple[str, ...]
-    causal: bool
 
     def __init__(self, source: CheckpointRecord, target: CheckpointRecord,
-                 messages: tuple[str, ...], causal: bool):
+                 messages: tuple[str, ...]):
         _set_source(self, source)
         _set_target(self, target)
         _set_messages(self, messages)
-        _set_causal(self, causal)
 
     def __reduce__(self):
         # Copying and pickling rebuild the value through __init__: the
         # default would set each slot through the frozen __setattr__.
-        return (ZigzagWitness, (self.source, self.target, self.messages, self.causal))
+        return (ZigzagWitness, (self.source, self.target, self.messages))
 
 
-_set_source, _set_target, _set_messages, _set_causal = (
+_set_source, _set_target, _set_messages = (
     ZigzagWitness.__dict__[name].__set__ for name in ZigzagWitness.__slots__
 )
 
@@ -166,7 +158,7 @@ class OracleReport:
 
 
 # The message graph's tables, set together by _ZigzagIndex._graph.
-_GRAPH = frozenset(("names", "start", "got", "adj", "pred", "sent_at", "got_at"))
+_GRAPH = frozenset(("names", "start", "got", "adj", "pred"))
 
 
 class _ZigzagIndex:
@@ -215,24 +207,20 @@ class _ZigzagIndex:
 
     def _graph(self) -> None:
         """Set the message graph's tables (``_GRAPH``): the names; the
-        start and got masks by node; ``adj``, ``pred`` and the send and
-        receive positions by bit.  A Trace is valid by construction, so
-        every interval lies in 1..cnt: slot 0 of each process and its
-        virtual terminal send and receive nothing."""
+        start and got masks by node; ``adj`` and ``pred`` by bit.  A Trace
+        is valid by construction, so every interval lies in 1..cnt: slot 0
+        of each process and its virtual terminal send and receive nothing."""
         delivered, base = self.delivered, self.base
         self.names = names = sorted(delivered)
         start, got = [0] * len(self.zz), [0] * len(self.zz)
         sends, recvs = [], []
-        self.sent_at, self.got_at = sent_at, got_at = [], []
         for i, nm in enumerate(names):
-            sp, si, sa, rp, ri, ra = delivered[nm]
+            sp, si, rp, ri = delivered[nm]
             u, v = base[sp] + si, base[rp] + ri
             start[u] |= 1 << i
             got[v] |= 1 << i
             sends.append(u)
             recvs.append(v)
-            sent_at.append(sa)
-            got_at.append(ra)
         for p, cnt in self.counts.items():
             b = base[p]
             for u in range(b + cnt, b, -1):  # suffix: interval x or later
@@ -268,30 +256,17 @@ class _ZigzagIndex:
     def end_mask(self, key: tuple[int, int]) -> int:
         return self.got[self._bit(key) - 1]
 
-    def chain_is_causal(self, names: tuple[str, ...]) -> bool:
-        """Whether each receive of the named chain comes before the next
-        send: :meth:`_causal` on the chain's bits."""
-        bit = {nm: i for i, nm in enumerate(self.names)}
-        return self._causal([bit[nm] for nm in names])
-
-    def _causal(self, chain) -> bool:
-        """Whether each receive of a chain of bits comes before the next
-        send."""
-        return all(map(le, map(self.got_at.__getitem__, chain[:-1]),
-                       map(self.sent_at.__getitem__, chain[1:])))
-
     def _witness(self, src: CheckpointRecord, dst: CheckpointRecord) -> ZigzagWitness:
         """The shortest witness from src to dst, two checkpoints of this
         trace joined by a zigzag path."""
         base = self.base
-        return ZigzagWitness(src, dst, *self._named(base[src.process] + src.ordinal,
-                                                    base[dst.process] + dst.ordinal))
+        return ZigzagWitness(src, dst, self._named(base[src.process] + src.ordinal,
+                                                   base[dst.process] + dst.ordinal))
 
-    def _named(self, a: int, b: int) -> tuple[tuple[str, ...], bool]:
-        """The names and the :meth:`_causal` flag of the :meth:`_shortest`
-        chain from node a into node b, two nodes joined by a zigzag path."""
-        chain = self._shortest(a, b)
-        return tuple(map(self.names.__getitem__, chain)), self._causal(chain)
+    def _named(self, a: int, b: int) -> tuple[str, ...]:
+        """The names of the :meth:`_shortest` chain from node a into node
+        b, two nodes joined by a zigzag path."""
+        return tuple(map(self.names.__getitem__, self._shortest(a, b)))
 
     def _back(self, end: int, allowed: int):
         """Breadth-first layers backwards from ``end``: layer d holds the
@@ -517,7 +492,7 @@ def _zigzag_masks(counts, delivered):
         zz[b] = zz[b + cnt + 1] = 0
         num[b] = num[b + cnt + 1] = -1
     edges = [()] * size
-    for sp, si, _, rp, ri, _ in delivered:
+    for sp, si, rp, ri in delivered:
         u, v = base[sp] + si, base[rp] + ri
         if not edges[u]:
             edges[u] = []
@@ -623,11 +598,7 @@ def find_z_cycles(
     grows with the cap (None: every chain, for desk-scale traces);
     uselessness is decided by reachability, never by this bound.
     Checkpoints with equal start and end masks share one search and one
-    chains list.  No chain is causal, so none is checked: a Z-cycle on
-    C_p^x ends with a receive by P_p in an interval before x and starts
-    with a send by P_p in interval x or later, so that receive comes
-    before that send, while a causal chain puts its first send before its
-    last receive.
+    chains list.
     """
     cap = max_witnesses_per_checkpoint
     _check_cap(cap)
@@ -711,7 +682,7 @@ def check_z_consistency(trace: Trace) -> list[ZigzagWitness]:
     """
     idx = _index(trace)
     base = idx.base
-    found = {}  # (start mask, end mask) -> (names, causal)
+    found = {}  # (start mask, end mask) -> names
     violations = []
     for a, b in _violating_pairs(idx):
         u, v = base[a.process] + a.ordinal, base[b.process] + b.ordinal
@@ -719,7 +690,7 @@ def check_z_consistency(trace: Trace) -> list[ZigzagWitness]:
         shared = found.get(key)
         if shared is None:
             shared = found[key] = idx._named(u, v)
-        violations.append(ZigzagWitness(a, b, *shared))
+        violations.append(ZigzagWitness(a, b, shared))
     return violations
 
 
@@ -777,7 +748,7 @@ def consistent_membership_bruteforce(
 
     counts = trace.ckpt_counts
     first: dict[tuple[int, int], list] = {}
-    for sp, si, _, rp, ri, _ in trace.delivered.values():
+    for sp, si, rp, ri in trace.delivered.values():
         row = first.setdefault((sp, rp), [inf] * (counts[sp] + 2))
         if ri < row[si]:
             row[si] = ri

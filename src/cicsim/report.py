@@ -87,7 +87,11 @@ def run_report(run: AnnotatedTrace, oracle_report: OracleReport, scenario_text: 
         "forced_events": forced,
         "piggybacks": piggybacks,
         "oracle": {
-            # One row per chain; a Z-cycle is never causal (find_z_cycles).
+            # One row per chain.  "causal" is a constant, since no Z-cycle is
+            # causal: a Z-cycle on C_p^x ends with a receive by P_p in an
+            # interval before x and starts with a send by P_p in interval x
+            # or later, so that receive comes before that send, while a
+            # causal chain puts its first send before its last receive.
             "z_cycles": [
                 {
                     "checkpoint": [r.process, r.ordinal],

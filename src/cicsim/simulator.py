@@ -4,11 +4,13 @@ A scenario is an ordered list of steps (basic checkpoint, send, receive);
 the step order is the global order of the resulting trace.  A Scenario is
 valid by construction (its constructor runs the one checker,
 step_problems), so nothing that takes a Scenario checks it again.  Running
-a scenario yields an annotated trace: the trace itself (its columns, with
-protocol timestamps; its events are replayed from the steps and the
-forced list only when read), the forced-checkpoint events with their
-fired conditions and pre-update states (captured raw, rendered when
-read), and the piggyback of each send.
+a scenario yields an annotated trace: the trace itself (its columns: the
+checkpoint records, with protocol timestamps, and the send and receive
+intervals of each delivered message; its events and their positions are
+replayed from the steps and the forced list only when read), the
+forced-checkpoint events with their fired conditions and pre-update
+states (captured raw, rendered when read), and the piggyback of each
+send.
 
 amplify_violation implements the adversarial construction that turns a
 zigzag-timestamping violation into a scenario extension closing a Z-cycle:
@@ -255,19 +257,17 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
 
     The trace is written as columns while the steps run: the checkpoint
     records, and the endpoints of each delivered message, whose intervals
-    are the checkpoint counts at its send and at its receive and whose
-    positions come from one event counter.  No per-event record is kept:
-    the events follow from the steps and the forced list, and no Event is
-    built unless a caller asks for one."""
+    are the checkpoint counts at its send and at its receive.  No
+    per-event record is kept: the events follow from the steps and the
+    forced list, and no Event is built unless a caller asks for one."""
     n = scenario.n
     machines = [None] + [make_protocol(protocol, n, i) for i in range(1, n + 1)]
 
     checkpoints = {(i, 1): machines[i].initial_record for i in range(1, n + 1)}
     counts = [0] + [1] * n  # checkpoints so far: the current interval
-    pos = n  # the next event's global position, after the initial checkpoints
-    delivered: dict[str, tuple[int, int, int, int, int, int]] = {}
-    # message -> (piggyback, sender, send interval, send position)
-    in_flight: dict[str, tuple[Piggyback, int, int, int]] = {}
+    delivered: dict[str, tuple[int, int, int, int]] = {}
+    # message -> (piggyback, sender, send interval)
+    in_flight: dict[str, tuple[Piggyback, int, int]] = {}
     forced: list[ForcedEvent] = []
     piggybacks: list[tuple[int, str, Piggyback]] = []
 
@@ -277,7 +277,7 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
         if kind == "send":
             name = st.message
             pb = machines[p].on_send(st.dest)
-            in_flight[name] = (pb, p, counts[p], pos)
+            in_flight[name] = (pb, p, counts[p])
             piggybacks.append((idx, name, pb))
         elif kind == "ckpt":
             rec = machines[p].take_checkpoint()
@@ -285,15 +285,13 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
             checkpoints[(p, counts[p])] = rec
         else:
             name = st.message
-            pb, sp, si, spos = in_flight.pop(name)
+            pb, sp, si = in_flight.pop(name)
             decision, rec, state = machines[p].on_receive(pb)
             if rec is not None:
                 forced.append(ForcedEvent(idx, p, name, decision, rec, pb, state))
                 counts[p] += 1
                 checkpoints[(p, counts[p])] = rec
-                pos += 1
-            delivered[name] = (sp, si, spos, p, counts[p], pos)
-        pos += 1
+            delivered[name] = (sp, si, p, counts[p])
 
     ckpt_counts = {p: counts[p] for p in range(1, n + 1)}
     trace = Trace._from_run(n, scenario.steps, [f.step_index for f in forced],

@@ -115,9 +115,14 @@ def stamped(t):
     (2, stamped("1"), ["event #0 (ckpt by P1): timestamp '1' is not an int"]),
     (2, stamped(1.0), ["event #0 (ckpt by P1): timestamp 1.0 is not an int"]),
     (2, stamped(True), ["event #0 (ckpt by P1): timestamp True is not an int"]),
+    (2, initial_events(2) + [Event(1, 2.0, "internal")],
+     ["event #2 (internal by P1): ordinal 2.0 is not an int"]),
+    (2, [Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1.0, CKPT_INITIAL, 1)),
+         *initial_events(2)[1:]],
+     ["event #0 (ckpt by P1): checkpoint ordinal 1.0 is not an int"]),
 ], ids=["float-count", "str-count", "bool-count", "float-process", "str-process",
         "bool-process", "unhashable-send", "unhashable-recv", "str-timestamp",
-        "float-timestamp", "bool-timestamp"])
+        "float-timestamp", "bool-timestamp", "float-ordinal", "float-checkpoint-ordinal"])
 def test_wrongly_typed_input_is_one_problem(n, events, expected):
     # These once raised a bare TypeError out of the indexing pass.
     assert problems(n, events) == expected
@@ -137,8 +142,7 @@ def test_fixture_traces_validate(fixture_run):
 def test_send_precedes_receive(fixture_run):
     trace = fixture_run("ccp", "none").trace
     for name in trace.delivered_messages():
-        s = trace.events[trace.delivered[name][2]]
-        r = trace.events[trace.delivered[name][5]]
+        s, r = (trace.events[pos] for pos in trace._msg_pos[name])
         assert causally_precedes(s, r, trace)
         assert not causally_precedes(r, s, trace)
 
@@ -191,13 +195,13 @@ def test_interval_of_checkpoint_event(fixture_run):
 
 def test_interval_before_any_basic_checkpoint(fixture_run):
     trace = fixture_run("ccp", "none").trace
-    first_send = trace.events[trace.delivered["m1"][2]]
+    first_send = trace.events[trace._msg_pos["m1"][0]]
     assert interval_of(first_send, trace) == Interval(1, 1)
 
 
 def test_interval_of_m3_receive_in_fine_proposal(fixture_run):
     trace = fixture_run("fine-proposal", "none").trace
-    recv_m3 = trace.events[trace.delivered["m3"][5]]
+    recv_m3 = trace.events[trace._msg_pos["m3"][1]]
     assert interval_of(recv_m3, trace) == Interval(2, 1)
 
 

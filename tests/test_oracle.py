@@ -41,6 +41,7 @@ from cicsim.rng import SplitMix64
 from cicsim.scenarios import (
     FIXTURE_NAMES,
     FuzzParams,
+    _is_causal,
     builtin,
     parse_scenario,
     random_scenario,
@@ -137,7 +138,7 @@ def rounds_reach(trace):
     counts = {p: trace.ckpt_counts.get(p, 0) for p in range(1, trace.n + 1)}
     sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in counts.items()}
     for name in trace.delivered_messages():
-        sp, si, _, rp, ri, _ = trace.delivered[name]
+        sp, si, rp, ri = trace.delivered[name]
         sent[sp][si].append((rp, ri))
     nothing = [trace.event_count + 2] * (trace.n + 1)
     reach = {p: [nothing] * (cnt + 2) for p, cnt in counts.items()}
@@ -460,14 +461,14 @@ def test_shared_witness_searches_equal_unshared_ones(monkeypatch):
     cases = [(label, run.trace, (1, 2, 5, 32)) for label, _, run in dense_none_runs()]
     for seed, (label, run) in enumerate(report_none_runs()):
         cases.append((label, run.trace, (1, 2, 5, 32)))
-        # Arbitrary timestamps make some violation witnesses causal.
+        # Arbitrary timestamps also give violations along causal chains,
+        # which logical-clock stamps never do.
         cases.append((f"{label}, restamped", restamped(run.trace, seed), (32,)))
     for name in FIXTURE_NAMES:  # small enough for exhaustive search
         scen, _ = builtin(name)
         cases += [(f"{name} under {p}", run_scenario(scen, p).trace, (1, None))
                   for p in ("none", "fine", "lazy-fine")]
     shared_cycles = shared_pairs = truncated = 0
-    causal = set()
     for label, trace, caps in cases:
         fresh = oracle._ZigzagIndex(trace)
         useless = useless_checkpoints(Trace(trace.n, trace.events))
@@ -500,13 +501,11 @@ def test_shared_witness_searches_equal_unshared_ones(monkeypatch):
                 assert w == fresh._witness(w.source, w.target), (
                     f"{label}: {w.source.label()} -> {w.target.label()}"
                 )
-                causal.add(w.causal)
             shared_cycles += len(rep.z_cycles) - len(cycle_keys)
             shared_pairs += len(rep.violations) - len(pair_keys)
     # The traces do share mask pairs, so the shared path is exercised, and
     # some checkpoints lie on more Z-cycles than the cap.
     assert shared_cycles > 0 and shared_pairs > 0 and truncated > 0
-    assert causal == {True, False}
 
 
 def test_simple_chains_rejects_a_cap_below_one(fixture_run):
@@ -543,44 +542,41 @@ def test_ccp_causal_zigzag(fixture_run):
     trace = fixture_run("ccp", "none").trace
     w = zigzag_exists(trace.checkpoints[(1, 1)], trace.checkpoints[(3, 2)], trace)
     assert w.messages == ("m1", "m2")
-    assert w.causal
+    assert _is_causal(trace, w.messages)
 
 
 def test_ccp_noncausal_zigzag(fixture_run):
     trace = fixture_run("ccp", "none").trace
     w = zigzag_exists(trace.checkpoints[(1, 2)], trace.checkpoints[(3, 3)], trace)
     assert w.messages == ("m4", "m3")
-    assert not w.causal
+    assert not _is_causal(trace, w.messages)
 
 
-def test_chain_is_causal_matches_the_witness_flag(fixture_run):
-    # chain_is_causal maps names to bits and runs the check behind every
-    # witness's ``causal`` flag; both agree with the definition, read off
-    # the send and receive positions of the trace, on Z-cycle witnesses
-    # and on the shortest witness of every checkpoint pair.
+def test_claim_causality_matches_causal_precedence(fixture_run):
+    # The zigzag claim reads a witness as causal when each receive comes
+    # before the next send in the event view's positions; that is causal
+    # precedence on each link, whose receive and send share a process.
     traces = [fixture_run("ccp", "none").trace] + [
         run_scenario(random_scenario(FuzzParams(n=4, events=80, seed=s)), "none").trace
         for s in range(6)
     ]
     seen = set()
     for trace in traces:
-        idx = oracle._index(trace)
-        ends = trace.delivered
+        at, events = trace._msg_pos, trace.events
         recs = trace.sorted_checkpoints()
-        # A Z-cycle chain is written with "causal": false.
-        chains = [(names, False) for _, names in z_cycle_rows(find_z_cycles(trace))]
-        chains += [(w.messages, w.causal) for a in recs for b in recs
-                   if (w := zigzag_exists(a, b, trace))]
-        for names, flag in chains:
-            want = all(ends[a][5] <= ends[b][2] for a, b in zip(names, names[1:]))
-            assert idx.chain_is_causal(names) == flag == want
+        for w in (w for a in recs for b in recs if (w := zigzag_exists(a, b, trace))):
+            names = w.messages
+            want = all(causally_precedes(events[at[a][1]], events[at[b][0]], trace)
+                       for a, b in zip(names, names[1:]))
+            assert _is_causal(trace, names) == want, names
             seen.add(want)
     assert seen == {True, False}
 
 
 def test_z_cycle_witnesses_are_never_causal():
     # A Z-cycle on C_p^x ends with a receive by P_p before x and starts
-    # with a send by P_p at x or later, so the witnesses skip the check.
+    # with a send by P_p at x or later, so the report writes "causal":
+    # false as a constant.
     traces = [trace for _, trace in dense_none_traces()]
     for name in FIXTURE_NAMES:
         scen, _ = builtin(name)
@@ -592,45 +588,28 @@ def test_z_cycle_witnesses_are_never_causal():
             a = idx._bit(rec.key())
             for cap in (1, 5, 32):
                 for chain in idx._simple(a, a, cap)[0]:
-                    assert not idx._causal(chain), (rec.label(), chain)
+                    names = tuple(idx.names[j] for j in chain)
+                    assert not _is_causal(trace, names), (rec.label(), names)
                     chains += 1
     assert chains > 1000
 
 
-def test_find_z_cycles_checks_no_chain_for_causality(monkeypatch):
-    trace = next(dense_none_traces())[1]
-    calls = []
-    causal = oracle._ZigzagIndex._causal
-
-    def counted(self, chain):
-        calls.append(chain)
-        return causal(self, chain)
-
-    monkeypatch.setattr(oracle._ZigzagIndex, "_causal", counted)
-    assert find_z_cycles(trace)
-    assert calls == []
-    # The violation witnesses of the same trace still run the check.
-    assert check_z_consistency(trace) and calls
-
-
 def test_zigzag_witness_is_a_frozen_value():
     a, b = CheckpointRecord(1, 2, "basic", 3), CheckpointRecord(2, 1, "initial", 1)
-    w = ZigzagWitness(a, b, ("m1", "m2"), True)
-    assert [f.name for f in fields(ZigzagWitness)] == [
-        "source", "target", "messages", "causal"]
-    assert repr(w) == (
-        f"ZigzagWitness(source={a!r}, target={b!r}, messages=('m1', 'm2'), causal=True)")
+    w = ZigzagWitness(a, b, ("m1", "m2"))
+    assert [f.name for f in fields(ZigzagWitness)] == ["source", "target", "messages"]
+    assert repr(w) == f"ZigzagWitness(source={a!r}, target={b!r}, messages=('m1', 'm2'))"
     assert not hasattr(w, "__dict__")  # slots: no per-witness dict
-    same = ZigzagWitness(source=a, target=b, messages=("m1", "m2"), causal=True)
-    assert w == same and hash(w) == hash(same) == hash((a, b, ("m1", "m2"), True))
-    assert w != ZigzagWitness(a, b, ("m1", "m2"), False)
-    for name in ("source", "causal", "other"):
+    same = ZigzagWitness(source=a, target=b, messages=("m1", "m2"))
+    assert w == same and hash(w) == hash(same) == hash((a, b, ("m1", "m2")))
+    assert w != ZigzagWitness(a, b, ("m1",))
+    for name in ("source", "messages", "other"):
         with pytest.raises(FrozenInstanceError):
             setattr(w, name, None)
     with pytest.raises(FrozenInstanceError):
         del w.messages
-    moved = replace(w, causal=False)
-    assert moved == ZigzagWitness(a, b, ("m1", "m2"), False) and w.causal
+    moved = replace(w, messages=("m3",))
+    assert moved == ZigzagWitness(a, b, ("m3",)) and w.messages == ("m1", "m2")
     assert len({w, same, moved}) == 2
     assert copy.copy(w) == copy.deepcopy(w) == pickle.loads(pickle.dumps(w)) == w
 

@@ -188,12 +188,14 @@ def test_different_seeds_differ():
     ("seed", 1.5), ("seed", "1"), ("seed", True),
     ("p_send", "0.3"), ("p_send", True),
     ("p_ckpt", ("0.1", "0.2", "0.3")), ("p_ckpt", (0.1, True, 0.2)), ("p_ckpt", True),
+    ("p_ckpt", None),
 ])
 def test_count_knobs_must_be_exact_ints(knob, value):
     # A float n once raised a bare TypeError and a float event budget gave
     # a scenario one step longer than asked for; a float or str seed and a
-    # str rate raised a bare TypeError, and a bool seed or rate was read
-    # as 1.  A rate may be any int or float ("must be an int or a float").
+    # str rate or a None p_ckpt raised a bare TypeError, and a bool seed or
+    # rate was read as 1.  A rate may be any int or float ("must be an int
+    # or a float").
     params = FuzzParams(**{"n": 3, "seed": 1, knob: value})
     with pytest.raises(ValueError, match=f"{knob} must be an int"):
         random_scenario(params)

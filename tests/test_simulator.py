@@ -226,7 +226,7 @@ def test_unknown_protocol_rejected():
 
 # -- columnar traces ---------------------------------------------------------
 
-EVENT_VIEW = ("events", "_pos", "_ckpt_pos", "_interval")
+EVENT_VIEW = ("events", "_pos", "_ckpt_pos", "_interval", "_msg_pos")
 
 
 def columnar_cases():
@@ -251,7 +251,7 @@ def oracle_view(trace, cap):
     rep = oracle_report(trace, cap)
     return (
         quick_findings(trace),
-        [(w.source.key(), w.target.key(), w.messages, w.causal) for w in rep.violations],
+        [(w.source.key(), w.target.key(), w.messages) for w in rep.violations],
         [(r.key(), names) for r, names in z_cycle_rows(rep.z_cycles)],
         sorted(r.key() for r in rep.useless),
         rep.stats,
