@@ -23,7 +23,6 @@ from .computation import (
 from .oracle import (
     BudgetExceededError,
     OracleReport,
-    ZigzagWitness,
     check_z_consistency,
     consistent_membership_bruteforce,
     find_z_cycles,

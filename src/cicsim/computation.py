@@ -246,7 +246,9 @@ class Trace:
                     broken(pos, "checkpoint event without record")
                     continue
                 x, o = count[p] + 1, rec.ordinal
-                if rec.process != p:
+                if type(rec.process) is not int:
+                    broken(pos, f"record process {rec.process!r} is not an int")
+                elif rec.process != p:
                     broken(pos, f"record process {rec.process} mismatch")
                 if type(o) is not int:
                     broken(pos, f"checkpoint ordinal {o!r} is not an int")

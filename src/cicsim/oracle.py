@@ -109,43 +109,13 @@ class BudgetExceededError(RuntimeError):
     """Raised when the membership enumeration would exceed its budget."""
 
 
-@dataclass(frozen=True, init=False)
-class ZigzagWitness:
-    """One concrete zigzag chain between two checkpoints.
-
-    A frozen value with slots, as :class:`CheckpointRecord` is, because a
-    report on a dense trace builds hundreds of violation witnesses; its
-    ``__init__`` stores each field through the slot's own descriptor."""
-
-    __slots__ = ("source", "target", "messages")
-    source: CheckpointRecord
-    target: CheckpointRecord
-    messages: tuple[str, ...]
-
-    def __init__(self, source: CheckpointRecord, target: CheckpointRecord,
-                 messages: tuple[str, ...]):
-        _set_source(self, source)
-        _set_target(self, target)
-        _set_messages(self, messages)
-
-    def __reduce__(self):
-        # Copying and pickling rebuild the value through __init__: the
-        # default would set each slot through the frozen __setattr__.
-        return (ZigzagWitness, (self.source, self.target, self.messages))
-
-
-_set_source, _set_target, _set_messages = (
-    ZigzagWitness.__dict__[name].__set__ for name in ZigzagWitness.__slots__
-)
-
-
 @dataclass
 class OracleReport:
     """The :func:`find_z_cycles` entries, the :func:`check_z_consistency`
-    witnesses and the counters; ``useless`` is read off the entries."""
+    entries and the counters; ``useless`` is read off the Z-cycle entries."""
 
     z_cycles: list[tuple[CheckpointRecord, list[tuple[str, ...]], bool]]
-    violations: list[ZigzagWitness]
+    violations: list[tuple[CheckpointRecord, CheckpointRecord, tuple[str, ...]]]
     stats: dict = field(default_factory=dict)
 
     @property
@@ -256,17 +226,9 @@ class _ZigzagIndex:
     def end_mask(self, key: tuple[int, int]) -> int:
         return self.got[self._bit(key) - 1]
 
-    def _witness(self, src: CheckpointRecord, dst: CheckpointRecord) -> ZigzagWitness:
-        """The shortest witness from src to dst, two checkpoints of this
-        trace joined by a zigzag path."""
-        base = self.base
-        return ZigzagWitness(src, dst, self._named(base[src.process] + src.ordinal,
-                                                   base[dst.process] + dst.ordinal))
-
-    def _named(self, a: int, b: int) -> tuple[str, ...]:
-        """The names of the :meth:`_shortest` chain from node a into node
-        b, two nodes joined by a zigzag path."""
-        return tuple(map(self.names.__getitem__, self._shortest(a, b)))
+    def _named(self, chain: tuple[int, ...]) -> tuple[str, ...]:
+        """The message names of a chain of bits."""
+        return tuple(map(self.names.__getitem__, chain))
 
     def _back(self, end: int, allowed: int):
         """Breadth-first layers backwards from ``end``: layer d holds the
@@ -342,27 +304,22 @@ class _ZigzagIndex:
         return self._best(first, self._back(end, allowed))
 
     def _shortest(self, a: int, b: int) -> tuple[int, ...] | None:
-        """Bits of the chain that :meth:`shortest_chain` names, from node a
-        into node b."""
+        """Bits of the shortest chain from node a into node b, ties broken
+        lexicographically by name sequence: :meth:`_best` from the start
+        mask of a down the cached layers into the end mask of b.  Equal to
+        ``_chain(start, -1, end)``, which would build the same layers again
+        for every source."""
         return self._best(self.start[a], self._layers(self.got[b - 1]))
-
-    def shortest_chain(self, src, dst) -> tuple[str, ...] | None:
-        """Shortest chain, ties broken lexicographically by name sequence:
-        :meth:`_best` from the start mask of src down the cached layers
-        into the end mask of dst.  Equal to ``_chain(start, -1, end)``,
-        which would build the same layers again for every source."""
-        chain = self._shortest(self._bit(src), self._bit(dst))
-        return None if chain is None else tuple(self.names[j] for j in chain)
 
     def simple_chains(self, src, dst, cap=None):
         """All message-simple chains from src to dst, shortest first, lex
         ties; a chain may extend beyond an earlier completion.  Returns
         (chains, truncated): truncated is True when a chain beyond the
-        cap exists.  The cap is None, for every chain, or at least 1: a
-        lower one raises ValueError, since it would bound no work."""
+        cap exists.  The cap is None, for every chain, or an int of at
+        least 1: anything else raises ValueError, since it would bound no
+        work."""
         chains, truncated = self._simple(self._bit(src), self._bit(dst), cap)
-        names = self.names
-        return [tuple(names[j] for j in chain) for chain in chains], truncated
+        return list(map(self._named, chains)), truncated
 
     def _simple(self, a: int, b: int, cap):
         """Bits of the chains of :meth:`simple_chains`, and its flag, from
@@ -563,26 +520,30 @@ def _index(trace: Trace) -> _ZigzagIndex:
     return idx
 
 
-def zigzag_exists(src: CheckpointRecord, dst: CheckpointRecord, trace: Trace):
-    """Witness for a zigzag path src -> dst, or None.
+def zigzag_exists(src: CheckpointRecord, dst: CheckpointRecord,
+                  trace: Trace) -> tuple[str, ...] | None:
+    """The shortest zigzag chain src -> dst as message names, ties broken
+    lexicographically by name sequence, or None when there is no zigzag
+    path.
 
     Virtual terminal checkpoints (ordinal = last + 1) are accepted at
-    either end; the witness is one shortest chain.
+    either end.
     """
     idx = _index(trace)
-    if not idx.zz[idx._bit(src.key())] >> idx._bit(dst.key()) & 1:
+    a, b = idx._bit(src.key()), idx._bit(dst.key())
+    if not idx.zz[a] >> b & 1:
         return None
-    return idx._witness(src, dst)
+    return idx._named(idx._shortest(a, b))
 
 
 DEFAULT_MAX_WITNESSES = 32
 
 
 def _check_cap(cap: int | None) -> None:
-    """A witness cap bounds the work, so it is None (exhaustive) or at
-    least 1."""
-    if cap is not None and cap < 1:
-        raise ValueError("witness cap must be at least 1")
+    """A witness cap bounds the work, so it is None (exhaustive) or an int
+    of at least 1: a fractional cap would never be met."""
+    if cap is not None and (type(cap) is not int or cap < 1):
+        raise ValueError(f"witness cap must be None or an int of at least 1, not {cap!r}")
 
 
 def find_z_cycles(
@@ -613,8 +574,7 @@ def find_z_cycles(
         shared = found.get(key)
         if shared is None:
             chains, cut = idx._simple(a, a, cap)
-            name = idx.names.__getitem__
-            shared = found[key] = [tuple(map(name, chain)) for chain in chains], cut
+            shared = found[key] = list(map(idx._named, chains)), cut
         cycles.append((rec, *shared))
     return cycles
 
@@ -672,13 +632,15 @@ def _violating_pairs(idx: _ZigzagIndex):
             hit ^= low
 
 
-def check_z_consistency(trace: Trace) -> list[ZigzagWitness]:
-    """Violations of zigzag-consistent timestamping: one shortest witness
-    per ordered checkpoint pair (the witness's ``source`` and ``target``;
-    they may be equal) joined by a zigzag path yet with source.t >=
-    target.t, in checkpoint order.  Requires every checkpoint to carry a
-    timestamp.  Pairs with the same source start mask and target end mask
-    share one witness search.
+def check_z_consistency(
+    trace: Trace,
+) -> list[tuple[CheckpointRecord, CheckpointRecord, tuple[str, ...]]]:
+    """Violations of zigzag-consistent timestamping: one (source, target,
+    chain) entry per ordered checkpoint pair (the two may be equal) joined
+    by a zigzag path yet with source.t >= target.t, in checkpoint order;
+    the chain is the one :func:`zigzag_exists` returns.  Requires every
+    checkpoint to carry a timestamp.  Pairs with the same source start
+    mask and target end mask share one chain search and one chain.
     """
     idx = _index(trace)
     base = idx.base
@@ -689,8 +651,8 @@ def check_z_consistency(trace: Trace) -> list[ZigzagWitness]:
         key = idx.start[u], idx.got[v - 1]
         shared = found.get(key)
         if shared is None:
-            shared = found[key] = idx._named(u, v)
-        violations.append(ZigzagWitness(a, b, shared))
+            shared = found[key] = idx._named(idx._shortest(u, v))
+        violations.append((a, b, shared))
     return violations
 
 

@@ -107,13 +107,13 @@ def run_report(run: AnnotatedTrace, oracle_report: OracleReport, scenario_text: 
             "useless": [[r.process, r.ordinal] for r, _, _ in oracle_report.z_cycles],
             "violations": [
                 {
-                    "from": [w.source.process, w.source.ordinal],
-                    "from_t": w.source.timestamp,
-                    "to": [w.target.process, w.target.ordinal],
-                    "to_t": w.target.timestamp,
-                    "messages": list(w.messages),
+                    "from": [a.process, a.ordinal],
+                    "from_t": a.timestamp,
+                    "to": [b.process, b.ordinal],
+                    "to_t": b.timestamp,
+                    "messages": list(names),
                 }
-                for w in oracle_report.violations
+                for a, b, names in oracle_report.violations
             ],
             "stats": dict(oracle_report.stats),
         },

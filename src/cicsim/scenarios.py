@@ -166,15 +166,15 @@ def _eval_claim(claim: FixtureClaim, scen: Scenario, run_for, report_for):
     if kind == "zigzag":
         src = trace.checkpoints[tuple(e[0])]
         dst = trace.checkpoints[tuple(e[1])]
-        w = oracle.zigzag_exists(src, dst, trace)
-        if w is None:
+        chain = oracle.zigzag_exists(src, dst, trace)
+        if chain is None:
             return False, "no zigzag path found"
         msgs, causal = e[2], e[3] if len(e) > 3 else None
-        if msgs is not None and w.messages != tuple(msgs):
-            return False, f"witness {list(w.messages)}, expected {list(msgs)}"
+        if msgs is not None and chain != tuple(msgs):
+            return False, f"witness {list(chain)}, expected {list(msgs)}"
         if causal is None:
             return True, ""
-        got = _is_causal(trace, w.messages)
+        got = _is_causal(trace, chain)
         return got == causal, f"causal={got}, expected {causal}"
     if kind == "z_cycle":
         key, msgs = e
@@ -202,7 +202,7 @@ def _eval_claim(claim: FixtureClaim, scen: Scenario, run_for, report_for):
     if kind == "violation":
         a, b = e
         rep = report_for(claim.protocol)
-        pairs = {(w.source.key(), w.target.key()) for w in rep.violations}
+        pairs = {(src.key(), dst.key()) for src, dst, _ in rep.violations}
         return (tuple(a), tuple(b)) in pairs, f"violation pairs {sorted(pairs)}"
     if kind == "clean":
         rep = report_for(claim.protocol)

@@ -371,7 +371,6 @@ def amplify_violation(scenario: Scenario, protocol: str) -> AmplifyResult | None
     if pair is None:
         return None
     src, dst = pair
-    witness = oracle.zigzag_exists(src, dst, base.trace)
 
     # The step that made the target checkpoint: on its process, each
     # 'ckpt' step and each receive in the run's forced list made one
@@ -394,7 +393,7 @@ def amplify_violation(scenario: Scenario, protocol: str) -> AmplifyResult | None
     steps = list(scenario.steps)
     steps.insert(send_at, send(dst.process, src.process, name))
 
-    first_msg = witness.messages[0]
+    first_msg = oracle.zigzag_exists(src, dst, base.trace)[0]
     zeta_send_at = next(
         i for i, st in enumerate(steps) if st.kind == "send" and st.message == first_msg
     )

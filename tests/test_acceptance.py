@@ -52,11 +52,11 @@ def test_criterion_1_ccp_replay():
         ((3, 3), ("m6", "m3")),
         ((3, 3), ("m6", "m5", "m4", "m3")),
     ]
-    w = oracle.zigzag_exists(trace.checkpoints[(1, 1)], trace.checkpoints[(3, 2)], trace)
-    assert w.messages == ("m1", "m2") and _is_causal(trace, w.messages)
-    w = oracle.zigzag_exists(trace.checkpoints[(1, 2)], trace.checkpoints[(3, 3)], trace)
-    assert w.messages == ("m4", "m3") and not _is_causal(trace, w.messages)
-    pairs = {(w.source.key(), w.target.key()) for w in rep.violations}
+    chain = oracle.zigzag_exists(trace.checkpoints[(1, 1)], trace.checkpoints[(3, 2)], trace)
+    assert chain == ("m1", "m2") and _is_causal(trace, chain)
+    chain = oracle.zigzag_exists(trace.checkpoints[(1, 2)], trace.checkpoints[(3, 3)], trace)
+    assert chain == ("m4", "m3") and not _is_causal(trace, chain)
+    pairs = {(a.key(), b.key()) for a, b, _ in rep.violations}
     assert ((3, 3), (1, 3)) in pairs
     assert trace.checkpoints[(3, 3)].timestamp == trace.checkpoints[(1, 3)].timestamp == 3
     _ok(1, "ccp replay: useless {C_3^3}, both cycle witnesses, both zigzags, "

@@ -120,9 +120,13 @@ def stamped(t):
     (2, [Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1.0, CKPT_INITIAL, 1)),
          *initial_events(2)[1:]],
      ["event #0 (ckpt by P1): checkpoint ordinal 1.0 is not an int"]),
+    (2, [Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1.0, 1, CKPT_INITIAL, 1)),
+         *initial_events(2)[1:]],
+     ["event #0 (ckpt by P1): record process 1.0 is not an int"]),
 ], ids=["float-count", "str-count", "bool-count", "float-process", "str-process",
         "bool-process", "unhashable-send", "unhashable-recv", "str-timestamp",
-        "float-timestamp", "bool-timestamp", "float-ordinal", "float-checkpoint-ordinal"])
+        "float-timestamp", "bool-timestamp", "float-ordinal", "float-checkpoint-ordinal",
+        "float-record-process"])
 def test_wrongly_typed_input_is_one_problem(n, events, expected):
     # These once raised a bare TypeError out of the indexing pass.
     assert problems(n, events) == expected

@@ -1,11 +1,9 @@
-import copy
 import hashlib
 import heapq
-import pickle
 import sys
 import time
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import replace
 from math import inf
 
 import pytest
@@ -25,7 +23,6 @@ from cicsim.computation import (
 )
 from cicsim.oracle import (
     BudgetExceededError,
-    ZigzagWitness,
     check_z_consistency,
     consistent_membership_bruteforce,
     find_z_cycles,
@@ -320,8 +317,7 @@ def test_witness_search_matches_definition_reference():
             for b in recs:
                 want = chains(a.key(), b.key())
                 where = f"{label}: {a.label()} -> {b.label()}"
-                got = idx.shortest_chain(a.key(), b.key())
-                assert got == (want[0] if want else None), where
+                assert zigzag_exists(a, b, trace) == (want[0] if want else None), where
                 for cap in (1, 2, 5, 32, None):
                     cut = want if cap is None else want[:cap]
                     more = cap is not None and len(want) > cap
@@ -392,12 +388,16 @@ def test_lazy_witness_search_matches_eager_yen_on_dense_traces():
                     f"{label}: {rec.label()}, cap {cap}"
                 )
                 truncated += got[1]
+        entries = []
         for a, b in oracle._violating_pairs(idx):
             want = idx._chain(idx.start_mask(a.key()), -1, idx.end_mask(b.key()))
-            assert idx.shortest_chain(a.key(), b.key()) == tuple(idx.names[j] for j in want), (
+            chain = zigzag_exists(a, b, trace)
+            assert chain == tuple(idx.names[j] for j in want), (
                 f"{label}: {a.label()} -> {b.label()}"
             )
+            entries.append((a, b, chain))
             pairs += 1
+        assert check_z_consistency(trace) == entries, label
     assert useless > 100 and truncated > 100 and pairs > 1000
 
 
@@ -438,8 +438,7 @@ def test_shared_witness_searches_equal_unshared_ones(monkeypatch):
     # and every pair's witness must equal a search of its own on a newly
     # built index, and the searches run must be exactly one per distinct
     # pair.  The entries name exactly the useless checkpoints of a
-    # hand-built copy of the trace, and only the violations are built as
-    # ZigzagWitness values.
+    # hand-built copy of the trace.
     calls = {"_simple": 0, "_shortest": 0}
     for name in calls:
         method = getattr(oracle._ZigzagIndex, name)
@@ -449,14 +448,6 @@ def test_shared_witness_searches_equal_unshared_ones(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(oracle._ZigzagIndex, name, counted)
-    built = []
-    make = ZigzagWitness.__init__
-
-    def counted_witness(self, *args):
-        built.append(args)
-        make(self, *args)
-
-    monkeypatch.setattr(ZigzagWitness, "__init__", counted_witness)
 
     cases = [(label, run.trace, (1, 2, 5, 32)) for label, _, run in dense_none_runs()]
     for seed, (label, run) in enumerate(report_none_runs()):
@@ -475,14 +466,12 @@ def test_shared_witness_searches_equal_unshared_ones(monkeypatch):
         for cap in caps:
             where = f"{label}, cap {cap}"
             calls.update(_simple=0, _shortest=0)
-            built.clear()
             rep = oracle_report(trace, cap)
-            assert len(built) == len(rep.violations), where
             assert rep.useless == useless, where
             cycle_keys = {(fresh.start_mask(r.key()), fresh.end_mask(r.key()))
                           for r, _, _ in rep.z_cycles}
-            pair_keys = {(fresh.start_mask(w.source.key()), fresh.end_mask(w.target.key()))
-                         for w in rep.violations}
+            pair_keys = {(fresh.start_mask(a.key()), fresh.end_mask(b.key()))
+                         for a, b, _ in rep.violations}
             assert calls == {"_simple": len(cycle_keys), "_shortest": len(pair_keys)}, where
             order = [r.key() for r, _, _ in rep.z_cycles]
             assert order == sorted(keys(useless)), where
@@ -497,9 +486,10 @@ def test_shared_witness_searches_equal_unshared_ones(monkeypatch):
             assert rep.stats["witnesses_truncated"] == flags, where
             assert rep.stats["z_cycles"] == len(z_cycle_rows(rep.z_cycles)), where
             truncated += flags
-            for w in rep.violations:
-                assert w == fresh._witness(w.source, w.target), (
-                    f"{label}: {w.source.label()} -> {w.target.label()}"
+            for a, b, chain in rep.violations:
+                u, v = fresh._bit(a.key()), fresh._bit(b.key())
+                assert (a, b, chain) == (a, b, fresh._named(fresh._shortest(u, v))), (
+                    f"{label}: {a.label()} -> {b.label()}"
                 )
             shared_cycles += len(rep.z_cycles) - len(cycle_keys)
             shared_pairs += len(rep.violations) - len(pair_keys)
@@ -513,7 +503,7 @@ def test_simple_chains_rejects_a_cap_below_one(fixture_run):
     # as "no cap"; None is the exhaustive search.
     trace = fixture_run("ccp", "none").trace
     idx = oracle._index(trace)
-    for cap in (0, -1):
+    for cap in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match="at least 1"):
             idx.simple_chains((3, 3), (3, 3), cap)
         with pytest.raises(ValueError, match="at least 1"):
@@ -540,16 +530,16 @@ def test_witnesses_truncated_means_a_chain_beyond_the_cap(fixture_run):
 
 def test_ccp_causal_zigzag(fixture_run):
     trace = fixture_run("ccp", "none").trace
-    w = zigzag_exists(trace.checkpoints[(1, 1)], trace.checkpoints[(3, 2)], trace)
-    assert w.messages == ("m1", "m2")
-    assert _is_causal(trace, w.messages)
+    chain = zigzag_exists(trace.checkpoints[(1, 1)], trace.checkpoints[(3, 2)], trace)
+    assert chain == ("m1", "m2")
+    assert _is_causal(trace, chain)
 
 
 def test_ccp_noncausal_zigzag(fixture_run):
     trace = fixture_run("ccp", "none").trace
-    w = zigzag_exists(trace.checkpoints[(1, 2)], trace.checkpoints[(3, 3)], trace)
-    assert w.messages == ("m4", "m3")
-    assert not _is_causal(trace, w.messages)
+    chain = zigzag_exists(trace.checkpoints[(1, 2)], trace.checkpoints[(3, 3)], trace)
+    assert chain == ("m4", "m3")
+    assert not _is_causal(trace, chain)
 
 
 def test_claim_causality_matches_causal_precedence(fixture_run):
@@ -564,8 +554,7 @@ def test_claim_causality_matches_causal_precedence(fixture_run):
     for trace in traces:
         at, events = trace._msg_pos, trace.events
         recs = trace.sorted_checkpoints()
-        for w in (w for a in recs for b in recs if (w := zigzag_exists(a, b, trace))):
-            names = w.messages
+        for names in (c for a in recs for b in recs if (c := zigzag_exists(a, b, trace))):
             want = all(causally_precedes(events[at[a][1]], events[at[b][0]], trace)
                        for a, b in zip(names, names[1:]))
             assert _is_causal(trace, names) == want, names
@@ -592,26 +581,6 @@ def test_z_cycle_witnesses_are_never_causal():
                     assert not _is_causal(trace, names), (rec.label(), names)
                     chains += 1
     assert chains > 1000
-
-
-def test_zigzag_witness_is_a_frozen_value():
-    a, b = CheckpointRecord(1, 2, "basic", 3), CheckpointRecord(2, 1, "initial", 1)
-    w = ZigzagWitness(a, b, ("m1", "m2"))
-    assert [f.name for f in fields(ZigzagWitness)] == ["source", "target", "messages"]
-    assert repr(w) == f"ZigzagWitness(source={a!r}, target={b!r}, messages=('m1', 'm2'))"
-    assert not hasattr(w, "__dict__")  # slots: no per-witness dict
-    same = ZigzagWitness(source=a, target=b, messages=("m1", "m2"))
-    assert w == same and hash(w) == hash(same) == hash((a, b, ("m1", "m2")))
-    assert w != ZigzagWitness(a, b, ("m1",))
-    for name in ("source", "messages", "other"):
-        with pytest.raises(FrozenInstanceError):
-            setattr(w, name, None)
-    with pytest.raises(FrozenInstanceError):
-        del w.messages
-    moved = replace(w, messages=("m3",))
-    assert moved == ZigzagWitness(a, b, ("m3",)) and w.messages == ("m1", "m2")
-    assert len({w, same, moved}) == 2
-    assert copy.copy(w) == copy.deepcopy(w) == pickle.loads(pickle.dumps(w)) == w
 
 
 def test_zigzag_absent_without_messages():
@@ -659,16 +628,16 @@ def test_fine_counterexample_useless(fixture_run):
 
 def test_ccp_z_consistency_violation(fixture_run):
     trace = fixture_run("ccp", "none").trace
-    pairs = {(w.source.key(), w.target.key()) for w in check_z_consistency(trace)}
+    pairs = {(a.key(), b.key()) for a, b, _ in check_z_consistency(trace)}
     assert ((3, 3), (1, 3)) in pairs
-    for w in check_z_consistency(trace):
-        assert w.source.timestamp >= w.target.timestamp
-        assert w.messages
+    for a, b, chain in check_z_consistency(trace):
+        assert a.timestamp >= b.timestamp
+        assert chain
 
 
 def test_fine_proposal_violation(fixture_run):
     trace = fixture_run("fine-proposal", "fine").trace
-    pairs = [(w.source.key(), w.target.key()) for w in check_z_consistency(trace)]
+    pairs = [(a.key(), b.key()) for a, b, _ in check_z_consistency(trace)]
     assert pairs == [((1, 2), (3, 2))]
 
 
@@ -795,8 +764,7 @@ def test_virtual_terminals_never_in_traces(fixture_run):
 def test_zigzag_accepts_virtual_endpoints(fixture_run):
     trace = fixture_run("ccp", "none").trace
     term_p2 = virtual_terminals(trace)[1]
-    w = zigzag_exists(trace.checkpoints[(3, 3)], term_p2, trace)
-    assert w is not None and w.messages == ("m6",)
+    assert zigzag_exists(trace.checkpoints[(3, 3)], term_p2, trace) == ("m6",)
     # virtual terminals sit at trace end: nothing is sent after them
     assert zigzag_exists(term_p2, trace.checkpoints[(3, 3)], trace) is None
     with pytest.raises(ValueError):
@@ -821,8 +789,6 @@ def test_every_entry_point_rejects_a_checkpoint_out_of_range(fixture_run, bad):
         lambda: zigzag_exists(trace.checkpoints[ok], rec, trace),
         lambda: idx.start_mask(bad),
         lambda: idx.end_mask(bad),
-        lambda: idx.shortest_chain(bad, ok),
-        lambda: idx.shortest_chain(ok, bad),
         lambda: idx.simple_chains(bad, ok),
         lambda: idx.simple_chains(ok, bad),
     ]

@@ -251,7 +251,7 @@ def oracle_view(trace, cap):
     rep = oracle_report(trace, cap)
     return (
         quick_findings(trace),
-        [(w.source.key(), w.target.key(), w.messages) for w in rep.violations],
+        [(a.key(), b.key(), chain) for a, b, chain in rep.violations],
         [(r.key(), names) for r, names in z_cycle_rows(rep.z_cycles)],
         sorted(r.key() for r in rep.useless),
         rep.stats,
@@ -423,15 +423,14 @@ def test_amplify_handles_forced_target_checkpoint():
                    p_send=0.30 + 0.20 * prng.random(), max_in_flight=6, seed=seed)
     )
     base = run_scenario(scen, "fine")
-    chosen = min(
-        (w for w in check_z_consistency(base.trace) if w.source.process != w.target.process),
-        key=lambda w: (w.target.process, w.target.ordinal, w.source.process, w.source.ordinal),
+    _, target, _ = min(
+        (v for v in check_z_consistency(base.trace) if v[0].process != v[1].process),
+        key=lambda v: (v[1].process, v[1].ordinal, v[0].process, v[0].ordinal),
     )
-    assert chosen.target.kind == "forced"
+    assert target.kind == "forced"
     result = amplify_violation(scen, "fine")
     assert result is not None
     assert scenario_violations(result.scenario) == []
-    target = chosen.target
     assert result.run.trace.delivered[result.inserted_message][:2] == (
         target.process, target.ordinal
     )
@@ -522,8 +521,8 @@ def test_amplify_builds_one_witness_for_its_target(monkeypatch):
         assert len(calls) == 1
         violations = result.report.violations
         idx = _index(result.run.trace)
-        masks = {(idx.start_mask(w.source.key()), idx.end_mask(w.target.key()))
-                 for w in violations}
+        masks = {(idx.start_mask(a.key()), idx.end_mask(b.key()))
+                 for a, b, _ in violations}
         assert len(calls) == 1 + len(masks)
     assert amplified >= 5
 
