@@ -15,7 +15,6 @@ from .computation import (
     Event,
     Interval,
     Trace,
-    TraceError,
     causally_precedes,
     interval_of,
     is_consistent_global_checkpoint,

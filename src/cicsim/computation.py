@@ -1,13 +1,14 @@
 """Passive model of a distributed computation.
 
 Processes are numbered 1..n.  A trace is a globally ordered list of events
-(internal, send, receive, checkpoint); the list order is the single source
-of determinism and must linearly extend both per-process order and
+(send, receive, checkpoint); the list order is the single source of
+determinism and linearly extends both per-process order and
 send-before-receive.  Every process begins with its initial checkpoint,
 and each message is sent once and received at most once.  Channels are
 reliable but not FIFO, and messages may still be in flight when the trace
-ends.  ``Trace(n, events)`` checks all of this while it indexes the
-events and raises :class:`TraceError` when a rule breaks.
+ends.  A trace is the view of a run, so the scenario checker is the one
+validator of computations: ``Trace(n, events)`` reads its list as steps
+and raises ``ValueError`` unless their run gives the list back.
 
 Checkpoints are identified as C_i^x: the x-th checkpoint of process i,
 1-based, with ordinal 1 always the initial checkpoint.  An interval I_i^x
@@ -19,14 +20,15 @@ view alone, which is built only when read.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import zip_longest
 
 CKPT_INITIAL = "initial"
 CKPT_BASIC = "basic"
 CKPT_FORCED = "forced"
 CKPT_VIRTUAL = "virtual-terminal"
 
-EV_INTERNAL = "internal"
 EV_SEND = "send"
 EV_RECV = "recv"
 EV_CKPT = "ckpt"
@@ -72,6 +74,22 @@ _set_process, _set_ordinal, _set_kind, _set_timestamp = (
 )
 
 
+def _record_problems(rec):
+    """The problems of one hand-built checkpoint record, one per wrong field."""
+    if type(rec) is not CheckpointRecord:
+        yield f"checkpoint record {rec!r} is not a CheckpointRecord"
+        return
+    where = f"checkpoint {rec.label()}"
+    if type(rec.process) is not int:
+        yield f"{where}: process {rec.process!r} is not an int"
+    if type(rec.ordinal) is not int:
+        yield f"{where}: ordinal {rec.ordinal!r} is not an int"
+    elif rec.kind not in ((CKPT_INITIAL,) if rec.ordinal == 1 else (CKPT_BASIC, CKPT_FORCED)):
+        yield f"{where}: kind {rec.kind!r} at ordinal {rec.ordinal}"
+    if rec.timestamp is not None and (type(rec.timestamp) is not int or rec.timestamp < 1):
+        yield f"{where}: timestamp {rec.timestamp!r} is neither None nor an int >= 1"
+
+
 @dataclass(frozen=True)
 class Event:
     """One entry of a trace.
@@ -97,15 +115,6 @@ class Interval:
         return f"I_{self.process}^{self.index}"
 
 
-class TraceError(ValueError):
-    """A ``Trace(n, events)`` that breaks a trace invariant; ``problems``
-    holds one text per broken rule."""
-
-    def __init__(self, problems: list[str]):
-        self.problems = problems
-        super().__init__("; ".join(problems))
-
-
 class Trace:
     """Ordered, immutable-by-convention record of one computation.
 
@@ -118,21 +127,59 @@ class Trace:
     The event-level view (``events`` and the positional index ``_pos``,
     ``_ckpt_pos``, ``_interval``, and ``_msg_pos``, which maps each
     received message to the global positions of its send and its
-    receive) is built at construction for a hand-built ``Trace(n,
-    events)``, in the same pass that derives the columns and checks every
-    trace rule: a trace is valid by construction, and an invalid event
-    list raises :class:`TraceError`.  A trace the simulator writes holds
-    the columns and no per-event record: on its first use, the
-    event-level view is replayed from the scenario's steps, the forced
-    step indexes and the checkpoint records, and indexed through the same
-    pass.  ``_msg_pos`` is the only place that message positions live.
+    receive, the only place message positions live) is a run's replay,
+    indexed by one pass that checks nothing: built on first use for a
+    trace the simulator writes, and kept by ``Trace(n, events)``.
     """
 
     _EVENT_VIEW = frozenset(("events", "_pos", "_ckpt_pos", "_interval", "_msg_pos"))
 
     def __init__(self, n: int, events: list[Event]):
+        """Read ``events`` as a run: its steps must make a ``Scenario``, its
+        records pass :func:`_record_problems` and its replay equal
+        ``events`` (else ``ValueError``).  An undelivered send goes to any
+        other process; a forced checkpoint marks the receive after it."""
+        from .simulator import Scenario, Step  # simulator imports this module
+
+        events = list(events)
+        receivers = {}
+        for ev in events:
+            if ev.kind == EV_RECV:
+                with suppress(TypeError):  # an unhashable name; its step rejects it
+                    receivers[ev.message] = ev.process
+        steps, forced, records = [], [], []
+        for ev in events:
+            p, kind = ev.process, ev.kind
+            if kind == EV_SEND:
+                q = None
+                with suppress(TypeError):
+                    q = receivers.get(ev.message)
+                if type(q) is not int:  # no usable receiver: any other process stands in
+                    q = 2 if p == 1 else 1
+                steps.append(Step(kind, p, q, ev.message))
+            elif kind != EV_CKPT:
+                steps.append(Step(kind, p, message=ev.message))
+            else:
+                records.append(ev.checkpoint)
+                ckpt_kind = getattr(ev.checkpoint, "kind", None)
+                if ckpt_kind == CKPT_FORCED:
+                    forced.append(len(steps))
+                elif ckpt_kind != CKPT_INITIAL:
+                    steps.append(Step(kind, p))
+        Scenario(n, tuple(steps))
+        bad = [text for rec in records for text in _record_problems(rec)]
+        if bad:
+            raise ValueError("; ".join(bad))
         self.n = n
-        self.events = list(events)
+        self.checkpoints = {rec.key(): rec for rec in records}
+        try:
+            replay = self._replay(steps, forced)
+        except KeyError as missing:
+            raise ValueError("no checkpoint record C_%d^%d" % missing.args[0]) from None
+        for at, (ev, want) in enumerate(zip_longest(events, replay)):
+            if ev != want:
+                raise ValueError(f"event #{at} is not the one the run of its steps makes")
+        self.events = replay
         self._index()
 
     @classmethod
@@ -176,7 +223,7 @@ class Trace:
         forced = set(forced_steps)
         for idx, st in enumerate(steps):
             p, kind = st.process, st.kind
-            if kind == EV_CKPT or idx in forced:
+            if kind == EV_CKPT or kind == EV_RECV and idx in forced:
                 counts[p] += 1
                 ordinals[p] += 1
                 events.append(Event(p, ordinals[p], EV_CKPT, None, records[(p, counts[p])]))
@@ -186,109 +233,28 @@ class Trace:
         return events
 
     def _index(self) -> None:
-        """Build the columns and the event-level view in one pass that
-        checks every rule.  A problem's text is built only when its rule
-        breaks, and an event that breaks one is still indexed, so it
-        causes no follow-on problem.  As for a scenario, a process count
-        that is not an exact int is the only problem reported, and a
-        process id, an event ordinal or a checkpoint ordinal that is not an
-        exact int, a timestamp that is neither None nor an exact int, or an
-        unhashable message name is one problem of its event; a wrongly
-        typed ordinal is indexed as the expected one."""
+        """Index a replayed list: its event-level view and other columns."""
         n, events = self.n, self.events
-        if type(n) is not int:
-            raise TraceError([f"process count {n!r} is not an int"])
-        bad = [f"process count {n} < 2"] if n < 2 else []
-
-        def broken(pos, text):
-            ev = events[pos]
-            bad.append(f"event #{pos} ({ev.kind} by P{ev.process}): {text}")
-
         pos_of = self._pos = {}  # (process, ordinal) -> global position
-        checkpoints = self.checkpoints = {}
         ckpt_pos = self._ckpt_pos = {}
         interval = self._interval = [0] * len(events)
-        seen = [0] * (n + 1)  # per process: the last event ordinal
         count = [0] * (n + 1)  # per process: the last checkpoint ordinal
-        sends: dict[str, list[int]] = {}
-        recvs: dict[str, list[int]] = {}
-        for pos, ev in enumerate(events):
-            p, kind = ev.process, ev.kind
-            if kind == EV_SEND or kind == EV_RECV:
-                try:
-                    (sends if kind == EV_SEND else recvs).setdefault(ev.message, []).append(pos)
-                except TypeError:
-                    broken(pos, f"message name {ev.message!r} is not hashable")
-                else:
-                    if not ev.message:
-                        broken(pos, "missing message name")
-            elif kind != EV_CKPT and kind != EV_INTERNAL:
-                broken(pos, f"unknown event kind {kind!r}")
-            if type(p) is not int:
-                broken(pos, f"process id {p!r} is not an int")
-                continue
-            if not 1 <= p <= n:
-                broken(pos, f"process out of range 1..{n}")
-                continue
-            o = ev.ordinal
-            if type(o) is not int:
-                broken(pos, f"ordinal {o!r} is not an int")
-                o = seen[p] + 1
-            elif o != seen[p] + 1:
-                broken(pos, f"ordinal {o}, expected {seen[p] + 1}")
-            if not seen[p] and kind != EV_CKPT:
-                broken(pos, f"P{p} must begin with its initial checkpoint")
-            seen[p] = o
-            pos_of[(p, o)] = pos
-            if kind == EV_CKPT:
-                rec = ev.checkpoint
-                if rec is None:
-                    broken(pos, "checkpoint event without record")
-                    continue
-                x, o = count[p] + 1, rec.ordinal
-                if type(rec.process) is not int:
-                    broken(pos, f"record process {rec.process!r} is not an int")
-                elif rec.process != p:
-                    broken(pos, f"record process {rec.process} mismatch")
-                if type(o) is not int:
-                    broken(pos, f"checkpoint ordinal {o!r} is not an int")
-                    o = x
-                elif o != x:
-                    broken(pos, f"checkpoint ordinal {o}, expected {x}")
-                if x == 1 and rec.kind != CKPT_INITIAL:
-                    broken(pos, "first checkpoint must be kind 'initial'")
-                if x > 1 and rec.kind == CKPT_INITIAL:
-                    broken(pos, "duplicate initial checkpoint")
-                if rec.kind == CKPT_VIRTUAL:
-                    broken(pos, "virtual-terminal checkpoints may not appear in traces")
-                t = rec.timestamp
-                if t is not None:
-                    if type(t) is not int:
-                        broken(pos, f"timestamp {t!r} is not an int")
-                    elif t < 1:
-                        broken(pos, f"timestamp {t} < 1")
-                count[p] = o
-                checkpoints[(p, o)] = rec
-                ckpt_pos[(p, o)] = pos
-            interval[pos] = count[p]
-        bad += [f"P{p} has no initial checkpoint" for p in range(1, n + 1) if not seen[p]]
-        bad += [f"message {m}: sent {len(at)} times" for m, at in sends.items() if len(at) > 1]
+        sends: dict[str, int] = {}
         delivered = self.delivered = {}
         msg_pos = self._msg_pos = {}
-        for name, got in recvs.items():
-            at = sends.get(name)
-            if at is None:
-                bad.append(f"message {name}: received but never sent")
-                continue
-            if len(got) > 1:
-                bad.append(f"message {name}: received {len(got)} times")
-            s, r = at[0], got[0]
-            if r < s:
-                bad.append(f"message {name}: receive precedes its send in the global order")
-            delivered[name] = (events[s].process, interval[s], events[r].process, interval[r])
-            msg_pos[name] = (s, r)
-        if bad:
-            raise TraceError(bad)
+        for pos, ev in enumerate(events):
+            p, kind = ev.process, ev.kind
+            pos_of[(p, ev.ordinal)] = pos
+            if kind == EV_CKPT:
+                count[p] += 1
+                ckpt_pos[(p, count[p])] = pos
+            elif kind == EV_SEND:
+                sends[ev.message] = pos
+            else:
+                s = sends[ev.message]
+                delivered[ev.message] = (events[s].process, interval[s], p, count[p])
+                msg_pos[ev.message] = (s, pos)
+            interval[pos] = count[p]
         self.ckpt_counts = {p: count[p] for p in range(1, n + 1)}
         self.event_count = len(events)
         self._vclock: list[list[int]] | None = None

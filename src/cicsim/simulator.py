@@ -84,7 +84,7 @@ class Step:
             return f"ckpt {self.process}"
         if self.kind == "send":
             return f"send {self.process} {self.dest} {self.message}"
-        return f"recv {self.process} {self.message}"
+        return f"{self.kind} {self.process} {self.message}"
 
 
 _set_kind, _set_process, _set_dest, _set_message = (

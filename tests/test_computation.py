@@ -5,18 +5,18 @@ import pickle
 import pytest
 
 from cicsim.computation import (
+    CKPT_FORCED,
     CKPT_INITIAL,
     CheckpointRecord,
     Event,
     Interval,
     Trace,
-    TraceError,
     causally_precedes,
     interval_of,
     is_consistent_global_checkpoint,
 )
-from cicsim.oracle import useless_checkpoints
-from cicsim.scenarios import FuzzParams, random_scenario
+from cicsim.oracle import quick_findings, useless_checkpoints
+from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, random_scenario
 from cicsim.simulator import run_scenario
 
 
@@ -29,38 +29,13 @@ def initial_events(n):
 
 def problems(n, events):
     """The problems Trace(n, events) raises with."""
-    with pytest.raises(TraceError) as exc:
+    with pytest.raises(ValueError) as exc:
         Trace(n, events)
-    return exc.value.problems
+    return str(exc.value).split("; ")
 
 
 def test_minimal_trace_is_valid():
     Trace(3, initial_events(3))
-
-
-def test_receive_before_send_is_flagged():
-    events = initial_events(2)
-    events.append(Event(2, 2, "recv", message="m1"))
-    events.append(Event(1, 2, "send", message="m1"))
-    bad = problems(2, events)
-    assert any("receive precedes its send" in msg for msg in bad)
-
-
-def test_orphan_receive_and_double_send_flagged():
-    events = initial_events(2)
-    events.append(Event(1, 2, "send", message="m1"))
-    events.append(Event(1, 3, "send", message="m1"))
-    events.append(Event(2, 2, "recv", message="mx"))
-    bad = problems(2, events)
-    assert any("sent 2 times" in msg for msg in bad)
-    assert any("never sent" in msg for msg in bad)
-
-
-def test_ordinal_gaps_flagged():
-    events = initial_events(2)
-    events.append(Event(1, 5, "internal"))
-    bad = problems(2, events)
-    assert any("ordinal 5, expected 2" in msg for msg in bad)
 
 
 def motivation_events(p2_initial):
@@ -79,17 +54,22 @@ def motivation_events(p2_initial):
     ]
 
 
-def test_process_without_initial_checkpoint_is_refused():
-    bad = problems(2, motivation_events(p2_initial=False))
-    assert bad == ["event #1 (send by P2): P2 must begin with its initial checkpoint"]
-    trace = Trace(2, motivation_events(p2_initial=True))
-    assert {rec.key() for rec in useless_checkpoints(trace)} == {(1, 2)}
+def test_ordinal_gaps_flagged():
+    # The run of these steps makes P1's send its event 2, not its event 5.
+    events = initial_events(2) + [Event(1, 5, "send", "m1")]
+    assert problems(2, events) == ["event #2 is not the one the run of its steps makes"]
 
 
 def test_unknown_event_kind_is_refused():
-    events = initial_events(2)
-    events.append(Event(1, 2, "rollback"))
-    assert problems(2, events) == ["event #2 (rollback by P1): unknown event kind 'rollback'"]
+    # Any other kind is a step of that kind, which the scenario rejects.
+    events = initial_events(2) + [Event(1, 2, "rollback")]
+    assert problems(2, events) == ["step 0 (rollback 1 None): unknown step kind 'rollback'"]
+
+
+def test_process_without_initial_checkpoint_is_refused():
+    assert problems(2, motivation_events(p2_initial=False)) == ["no checkpoint record C_2^1"]
+    trace = Trace(2, motivation_events(p2_initial=True))
+    assert {rec.key() for rec in useless_checkpoints(trace)} == {(1, 2)}
 
 
 def stamped(t):
@@ -98,42 +78,160 @@ def stamped(t):
             *initial_events(2)[1:]]
 
 
-@pytest.mark.parametrize("n, events, expected", [
-    (2.0, initial_events(2), ["process count 2.0 is not an int"]),
-    ("2", initial_events(2), ["process count '2' is not an int"]),
-    (True, initial_events(2), ["process count True is not an int"]),
-    (3, initial_events(3) + [Event(3.0, 2, "internal")],
-     ["event #3 (internal by P3.0): process id 3.0 is not an int"]),
-    (2, initial_events(2) + [Event("2", 2, "internal")],
-     ["event #2 (internal by P2): process id '2' is not an int"]),
-    (2, initial_events(2) + [Event(True, 2, "internal")],
-     ["event #2 (internal by PTrue): process id True is not an int"]),
-    (2, initial_events(2) + [Event(1, 2, "send", ["x"])],
-     ["event #2 (send by P1): message name ['x'] is not hashable"]),
-    (2, initial_events(2) + [Event(2, 2, "recv", ["x"])],
-     ["event #2 (recv by P2): message name ['x'] is not hashable"]),
-    (2, stamped("1"), ["event #0 (ckpt by P1): timestamp '1' is not an int"]),
-    (2, stamped(1.0), ["event #0 (ckpt by P1): timestamp 1.0 is not an int"]),
-    (2, stamped(True), ["event #0 (ckpt by P1): timestamp True is not an int"]),
-    (2, initial_events(2) + [Event(1, 2.0, "internal")],
-     ["event #2 (internal by P1): ordinal 2.0 is not an int"]),
-    (2, [Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1.0, CKPT_INITIAL, 1)),
-         *initial_events(2)[1:]],
-     ["event #0 (ckpt by P1): checkpoint ordinal 1.0 is not an int"]),
-    (2, [Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1.0, 1, CKPT_INITIAL, 1)),
-         *initial_events(2)[1:]],
-     ["event #0 (ckpt by P1): record process 1.0 is not an int"]),
-], ids=["float-count", "str-count", "bool-count", "float-process", "str-process",
-        "bool-process", "unhashable-send", "unhashable-recv", "str-timestamp",
-        "float-timestamp", "bool-timestamp", "float-ordinal", "float-checkpoint-ordinal",
-        "float-record-process"])
-def test_wrongly_typed_input_is_one_problem(n, events, expected):
-    # These once raised a bare TypeError out of the indexing pass.
-    assert problems(n, events) == expected
+def with_record(rec):
+    """Two initial checkpoints, then P1's checkpoint event with ``rec``."""
+    return initial_events(2) + [Event(1, 2, "ckpt", checkpoint=rec)]
+
+
+def received_by(p):
+    """P1 sends m1, and process ``p`` receives it."""
+    return initial_events(2) + [Event(1, 2, "send", "m1"), Event(p, 2, "recv", "m1")]
+
+
+NOT_ONE_TOKEN = "message name ['x'] is not one token without '#'"
+
+
+@pytest.mark.parametrize("events, expected", [
+    # A receiver that is not an int, or a name that cannot be looked up
+    # among the receives, gives no destination: a stand-in keeps the send
+    # free of a second problem.
+    (received_by(2.0), ["step 1 (recv 2.0 m1): process id 2.0 is not an int"]),
+    (received_by("2"), ["step 1 (recv 2 m1): process id '2' is not an int"]),
+    (received_by(True), ["step 1 (recv True m1): process id True is not an int"]),
+    (initial_events(2) + [Event(1, 2, "send", ["x"])],
+     [f"step 0 (send 1 2 ['x']): {NOT_ONE_TOKEN}"]),
+    (initial_events(2) + [Event(2, 2, "recv", ["x"])],
+     [f"step 0 (recv 2 ['x']): {NOT_ONE_TOKEN}"]),
+    (stamped("1"), ["checkpoint C_1^1: timestamp '1' is neither None nor an int >= 1"]),
+    (stamped(1.0), ["checkpoint C_1^1: timestamp 1.0 is neither None nor an int >= 1"]),
+    (stamped(True), ["checkpoint C_1^1: timestamp True is neither None nor an int >= 1"]),
+    (stamped(0), ["checkpoint C_1^1: timestamp 0 is neither None nor an int >= 1"]),
+    ([Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1.0, CKPT_INITIAL, 1)),
+      *initial_events(2)[1:]],
+     ["checkpoint C_1^1.0: ordinal 1.0 is not an int"]),
+    ([Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1.0, 1, CKPT_INITIAL, 1)),
+      *initial_events(2)[1:]],
+     ["checkpoint C_1.0^1: process 1.0 is not an int"]),
+    (with_record(None), ["checkpoint record None is not a CheckpointRecord"]),
+    (with_record(CheckpointRecord(1, 2, "virtual-terminal", 2)),
+     ["checkpoint C_1^2: kind 'virtual-terminal' at ordinal 2"]),
+    (with_record(CheckpointRecord(1, 2, CKPT_INITIAL, 2)),
+     ["checkpoint C_1^2: kind 'initial' at ordinal 2"]),
+    ([Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, "basic", 1)),
+      *initial_events(2)[1:]],
+     ["checkpoint C_1^1: kind 'basic' at ordinal 1"]),
+], ids=["float-process", "str-process", "bool-process",
+        "unhashable-send", "unhashable-recv", "str-timestamp", "float-timestamp",
+        "bool-timestamp", "zero-timestamp", "float-checkpoint-ordinal",
+        "float-record-process", "no-record", "virtual-terminal", "late-initial",
+        "basic-initial"])
+def test_wrongly_typed_input_is_one_problem(events, expected):
+    # Each list has one wrong field, and it is reported once.
+    assert problems(2, events) == expected
 
 
 def test_process_without_events_is_refused():
-    assert problems(3, initial_events(2)) == ["P3 has no initial checkpoint"]
+    assert problems(3, initial_events(2)) == ["no checkpoint record C_3^1"]
+
+
+def send_then_forced_receive(between):
+    """P1 sends m1; P2 takes a forced C_2^2, then the ``between`` events,
+    then receives m1."""
+    forced = Event(2, 2, "ckpt", checkpoint=CheckpointRecord(2, 2, CKPT_FORCED, 2))
+    return [*initial_events(2), Event(1, 2, "send", "m1"), forced, *between,
+            Event(2, 2 + len(between) + 1, "recv", "m1")]
+
+
+def test_lists_that_are_not_a_runs_view_are_refused():
+    c21 = initial_events(2)[1]
+    late_initial = [initial_events(2)[0], Event(1, 2, "send", "m1"), c21,
+                    Event(2, 2, "recv", "m1")]
+    assert problems(2, late_initial) == ["event #1 is not the one the run of its steps makes"]
+    # A forced checkpoint marks the receive right after it.
+    assert Trace(2, send_then_forced_receive([])).checkpoints[(2, 2)].kind == CKPT_FORCED
+    before_a_send = send_then_forced_receive([Event(2, 3, "send", "m2")])
+    assert problems(2, before_a_send) == ["event #3 is not the one the run of its steps makes"]
+    before_another_receive = [
+        *initial_events(2), Event(2, 2, "send", "m2"), Event(1, 2, "send", "m1"),
+        Event(2, 3, "ckpt", checkpoint=CheckpointRecord(2, 2, CKPT_FORCED, 2)),
+        Event(1, 3, "recv", "m2"), Event(2, 4, "recv", "m1"),
+    ]
+    assert problems(2, before_another_receive) == ["no checkpoint record C_1^2"]
+    assert problems(2, initial_events(2) + [Event(1, 2, "internal")]) == [
+        "step 0 (internal 1 None): unknown step kind 'internal'"]
+
+
+def test_a_trace_keeps_the_canonical_replay_of_its_list():
+    # 2.0 == 2, so the list equals its replay; the trace keeps the replay.
+    events = initial_events(2) + [Event(1, 2.0, "send", "m1"), Event(2, 2, "recv", "m1")]
+    trace = Trace(2, events)
+    assert trace.events == events
+    assert type(trace.events[2].ordinal) is int
+    assert trace.delivered == {"m1": (1, 1, 2, 1)}
+
+
+SWAP_INS = (1.0, True, "1", None, [1], 0, -1, 99)
+EVENT_FIELDS = [f.name for f in dataclasses.fields(Event)]
+RECORD_FIELDS = [f.name for f in dataclasses.fields(CheckpointRecord)]
+
+
+def mutants(events):
+    """Each event deleted, each adjacent pair swapped, and each field of an
+    event or of its checkpoint record replaced by each of ``SWAP_INS``."""
+    for pos, ev in enumerate(events):
+        head, tail = events[:pos], events[pos + 1:]
+        yield head + tail
+        if tail:
+            yield head + [tail[0], ev] + tail[1:]
+        for value in SWAP_INS:
+            for name in EVENT_FIELDS:
+                yield head + [dataclasses.replace(ev, **{name: value})] + tail
+            for name in RECORD_FIELDS if ev.checkpoint is not None else ():
+                rec = dataclasses.replace(ev.checkpoint, **{name: value})
+                yield head + [dataclasses.replace(ev, checkpoint=rec)] + tail
+
+
+def column_values(trace):
+    """Every number the trace's columns and events hold."""
+    yield trace.n
+    yield trace.event_count
+    for key, rec in trace.checkpoints.items():
+        yield from (*key, rec.process, rec.ordinal)
+        if rec.timestamp is not None:
+            yield rec.timestamp
+    for item in trace.ckpt_counts.items():
+        yield from item
+    for ends in trace.delivered.values():
+        yield from ends
+    for ev in trace.events:
+        yield from (ev.process, ev.ordinal)
+
+
+def test_every_mutant_of_a_run_view_is_refused_or_canonical():
+    # The systematic form of the wrongly-typed-input cases: a mutant of a
+    # run's event view is either refused with a ValueError or equal to the
+    # view of a run, and then the trace holds that run's exact ints.
+    views = [run_scenario(builtin(name)[0], protocol).trace
+             for name in FIXTURE_NAMES for protocol in ("none", "fi", "lazy-fine")]
+    views += [run_scenario(random_scenario(FuzzParams(n=2 + seed % 3, events=12, seed=seed)),
+                           "none").trace for seed in range(10)]
+    refused = accepted = 0
+    for view in views:
+        for events in mutants(view.events):
+            try:
+                trace = Trace(view.n, events)
+            except ValueError:
+                refused += 1
+                continue
+            accepted += 1
+            assert trace.events == events
+            assert all(type(v) is int for v in column_values(trace)), events
+            if any(rec.timestamp is None for rec in trace.checkpoints.values()):
+                with pytest.raises(ValueError, match="has no timestamp"):
+                    quick_findings(trace)
+            else:
+                quick_findings(trace)
+    assert refused > 10 * accepted > 0
 
 
 def test_fixture_traces_validate(fixture_run):

@@ -17,7 +17,6 @@ from cicsim.computation import (
     CheckpointRecord,
     Event,
     Trace,
-    TraceError,
     causally_precedes,
     is_consistent_global_checkpoint,
 )
@@ -44,7 +43,7 @@ from cicsim.scenarios import (
     random_scenario,
     serialize_scenario,
 )
-from cicsim.simulator import run_scenario
+from cicsim.simulator import ScenarioError, run_scenario
 from oracle_rows import z_cycle_rows
 
 
@@ -603,7 +602,7 @@ def test_ccp_cycle_witnesses_exact(fixture_run):
 
 def test_single_process_trace_is_refused():
     events = [Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, 1))]
-    with pytest.raises(TraceError) as exc:
+    with pytest.raises(ScenarioError) as exc:
         Trace(1, events)
     assert exc.value.problems == ["process count 1 < 2"]
 
@@ -653,13 +652,15 @@ def test_missing_timestamp_rejected(entry):
 
 
 def test_missing_timestamp_names_the_lowest_checkpoint():
-    # C_2^1 comes first in the trace, but C_1^1 is the lower (process,
+    # C_2^2 comes first in the trace, but C_1^2 is the lower (process,
     # ordinal) key, so it is the one named.
     events = [
-        Event(2, 1, "ckpt", checkpoint=CheckpointRecord(2, 1, CKPT_INITIAL, None)),
-        Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, None)),
+        Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, 1)),
+        Event(2, 1, "ckpt", checkpoint=CheckpointRecord(2, 1, CKPT_INITIAL, 1)),
+        Event(2, 2, "ckpt", checkpoint=CheckpointRecord(2, 2, "basic", None)),
+        Event(1, 2, "ckpt", checkpoint=CheckpointRecord(1, 2, "basic", None)),
     ]
-    with pytest.raises(ValueError, match=r"^checkpoint C_1\^1 has no timestamp$"):
+    with pytest.raises(ValueError, match=r"^checkpoint C_1\^2 has no timestamp$"):
         quick_findings(Trace(2, events))
 
 

@@ -553,8 +553,12 @@ def test_scenario_violation_messages():
         "step 4 (recv 1 m9): receive before send of m9",
         "step 6 (recv 2 m1): m1 was addressed to P1",
         "step 6 (recv 2 m1): message m1 received twice",
-        "step 7 (recv 1 None): unknown step kind 'bogus'",
+        "step 7 (bogus 1 None): unknown step kind 'bogus'",
     ]
+    # A step of an unknown kind shows its own kind, not a receive's.
+    with pytest.raises(ScenarioError) as err:
+        Scenario(2, (Step("rollback", 1),))
+    assert err.value.problems == ["step 0 (rollback 1 None): unknown step kind 'rollback'"]
 
 
 @pytest.mark.parametrize("steps, problem", [
