@@ -13,17 +13,12 @@ useless checkpoints, and zigzag-consistent timestamping.
 from .computation import (
     CheckpointRecord,
     Event,
-    Interval,
     Trace,
-    causally_precedes,
-    interval_of,
     is_consistent_global_checkpoint,
 )
 from .oracle import (
-    BudgetExceededError,
     OracleReport,
     check_z_consistency,
-    consistent_membership_bruteforce,
     find_z_cycles,
     oracle_report,
     useless_checkpoints,

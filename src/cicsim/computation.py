@@ -15,7 +15,10 @@ Checkpoints are identified as C_i^x: the x-th checkpoint of process i,
 is the set of events from C_i^x (inclusive) to C_i^{x+1} (exclusive).
 A trace's columns place each delivered message by the intervals of its
 send and its receive; global event positions belong to the event-level
-view alone, which is built only when read.
+view alone, which is built only when read.  Consistency is decided on
+the columns: a global checkpoint, one checkpoint per process, is
+consistent iff no delivered message is an orphan, sent at or after its
+sender's member and received before its receiver's.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from itertools import zip_longest
 CKPT_INITIAL = "initial"
 CKPT_BASIC = "basic"
 CKPT_FORCED = "forced"
-CKPT_VIRTUAL = "virtual-terminal"
 
 EV_SEND = "send"
 EV_RECV = "recv"
@@ -106,15 +108,6 @@ class Event:
     checkpoint: CheckpointRecord | None = None
 
 
-@dataclass(frozen=True)
-class Interval:
-    process: int
-    index: int
-
-    def label(self) -> str:
-        return f"I_{self.process}^{self.index}"
-
-
 class Trace:
     """Ordered, immutable-by-convention record of one computation.
 
@@ -124,15 +117,14 @@ class Trace:
     which maps each received message to the integers (sender, send
     interval, receiver, receive interval) of its send and its receive.
 
-    The event-level view (``events`` and the positional index ``_pos``,
-    ``_ckpt_pos``, ``_interval``, and ``_msg_pos``, which maps each
+    The event-level view (``events``, and ``_msg_pos``, which maps each
     received message to the global positions of its send and its
     receive, the only place message positions live) is a run's replay,
     indexed by one pass that checks nothing: built on first use for a
     trace the simulator writes, and kept by ``Trace(n, events)``.
     """
 
-    _EVENT_VIEW = frozenset(("events", "_pos", "_ckpt_pos", "_interval", "_msg_pos"))
+    _EVENT_VIEW = frozenset(("events", "_msg_pos"))
 
     def __init__(self, n: int, events: list[Event]):
         """Read ``events`` as a run: its steps must make a ``Scenario``, its
@@ -196,7 +188,6 @@ class Trace:
         trace.checkpoints = checkpoints
         trace.ckpt_counts = ckpt_counts
         trace.delivered = delivered
-        trace._vclock = None
         return trace
 
     def __getattr__(self, name):
@@ -235,106 +226,43 @@ class Trace:
     def _index(self) -> None:
         """Index a replayed list: its event-level view and other columns."""
         n, events = self.n, self.events
-        pos_of = self._pos = {}  # (process, ordinal) -> global position
-        ckpt_pos = self._ckpt_pos = {}
-        interval = self._interval = [0] * len(events)
         count = [0] * (n + 1)  # per process: the last checkpoint ordinal
-        sends: dict[str, int] = {}
+        sends = {}  # message -> (process, interval, position) of its send
         delivered = self.delivered = {}
         msg_pos = self._msg_pos = {}
         for pos, ev in enumerate(events):
             p, kind = ev.process, ev.kind
-            pos_of[(p, ev.ordinal)] = pos
             if kind == EV_CKPT:
                 count[p] += 1
-                ckpt_pos[(p, count[p])] = pos
             elif kind == EV_SEND:
-                sends[ev.message] = pos
+                sends[ev.message] = (p, count[p], pos)
             else:
-                s = sends[ev.message]
-                delivered[ev.message] = (events[s].process, interval[s], p, count[p])
+                sp, si, s = sends[ev.message]
+                delivered[ev.message] = (sp, si, p, count[p])
                 msg_pos[ev.message] = (s, pos)
-            interval[pos] = count[p]
         self.ckpt_counts = {p: count[p] for p in range(1, n + 1)}
         self.event_count = len(events)
-        self._vclock: list[list[int]] | None = None
-
-    # -- basic lookups -------------------------------------------------
-
-    def position(self, event: Event) -> int:
-        pos = self._pos.get((event.process, event.ordinal))
-        if pos is None or self.events[pos] != event:
-            raise ValueError(f"event {event} does not belong to this trace")
-        return pos
-
-    def checkpoint_event(self, record: CheckpointRecord) -> Event:
-        pos = self._ckpt_pos.get(record.key())
-        if pos is None:
-            raise ValueError(f"checkpoint {record.label()} not in trace")
-        return self.events[pos]
-
-    def sorted_checkpoints(self) -> list[CheckpointRecord]:
-        return [self.checkpoints[k] for k in sorted(self.checkpoints)]
-
-    def delivered_messages(self) -> list[str]:
-        """Names of messages with both endpoints, sorted."""
-        return sorted(self.delivered)
-
-    # -- causality -----------------------------------------------------
-
-    def _vector_clocks(self) -> list[list[int]]:
-        """Per-event vector of the highest ordinal in the causal past.
-
-        vc[pos][p] is the largest ordinal of a process-p event that
-        causally precedes (or is) the event at ``pos``.
-        """
-        if self._vclock is not None:
-            return self._vclock
-        vc: list[list[int]] = []
-        last_of: dict[int, int] = {}
-        for pos, ev in enumerate(self.events):
-            prev = last_of.get(ev.process)
-            cur = list(vc[prev]) if prev is not None else [0] * (self.n + 1)
-            if ev.kind == EV_RECV:
-                other = vc[self._msg_pos[ev.message][0]]
-                cur = [max(a, b) for a, b in zip(cur, other)]
-            cur[ev.process] = ev.ordinal
-            vc.append(cur)
-            last_of[ev.process] = pos
-        self._vclock = vc
-        return vc
-
-
-def causally_precedes(e1: Event, e2: Event, trace: Trace) -> bool:
-    """True iff e1 happens-before e2: program order, message delivery, or
-    any transitive chain of the two.  Irreflexive."""
-    p1 = trace.position(e1)
-    p2 = trace.position(e2)
-    if p1 == p2:
-        return False
-    vc = trace._vector_clocks()
-    return vc[p2][e1.process] >= e1.ordinal and p1 < p2
-
-
-def interval_of(e: Event, trace: Trace) -> Interval:
-    """Interval I_i^x holding ``e``; a checkpoint event belongs to the
-    interval it opens."""
-    pos = trace.position(e)
-    return Interval(e.process, trace._interval[pos])
 
 
 def is_consistent_global_checkpoint(records, trace: Trace) -> bool:
-    """True iff the given one-checkpoint-per-process set is pairwise
-    unrelated by causal precedence."""
-    records = list(records)
-    procs = [r.process for r in records]
-    if len(set(procs)) != len(procs):
-        raise ValueError("duplicate process in global checkpoint")
-    if sorted(procs) != list(range(1, trace.n + 1)):
+    """True iff the given one-checkpoint-per-process set leaves no orphan:
+    no delivered message is sent by P_s in interval si >= its member's
+    ordinal and received by P_r in interval ri < its member's ordinal.
+    Reads the trace's columns, never its event view.  A process or
+    ordinal that is not an exact int, a duplicate or missing process, and
+    a checkpoint the trace does not hold raise ``ValueError``."""
+    member: dict[int, int] = {}
+    for rec in records:
+        p, x = rec.process, rec.ordinal
+        if type(p) is not int or type(x) is not int:
+            raise ValueError(f"checkpoint {rec.label()} not in trace")
+        if p in member:
+            raise ValueError("duplicate process in global checkpoint")
+        member[p] = x
+    if sorted(member) != list(range(1, trace.n + 1)):
         raise ValueError("need exactly one checkpoint per process")
-    evs = [trace.checkpoint_event(r) for r in records]
-    for a in evs:
-        for b in evs:
-            if a is not b and causally_precedes(a, b, trace):
-                return False
-    return True
+    for key in member.items():
+        if key not in trace.checkpoints:
+            raise ValueError("checkpoint C_%d^%d not in trace" % key)
+    return not any(si >= member[sp] and ri < member[rp]
+                   for sp, si, rp, ri in trace.delivered.values())

@@ -1,9 +1,8 @@
 """Protocol-independent ground truth over traces.
 
 Zigzag reachability between checkpoints, Z-cycle enumeration,
-useless-checkpoint detection, Z-consistent-timestamping checks, and an
-exhaustive consistent-global-checkpoint membership analysis.  Protocols
-are judged against these predicates, never against their own
+useless-checkpoint detection and Z-consistent-timestamping checks.
+Protocols are judged against these predicates, never against their own
 bookkeeping: the oracle reads only these integer columns of a trace,
 never its Event list nor any event position:
 
@@ -18,7 +17,9 @@ message is sent by P_i in interval x or later, every next message is sent
 by the previous receiver in the same-or-later interval than the receipt
 (possibly earlier in real time), and the last message is received by P_j
 in an interval before y.  A Z-cycle is a zigzag path from a checkpoint to
-itself and is exactly what makes a checkpoint useless.
+itself and is exactly what makes a checkpoint useless: in no consistent
+global checkpoint, which ``is_consistent_global_checkpoint`` decides on
+the same columns (Netzer and Xu).
 
 Reachability is decided on checkpoints, as in the rollback-dependency
 view of Wang (IEEE TC 1997) and Netzer and Xu (IEEE TPDS 1995), with one
@@ -96,17 +97,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import inf
 
-from .computation import (
-    CKPT_VIRTUAL,
-    CheckpointRecord,
-    Trace,
-)
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when the membership enumeration would exceed its budget."""
+from .computation import CheckpointRecord, Trace
 
 
 @dataclass
@@ -214,9 +206,11 @@ class _ZigzagIndex:
     def _bit(self, key: tuple[int, int]) -> int:
         """The bit of checkpoint ``key``, a virtual terminal included.  The
         tables are flat, so this check alone keeps a key (p, cnt+2) from
-        reading the next process's slot 0."""
+        reading the next process's slot 0; a process or ordinal that is
+        not an exact int, such as ``True`` or ``1.0``, names no checkpoint."""
         p, x = key
-        if p not in self.counts or not 1 <= x <= self.counts[p] + 1:
+        if (type(p) is not int or type(x) is not int or p not in self.counts
+                or not 1 <= x <= self.counts[p] + 1):
             raise ValueError(f"checkpoint C_{p}^{x} does not exist in this trace")
         return self.base[p] + x
 
@@ -670,78 +664,6 @@ def quick_findings(trace: Trace) -> tuple[int, int]:
         useless += zz[a] >> a & 1
         violations += hit.bit_count()
     return useless, violations
-
-
-def virtual_terminals(trace: Trace) -> list[CheckpointRecord]:
-    """One terminal checkpoint per process, representing the state at
-    trace end; used only by the membership analysis."""
-    return [
-        CheckpointRecord(p, trace.ckpt_counts[p] + 1, CKPT_VIRTUAL, None)
-        for p in range(1, trace.n + 1)
-    ]
-
-
-def consistent_membership_bruteforce(
-    trace: Trace, budget: int = 10**6
-) -> set[CheckpointRecord]:
-    """Checkpoints that belong to at least one consistent global checkpoint.
-
-    Enumerates every one-per-process selection over the real checkpoints
-    plus a virtual terminal per process.  A selection is consistent by the
-    definition: no delivered message is an orphan between two members,
-    i.e. sent by P_p in interval x or later and received by P_q in an
-    interval before y, for members C_p^x and C_q^y.  ``first[p, q][x]``,
-    the suffix minimum of the receive intervals at P_q of the messages
-    P_p sends in interval x or later, decides that in O(1) per pair.  So
-    this route reads ``trace.delivered`` and no zigzag mask.  Within
-    budget, the returned useful set is the exact complement of
-    useless_checkpoints over the real checkpoints (Netzer and Xu).
-    """
-    candidates = [[] for _ in range(trace.n)]
-    for rec in trace.sorted_checkpoints() + virtual_terminals(trace):
-        candidates[rec.process - 1].append(rec)
-    total = 1
-    for group in candidates:
-        total *= len(group)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} selections exceed the enumeration budget of {budget}"
-        )
-
-    counts = trace.ckpt_counts
-    first: dict[tuple[int, int], list] = {}
-    for sp, si, rp, ri in trace.delivered.values():
-        row = first.setdefault((sp, rp), [inf] * (counts[sp] + 2))
-        if ri < row[si]:
-            row[si] = ri
-    for (p, _), row in first.items():
-        for x in range(counts[p] - 1, 0, -1):
-            if row[x + 1] < row[x]:
-                row[x] = row[x + 1]
-    never = [inf] * (max(counts.values()) + 2)
-
-    def compatible(a: CheckpointRecord, b: CheckpointRecord) -> bool:
-        p, x, q, y = a.process, a.ordinal, b.process, b.ordinal
-        return first.get((p, q), never)[x] >= y and first.get((q, p), never)[y] >= x
-
-    useful: set[CheckpointRecord] = set()
-    chosen: list[CheckpointRecord] = []
-
-    def dfs(p: int) -> None:
-        if p == len(candidates):
-            useful.update(rec for rec in chosen if rec.kind != CKPT_VIRTUAL)
-            return
-        for rec in candidates[p]:
-            if all(compatible(other, rec) for other in chosen):
-                chosen.append(rec)
-                dfs(p + 1)
-                chosen.pop()
-
-    dfs(0)
-    # dfs calls itself through its closure cell, a function <-> cell cycle
-    # that only the cyclic collector would free.
-    del dfs
-    return useful
 
 
 def oracle_report(

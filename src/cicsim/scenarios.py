@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .computation import causally_precedes, is_consistent_global_checkpoint
+from .computation import is_consistent_global_checkpoint
 from .rng import SplitMix64
 from .simulator import MAX_PROCS, Scenario, ScenarioError, Step, run_scenario
 
@@ -214,12 +214,6 @@ def _eval_claim(claim: FixtureClaim, scen: Scenario, run_for, report_for):
         recs = [trace.checkpoints[tuple(k)] for k in keys]
         got = is_consistent_global_checkpoint(recs, trace)
         return got == expected, f"consistent={got}, expected {expected}"
-    if kind == "causal":
-        a, b, expected = e
-        ea = trace.checkpoint_event(trace.checkpoints[tuple(a)])
-        eb = trace.checkpoint_event(trace.checkpoints[tuple(b)])
-        got = causally_precedes(ea, eb, trace)
-        return got == expected, f"causally_precedes={got}, expected {expected}"
     if kind == "interval":
         msg, key = e
         p, x = trace.delivered[msg][2:]  # the receive's process and interval
@@ -315,7 +309,6 @@ ckpt 1
            note="the all-second-checkpoints line is consistent"),
         _c("consistent", "none", ((1, 1), (2, 1), (3, 2)), False,
            note="C_1^1 causally precedes C_3^2"),
-        _c("causal", "none", (1, 1), (3, 2), True),
         _c("forced_total", "fi-greater", 1,
            note="one forced checkpoint repairs the pattern"),
         _c("forced_at", "fi-greater", "m6", None),

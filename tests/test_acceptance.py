@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
 the fuzz-campaign timing.  The campaign (criteria 7, 8, 11) executes
-10,000 seeded scenarios once and is shared by those criteria.
+10,000 seeded scenarios once and is shared by those criteria; criterion
+7 also checks every run's zigzag masks against a second route, orphan
+constraint propagation (``references.orphan_reach``).
 """
 
 import math
@@ -26,6 +28,7 @@ from cicsim.scenarios import FuzzParams, _is_causal, builtin, random_scenario
 from cicsim.simulator import amplify_violation, run_scenario
 from list_conditions import masked_agreeing
 from oracle_rows import z_cycle_rows
+from references import consistent_membership, orphan_reach, reach_mismatches
 
 CAMPAIGN_RUNS = 10_000
 CAMPAIGN_PROTOCOLS = ("pi", "fi-clockv", "fi-greater", "lazy-fi")
@@ -134,6 +137,8 @@ class Campaign:
     encoding_mismatches: list
     forced_totals: dict
     reversals: list
+    reach_mismatches: list
+    reachable_pairs: int
     elapsed: float
 
 
@@ -143,6 +148,8 @@ def campaign():
     mismatches = []
     totals = {p: 0 for p in CAMPAIGN_PROTOCOLS}
     reversals = []
+    disagreements = []
+    pairs = 0
     t0 = time.time()
     for seed in range(CAMPAIGN_RUNS):
         prng = SplitMix64(seed * 0x9E3779B9 + 17)
@@ -167,19 +174,31 @@ def campaign():
             useless, violations = oracle.quick_findings(run.trace)
             if useless or violations:
                 findings.append((seed, protocol, useless, violations))
+            # The second route: reachability by orphan constraints, from the
+            # steps and the forced step indexes alone, against every mask.
+            idx = oracle._index(run.trace)
+            route = orphan_reach(n, scen.steps, forced_steps[protocol])
+            wrong = reach_mismatches(route, idx.counts, idx.base, idx.zz)
+            if wrong:
+                disagreements.append((seed, protocol, wrong))
+            pairs += sum(mask.bit_count() for mask in idx.zz)
         if forced_steps["fi-clockv"] != forced_steps["fi-greater"]:
             mismatches.append((seed, forced_steps["fi-clockv"], forced_steps["fi-greater"]))
         if forced_counts["fi-greater"] > forced_counts["pi"]:
             reversals.append((seed, forced_counts["fi-greater"], forced_counts["pi"]))
     elapsed = time.time() - t0
-    return Campaign(CAMPAIGN_RUNS, findings, mismatches, totals, reversals, elapsed)
+    return Campaign(CAMPAIGN_RUNS, findings, mismatches, totals, reversals,
+                    disagreements, pairs, elapsed)
 
 
 def test_criterion_7_safety_fuzz(campaign):
     assert campaign.findings == [], campaign.findings[:5]
+    assert campaign.reach_mismatches == [], campaign.reach_mismatches[:5]
+    assert campaign.reachable_pairs > 0
     assert campaign.elapsed < 60.0, f"campaign took {campaign.elapsed:.1f}s"
     _ok(7, f"{campaign.runs} scenarios x {len(CAMPAIGN_PROTOCOLS)} protocols: "
-           f"0 useless, 0 violations in {campaign.elapsed:.1f}s")
+           f"0 useless, 0 violations, and the orphan-constraint route gives all "
+           f"{campaign.reachable_pairs} reachable pairs, in {campaign.elapsed:.1f}s")
 
 
 def test_criterion_8_encoding_equivalence(campaign):
@@ -236,7 +255,7 @@ def test_criterion_10_membership_cross_validation():
         )
         scen = random_scenario(params)
         trace = run_scenario(scen, protocols[seed % len(protocols)]).trace
-        useful = oracle.consistent_membership_bruteforce(trace)
+        useful = consistent_membership(trace)
         complement = keys(trace.checkpoints.values()) - keys(useful)
         assert complement == keys(oracle.useless_checkpoints(trace)), seed
         checked += 1

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 
 import pytest
@@ -9,15 +10,14 @@ from cicsim.computation import (
     CKPT_INITIAL,
     CheckpointRecord,
     Event,
-    Interval,
     Trace,
-    causally_precedes,
-    interval_of,
     is_consistent_global_checkpoint,
 )
 from cicsim.oracle import quick_findings, useless_checkpoints
+from cicsim.protocols import PROTOCOL_NAMES
 from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, random_scenario
 from cicsim.simulator import run_scenario
+from references import checkpoint_events, happened_before
 
 
 def initial_events(n):
@@ -243,31 +243,26 @@ def test_fixture_traces_validate(fixture_run):
 
 def test_send_precedes_receive(fixture_run):
     trace = fixture_run("ccp", "none").trace
-    for name in trace.delivered_messages():
+    precedes = happened_before(trace.events)
+    for name in sorted(trace.delivered):
         s, r = (trace.events[pos] for pos in trace._msg_pos[name])
-        assert causally_precedes(s, r, trace)
-        assert not causally_precedes(r, s, trace)
+        assert precedes(s, r)
+        assert not precedes(r, s)
 
 
 def test_causality_is_irreflexive(fixture_run):
     trace = fixture_run("ccp", "none").trace
+    precedes = happened_before(trace.events)
     for ev in trace.events:
-        assert not causally_precedes(ev, ev, trace)
+        assert not precedes(ev, ev)
 
 
 def test_ccp_initial_checkpoint_precedes_c32(fixture_run):
     trace = fixture_run("ccp", "none").trace
-    c11 = trace.checkpoint_event(trace.checkpoints[(1, 1)])
-    c32 = trace.checkpoint_event(trace.checkpoints[(3, 2)])
-    assert causally_precedes(c11, c32, trace)
-    assert not causally_precedes(c32, c11, trace)
-
-
-def test_unknown_event_rejected(fixture_run):
-    trace = fixture_run("ccp", "none").trace
-    stranger = Event(1, 99, "internal")
-    with pytest.raises(ValueError):
-        causally_precedes(stranger, trace.events[0], trace)
+    precedes = happened_before(trace.events)
+    at = checkpoint_events(trace.events)
+    assert precedes(at[1, 1], at[3, 2])
+    assert not precedes(at[3, 2], at[1, 1])
 
 
 def test_causality_is_transitive_on_random_traces():
@@ -275,8 +270,9 @@ def test_causality_is_transitive_on_random_traces():
         scen = random_scenario(FuzzParams(n=3, events=24, seed=seed))
         trace = run_scenario(scen, "none").trace
         evs = trace.events
+        precedes = happened_before(evs)
         rel = [
-            [causally_precedes(a, b, trace) for b in evs]
+            [precedes(a, b) for b in evs]
             for a in evs
         ]
         n = len(evs)
@@ -289,22 +285,10 @@ def test_causality_is_transitive_on_random_traces():
                         assert rel[a][c]
 
 
-def test_interval_of_checkpoint_event(fixture_run):
-    trace = fixture_run("ccp", "none").trace
-    c22 = trace.checkpoint_event(trace.checkpoints[(2, 2)])
-    assert interval_of(c22, trace) == Interval(2, 2)
-
-
 def test_interval_before_any_basic_checkpoint(fixture_run):
+    # m1 is P1's first send, before its first basic checkpoint.
     trace = fixture_run("ccp", "none").trace
-    first_send = trace.events[trace._msg_pos["m1"][0]]
-    assert interval_of(first_send, trace) == Interval(1, 1)
-
-
-def test_interval_of_m3_receive_in_fine_proposal(fixture_run):
-    trace = fixture_run("fine-proposal", "none").trace
-    recv_m3 = trace.events[trace._msg_pos["m3"][1]]
-    assert interval_of(recv_m3, trace) == Interval(2, 1)
+    assert trace.delivered["m1"][:2] == (1, 1)
 
 
 def test_consistent_global_checkpoint_examples(fixture_run):
@@ -320,6 +304,47 @@ def test_consistent_set_rejects_duplicates(fixture_run):
     recs = [trace.checkpoints[(1, 1)], trace.checkpoints[(1, 2)], trace.checkpoints[(3, 1)]]
     with pytest.raises(ValueError):
         is_consistent_global_checkpoint(recs, trace)
+
+
+def selection_traces():
+    """(label, trace): every built-in under every protocol, then 300 seeded
+    24-event scenarios under none, fine and lazy-fi."""
+    for name in FIXTURE_NAMES:
+        scen, _ = builtin(name)
+        for protocol in PROTOCOL_NAMES:
+            yield f"{name}/{protocol}", run_scenario(scen, protocol).trace
+    for seed in range(300):
+        scen = random_scenario(FuzzParams(n=3 + seed % 3, events=24, seed=seed + 9000))
+        for protocol in ("none", "fine", "lazy-fi"):
+            yield f"seed {seed + 9000}/{protocol}", run_scenario(scen, protocol).trace
+
+
+def test_consistency_is_pairwise_causal_independence():
+    # A global checkpoint is consistent iff no two of its checkpoints are
+    # causally related; the predicate reads only the delivered column, the
+    # reference only the event list.
+    fresh = run_scenario(builtin("ccp")[0], "none").trace
+    c = fresh.checkpoints
+    assert is_consistent_global_checkpoint([c[1, 2], c[2, 2], c[3, 2]], fresh)
+    assert "events" not in vars(fresh)  # built no event view
+    for p, x in ((True, 2), (1.0, 2), ([1], 1), (1, 2.0)):
+        odd = [CheckpointRecord(p, x), c[2, 2], c[3, 2]]
+        with pytest.raises(ValueError, match="not in trace"):
+            is_consistent_global_checkpoint(odd, fresh)
+    selections = consistent = 0
+    for label, trace in selection_traces():
+        precedes = happened_before(trace.events)
+        at = checkpoint_events(trace.events)
+        related = {(a, b) for a in at for b in at if precedes(at[a], at[b])}
+        groups = [[trace.checkpoints[p, x] for x in range(1, trace.ckpt_counts[p] + 1)]
+                  for p in range(1, trace.n + 1)]
+        for line in itertools.product(*groups):
+            keys = [rec.key() for rec in line]
+            want = not any((a, b) in related for a in keys for b in keys)
+            assert is_consistent_global_checkpoint(line, trace) == want, (label, keys)
+            selections += 1
+            consistent += want
+    assert selections > 20_000 and 0.2 < consistent / selections < 0.5
 
 
 def test_initial_checkpoints_always_consistent():

@@ -17,18 +17,14 @@ from cicsim.computation import (
     CheckpointRecord,
     Event,
     Trace,
-    causally_precedes,
     is_consistent_global_checkpoint,
 )
 from cicsim.oracle import (
-    BudgetExceededError,
     check_z_consistency,
-    consistent_membership_bruteforce,
     find_z_cycles,
     oracle_report,
     quick_findings,
     useless_checkpoints,
-    virtual_terminals,
     zigzag_exists,
 )
 from cicsim.protocols import PROTOCOL_NAMES
@@ -45,6 +41,15 @@ from cicsim.scenarios import (
 )
 from cicsim.simulator import ScenarioError, run_scenario
 from oracle_rows import z_cycle_rows
+from references import (
+    checkpoint_events,
+    consistent_membership,
+    happened_before,
+    orphan_reach,
+    reach_mismatches,
+    sorted_checkpoints,
+    virtual_terminals,
+)
 
 
 def keys(records):
@@ -116,7 +121,7 @@ def test_zigzag_exists_matches_definition_reference():
     cycles = 0
     for label, trace in reference_traces():
         exists = reference_zigzag(trace.events)
-        recs = trace.sorted_checkpoints() + virtual_terminals(trace)
+        recs = sorted_checkpoints(trace) + virtual_terminals(trace)
         for a in recs:
             for b in recs:
                 want = exists(a.key(), b.key())
@@ -133,7 +138,7 @@ def rounds_reach(trace):
     no row moves."""
     counts = {p: trace.ckpt_counts.get(p, 0) for p in range(1, trace.n + 1)}
     sent = {p: [[] for _ in range(cnt + 2)] for p, cnt in counts.items()}
-    for name in trace.delivered_messages():
+    for name in sorted(trace.delivered):
         sp, si, rp, ri = trace.delivered[name]
         sent[sp][si].append((rp, ri))
     nothing = [trace.event_count + 2] * (trace.n + 1)
@@ -244,7 +249,7 @@ def test_reach_is_iterative_on_chains_deeper_than_the_recursion_limit():
     assert keys(useless) == {(1, 2), (1, 10_003)}
     assert keys(useless) == {(p, x) for p, rows in want.items()
                              for x in range(1, len(rows) - 1) if rows[x][p] < x}
-    violations = rows_violation_count(want, trace.sorted_checkpoints())
+    violations = rows_violation_count(want, sorted_checkpoints(trace))
     assert quick_findings(trace) == (2, violations)
 
 
@@ -311,7 +316,7 @@ def test_witness_search_matches_definition_reference():
     for label, trace in small_reference_traces():
         idx = oracle._index(trace)
         chains = reference_chains(trace.events)
-        recs = trace.sorted_checkpoints() + virtual_terminals(trace)
+        recs = sorted_checkpoints(trace) + virtual_terminals(trace)
         for a in recs:
             for b in recs:
                 want = chains(a.key(), b.key())
@@ -552,9 +557,10 @@ def test_claim_causality_matches_causal_precedence(fixture_run):
     seen = set()
     for trace in traces:
         at, events = trace._msg_pos, trace.events
-        recs = trace.sorted_checkpoints()
+        precedes = happened_before(events)
+        recs = sorted_checkpoints(trace)
         for names in (c for a in recs for b in recs if (c := zigzag_exists(a, b, trace))):
-            want = all(causally_precedes(events[at[a][1]], events[at[b][0]], trace)
+            want = all(precedes(events[at[a][1]], events[at[b][0]])
                        for a, b in zip(names, names[1:]))
             assert _is_causal(trace, names) == want, names
             seen.add(want)
@@ -711,7 +717,7 @@ def test_violation_scan_matches_all_pairs_reference():
     for trace in traces:
         got = list(oracle._violating_pairs(oracle._index(trace)))
         assert got == list(reference_violating_pairs(rounds_reach(trace),
-                                                     trace.sorted_checkpoints()))
+                                                     sorted_checkpoints(trace)))
         assert quick_findings(trace)[1] == len(got)
         found += len(got)
     assert found > 1000
@@ -719,7 +725,7 @@ def test_violation_scan_matches_all_pairs_reference():
 
 def test_membership_on_ccp(fixture_run):
     trace = fixture_run("ccp", "none").trace
-    useful = consistent_membership_bruteforce(trace)
+    useful = consistent_membership(trace)
     all_real = keys(trace.checkpoints.values())
     assert all_real - keys(useful) == {(3, 3)}
 
@@ -731,13 +737,40 @@ def test_membership_catches_a_corrupted_mask():
     # masks would agree with them and miss it.
     trace = run_scenario(builtin("ccp")[0], "none").trace
     real = keys(trace.checkpoints.values())
-    assert real - keys(consistent_membership_bruteforce(trace)) == {(3, 3)}
+    assert real - keys(consistent_membership(trace)) == {(3, 3)}
     assert keys(useless_checkpoints(trace)) == {(3, 3)}
     idx = oracle._index(trace)
     bit = idx.base[3] + 3
     idx.zz = [0 if u == bit else mask & ~(1 << bit) for u, mask in enumerate(idx.zz)]
     assert keys(useless_checkpoints(trace)) == set()
-    assert real - keys(consistent_membership_bruteforce(trace)) == {(3, 3)}
+    assert real - keys(consistent_membership(trace)) == {(3, 3)}
+
+
+def test_orphan_route_agrees_and_catches_every_flipped_zz_bit():
+    # The orphan-constraint route reads only the scenario's steps and the
+    # forced step indexes.  It gives every built-in's masks under every
+    # protocol, and on ccp each single flipped bit of every mask, slot 0
+    # and virtual terminal included, shows at exactly its checkpoint.
+    for name in FIXTURE_NAMES:
+        scen, _ = builtin(name)
+        for protocol in PROTOCOL_NAMES:
+            run = run_scenario(scen, protocol)
+            idx = oracle._index(run.trace)
+            route = orphan_reach(scen.n, scen.steps, run.forced_step_indexes())
+            assert reach_mismatches(route, idx.counts, idx.base, idx.zz) == [], (name, protocol)
+    scen, _ = builtin("ccp")
+    run = run_scenario(scen, "none")
+    idx = oracle._index(run.trace)
+    route = orphan_reach(scen.n, scen.steps, run.forced_step_indexes())
+    flips = 0
+    for p, b in idx.base.items():
+        for x in range(idx.counts[p] + 2):
+            for bit in range(len(idx.zz)):
+                zz = list(idx.zz)
+                zz[b + x] ^= 1 << bit
+                assert reach_mismatches(route, idx.counts, idx.base, zz) == [(p, x)]
+                flips += 1
+    assert flips == len(idx.zz) ** 2 == 196
 
 
 def test_membership_trivial_without_messages():
@@ -746,13 +779,7 @@ def test_membership_trivial_without_messages():
         for i in (1, 2, 3)
     ]
     trace = Trace(3, events)
-    assert keys(consistent_membership_bruteforce(trace)) == {(1, 1), (2, 1), (3, 1)}
-
-
-def test_membership_budget_refusal(fixture_run):
-    trace = fixture_run("ccp", "none").trace
-    with pytest.raises(BudgetExceededError):
-        consistent_membership_bruteforce(trace, budget=3)
+    assert keys(consistent_membership(trace)) == {(1, 1), (2, 1), (3, 1)}
 
 
 def test_virtual_terminals_never_in_traces(fixture_run):
@@ -776,11 +803,13 @@ def test_zigzag_accepts_virtual_endpoints(fixture_run):
         )
 
 
-@pytest.mark.parametrize("bad", [(1, 0), (2, 4), (3, 5), (4, 1)])
+@pytest.mark.parametrize("bad", [(1, 0), (2, 4), (3, 5), (4, 1), (True, 2), (1.0, 2), ([1], 1)])
 def test_every_entry_point_rejects_a_checkpoint_out_of_range(fixture_run, bad):
     # Checkpoint counts {1: 3, 2: 2, 3: 3}: each key lies just outside a
-    # process's ordinals 1..cnt+1, or names no process.  The per-interval
-    # tables are flat, so (2, 4) would read P3's slot 0 without the check.
+    # process's ordinals 1..cnt+1, names no process, or has a process or
+    # ordinal that is not an exact int (True and 1.0 hash as 1).  The
+    # per-interval tables are flat, so (2, 4) would read P3's slot 0
+    # without the check.
     trace = fixture_run("ccp", "none").trace
     assert trace.ckpt_counts == {1: 3, 2: 2, 3: 3}
     idx = oracle._index(trace)
@@ -802,7 +831,7 @@ def test_membership_complement_equals_useless_on_random_traces():
     for seed in range(10):
         scen = random_scenario(FuzzParams(n=3 + seed % 2, events=22, seed=seed + 100))
         trace = run_scenario(scen, "none").trace
-        useful = consistent_membership_bruteforce(trace)
+        useful = consistent_membership(trace)
         complement = keys(trace.checkpoints.values()) - keys(useful)
         assert complement == keys(useless_checkpoints(trace)), f"seed {seed + 100}"
 
@@ -811,14 +840,14 @@ def test_causality_between_checkpoints_implies_zigzag():
     for seed in (5, 21, 33):
         scen = random_scenario(FuzzParams(n=3, events=28, seed=seed))
         trace = run_scenario(scen, "none").trace
-        recs = trace.sorted_checkpoints()
+        recs = sorted_checkpoints(trace)
+        precedes = happened_before(trace.events)
+        at = checkpoint_events(trace.events)
         for a in recs:
             for b in recs:
                 if a.process == b.process:
                     continue
-                ea = trace.checkpoint_event(a)
-                eb = trace.checkpoint_event(b)
-                if causally_precedes(ea, eb, trace):
+                if precedes(at[a.key()], at[b.key()]):
                     assert zigzag_exists(a, b, trace) is not None
 
 
@@ -836,7 +865,7 @@ def test_equal_timestamps_on_clean_runs_form_consistent_lines():
         scen = random_scenario(FuzzParams(n=3, events=30, seed=seed + 50))
         trace = run_scenario(scen, "fi").trace
         assert check_z_consistency(trace) == []
-        recs = trace.sorted_checkpoints()
+        recs = sorted_checkpoints(trace)
         for a in recs:
             for b in recs:
                 if a is not b and a.timestamp == b.timestamp:

@@ -20,10 +20,9 @@ from collections import Counter
 
 import pytest
 
-from cicsim.computation import Trace
+from cicsim.computation import Trace, is_consistent_global_checkpoint
 from cicsim.oracle import (
     check_z_consistency,
-    consistent_membership_bruteforce,
     find_z_cycles,
     oracle_report,
     quick_findings,
@@ -41,6 +40,7 @@ from cicsim.scenarios import (
     verify_fixture,
 )
 from cicsim.simulator import amplify_violation, compare_runs, run_scenario
+from references import consistent_membership
 
 SCENARIOS = [builtin(name)[0] for name in FIXTURE_NAMES] + [
     random_scenario(FuzzParams(n=3 + seed % 3, events=40, seed=seed)) for seed in range(4)
@@ -130,7 +130,11 @@ def fixtures():
 
 def memberships():
     for scen in SCENARIOS:
-        consistent_membership_bruteforce(run_scenario(scen, "none").trace)
+        trace = run_scenario(scen, "none").trace
+        consistent_membership(trace)
+        for x in (1, 2):
+            line = [trace.checkpoints[p, min(x, cnt)] for p, cnt in trace.ckpt_counts.items()]
+            is_consistent_global_checkpoint(line, trace)
 
 
 def event_views():

@@ -141,9 +141,9 @@ def test_fixture_library_digest_is_pinned():
             name, builtin_description(name), serialize_scenario(scen),
             [(c.kind, c.protocol, c.expect, c.note) for c in claims],
         )).encode())
-    assert (len(FIXTURE_NAMES), total) == (19, 135)
+    assert (len(FIXTURE_NAMES), total) == (19, 134)
     assert sha.hexdigest() == (
-        "2aa74adcf05834f559d0d362a1b5b968e32eb638222251eea7bb26dcb03f9935"
+        "0ea8bb0cb446048b86cb9c6bc83c1918a7f55e9dfcb8ed4ddaab50ea5ed42442"
     )
 
 
