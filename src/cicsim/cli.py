@@ -229,7 +229,8 @@ def cmd_fuzz(args) -> int:
         }
         _write(report.to_json(body), args.out)
     else:
-        print(f"fuzz: {args.runs} scenarios, seeds {args.seed}..{args.seed + args.runs - 1}")
+        seeds = f", seeds {args.seed}..{args.seed + args.runs - 1}" if args.runs else ""
+        print(f"fuzz: {args.runs} scenarios{seeds}")
         for proto in protocols:
             print(f"  {proto:12s} forced checkpoints total: {forced_totals[proto]}")
         if findings:
@@ -264,7 +265,10 @@ def cmd_amplify(args) -> int:
     scen = _load_scenario(args.scenario)
     result = amplify_violation(scen, args.protocol)
     if result is None:
-        print("nothing to amplify: the run has no cross-process timestamp violation")
+        if args.json:
+            _write(report.to_json({"amplified": None}), args.out)
+        else:
+            print("nothing to amplify: the run has no cross-process timestamp violation")
         return EXIT_OK
     text = serialize_scenario(result.scenario)
     useless, violations = oracle.quick_findings(result.run.trace)

@@ -7,15 +7,17 @@ send-before-receive.  Every process begins with its initial checkpoint,
 and each message is sent once and received at most once.  Channels are
 reliable but not FIFO, and messages may still be in flight when the trace
 ends.  A trace is the view of a run, so the scenario checker is the one
-validator of computations: ``Trace(n, events)`` reads its list as steps
-and raises ``ValueError`` unless their run gives the list back.
+validator of computations.  One replay turns a run's steps into its
+events, each send carrying its step's destination, and ``Trace(n,
+events)`` is its exact inverse: it reads each event back as its step and
+raises ``ValueError`` unless their replay gives the list back.
 
 Checkpoints are identified as C_i^x: the x-th checkpoint of process i,
 1-based, with ordinal 1 always the initial checkpoint.  An interval I_i^x
 is the set of events from C_i^x (inclusive) to C_i^{x+1} (exclusive).
 A trace's columns place each delivered message by the intervals of its
 send and its receive; global event positions belong to the event-level
-view alone, which is built only when read.  Consistency is decided on
+view alone, which is derived only when read.  Consistency is decided on
 the columns: a global checkpoint, one checkpoint per process, is
 consistent iff no delivered message is an orphan, sent at or after its
 sender's member and received before its receiver's.
@@ -23,8 +25,8 @@ sender's member and received before its receiver's.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 
 CKPT_INITIAL = "initial"
@@ -97,8 +99,8 @@ class Event:
     """One entry of a trace.
 
     ``ordinal`` is the 1-based position within the owning process's own
-    sequence; ``message`` is set for send/recv events and ``checkpoint``
-    for ckpt events.
+    sequence; ``message`` is set for send/recv events, ``checkpoint`` for
+    ckpt events and ``dest``, the process a message goes to, for sends.
     """
 
     process: int
@@ -106,6 +108,7 @@ class Event:
     kind: str
     message: str | None = None
     checkpoint: CheckpointRecord | None = None
+    dest: int | None = None
 
 
 class Trace:
@@ -117,47 +120,34 @@ class Trace:
     which maps each received message to the integers (sender, send
     interval, receiver, receive interval) of its send and its receive.
 
-    The event-level view (``events``, and ``_msg_pos``, which maps each
-    received message to the global positions of its send and its
-    receive, the only place message positions live) is a run's replay,
-    indexed by one pass that checks nothing: built on first use for a
-    trace the simulator writes, and kept by ``Trace(n, events)``.
+    The event-level view is derived from the run once, when first read:
+    ``events`` replays the run's steps and forced list, and ``_msg_pos``,
+    which maps each received message to the global positions of its send
+    and its receive (the only place message positions live), reads
+    ``events``.  Reading the view leaves the columns as they are.
     """
 
-    _EVENT_VIEW = frozenset(("events", "_msg_pos"))
-
     def __init__(self, n: int, events: list[Event]):
-        """Read ``events`` as a run: its steps must make a ``Scenario``, its
-        records pass :func:`_record_problems` and its replay equal
-        ``events`` (else ``ValueError``).  An undelivered send goes to any
-        other process; a forced checkpoint marks the receive after it."""
+        """Read ``events`` back as a run's steps: a non-checkpoint event is
+        ``Step(kind, process, dest, message)``, a basic checkpoint a
+        ``ckpt`` step, and a forced one marks the receive after it.  The
+        steps must make a ``Scenario``, the records pass
+        :func:`_record_problems` and the replay, whose columns the trace
+        takes, equal ``events`` (else ``ValueError``)."""
         from .simulator import Scenario, Step  # simulator imports this module
 
         events = list(events)
-        receivers = {}
-        for ev in events:
-            if ev.kind == EV_RECV:
-                with suppress(TypeError):  # an unhashable name; its step rejects it
-                    receivers[ev.message] = ev.process
         steps, forced, records = [], [], []
         for ev in events:
-            p, kind = ev.process, ev.kind
-            if kind == EV_SEND:
-                q = None
-                with suppress(TypeError):
-                    q = receivers.get(ev.message)
-                if type(q) is not int:  # no usable receiver: any other process stands in
-                    q = 2 if p == 1 else 1
-                steps.append(Step(kind, p, q, ev.message))
-            elif kind != EV_CKPT:
-                steps.append(Step(kind, p, message=ev.message))
-            else:
-                records.append(ev.checkpoint)
-                ckpt_kind = getattr(ev.checkpoint, "kind", None)
-                if ckpt_kind == CKPT_FORCED:
-                    forced.append(len(steps))
-                elif ckpt_kind != CKPT_INITIAL:
-                    steps.append(Step(kind, p))
+            if ev.kind != EV_CKPT:
+                steps.append(Step(ev.kind, ev.process, ev.dest, ev.message))
+                continue
+            records.append(ev.checkpoint)
+            ckpt_kind = getattr(ev.checkpoint, "kind", None)
+            if ckpt_kind == CKPT_FORCED:
+                forced.append(len(steps))
+            elif ckpt_kind != CKPT_INITIAL:
+                steps.append(Step(EV_CKPT, ev.process))
         Scenario(n, tuple(steps))
         bad = [text for rec in records for text in _record_problems(rec)]
         if bad:
@@ -165,14 +155,14 @@ class Trace:
         self.n = n
         self.checkpoints = {rec.key(): rec for rec in records}
         try:
-            replay = self._replay(steps, forced)
+            replay, self.delivered, self.ckpt_counts = self._replay(steps, forced)
         except KeyError as missing:
             raise ValueError("no checkpoint record C_%d^%d" % missing.args[0]) from None
         for at, (ev, want) in enumerate(zip_longest(events, replay)):
             if ev != want:
                 raise ValueError(f"event #{at} is not the one the run of its steps makes")
         self.events = replay
-        self._index()
+        self.event_count = len(replay)
 
     @classmethod
     def _from_run(cls, n, steps, forced_steps, checkpoints, ckpt_counts, delivered) -> "Trace":
@@ -190,58 +180,44 @@ class Trace:
         trace.delivered = delivered
         return trace
 
-    def __getattr__(self, name):
-        # Reached only for attributes not yet set: the event-level view of
-        # a trace built from a run.
-        run = self.__dict__.get("_run")
-        if run is None or name not in self._EVENT_VIEW:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.events = self._replay(*run)
-        del self._run
-        self._index()
-        return getattr(self, name)
+    @cached_property
+    def events(self) -> list[Event]:
+        return self._replay(*self._run)[0]
 
-    def _replay(self, steps, forced_steps) -> list[Event]:
-        """The events of a run, in its global order: each process's initial
-        checkpoint, then per step a checkpoint (a ``ckpt`` step, or the
-        forced one before a receive) and the step's send or receive.  A
-        step's kind is its event's kind; the checkpoint events carry the
-        run's records."""
+    @cached_property
+    def _msg_pos(self) -> dict[str, tuple[int, int]]:
+        sent = {ev.message: pos for pos, ev in enumerate(self.events) if ev.kind == EV_SEND}
+        return {ev.message: (sent[ev.message], pos)
+                for pos, ev in enumerate(self.events) if ev.kind == EV_RECV}
+
+    def _replay(self, steps, forced_steps):
+        """One pass over a run: its events, in their global order (each
+        process's initial checkpoint, then per step a checkpoint, a
+        ``ckpt`` step or the forced one before a receive, and the step's
+        send or receive, which carries the step's kind, message and
+        ``dest``), and its ``delivered`` and ``ckpt_counts`` columns.  The
+        checkpoint events carry the run's records."""
         n, records = self.n, self.checkpoints
         events = [Event(p, 1, EV_CKPT, None, records[(p, 1)]) for p in range(1, n + 1)]
         ordinals = [0] + [1] * n
         counts = [0] + [1] * n
         forced = set(forced_steps)
+        sends = {}  # message -> (sender, send interval)
+        delivered = {}
         for idx, st in enumerate(steps):
             p, kind = st.process, st.kind
             if kind == EV_CKPT or kind == EV_RECV and idx in forced:
                 counts[p] += 1
                 ordinals[p] += 1
                 events.append(Event(p, ordinals[p], EV_CKPT, None, records[(p, counts[p])]))
+            if kind == EV_SEND:
+                sends[st.message] = (p, counts[p])
+            elif kind == EV_RECV:
+                delivered[st.message] = (*sends[st.message], p, counts[p])
             if kind != EV_CKPT:
                 ordinals[p] += 1
-                events.append(Event(p, ordinals[p], kind, st.message))
-        return events
-
-    def _index(self) -> None:
-        """Index a replayed list: its event-level view and other columns."""
-        n, events = self.n, self.events
-        count = [0] * (n + 1)  # per process: the last checkpoint ordinal
-        sends = {}  # message -> (process, interval, position) of its send
-        delivered = self.delivered = {}
-        msg_pos = self._msg_pos = {}
-        for pos, ev in enumerate(events):
-            p, kind = ev.process, ev.kind
-            if kind == EV_CKPT:
-                count[p] += 1
-            elif kind == EV_SEND:
-                sends[ev.message] = (p, count[p], pos)
-            else:
-                sp, si, s = sends[ev.message]
-                delivered[ev.message] = (sp, si, p, count[p])
-                msg_pos[ev.message] = (s, pos)
-        self.ckpt_counts = {p: count[p] for p in range(1, n + 1)}
-        self.event_count = len(events)
+                events.append(Event(p, ordinals[p], kind, st.message, None, st.dest))
+        return events, delivered, {p: counts[p] for p in range(1, n + 1)}
 
 
 def is_consistent_global_checkpoint(records, trace: Trace) -> bool:

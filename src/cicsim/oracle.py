@@ -504,9 +504,8 @@ def _zigzag_masks(counts, delivered):
 
 
 def _index(trace: Trace) -> _ZigzagIndex:
-    """The trace's index, built on first use and cached on the trace.  The
-    cache is read from the instance dict: a miss through ``getattr`` would
-    go through ``Trace.__getattr__``, which raises and catches."""
+    """The trace's index, built on first use and cached in the trace's
+    instance dict, read there directly: a miss costs no AttributeError."""
     idx = trace.__dict__.get("_zz_index")
     if idx is None:
         idx = _ZigzagIndex(trace)

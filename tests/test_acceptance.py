@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
 the fuzz-campaign timing.  The campaign (criteria 7, 8, 11) executes
 10,000 seeded scenarios once and is shared by those criteria; criterion
 7 also checks every run's zigzag masks against a second route, orphan
-constraint propagation (``references.orphan_reach``).
+constraint propagation (``references.orphan_reach``), and runs each
+scenario unprotected (``none``) as well, for the route check alone: those
+runs have useless checkpoints, so their masks exercise components that
+reach their own checkpoint.
 """
 
 import math
@@ -139,6 +142,7 @@ class Campaign:
     reversals: list
     reach_mismatches: list
     reachable_pairs: int
+    none_pairs: int
     elapsed: float
 
 
@@ -149,7 +153,7 @@ def campaign():
     totals = {p: 0 for p in CAMPAIGN_PROTOCOLS}
     reversals = []
     disagreements = []
-    pairs = 0
+    pairs = none_pairs = 0
     t0 = time.time()
     for seed in range(CAMPAIGN_RUNS):
         prng = SplitMix64(seed * 0x9E3779B9 + 17)
@@ -166,39 +170,45 @@ def campaign():
         scen = random_scenario(params)
         forced_steps = {}
         forced_counts = {}
-        for protocol in CAMPAIGN_PROTOCOLS:
+        for protocol in CAMPAIGN_PROTOCOLS + ("none",):
             run = run_scenario(scen, protocol)
+            # The second route: reachability by orphan constraints, from the
+            # steps and the forced step indexes alone, against every mask.
+            idx = oracle._index(run.trace)
+            route = orphan_reach(n, scen.steps, run.forced_step_indexes())
+            wrong = reach_mismatches(route, idx.counts, idx.base, idx.zz)
+            if wrong:
+                disagreements.append((seed, protocol, wrong))
+            reached = sum(mask.bit_count() for mask in idx.zz)
+            if protocol == "none":  # counts in the route check alone
+                none_pairs += reached
+                continue
+            pairs += reached
             totals[protocol] += run.forced_count
             forced_counts[protocol] = run.forced_count
             forced_steps[protocol] = tuple(run.forced_step_indexes())
             useless, violations = oracle.quick_findings(run.trace)
             if useless or violations:
                 findings.append((seed, protocol, useless, violations))
-            # The second route: reachability by orphan constraints, from the
-            # steps and the forced step indexes alone, against every mask.
-            idx = oracle._index(run.trace)
-            route = orphan_reach(n, scen.steps, forced_steps[protocol])
-            wrong = reach_mismatches(route, idx.counts, idx.base, idx.zz)
-            if wrong:
-                disagreements.append((seed, protocol, wrong))
-            pairs += sum(mask.bit_count() for mask in idx.zz)
         if forced_steps["fi-clockv"] != forced_steps["fi-greater"]:
             mismatches.append((seed, forced_steps["fi-clockv"], forced_steps["fi-greater"]))
         if forced_counts["fi-greater"] > forced_counts["pi"]:
             reversals.append((seed, forced_counts["fi-greater"], forced_counts["pi"]))
     elapsed = time.time() - t0
     return Campaign(CAMPAIGN_RUNS, findings, mismatches, totals, reversals,
-                    disagreements, pairs, elapsed)
+                    disagreements, pairs, none_pairs, elapsed)
 
 
 def test_criterion_7_safety_fuzz(campaign):
     assert campaign.findings == [], campaign.findings[:5]
     assert campaign.reach_mismatches == [], campaign.reach_mismatches[:5]
-    assert campaign.reachable_pairs > 0
+    assert campaign.reachable_pairs > 0 and campaign.none_pairs > 0
     assert campaign.elapsed < 60.0, f"campaign took {campaign.elapsed:.1f}s"
     _ok(7, f"{campaign.runs} scenarios x {len(CAMPAIGN_PROTOCOLS)} protocols: "
            f"0 useless, 0 violations, and the orphan-constraint route gives all "
-           f"{campaign.reachable_pairs} reachable pairs, in {campaign.elapsed:.1f}s")
+           f"{campaign.reachable_pairs} reachable pairs of those runs and all "
+           f"{campaign.none_pairs} of the same scenarios run under none, "
+           f"in {campaign.elapsed:.1f}s")
 
 
 def test_criterion_8_encoding_equivalence(campaign):

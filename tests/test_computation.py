@@ -13,10 +13,11 @@ from cicsim.computation import (
     Trace,
     is_consistent_global_checkpoint,
 )
+from cicsim import oracle
 from cicsim.oracle import quick_findings, useless_checkpoints
 from cicsim.protocols import PROTOCOL_NAMES
 from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, random_scenario
-from cicsim.simulator import run_scenario
+from cicsim.simulator import Scenario, recv, run_scenario, send
 from references import checkpoint_events, happened_before
 
 
@@ -46,17 +47,17 @@ def motivation_events(p2_initial):
     return [
         Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, CKPT_INITIAL, 1)),
         *([c21] if p2_initial else []),
-        Event(2, k + 1, "send", message="m2"),
+        Event(2, k + 1, "send", message="m2", dest=1),
         Event(1, 2, "recv", message="m2"),
         Event(1, 3, "ckpt", checkpoint=CheckpointRecord(1, 2, "basic", 2)),
-        Event(1, 4, "send", message="m1"),
+        Event(1, 4, "send", message="m1", dest=2),
         Event(2, k + 2, "recv", message="m1"),
     ]
 
 
 def test_ordinal_gaps_flagged():
     # The run of these steps makes P1's send its event 2, not its event 5.
-    events = initial_events(2) + [Event(1, 5, "send", "m1")]
+    events = initial_events(2) + [Event(1, 5, "send", "m1", dest=2)]
     assert problems(2, events) == ["event #2 is not the one the run of its steps makes"]
 
 
@@ -85,20 +86,20 @@ def with_record(rec):
 
 def received_by(p):
     """P1 sends m1, and process ``p`` receives it."""
-    return initial_events(2) + [Event(1, 2, "send", "m1"), Event(p, 2, "recv", "m1")]
+    return initial_events(2) + [Event(1, 2, "send", "m1", dest=2), Event(p, 2, "recv", "m1")]
 
 
 NOT_ONE_TOKEN = "message name ['x'] is not one token without '#'"
 
 
 @pytest.mark.parametrize("events, expected", [
-    # A receiver that is not an int, or a name that cannot be looked up
-    # among the receives, gives no destination: a stand-in keeps the send
-    # free of a second problem.
+    # The send goes to P2, so a receiver that is not an int is the
+    # receive's one problem, and an unhashable name the send's or the
+    # receive's.
     (received_by(2.0), ["step 1 (recv 2.0 m1): process id 2.0 is not an int"]),
     (received_by("2"), ["step 1 (recv 2 m1): process id '2' is not an int"]),
     (received_by(True), ["step 1 (recv True m1): process id True is not an int"]),
-    (initial_events(2) + [Event(1, 2, "send", ["x"])],
+    (initial_events(2) + [Event(1, 2, "send", ["x"], dest=2)],
      [f"step 0 (send 1 2 ['x']): {NOT_ONE_TOKEN}"]),
     (initial_events(2) + [Event(2, 2, "recv", ["x"])],
      [f"step 0 (recv 2 ['x']): {NOT_ONE_TOKEN}"]),
@@ -138,21 +139,21 @@ def send_then_forced_receive(between):
     """P1 sends m1; P2 takes a forced C_2^2, then the ``between`` events,
     then receives m1."""
     forced = Event(2, 2, "ckpt", checkpoint=CheckpointRecord(2, 2, CKPT_FORCED, 2))
-    return [*initial_events(2), Event(1, 2, "send", "m1"), forced, *between,
+    return [*initial_events(2), Event(1, 2, "send", "m1", dest=2), forced, *between,
             Event(2, 2 + len(between) + 1, "recv", "m1")]
 
 
 def test_lists_that_are_not_a_runs_view_are_refused():
     c21 = initial_events(2)[1]
-    late_initial = [initial_events(2)[0], Event(1, 2, "send", "m1"), c21,
+    late_initial = [initial_events(2)[0], Event(1, 2, "send", "m1", dest=2), c21,
                     Event(2, 2, "recv", "m1")]
     assert problems(2, late_initial) == ["event #1 is not the one the run of its steps makes"]
     # A forced checkpoint marks the receive right after it.
     assert Trace(2, send_then_forced_receive([])).checkpoints[(2, 2)].kind == CKPT_FORCED
-    before_a_send = send_then_forced_receive([Event(2, 3, "send", "m2")])
+    before_a_send = send_then_forced_receive([Event(2, 3, "send", "m2", dest=1)])
     assert problems(2, before_a_send) == ["event #3 is not the one the run of its steps makes"]
     before_another_receive = [
-        *initial_events(2), Event(2, 2, "send", "m2"), Event(1, 2, "send", "m1"),
+        *initial_events(2), Event(2, 2, "send", "m2", dest=1), Event(1, 2, "send", "m1", dest=2),
         Event(2, 3, "ckpt", checkpoint=CheckpointRecord(2, 2, CKPT_FORCED, 2)),
         Event(1, 3, "recv", "m2"), Event(2, 4, "recv", "m1"),
     ]
@@ -163,7 +164,7 @@ def test_lists_that_are_not_a_runs_view_are_refused():
 
 def test_a_trace_keeps_the_canonical_replay_of_its_list():
     # 2.0 == 2, so the list equals its replay; the trace keeps the replay.
-    events = initial_events(2) + [Event(1, 2.0, "send", "m1"), Event(2, 2, "recv", "m1")]
+    events = initial_events(2) + [Event(1, 2.0, "send", "m1", dest=2), Event(2, 2, "recv", "m1")]
     trace = Trace(2, events)
     assert trace.events == events
     assert type(trace.events[2].ordinal) is int
@@ -239,6 +240,44 @@ def test_fixture_traces_validate(fixture_run):
         for protocol in ("none", "fi"):
             trace = fixture_run(name, protocol).trace
             Trace(trace.n, trace.events)
+
+
+def test_send_events_carry_their_steps_destination():
+    in_flight = 0
+    for seed in range(20):
+        scen = random_scenario(FuzzParams(n=3 + seed % 3, events=30, seed=seed))
+        trace = run_scenario(scen, "lazy-fi").trace
+        sends = [(ev.process, ev.message, ev.dest) for ev in trace.events if ev.kind == "send"]
+        assert sends == [(st.process, st.message, st.dest)
+                         for st in scen.steps if st.kind == "send"], seed
+        assert all(ev.dest is None for ev in trace.events if ev.kind != "send")
+        in_flight += len(sends) - len(trace.delivered)
+    assert in_flight > 0
+
+
+def test_a_trace_of_a_runs_events_is_that_run():
+    # m1 is still in flight at the end, so no receive names P3 as its
+    # destination: only the send event does.
+    scen = Scenario(3, (send(1, 3, "m1"), send(2, 3, "m2"), recv(3, "m2")))
+    trace = run_scenario(scen, "fi").trace
+    rebuilt = Trace(3, trace.events)
+    assert rebuilt.events == trace.events
+    assert [ev.dest for ev in rebuilt.events if ev.kind == "send"] == [3, 3]
+    assert (rebuilt.delivered, rebuilt.ckpt_counts, rebuilt.event_count) == (
+        trace.delivered, trace.ckpt_counts, trace.event_count)
+
+
+def test_reading_the_event_view_leaves_the_columns():
+    # Over 256 events, so the event count is not a cached small int.
+    scen = random_scenario(FuzzParams(n=4, events=400, seed=5))
+    trace = run_scenario(scen, "fi").trace
+    idx = oracle._index(trace)
+    columns = (trace.delivered, trace.ckpt_counts, trace.event_count, trace.checkpoints)
+    assert len(trace.events) == trace.event_count > 256
+    assert set(trace._msg_pos) == set(trace.delivered)
+    after = (trace.delivered, trace.ckpt_counts, trace.event_count, trace.checkpoints)
+    assert all(a is b for a, b in zip(columns, after))
+    assert idx.delivered is trace.delivered and idx.counts is trace.ckpt_counts
 
 
 def test_send_precedes_receive(fixture_run):

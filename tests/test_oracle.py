@@ -701,7 +701,7 @@ def test_violation_scan_matches_all_pairs_reference():
     # reach row of each P1 checkpoint covers every P2 ordinal above 1 and
     # the rows of P2's checkpoints are empty.  P2's timestamps go down.
     hand = Trace(2, [
-        ckpt(1, 1, 1, 4), ckpt(2, 1, 1, 1), ckpt(1, 2, 2, 2), Event(1, 3, EV_SEND, "m1"),
+        ckpt(1, 1, 1, 4), ckpt(2, 1, 1, 1), ckpt(1, 2, 2, 2), Event(1, 3, EV_SEND, "m1", dest=2),
         Event(2, 2, EV_RECV, "m1"), ckpt(2, 3, 2, 9), ckpt(2, 4, 3, 3), ckpt(2, 5, 4, 4),
     ])
     pairs = oracle._violating_pairs(oracle._index(hand))

@@ -417,6 +417,15 @@ def test_cli_amplify(capsys):
     assert "nothing to amplify" in out
 
 
+def test_cli_amplify_json_without_a_violation(tmp_path, capsys):
+    assert main(["amplify", "ccp", "fi", "--json"]) == 0
+    assert capsys.readouterr().out == '{\n  "amplified": null\n}\n'
+    out = tmp_path / "r.json"
+    assert main(["amplify", "ccp", "fi", "--json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text()) == {"amplified": None}
+
+
 def test_cli_diagram(tmp_path, capsys):
     svg = tmp_path / "d.svg"
     assert main(["diagram", "ccp", "fi", "--format", "svg", "--out", str(svg)]) == 0
@@ -444,6 +453,11 @@ def test_cli_fuzz_none_reports_findings(capsys):
     out = capsys.readouterr().out
     assert code == 1  # uncontrolled checkpointing admits findings
     assert "seed" in out
+
+
+def test_cli_fuzz_zero_runs_names_no_seed_range(capsys):
+    assert main(["fuzz", "--runs", "0", "--protocols", "fi"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "fuzz: 0 scenarios"
 
 
 def test_cli_fuzz_asymmetric_rates_flag(capsys):
