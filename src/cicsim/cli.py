@@ -12,7 +12,6 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import asdict
 
 from . import oracle, report
 from .diagram import ascii_diagram, svg_diagram
@@ -215,7 +214,7 @@ def cmd_fuzz(args) -> int:
                         "useless": row.useless,
                         "violations": row.violations,
                         "hash": report.scenario_hash(serialize_scenario(scen)),
-                        "params": {**asdict(params), "p_ckpt": checked_rates(params)},
+                        "params": {**params._asdict(), "p_ckpt": checked_rates(params)},
                     }
                 )
     findings.sort(key=lambda f: (f["seed"], f["protocol"]))

@@ -25,7 +25,7 @@ sender's member and received before its receiver's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import zip_longest
 
@@ -38,44 +38,20 @@ EV_RECV = "recv"
 EV_CKPT = "ckpt"
 
 
-@dataclass(frozen=True, init=False)
-class CheckpointRecord:
+class CheckpointRecord(namedtuple("CheckpointRecord", "process ordinal kind timestamp",
+                                  defaults=(CKPT_BASIC, None))):
     """Identity and protocol-assigned timestamp of one checkpoint.
 
-    A frozen value with slots, because the simulator builds one record per
-    checkpoint and a long trace holds them all.  Its ``__init__`` stores
-    each field through the slot's own descriptor, which is faster than
-    the generated frozen ``__setattr__`` calls; the defaults live in
-    ``__init__`` since a slot cannot have a class-level default."""
+    A named tuple with no instance dict, because the simulator builds one
+    record per checkpoint and a long trace holds them all."""
 
-    __slots__ = ("process", "ordinal", "kind", "timestamp")
-    process: int
-    ordinal: int
-    kind: str
-    timestamp: int | None
-
-    def __init__(self, process: int, ordinal: int, kind: str = CKPT_BASIC,
-                 timestamp: int | None = None):
-        _set_process(self, process)
-        _set_ordinal(self, ordinal)
-        _set_kind(self, kind)
-        _set_timestamp(self, timestamp)
-
-    def __reduce__(self):
-        # Copying and pickling rebuild the value through __init__: the
-        # default would set each slot through the frozen __setattr__.
-        return (CheckpointRecord, (self.process, self.ordinal, self.kind, self.timestamp))
+    __slots__ = ()
 
     def key(self) -> tuple[int, int]:
         return (self.process, self.ordinal)
 
     def label(self) -> str:
         return f"C_{self.process}^{self.ordinal}"
-
-
-_set_process, _set_ordinal, _set_kind, _set_timestamp = (
-    CheckpointRecord.__dict__[name].__set__ for name in CheckpointRecord.__slots__
-)
 
 
 def _record_problems(rec):
@@ -94,8 +70,8 @@ def _record_problems(rec):
         yield f"{where}: timestamp {rec.timestamp!r} is neither None nor an int >= 1"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(namedtuple("Event", "process ordinal kind message checkpoint dest",
+                       defaults=(None, None, None))):
     """One entry of a trace.
 
     ``ordinal`` is the 1-based position within the owning process's own
@@ -103,12 +79,7 @@ class Event:
     ckpt events and ``dest``, the process a message goes to, for sends.
     """
 
-    process: int
-    ordinal: int
-    kind: str
-    message: str | None = None
-    checkpoint: CheckpointRecord | None = None
-    dest: int | None = None
+    __slots__ = ()
 
 
 class Trace:
@@ -204,19 +175,18 @@ class Trace:
         forced = set(forced_steps)
         sends = {}  # message -> (sender, send interval)
         delivered = {}
-        for idx, st in enumerate(steps):
-            p, kind = st.process, st.kind
+        for idx, (kind, p, dest, message) in enumerate(steps):
             if kind == EV_CKPT or kind == EV_RECV and idx in forced:
                 counts[p] += 1
                 ordinals[p] += 1
                 events.append(Event(p, ordinals[p], EV_CKPT, None, records[(p, counts[p])]))
             if kind == EV_SEND:
-                sends[st.message] = (p, counts[p])
+                sends[message] = (p, counts[p])
             elif kind == EV_RECV:
-                delivered[st.message] = (*sends[st.message], p, counts[p])
+                delivered[message] = (*sends[message], p, counts[p])
             if kind != EV_CKPT:
                 ordinals[p] += 1
-                events.append(Event(p, ordinals[p], kind, st.message, None, st.dest))
+                events.append(Event(p, ordinals[p], kind, message, None, dest))
         return events, delivered, {p: counts[p] for p in range(1, n + 1)}
 
 

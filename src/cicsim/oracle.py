@@ -95,20 +95,20 @@ receive node, and its predecessors the got mask of its send node.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
+from types import MappingProxyType
 
 from .computation import CheckpointRecord, Trace
 
 
-@dataclass
-class OracleReport:
+class OracleReport(namedtuple("OracleReport", "z_cycles violations stats",
+                               defaults=(MappingProxyType({}),))):
     """The :func:`find_z_cycles` entries, the :func:`check_z_consistency`
-    entries and the counters; ``useless`` is read off the Z-cycle entries."""
+    entries and the counters (by default none, in a read-only mapping);
+    ``useless`` is read off the Z-cycle entries."""
 
-    z_cycles: list[tuple[CheckpointRecord, list[tuple[str, ...]], bool]]
-    violations: list[tuple[CheckpointRecord, CheckpointRecord, tuple[str, ...]]]
-    stats: dict = field(default_factory=dict)
+    __slots__ = ()
 
     @property
     def useless(self) -> set[CheckpointRecord]:

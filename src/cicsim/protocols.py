@@ -59,7 +59,7 @@ that ``snapshot()`` and ``ForcedEvent.prestate`` return, when it is read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter
 
 from .computation import CKPT_BASIC, CKPT_FORCED, CKPT_INITIAL, CheckpointRecord
@@ -162,10 +162,8 @@ def _sent_payload(t, n, clockv, greater, equal_incr, ckptv, taken, field_set) ->
     return pb
 
 
-@dataclass(frozen=True)
-class ForcedDecision:
-    forced: bool
-    fired: frozenset
+class ForcedDecision(namedtuple("ForcedDecision", "forced fired")):
+    __slots__ = ()
 
 
 # The only four decisions a receive can reach, keyed by (C1 fired, C2 fired).

@@ -57,10 +57,8 @@ def scenario_hash(text: str) -> str:
 def run_report(run: AnnotatedTrace, oracle_report: OracleReport, scenario_text: str,
                scenario_id: str | None = None) -> dict:
     per_process = [{"process": p, "checkpoints": []} for p in range(1, run.scenario.n + 1)]
-    for (p, _), r in sorted(run.trace.checkpoints.items()):
-        per_process[p - 1]["checkpoints"].append(
-            {"ordinal": r.ordinal, "kind": r.kind, "t": r.timestamp}
-        )
+    for (p, _), (_, ordinal, kind, t) in sorted(run.trace.checkpoints.items()):
+        per_process[p - 1]["checkpoints"].append({"ordinal": ordinal, "kind": kind, "t": t})
     forced = [
         {
             "step": f.step_index,
@@ -94,26 +92,26 @@ def run_report(run: AnnotatedTrace, oracle_report: OracleReport, scenario_text: 
             # causal chain puts its first send before its last receive.
             "z_cycles": [
                 {
-                    "checkpoint": [r.process, r.ordinal],
-                    "from": [r.process, r.ordinal],
-                    "to": [r.process, r.ordinal],
+                    "checkpoint": [p, x],
+                    "from": [p, x],
+                    "to": [p, x],
                     "messages": list(names),
                     "causal": False,
                 }
-                for r, chains, _ in oracle_report.z_cycles
+                for (p, x, _, _), chains, _ in oracle_report.z_cycles
                 for names in chains
             ],
             # The entries are in checkpoint order, so this is sorted.
-            "useless": [[r.process, r.ordinal] for r, _, _ in oracle_report.z_cycles],
+            "useless": [[p, x] for (p, x, _, _), _, _ in oracle_report.z_cycles],
             "violations": [
                 {
-                    "from": [a.process, a.ordinal],
-                    "from_t": a.timestamp,
-                    "to": [b.process, b.ordinal],
-                    "to_t": b.timestamp,
+                    "from": [ap, ax],
+                    "from_t": at,
+                    "to": [bp, bx],
+                    "to_t": bt,
                     "messages": list(names),
                 }
-                for a, b, names in oracle_report.violations
+                for (ap, ax, _, at), (bp, bx, _, bt), names in oracle_report.violations
             ],
             "stats": dict(oracle_report.stats),
         },

@@ -19,7 +19,7 @@ is documented inline; the claims, not the drawing, are authoritative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import oracle
 from .computation import is_consistent_global_checkpoint
@@ -106,18 +106,14 @@ def serialize_scenario(s: Scenario) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixtureClaim:
+class FixtureClaim(namedtuple("FixtureClaim", "kind protocol expect note", defaults=("",))):
     """One machine-checkable assertion about a fixture under a protocol.
 
     ``kind`` selects the check, ``expect`` carries its arguments, and
     ``note`` states in plain words which behavior the claim pins down.
     """
 
-    kind: str
-    protocol: str
-    expect: tuple
-    note: str = ""
+    __slots__ = ()
 
 
 def _c(kind, protocol, *expect, note=""):
@@ -257,14 +253,11 @@ def verify_fixture(name: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Fixture:
+class _Fixture(namedtuple("_Fixture", "description text claims")):
     """One built-in: its one-line description, its scenario text (with the
     event-order choices as comments) and the claims its runs must meet."""
 
-    description: str
-    text: str
-    claims: tuple
+    __slots__ = ()
 
 
 _FIXTURES: dict[str, _Fixture] = {
@@ -850,20 +843,16 @@ def builtin_description(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuzzParams:
-    """Knobs for the seeded scenario generator.
+class FuzzParams(namedtuple("FuzzParams", "n events p_ckpt p_send max_in_flight seed",
+                             defaults=(40, 0.15, 0.35, 8, 0))):
+    """Knobs for the seeded scenario generator: ``n``, ``events``,
+    ``p_ckpt``, ``p_send``, ``max_in_flight`` and ``seed``.
 
     ``p_ckpt`` is either one probability or a per-process sequence, which
     is how asymmetric checkpointing rates are expressed.
     """
 
-    n: int
-    events: int = 40
-    p_ckpt: float | tuple = 0.15
-    p_send: float = 0.35
-    max_in_flight: int = 8
-    seed: int = 0
+    __slots__ = ()
 
 
 def checked_rates(params: FuzzParams) -> list[float]:

@@ -24,12 +24,12 @@ zigzag-consistent timestamps, not a guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from . import oracle
-from .computation import CheckpointRecord, Trace
-from .protocols import ForcedDecision, Piggyback, make_protocol, render_state
+from .computation import Trace
+from .protocols import Piggyback, make_protocol, render_state
 
 
 # A run builds one protocol object per process.  Its boolean vectors are
@@ -49,35 +49,13 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(problems))
 
 
-@dataclass(frozen=True, init=False)
-class Step:
-    """One scenario step.
+class Step(namedtuple("Step", "kind process dest message", defaults=(None, None))):
+    """One scenario step: ``kind`` is "ckpt", "send" or "recv", ``dest``
+    is set for sends only and ``message`` for sends and receives.  A named
+    tuple with no instance dict, because parsing and generating scenarios
+    build one per step."""
 
-    A frozen value with slots, because parsing and generating scenarios
-    build one per step.  Its ``__init__`` stores each field through the
-    slot's own descriptor, as :class:`CheckpointRecord`'s does, which is
-    faster than the generated frozen ``__setattr__`` calls; an
-    ``__init__`` that fills an instance dict in one update would nearly
-    double the size of a step.  The defaults live in ``__init__`` since a
-    slot cannot have a class-level default."""
-
-    __slots__ = ("kind", "process", "dest", "message")
-    kind: str  # "ckpt" | "send" | "recv"
-    process: int
-    dest: int | None
-    message: str | None
-
-    def __init__(self, kind: str, process: int, dest: int | None = None,
-                 message: str | None = None):
-        _set_kind(self, kind)
-        _set_process(self, process)
-        _set_dest(self, dest)
-        _set_message(self, message)
-
-    def __reduce__(self):
-        # Copying and pickling rebuild the value through __init__: the
-        # default would set each slot through the frozen __setattr__.
-        return (Step, (self.kind, self.process, self.dest, self.message))
+    __slots__ = ()
 
     def text(self) -> str:
         if self.kind == "ckpt":
@@ -85,11 +63,6 @@ class Step:
         if self.kind == "send":
             return f"send {self.process} {self.dest} {self.message}"
         return f"{self.kind} {self.process} {self.message}"
-
-
-_set_kind, _set_process, _set_dest, _set_message = (
-    Step.__dict__[name].__set__ for name in Step.__slots__
-)
 
 
 def ckpt(p: int) -> Step:
@@ -104,19 +77,33 @@ def recv(p: int, name: str) -> Step:
     return Step("recv", p, message=name)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", "n steps name", defaults=(None,))):
     """A process count and ordered steps; building one that breaks a rule
-    of :func:`step_problems` raises :class:`ScenarioError`."""
+    of :func:`step_problems` raises :class:`ScenarioError`, and so does
+    ``_make`` or ``_replace``.  ``name`` is a label, not part of the
+    value: equality and hashing read ``n`` and ``steps`` only, and a
+    scenario equals no plain tuple."""
 
-    n: int
-    steps: tuple[Step, ...]
-    name: str | None = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        located = list(step_problems(self.n, self.steps))
+    def __new__(cls, n, steps, name=None):
+        located = list(step_problems(n, steps))
         if located:
-            raise ScenarioError(_problem_texts(self.steps, located), located)
+            raise ScenarioError(_problem_texts(steps, located), located)
+        return super().__new__(cls, n, steps, name)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __eq__(self, other):
+        return isinstance(other, Scenario) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
     def message_names(self) -> set[str]:
         return {s.message for s in self.steps if s.message}
@@ -134,11 +121,12 @@ def step_problems(n: int, steps):
     exact ints in 1..n, a sent message's name is one token of the text
     format (a str equal to its own ``split()`` and holding no ``#``), one
     send and at most one receive per name, each receive after its send and
-    at its destination, no self-sends, known step kinds.  A send whose name
-    is rejected still counts as that name's send, so its receive adds no
-    problem of its own, unless the name is unhashable: then the send is not
-    recorded and its receive is rejected for its name.  A process count
-    that is not an exact int is the only problem found."""
+    at its destination, no self-sends, known step kinds, no destination on
+    a receive, and neither destination nor message on a ``ckpt`` step.  A
+    send whose name is rejected still counts as that name's send, so its
+    receive adds no problem of its own, unless the name is unhashable: then
+    the send is not recorded and its receive is rejected for its name.  A
+    process count that is not an exact int is the only problem found."""
     if type(n) is not int:
         yield None, f"process count {n!r} is not an int"
         return
@@ -149,22 +137,20 @@ def step_problems(n: int, steps):
     sends: dict[str, Step] = {}
     received: set[str] = set()
     for idx, st in enumerate(steps):
-        p = st.process
+        kind, p, q, name = st
         if type(p) is not int:
             yield idx, f"process id {p!r} is not an int"
             continue
         if not 1 <= p <= n:
             yield idx, "process out of range"
             continue
-        if st.kind == "send":
-            q = st.dest
+        if kind == "send":
             if type(q) is not int:
                 yield idx, f"destination {q!r} is not an int"
             elif not 1 <= q <= n:
                 yield idx, "destination out of range"
             elif q == p:
                 yield idx, "self-send"
-            name = st.message
             # isalnum() is a fast path: no letter or digit splits a token.
             if type(name) is not str or not (
                 name.isalnum() or (name.split() == [name] and "#" not in name)
@@ -178,21 +164,28 @@ def step_problems(n: int, steps):
                 yield idx, f"message {name} sent twice"
             else:
                 sends[name] = st
-        elif st.kind == "recv":
+        elif kind == "recv":
+            if q is not None:
+                yield idx, f"receive names destination {q!r}"
             try:
-                origin = sends.get(st.message)
+                origin = sends.get(name)
             except TypeError:  # unhashable, so no send recorded it
-                yield idx, f"message name {st.message!r} is not one token without '#'"
+                yield idx, f"message name {name!r} is not one token without '#'"
                 continue
             if origin is None:
-                yield idx, f"receive before send of {st.message}"
-            elif origin.dest != st.process:
-                yield idx, f"{st.message} was addressed to P{origin.dest}"
-            if st.message in received:
-                yield idx, f"message {st.message} received twice"
-            received.add(st.message)
-        elif st.kind != "ckpt":
-            yield idx, f"unknown step kind {st.kind!r}"
+                yield idx, f"receive before send of {name}"
+            elif origin.dest != p:
+                yield idx, f"{name} was addressed to P{origin.dest}"
+            if name in received:
+                yield idx, f"message {name} received twice"
+            received.add(name)
+        elif kind == "ckpt":
+            if q is not None:
+                yield idx, f"checkpoint names destination {q!r}"
+            if name is not None:
+                yield idx, f"checkpoint names message {name!r}"
+        else:
+            yield idx, f"unknown step kind {kind!r}"
 
 
 def _problem_texts(steps, located) -> list[str]:
@@ -209,31 +202,23 @@ def scenario_violations(s: Scenario) -> list[str]:
     return _problem_texts(s.steps, step_problems(s.n, s.steps))
 
 
-@dataclass
-class ForcedEvent:
+class ForcedEvent(namedtuple("ForcedEvent",
+                             "step_index process message decision record payload capture")):
     """One forced checkpoint; ``capture`` is the receiver's raw pre-update
     state (``BaseProtocol.capture``), ``prestate`` its rendered dict."""
 
-    step_index: int
-    process: int
-    message: str
-    decision: ForcedDecision
-    record: CheckpointRecord
-    payload: Piggyback
-    capture: tuple
+    __slots__ = ()
 
     @property
     def prestate(self) -> dict:
         return render_state(self.capture)
 
 
-@dataclass
-class AnnotatedTrace:
-    scenario: Scenario
-    protocol: str
-    trace: Trace
-    forced: list[ForcedEvent]
-    piggybacks: list[tuple[int, str, Piggyback]]
+class AnnotatedTrace(namedtuple("AnnotatedTrace", "scenario protocol trace forced piggybacks")):
+    """A run: its scenario, protocol and trace, its ``ForcedEvent`` list
+    and one ``(step index, message, Piggyback)`` entry per send."""
+
+    __slots__ = ()
 
     @property
     def forced_count(self) -> int:
@@ -271,12 +256,9 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     forced: list[ForcedEvent] = []
     piggybacks: list[tuple[int, str, Piggyback]] = []
 
-    for idx, st in enumerate(scenario.steps):
-        p = st.process
-        kind = st.kind
+    for idx, (kind, p, dest, name) in enumerate(scenario.steps):
         if kind == "send":
-            name = st.message
-            pb = machines[p].on_send(st.dest)
+            pb = machines[p].on_send(dest)
             in_flight[name] = (pb, p, counts[p])
             piggybacks.append((idx, name, pb))
         elif kind == "ckpt":
@@ -284,7 +266,6 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
             counts[p] += 1
             checkpoints[(p, counts[p])] = rec
         else:
-            name = st.message
             pb, sp, si = in_flight.pop(name)
             decision, rec, state = machines[p].on_receive(pb)
             if rec is not None:
@@ -299,13 +280,8 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     return AnnotatedTrace(scenario, protocol, trace, forced, piggybacks)
 
 
-@dataclass
-class CompareRow:
-    protocol: str
-    forced: int
-    checkpoints: int
-    useless: int
-    violations: int
+class CompareRow(namedtuple("CompareRow", "protocol forced checkpoints useless violations")):
+    __slots__ = ()
 
     @property
     def z_consistent(self) -> bool:
@@ -325,12 +301,10 @@ def compare_runs(scenario: Scenario, protocols) -> list[CompareRow]:
     return rows
 
 
-@dataclass
-class AmplifyResult:
-    scenario: Scenario
-    run: AnnotatedTrace
-    inserted_message: str
-    violation: tuple[CheckpointRecord, CheckpointRecord]
+class AmplifyResult(namedtuple("AmplifyResult", "scenario run inserted_message violation")):
+    """The amplified scenario, its run, the inserted message's name and the
+    amplified ``(source, target)`` violation.  No ``__slots__``: the cached
+    ``report`` lives in the instance dict."""
 
     @cached_property
     def report(self) -> oracle.OracleReport:

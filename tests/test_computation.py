@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 
@@ -172,8 +171,8 @@ def test_a_trace_keeps_the_canonical_replay_of_its_list():
 
 
 SWAP_INS = (1.0, True, "1", None, [1], 0, -1, 99)
-EVENT_FIELDS = [f.name for f in dataclasses.fields(Event)]
-RECORD_FIELDS = [f.name for f in dataclasses.fields(CheckpointRecord)]
+EVENT_FIELDS = Event._fields
+RECORD_FIELDS = CheckpointRecord._fields
 
 
 def mutants(events):
@@ -186,10 +185,10 @@ def mutants(events):
             yield head + [tail[0], ev] + tail[1:]
         for value in SWAP_INS:
             for name in EVENT_FIELDS:
-                yield head + [dataclasses.replace(ev, **{name: value})] + tail
+                yield head + [ev._replace(**{name: value})] + tail
             for name in RECORD_FIELDS if ev.checkpoint is not None else ():
-                rec = dataclasses.replace(ev.checkpoint, **{name: value})
-                yield head + [dataclasses.replace(ev, checkpoint=rec)] + tail
+                rec = ev.checkpoint._replace(**{name: value})
+                yield head + [ev._replace(checkpoint=rec)] + tail
 
 
 def column_values(trace):
@@ -396,8 +395,7 @@ def test_initial_checkpoints_always_consistent():
 
 def test_checkpoint_record_is_a_frozen_value():
     rec = CheckpointRecord(2, 3, "forced", 4)
-    assert [f.name for f in dataclasses.fields(CheckpointRecord)] == [
-        "process", "ordinal", "kind", "timestamp"]
+    assert CheckpointRecord._fields == ("process", "ordinal", "kind", "timestamp")
     assert repr(rec) == "CheckpointRecord(process=2, ordinal=3, kind='forced', timestamp=4)"
     assert not hasattr(rec, "__dict__")  # slots: no per-record dict
     same = CheckpointRecord(process=2, ordinal=3, kind="forced", timestamp=4)
@@ -405,11 +403,11 @@ def test_checkpoint_record_is_a_frozen_value():
     assert rec != CheckpointRecord(2, 3, "forced", 5)
     assert CheckpointRecord(1, 2) == CheckpointRecord(1, 2, "basic", None)
     for name in ("process", "timestamp", "other"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(rec, name, 9)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del rec.kind
-    moved = dataclasses.replace(rec, timestamp=7)
+    moved = rec._replace(timestamp=7)
     assert moved == CheckpointRecord(2, 3, "forced", 7) and rec.timestamp == 4
     assert len({rec, same, moved}) == 2
     assert copy.copy(rec) == copy.deepcopy(rec) == pickle.loads(pickle.dumps(rec)) == rec

@@ -3,7 +3,6 @@ import heapq
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from math import inf
 
 import pytest
@@ -686,8 +685,8 @@ def restamped(trace, seed):
     events = []
     for ev in trace.events:
         if ev.checkpoint is not None:
-            rec = replace(ev.checkpoint, timestamp=1 + draw.below(6))
-            ev = replace(ev, checkpoint=rec)
+            rec = ev.checkpoint._replace(timestamp=1 + draw.below(6))
+            ev = ev._replace(checkpoint=rec)
         events.append(ev)
     return Trace(trace.n, events)
 

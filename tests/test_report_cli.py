@@ -285,6 +285,22 @@ def test_cli_import_loads_no_network_modules():
     assert out == "[]\n"
 
 
+@pytest.mark.parametrize("module", ["cicsim", "cicsim.cli"])
+def test_import_loads_no_introspection_modules(module):
+    # dataclasses imports inspect, which imports ast, dis and tokenize:
+    # about two thirds of `import cicsim`.  The value types are named
+    # tuples instead.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_cli_run_check_exit_codes(capsys):
     assert main(["run", "ccp", "none", "--check"]) == 1
     assert main(["run", "ccp", "fi", "--check"]) == 0
