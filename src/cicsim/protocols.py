@@ -1,19 +1,20 @@
 """Index-based communication-induced checkpointing protocols.
 
 Each protocol is a per-process state machine on one skeleton,
-BaseProtocol: taking a checkpoint, sending (returns the control payload to
-piggyback), and receiving (evaluates the checkpoint-inducing conditions on
-the pre-update state, possibly forces a checkpoint, then applies the update
-rules and delivers).  A protocol is only what it plugs into that
-skeleton: its first and second conditions (``_c1``/``_c2``, bound to the
-``eval_c_*`` predicates below), the vectors it piggybacks
-(``payload_fields``, built by ``_payload``), its update rules
-(``_update``), and its checkpoint rule (``take_checkpoint``, one override
-per family).  The shared clock discipline: the clock is incremented
-before a checkpoint is saved and the checkpoint is stamped with the new
-value (the lazy protocols skip the increment unless a receive asked for
-it); sends piggyback the clock; receives raise the clock to the incoming
-timestamp.
+BaseProtocol: taking a checkpoint (returns its timestamp), sending
+(returns the control payload to piggyback), and receiving (evaluates the
+checkpoint-inducing conditions on the pre-update state, possibly forces a
+checkpoint, then applies the update rules and delivers).  It decides
+timestamps and forcing only; the run numbers the checkpoints.  A protocol
+is only what it plugs into that skeleton: its first and second
+conditions (``_c1``/``_c2``, bound to the ``eval_c_*`` predicates below),
+the vectors it piggybacks (``payload_fields``, built by ``_payload``), its
+update rules (``_update``), and its checkpoint rule (``take_checkpoint``,
+one override per family).  The shared clock discipline: the clock is
+incremented before a checkpoint is saved and the checkpoint is stamped
+with the new value (the lazy protocols skip the increment unless a
+receive asked for it); sends piggyback the clock; receives raise the
+clock to the incoming timestamp.
 
 Implemented protocols:
 
@@ -62,8 +63,6 @@ import math
 from collections import namedtuple
 from operator import attrgetter
 
-from .computation import CKPT_BASIC, CKPT_FORCED, CKPT_INITIAL, CheckpointRecord
-
 INF = math.inf
 
 
@@ -101,23 +100,27 @@ class Piggyback:
     1-based tuples of n+1 entries.  Every vector is an immutable value, so
     a payload never shares state with its sender.  ``field_set`` has bit j
     set when ``_VECTOR_FIELDS[j]`` is present; with ``n`` it is what a
-    receiver checks, in O(1).  The constructor checks the vector sizes of
-    a payload built by hand; a protocol's ``on_send`` builds its payload
-    through ``_sent_payload``, without the checks.
+    receiver checks, in O(1).  The constructor checks a payload built by
+    hand: ``t`` and ``n`` are exact ints, a mask is an exact int >= 0 and
+    an integer vector has n+1 entries, exact ints from index 1 on.  A
+    protocol's ``on_send`` builds its payload through ``_sent_payload``,
+    without the checks.
     """
 
     __slots__ = ("t", "n", *_VECTOR_FIELDS, "field_set")
 
     def __init__(self, t: int, n: int, clockv=None, greater: int | None = None,
                  equal_incr: int | None = None, ckptv=None, taken: int | None = None):
+        for name, value in (("t", t), ("n", n)):
+            if type(value) is not int:
+                raise ProtocolError(f"'{name}' {value!r} is not an int")
+        for name, mask in (("greater", greater), ("equal_incr", equal_incr), ("taken", taken)):
+            if mask is not None and (type(mask) is not int or mask < 0):
+                raise ProtocolError(f"'{name}' {mask!r} is not an int mask >= 0")
         if clockv is not None:
-            clockv = tuple(clockv)
-            if len(clockv) != n + 1:
-                raise ProtocolError(f"'clockv' sized for {len(clockv) - 1} processes, expected {n}")
+            clockv = _checked_vector("clockv", clockv, n)
         if ckptv is not None:
-            ckptv = tuple(ckptv)
-            if len(ckptv) != n + 1:
-                raise ProtocolError(f"'ckptv' sized for {len(ckptv) - 1} processes, expected {n}")
+            ckptv = _checked_vector("ckptv", ckptv, n)
         self.t = t
         self.n = n
         self.clockv = clockv
@@ -141,6 +144,18 @@ class Piggyback:
                 continue
             out[name] = _bools(vec, self.n)[1:] if name in _MASK_FIELDS else list(vec[1:])
         return out
+
+
+def _checked_vector(name: str, vec, n: int) -> tuple:
+    """A hand-built integer vector as a tuple of n+1 entries, each of
+    entries 1..n an exact int; index 0 is the unused placeholder."""
+    vec = tuple(vec)
+    if len(vec) != n + 1:
+        raise ProtocolError(f"'{name}' sized for {len(vec) - 1} processes, expected {n}")
+    for k in range(1, n + 1):
+        if type(vec[k]) is not int:
+            raise ProtocolError(f"'{name}' entry {k}, {vec[k]!r}, is not an int")
+    return vec
 
 
 _new_payload = object.__new__
@@ -267,11 +282,10 @@ class BaseProtocol:
     * ``_init_structures`` for the state that the initial checkpoint does
       not set, and ``_mark_send`` for the send bookkeeping;
     * ``take_checkpoint``, one override per family: it resets the
-      per-interval structures, applies the clock rule (one increment here)
-      and updates what depends on the new timestamp.
+      per-interval structures, applies the clock rule (one increment here),
+      updates what depends on the new timestamp and returns that timestamp.
 
-    Construction runs ``_init_structures`` and takes the initial checkpoint
-    (ordinal 1, timestamp 1), retrievable as initial_record.
+    Construction runs ``_init_structures`` and the initial checkpoint.
 
     A forced receive keeps its pre-update state raw, as ``capture()``
     takes it; ``render_state`` turns it into the logged dict when read.
@@ -303,9 +317,8 @@ class BaseProtocol:
         self.n = n
         self.i = i
         self.lc = 0
-        self.ckpt_count = 0
         self._init_structures()
-        self.initial_record = self.take_checkpoint(CKPT_INITIAL)
+        self.take_checkpoint()
 
     # subclass hooks -----------------------------------------------------
 
@@ -328,10 +341,9 @@ class BaseProtocol:
 
     # lifecycle ----------------------------------------------------------
 
-    def take_checkpoint(self, kind: str = CKPT_BASIC) -> CheckpointRecord:
+    def take_checkpoint(self) -> int:
         self.lc += 1
-        self.ckpt_count += 1
-        return CheckpointRecord(self.i, self.ckpt_count, kind, self.lc)
+        return self.lc
 
     def on_send(self, dest: int) -> Piggyback:
         if dest == self.i or not 1 <= dest <= self.n:
@@ -341,8 +353,8 @@ class BaseProtocol:
         return self._payload()
 
     def on_receive(self, m: Piggyback):
-        """Returns (decision, forced checkpoint record or None, the raw
-        pre-update ``capture()`` when a checkpoint was forced)."""
+        """Returns (decision, the forced checkpoint's timestamp or None, the
+        raw pre-update ``capture()`` when a checkpoint was forced)."""
         if m.n != self.n or m.field_set != self._field_set:
             raise ProtocolError(self._payload_problem(m))
         c1 = self._c1(m)
@@ -351,9 +363,9 @@ class BaseProtocol:
             self._update(m)
             return _DECISIONS[False, False], None, None
         state = self.capture()
-        record = self.take_checkpoint(CKPT_FORCED)
+        t = self.take_checkpoint()
         self._update(m)
-        return _DECISIONS[c1, c2], record, state
+        return _DECISIONS[c1, c2], t, state
 
     # helpers ------------------------------------------------------------
 
@@ -403,10 +415,10 @@ class PartlyInformed(BaseProtocol):
     state_fields = ("sent_to", "min_to")
     _c1 = eval_c_pi
 
-    def take_checkpoint(self, kind=CKPT_BASIC):
+    def take_checkpoint(self):
         self.sent_to = 0
         self.min_to = [INF] * (self.n + 1)
-        return super().take_checkpoint(kind)
+        return super().take_checkpoint()
 
     def _mark_send(self, dest):
         self.sent_to |= 1 << dest
@@ -420,7 +432,7 @@ class _FIFamily(BaseProtocol):
     fully-informed protocols.  A family's take_checkpoint applies its own
     resets and clock rule, then ``_saved`` does what every checkpoint
     shares: it clears ``sent_to``, marks every other process as having
-    taken a checkpoint, counts itself in ``ckptv`` and builds the record."""
+    taken a checkpoint, counts itself in ``ckptv`` and returns ``lc``."""
 
     _c2 = eval_c_fi2
 
@@ -431,12 +443,11 @@ class _FIFamily(BaseProtocol):
         self.ckptv = [0] * (n + 1)
         self.taken = 0
 
-    def _saved(self, kind):
+    def _saved(self):
         self.sent_to = 0
         self.taken |= self._others
-        self.ckpt_count += 1
         self.ckptv[self.i] += 1
-        return CheckpointRecord(self.i, self.ckpt_count, kind, self.lc)
+        return self.lc
 
     def _mark_send(self, dest):
         self.sent_to |= 1 << dest
@@ -466,11 +477,11 @@ class ClockvFI(_FIFamily):
         super()._init_structures()
         self.clockv = [0] * (self.n + 1)
 
-    def take_checkpoint(self, kind=CKPT_BASIC):
+    def take_checkpoint(self):
         self.min_to = [INF] * (self.n + 1)
         self.lc += 1
         self.clockv[self.i] = self.lc
-        return self._saved(kind)
+        return self._saved()
 
     _mark_send = PartlyInformed._mark_send
 
@@ -495,10 +506,10 @@ class GreaterFI(_FIFamily):
     state_fields = ("sent_to", "greater", "ckptv", "taken")
     _c1 = eval_c_fi1_greater
 
-    def take_checkpoint(self, kind=CKPT_BASIC):
+    def take_checkpoint(self):
         self.greater = self._others
         self.lc += 1
-        return self._saved(kind)
+        return self._saved()
 
     def _payload(self):
         return _sent_payload(self.lc, self.n, None, self.greater, None,
@@ -524,14 +535,14 @@ class LazyFI(_FIFamily):
         super()._init_structures()
         self.increment = True
 
-    def take_checkpoint(self, kind=CKPT_BASIC):
+    def take_checkpoint(self):
         # Lazy clock rule: the increment only happens when flagged, so a
         # checkpoint may reuse its predecessor's timestamp.
         if self.increment:
             self.lc += 1
             self.equal_incr = 0
         self.increment = False
-        return self._saved(kind)
+        return self._saved()
 
     def _payload(self):
         return _sent_payload(self.lc, self.n, None, None, self.equal_incr,

@@ -28,7 +28,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from . import oracle
-from .computation import Trace
+from .computation import CKPT_BASIC, CKPT_FORCED, CKPT_INITIAL, CheckpointRecord, Trace
 from .protocols import Piggyback, make_protocol, render_state
 
 
@@ -237,8 +237,8 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
 
     Basic checkpoints are unconditional; a protocol can only decide its
     timestamps and its forced checkpoints, which are placed immediately
-    before their triggering receive.  Bit-for-bit deterministic in
-    (scenario, protocol).
+    before their triggering receive; the run names each checkpoint by its
+    own count.  Bit-for-bit deterministic in (scenario, protocol).
 
     The trace is written as columns while the steps run: the checkpoint
     records, and the endpoints of each delivered message, whose intervals
@@ -248,7 +248,8 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     n = scenario.n
     machines = [None] + [make_protocol(protocol, n, i) for i in range(1, n + 1)]
 
-    checkpoints = {(i, 1): machines[i].initial_record for i in range(1, n + 1)}
+    checkpoints = {(i, 1): CheckpointRecord(i, 1, CKPT_INITIAL, machines[i].lc)
+                   for i in range(1, n + 1)}
     counts = [0] + [1] * n  # checkpoints so far: the current interval
     delivered: dict[str, tuple[int, int, int, int]] = {}
     # message -> (piggyback, sender, send interval)
@@ -262,16 +263,15 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
             in_flight[name] = (pb, p, counts[p])
             piggybacks.append((idx, name, pb))
         elif kind == "ckpt":
-            rec = machines[p].take_checkpoint()
-            counts[p] += 1
-            checkpoints[(p, counts[p])] = rec
+            x = counts[p] = counts[p] + 1
+            checkpoints[(p, x)] = CheckpointRecord(p, x, CKPT_BASIC, machines[p].take_checkpoint())
         else:
             pb, sp, si = in_flight.pop(name)
-            decision, rec, state = machines[p].on_receive(pb)
-            if rec is not None:
+            decision, t, state = machines[p].on_receive(pb)
+            if t is not None:
+                x = counts[p] = counts[p] + 1
+                rec = checkpoints[(p, x)] = CheckpointRecord(p, x, CKPT_FORCED, t)
                 forced.append(ForcedEvent(idx, p, name, decision, rec, pb, state))
-                counts[p] += 1
-                checkpoints[(p, counts[p])] = rec
             delivered[name] = (sp, si, p, counts[p])
 
     ckpt_counts = {p: counts[p] for p in range(1, n + 1)}
@@ -348,20 +348,17 @@ def amplify_violation(scenario: Scenario, protocol: str) -> AmplifyResult | None
 
     # The step that made the target checkpoint: on its process, each
     # 'ckpt' step and each receive in the run's forced list made one
-    # checkpoint after the initial one.  The new send goes right after
-    # that step, so it lies in the target interval: a forced checkpoint is
-    # taken before its triggering receive is delivered.  The steps up to
-    # it are unchanged, so the target is made as in the base run.
+    # checkpoint after the initial one, so C_q^x was made by the (x-1)-th.
+    # No target is initial: a zigzag path reaches P_q only through a
+    # message received in some interval r >= 1 of P_q, and so reaches
+    # C_q^{r+1} or later.  The new send goes right after that step, so it
+    # lies in the target interval: a forced checkpoint is taken before its
+    # triggering receive is delivered.  The steps up to it are unchanged,
+    # so the target is made as in the base run.
     forced_steps = set(base.forced_step_indexes())
-    made = 1
-    for dst_step, st in enumerate(scenario.steps):
-        if st.process == dst.process and (st.kind == "ckpt" or dst_step in forced_steps):
-            made += 1
-            if made == dst.ordinal:
-                break
-    else:
-        raise ValueError("cannot amplify a violation targeting an initial checkpoint")
-    send_at = dst_step + 1
+    made = [idx for idx, st in enumerate(scenario.steps)
+            if st.process == dst.process and (st.kind == "ckpt" or idx in forced_steps)]
+    send_at = made[dst.ordinal - 2] + 1
 
     name = _fresh_message_name(scenario)
     steps = list(scenario.steps)

@@ -19,7 +19,8 @@ The ground truth is two vectors per process, checkpoint counts and clocks,
 sent with each message and merged by max at its receive, and the clock of
 P_i's first send to each process in its current interval.  ``taken``,
 ``equal_incr`` and ``increment`` are not checked: the lab gives them no
-exact meaning over the causal past.
+exact meaning over the causal past.  test_reference_model.py checks what
+they decide against the protocols' rules instead.
 """
 
 from collections import Counter

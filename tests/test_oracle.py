@@ -717,6 +717,8 @@ def test_violation_scan_matches_all_pairs_reference():
         got = list(oracle._violating_pairs(oracle._index(trace)))
         assert got == list(reference_violating_pairs(rounds_reach(trace),
                                                      sorted_checkpoints(trace)))
+        # No target is initial, which amplify_violation relies on.
+        assert all(b.ordinal != 1 for _, b in got)
         assert quick_findings(trace)[1] == len(got)
         found += len(got)
     assert found > 1000

@@ -88,8 +88,6 @@ def test_fi_greater_init():
     assert snap["taken"][1:] == [True, False, True]
     assert snap["greater"][1:] == [True, False, True]
     assert snap["sent_to"][1:] == [False, False, False]
-    assert p.initial_record.kind == "initial"
-    assert p.initial_record.timestamp == 1
 
 
 def test_lazy_fi_init():
@@ -128,8 +126,7 @@ def test_unknown_protocol():
 
 def test_fi_checkpoint_bumps_clock_and_resets_vectors():
     p = make_protocol("fi-greater", 3, 2)
-    rec = p.take_checkpoint()
-    assert rec.timestamp == 2 and rec.ordinal == 2 and rec.kind == "basic"
+    assert p.take_checkpoint() == 2 == p.lc
     snap = p.snapshot()
     assert snap["greater"][1:] == [True, False, True]
     assert snap["taken"][1:] == [True, False, True]
@@ -140,8 +137,7 @@ def test_lazy_checkpoint_reuses_timestamp_without_increment():
     p = make_protocol("lazy-fi", 3, 1)
     p.lc = 2
     p.increment = False
-    rec = p.take_checkpoint()
-    assert rec.timestamp == 2
+    assert p.take_checkpoint() == 2
 
 
 def test_lazy_checkpoint_increments_when_flagged():
@@ -149,8 +145,7 @@ def test_lazy_checkpoint_increments_when_flagged():
     p.lc = 2
     p.increment = True
     p.equal_incr = bits((2, 3))
-    rec = p.take_checkpoint()
-    assert rec.timestamp == 3
+    assert p.take_checkpoint() == 3
     assert p.snapshot()["equal_incr"][1:] == [False, False, False]
     assert p.increment is False
 
@@ -249,6 +244,28 @@ def test_wrongly_sized_payload_vectors_rejected():
     assert Piggyback(t=1, n=3, clockv=[0] * 4, ckptv=[0] * 4).field_set == 0b1001
 
 
+@pytest.mark.parametrize("field, wrong", [
+    ("t", {"t": "2"}),
+    ("t", {"t": None}),
+    ("t", {"t": True}),
+    ("n", {"n": 3.0}),
+    ("greater", {"greater": [False, True, False, True]}),
+    ("greater", {"greater": -2}),
+    ("taken", {"taken": 1.0}),
+    ("equal_incr", {"equal_incr": True}),
+    ("ckptv", {"ckptv": ["0"] * 4}),
+    ("ckptv", {"ckptv": [0, 1, True, 0]}),
+    ("clockv", {"clockv": [0, 1, 2.0, 3]}),
+])
+def test_wrongly_typed_payload_values_rejected(field, wrong):
+    # Each of these reached a fi-greater receiver and raised a bare
+    # TypeError there, or in fields(), or (t=True) was read as clock 1.
+    good = {"t": 2, "n": 3, "greater": bits((1, 3)), "ckptv": [0, 1, 0, 0], "taken": 0}
+    make_protocol("fi-greater", 3, 2).on_receive(Piggyback(**good))
+    with pytest.raises(ProtocolError, match=f"'{field}'"):
+        Piggyback(**{**good, **wrong})
+
+
 # -- condition evaluators ---------------------------------------------------
 
 
@@ -316,10 +333,9 @@ def test_fi_receive_forces_then_updates():
     p = make_protocol("fi-greater", 3, 2)
     p.on_send(3)
     before = p.snapshot()
-    decision, rec, state = p.on_receive(fi_pb(t=2, greater=(1, 3)))
+    decision, t, state = p.on_receive(fi_pb(t=2, greater=(1, 3)))
     assert decision.forced and "C1" in decision.fired
-    assert rec.kind == "forced" and rec.timestamp == 2
-    assert p.lc == 2
+    assert t == 2 == p.lc
     prestate = render_state(state)
     assert prestate["lc"] == 1 and prestate["sent_to"][3] is True
     assert prestate == before
@@ -328,8 +344,8 @@ def test_fi_receive_forces_then_updates():
 def test_fi_receive_low_timestamp_merges_only():
     p = make_protocol("fi-greater", 3, 2)
     p.take_checkpoint()  # lc = 2
-    decision, rec, _ = p.on_receive(fi_pb(t=1, ckptv=((1, 1),), taken=(1,)))
-    assert not decision.forced and rec is None
+    decision, t, _ = p.on_receive(fi_pb(t=1, ckptv=((1, 1),), taken=(1,)))
+    assert not decision.forced and t is None
     assert p.lc == 2
     snap = p.snapshot()
     assert snap["ckptv"][1] == 1 and snap["taken"][1] is True
@@ -375,8 +391,8 @@ def test_missing_field_rejected():
 
 def test_none_protocol_only_tracks_clock():
     p = make_protocol("none", 3, 1)
-    decision, rec, _ = p.on_receive(Piggyback(t=7, n=3))
-    assert not decision.forced and rec is None
+    decision, t, _ = p.on_receive(Piggyback(t=7, n=3))
+    assert not decision.forced and t is None
     assert p.lc == 7
 
 
@@ -416,6 +432,34 @@ def test_own_greater_entry_stays_false():
             machines[step.process].on_receive(in_flight.pop(step.message))
         for i, m in machines.items():
             assert m.snapshot()["greater"][i] is False
+
+
+def test_run_names_every_checkpoint():
+    # The machines return timestamps only.  In every built-in run under
+    # every protocol, each record sits under its own (process, ordinal)
+    # key; on each process the initial checkpoint is ordinal 1 with
+    # timestamp 1, then each ckpt step and each forced receive makes the
+    # next ordinal, of kind basic or forced, and a forced receive's
+    # ForcedEvent holds that very record.
+    for name in FIXTURE_NAMES:
+        scen = builtin(name)[0]
+        for protocol in PROTOCOL_NAMES:
+            run = run_scenario(scen, protocol)
+            forced = {f.step_index: f for f in run.forced}
+            got = run.trace.checkpoints
+            counts = [0] + [1] * scen.n
+            want = {(p, 1): "initial" for p in range(1, scen.n + 1)}
+            for idx, st in enumerate(scen.steps):
+                if st.kind == "ckpt" or idx in forced:
+                    counts[st.process] += 1
+                    key = (st.process, counts[st.process])
+                    want[key] = "basic" if st.kind == "ckpt" else "forced"
+                    if idx in forced:
+                        assert forced[idx].record is got[key], (name, protocol, idx)
+            assert {key: rec.kind for key, rec in got.items()} == want, (name, protocol)
+            assert all(rec.key() == key and type(rec.timestamp) is int
+                       for key, rec in got.items()), (name, protocol)
+            assert all(got[p, 1].timestamp == 1 for p in range(1, scen.n + 1))
 
 
 # -- implication properties -------------------------------------------------

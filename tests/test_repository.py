@@ -1,6 +1,8 @@
 """Repository hygiene: build and test outputs stay out of version control,
-and the README's library example runs as documented."""
+the protocol machines import nothing from the package, and the README's
+library example runs as documented."""
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -24,6 +26,22 @@ def test_no_tracked_file_is_ignored():
         cwd=ROOT, capture_output=True, text=True, check=True,
     )
     assert listed.stdout == "", f"tracked files matching .gitignore:\n{listed.stdout}"
+
+
+def test_protocols_module_imports_nothing_from_the_package():
+    # The machines decide timestamps and forcing only; the trace model and
+    # the run are built on them, never the other way round.
+    path = ROOT / "src" / "cicsim" / "protocols.py"
+    lines = path.read_text().splitlines()
+    bad = [
+        f"line {node.lineno}: {lines[node.lineno - 1].strip()}"
+        for node in ast.walk(ast.parse("\n".join(lines)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "cicsim")
+        or isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "cicsim" for alias in node.names)
+    ]
+    assert bad == []
 
 
 def test_readme_library_example_prints_what_its_comments_say(capsys):
