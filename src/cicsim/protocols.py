@@ -101,8 +101,10 @@ class Piggyback:
     a payload never shares state with its sender.  ``field_set`` has bit j
     set when ``_VECTOR_FIELDS[j]`` is present; with ``n`` it is what a
     receiver checks, in O(1).  The constructor checks a payload built by
-    hand: ``t`` and ``n`` are exact ints, a mask is an exact int >= 0 and
-    an integer vector has n+1 entries, exact ints from index 1 on.  A
+    hand: ``t`` and ``n`` are exact ints, ``t`` at least 1 (every clock
+    starts at the initial checkpoint's 1), a mask is an exact int >= 0
+    with no bit outside 1..n (``fields()`` renders bits 1..n only) and an
+    integer vector has n+1 entries, exact ints from index 1 on.  A
     protocol's ``on_send`` builds its payload through ``_sent_payload``,
     without the checks.
     """
@@ -114,9 +116,15 @@ class Piggyback:
         for name, value in (("t", t), ("n", n)):
             if type(value) is not int:
                 raise ProtocolError(f"'{name}' {value!r} is not an int")
+        if t < 1:
+            raise ProtocolError(f"'t' {t} is below 1, the clock of an initial checkpoint")
         for name, mask in (("greater", greater), ("equal_incr", equal_incr), ("taken", taken)):
-            if mask is not None and (type(mask) is not int or mask < 0):
+            if mask is None:
+                continue
+            if type(mask) is not int or mask < 0:
                 raise ProtocolError(f"'{name}' {mask!r} is not an int mask >= 0")
+            if mask & 1 or mask.bit_length() > n + 1:
+                raise ProtocolError(f"'{name}' {mask:#b} sets a bit outside 1..{n}")
         if clockv is not None:
             clockv = _checked_vector("clockv", clockv, n)
         if ckptv is not None:

@@ -19,6 +19,7 @@ is documented inline; the claims, not the drawing, are authoritative.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from . import oracle
@@ -52,7 +53,9 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
     """Parse the line-oriented scenario format, rejecting ill-formed input
     with line-numbered errors.  Only the syntax is checked here; the
     Scenario constructor's problems are reported at their step's line (the
-    header's for the process count)."""
+    header's for the process count).  Steps are built as plain tuple
+    values, as :func:`random_scenario` builds them."""
+    new = tuple.__new__
     errors: list[tuple[int, str]] = []
     n: int | None = None
     steps: list[Step] = []
@@ -71,12 +74,12 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
             continue
         kind = parts[0]
         if kind == "ckpt" and len(parts) == 2 and _is_number(parts[1]):
-            step = Step("ckpt", int(parts[1]))
+            step = new(Step, ("ckpt", int(parts[1]), None, None))
         elif (kind == "send" and len(parts) == 4
               and _is_number(parts[1]) and _is_number(parts[2])):
-            step = Step("send", int(parts[1]), int(parts[2]), parts[3])
+            step = new(Step, ("send", int(parts[1]), int(parts[2]), parts[3]))
         elif kind == "recv" and len(parts) == 3 and _is_number(parts[1]):
-            step = Step("recv", int(parts[1]), message=parts[2])
+            step = new(Step, ("recv", int(parts[1]), None, parts[2]))
         else:
             errors.append((lineno, f"cannot parse step {line!r}"))
             continue
@@ -883,6 +886,15 @@ def checked_rates(params: FuzzParams) -> list[float]:
     return [float(x) for x in rates]
 
 
+def draw_threshold(prob: float) -> int:
+    """The int ``T`` with ``r < T`` exactly when ``r * 2**-53 < prob``,
+    for every int ``r``: the generator's test of a 53-bit draw against a
+    probability.  Scaling by a power of two is exact, so ``r * 2**-53 <
+    prob`` is ``r < prob * 2**53``; an int is below a float exactly when it
+    is below the float's ceiling."""
+    return math.ceil(prob * 2.0 ** 53)
+
+
 def random_scenario(params: FuzzParams) -> Scenario:
     """Seeded, reproducible scenario.
 
@@ -891,19 +903,29 @@ def random_scenario(params: FuzzParams) -> Scenario:
     among in-flight messages (channels are not FIFO); pending messages are
     drained at the end while the event budget lasts, so sends are received
     unless the budget truncates the trace.
+
+    Each step draws a process, then a 53-bit ``r``, the numerator of
+    ``SplitMix64.random``; ``r`` is compared with int thresholds, one
+    checkpoint and one send threshold per process (``draw_threshold``),
+    which give the same outcome as comparing the float ``r * 2**-53`` with
+    the rates.  The steps are built as plain tuple values, without the
+    named-tuple constructor: a process's ``ckpt`` step is one shared
+    value, and a send's ``recv`` step is built when the send is drawn, so
+    a delivery pops a step that is already built.
     """
     n, events, max_in_flight = params.n, params.events, params.max_in_flight
-    # r < p compares (d >> 11) * 2**-53 with p, so, exactly, d >> 11 with
-    # p * 2**53: per process, the checkpoint and the send threshold.
-    ckpt_below, send_below = [], []
-    for prob in checked_rates(params):
-        ckpt_below.append(prob * 2.0 ** 53)
-        send_below.append((prob + params.p_send) * 2.0 ** 53)
+    new = tuple.__new__
+    ckpt_below, send_below, ckpt_steps = [], [], []
+    for p, prob in enumerate(checked_rates(params), 1):
+        ckpt_below.append(draw_threshold(prob))
+        send_below.append(draw_threshold(prob + params.p_send))
+        ckpt_steps.append(new(Step, ("ckpt", p, None, None)))
     # SplitMix64.below and .random, inlined: one draw each, in the order
     # p, r, then q or the index of the message delivered.
     draw = SplitMix64(params.seed).draws.__next__
     steps: list[Step] = []
-    in_flight: list[tuple[str, int]] = []
+    add = steps.append
+    in_flight: list[Step] = []  # the receive of each message in flight
     counter = 0
     for _ in range(events * 8):
         if len(steps) == events:
@@ -911,19 +933,17 @@ def random_scenario(params: FuzzParams) -> Scenario:
         i = draw() % n  # process i + 1
         r = draw() >> 11
         if r < ckpt_below[i]:
-            steps.append(Step("ckpt", i + 1))
+            add(ckpt_steps[i])
         elif r < send_below[i] and len(in_flight) < max_in_flight:
             q = 1 + draw() % (n - 1)
             if q > i:
                 q += 1
             counter += 1
             name = f"m{counter}"
-            steps.append(Step("send", i + 1, q, name))
-            in_flight.append((name, q))
+            add(new(Step, ("send", i + 1, q, name)))
+            in_flight.append(new(Step, ("recv", q, None, name)))
         elif in_flight:
-            name, dest = in_flight.pop(draw() % len(in_flight))
-            steps.append(Step("recv", dest, None, name))
+            add(in_flight.pop(draw() % len(in_flight)))
     while in_flight and len(steps) < events:
-        name, dest = in_flight.pop(draw() % len(in_flight))
-        steps.append(Step("recv", dest, None, name))
+        add(in_flight.pop(draw() % len(in_flight)))
     return Scenario(n, tuple(steps))

@@ -7,7 +7,10 @@ and reads as little of a run as it can:
 * consistent-global-checkpoint membership by enumeration of every
   one-per-process selection, from the ``delivered`` column alone;
 * zigzag reachability by orphan-constraint propagation, from a
-  scenario's steps and a run's forced step indexes alone.
+  scenario's steps and a run's forced step indexes alone;
+* the seeded scenario generator's loop with float thresholds and steps
+  built by the named-tuple constructor, which ``random_scenario`` must
+  match step for step.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from __future__ import annotations
 from math import inf
 
 from cicsim.computation import EV_CKPT, EV_RECV, EV_SEND, CheckpointRecord
+from cicsim.rng import SplitMix64
+from cicsim.scenarios import checked_rates
+from cicsim.simulator import Step
 
 VIRTUAL = "virtual-terminal"
 
@@ -178,3 +184,42 @@ def reach_mismatches(route, counts, base, zz) -> list[tuple[int, int]]:
                 want[u] |= bit
     return [(p, u - b) for p, b in base.items() for u in range(b, b + counts[p] + 2)
             if zz[u] != want[u]]
+
+
+def float_threshold_steps(params) -> tuple[Step, ...]:
+    """The steps of ``random_scenario(params)``, drawn from the same
+    splitmix64 stream in the same order: per step a process, then a 53-bit
+    ``r`` compared with the float ``rate * 2**53`` (exact: an int compares
+    with a float by value), then the destination or the index of the
+    message delivered."""
+    n, events, max_in_flight = params.n, params.events, params.max_in_flight
+    ckpt_below, send_below = [], []
+    for prob in checked_rates(params):
+        ckpt_below.append(prob * 2.0 ** 53)
+        send_below.append((prob + params.p_send) * 2.0 ** 53)
+    draw = SplitMix64(params.seed).draws.__next__
+    steps: list[Step] = []
+    in_flight: list[tuple[str, int]] = []
+    counter = 0
+    for _ in range(events * 8):
+        if len(steps) == events:
+            break
+        i = draw() % n
+        r = draw() >> 11
+        if r < ckpt_below[i]:
+            steps.append(Step("ckpt", i + 1))
+        elif r < send_below[i] and len(in_flight) < max_in_flight:
+            q = 1 + draw() % (n - 1)
+            if q > i:
+                q += 1
+            counter += 1
+            name = f"m{counter}"
+            steps.append(Step("send", i + 1, q, name))
+            in_flight.append((name, q))
+        elif in_flight:
+            name, dest = in_flight.pop(draw() % len(in_flight))
+            steps.append(Step("recv", dest, None, name))
+    while in_flight and len(steps) < events:
+        name, dest = in_flight.pop(draw() % len(in_flight))
+        steps.append(Step("recv", dest, None, name))
+    return tuple(steps)

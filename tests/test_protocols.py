@@ -266,6 +266,24 @@ def test_wrongly_typed_payload_values_rejected(field, wrong):
         Piggyback(**{**good, **wrong})
 
 
+@pytest.mark.parametrize("field, wrong", [
+    ("t", {"t": 0}),
+    ("t", {"t": -4}),
+    ("greater", {"greater": 1 << 9 | 1 << 2}),
+    ("greater", {"greater": 1 | 1 << 2}),  # bit 0 stands for no process
+    ("equal_incr", {"greater": None, "equal_incr": 1 << 4}),  # bit n + 1
+    ("taken", {"taken": 1 << 7}),
+    ("taken", {"taken": 1}),
+])
+def test_out_of_range_payload_values_rejected(field, wrong):
+    # fields() renders bits 1..n, so such a payload read as all-False
+    # where it was set, and a clock of 0 precedes every checkpoint.
+    good = {"t": 1, "n": 3, "greater": bits((1, 3)), "ckptv": [0, 1, 0, 0], "taken": bits((3,))}
+    assert Piggyback(**good).fields()["greater"] == [True, False, True]
+    with pytest.raises(ProtocolError, match=f"'{field}'"):
+        Piggyback(**{**good, **wrong})
+
+
 # -- condition evaluators ---------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +15,14 @@ from cicsim.scenarios import (
     _eval_claim,
     builtin,
     builtin_description,
+    draw_threshold,
     parse_scenario,
     random_scenario,
     serialize_scenario,
     verify_fixture,
 )
 from cicsim.simulator import MAX_PROCS, Step, run_scenario
+from references import float_threshold_steps
 
 
 # -- parser / serializer ----------------------------------------------------
@@ -353,3 +356,63 @@ def test_generated_scenarios_are_pinned(shape, digest):
     for params in _GENERATED[shape]():
         sha.update(serialize_scenario(random_scenario(params)).encode())
     assert sha.hexdigest() == digest
+
+
+# Rates whose scaled value 2**53 * p is 0 or an integer (0.0, 1.0,
+# 1 - 2**-53), far below 1 (5e-324, 2**-60), or not an integer (0.1,
+# 0.3).  The threshold test adds checkpoint plus send rates above 1.
+_EDGE_RATES = (0.0, 1.0, 5e-324, 2.0 ** -60, 0.1, 0.3, 1 - 2.0 ** -53)
+
+
+@pytest.mark.parametrize("prob", [*_EDGE_RATES, 0.7 + 0.6, 1.0 + 0.35])
+def test_draw_threshold_is_exact_at_the_boundary(prob):
+    # A seeded draw almost never lands on floor(x), where an int threshold
+    # rounded down would differ from the float comparison.
+    x = prob * 2.0 ** 53
+    threshold = draw_threshold(prob)
+    assert type(threshold) is int
+    for r in (math.floor(x) - 1, math.floor(x), math.ceil(x)):
+        assert (r < threshold) == (r < x), (prob, r)
+
+
+def _assert_plain_steps(steps):
+    none = type(None)
+    for st in steps:
+        kind, p, dest, message = st
+        assert type(st) is Step and type(kind) is str and type(p) is int, st
+        assert type(dest) is (int if kind == "send" else none), st
+        assert type(message) is (none if kind == "ckpt" else str), st
+        assert repr(st) == (
+            f"Step(kind={kind!r}, process={p}, dest={dest!r}, message={message!r})"
+        )
+
+
+def _reference_params():
+    """The benchmark's three shapes and edge knobs: 2,200 seeds in all."""
+    return [
+        *(_bench_params(s, (3, 5), 40) for s in range(1, 1201)),
+        *(_bench_params(s, (8, 8), 600, 16) for s in range(1, 61)),
+        *(_bench_params(s, (6, 6), 100) for s in range(1, 301)),
+        *(
+            FuzzParams(**knobs, seed=s)
+            for knobs in (
+                *(dict(n=4, p_ckpt=prob) for prob in _EDGE_RATES),
+                *(dict(n=4, p_send=prob) for prob in _EDGE_RATES),
+                dict(n=5, p_ckpt=0.7, p_send=0.6),
+                dict(n=256, max_in_flight=1),
+            )
+            for s in range(1, 41)
+        ),
+    ]
+
+
+def test_generator_matches_the_float_threshold_reference():
+    params_list = _reference_params()
+    assert len(params_list) >= 2000
+    for params in params_list:
+        scen = random_scenario(params)
+        assert scen.steps == float_threshold_steps(params), params
+        _assert_plain_steps(scen.steps)
+        parsed = parse_scenario(serialize_scenario(scen))
+        assert parsed == scen, params
+        _assert_plain_steps(parsed.steps)
