@@ -272,7 +272,8 @@ def cmd_amplify(args) -> int:
     text = serialize_scenario(result.scenario)
     useless, violations = oracle.quick_findings(result.run.trace)
     if args.json:
-        rep = report.run_report(result.run, result.report, text, scenario_id="amplified")
+        rep = report.run_report(result.run, oracle.oracle_report(result.run.trace), text,
+                                scenario_id="amplified")
         rep["amplified"] = {
             "inserted_message": result.inserted_message,
             "violation": [

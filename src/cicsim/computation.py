@@ -16,8 +16,8 @@ Checkpoints are identified as C_i^x: the x-th checkpoint of process i,
 1-based, with ordinal 1 always the initial checkpoint.  An interval I_i^x
 is the set of events from C_i^x (inclusive) to C_i^{x+1} (exclusive).
 A trace's columns place each delivered message by the intervals of its
-send and its receive; global event positions belong to the event-level
-view alone, which is derived only when read.  Consistency is decided on
+send and its receive; the trace keeps no global event position, and the
+event-level view is derived only when read.  Consistency is decided on
 the columns: a global checkpoint, one checkpoint per process, is
 consistent iff no delivered message is an orphan, sent at or after its
 sender's member and received before its receiver's.
@@ -92,10 +92,9 @@ class Trace:
     interval, receiver, receive interval) of its send and its receive.
 
     The event-level view is derived from the run once, when first read:
-    ``events`` replays the run's steps and forced list, and ``_msg_pos``,
-    which maps each received message to the global positions of its send
-    and its receive (the only place message positions live), reads
-    ``events``.  Reading the view leaves the columns as they are.
+    ``events`` replays the run's steps and forced list.  A reader that
+    wants an event's global position takes its index in ``events``.
+    Reading the view leaves the columns as they are.
     """
 
     def __init__(self, n: int, events: list[Event]):
@@ -154,12 +153,6 @@ class Trace:
     @cached_property
     def events(self) -> list[Event]:
         return self._replay(*self._run)[0]
-
-    @cached_property
-    def _msg_pos(self) -> dict[str, tuple[int, int]]:
-        sent = {ev.message: pos for pos, ev in enumerate(self.events) if ev.kind == EV_SEND}
-        return {ev.message: (sent[ev.message], pos)
-                for pos, ev in enumerate(self.events) if ev.kind == EV_RECV}
 
     def _replay(self, steps, forced_steps):
         """One pass over a run: its events, in their global order (each

@@ -76,11 +76,11 @@ def svg_diagram(run: AnnotatedTrace) -> str:
             'stroke="black" stroke-width="1"/>'
         )
         out.append(f'<text x="{_X0 - 62}" y="{y(p) + 5}" font-size="14">P{p}</text>')
+    column = {(ev.kind, ev.message): pos for pos, ev in enumerate(trace.events)}
     for name in sorted(trace.delivered):
         sender, _, receiver, _ = trace.delivered[name]
-        sp, rp = trace._msg_pos[name]
-        x1, y1 = x(sp), y(sender)
-        x2, y2 = x(rp), y(receiver)
+        x1, y1 = x(column[EV_SEND, name]), y(sender)
+        x2, y2 = x(column[EV_RECV, name]), y(receiver)
         out.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" '
             'stroke-width="1" marker-end="url(#arr)"/>'

@@ -123,17 +123,18 @@ def _c(kind, protocol, *expect, note=""):
     return FixtureClaim(kind, protocol, tuple(expect), note)
 
 
-def _is_causal(trace, names) -> bool:
+def _is_causal(scen: Scenario, names) -> bool:
     """Whether each receive of the named zigzag chain comes before the next
-    send, read off the positions of the trace's event view; the oracle
-    reads no position."""
-    at = trace._msg_pos
-    return all(at[a][1] < at[b][0] for a, b in zip(names, names[1:]))
+    send, read off the scenario's step order, which a run's events follow;
+    the oracle reads no position."""
+    at = {(st.kind, st.message): idx for idx, st in enumerate(scen.steps)}
+    return all(at["recv", a] < at["send", b] for a, b in zip(names, names[1:]))
 
 
-def _eval_claim(claim: FixtureClaim, scen: Scenario, run_for, report_for):
+def _eval_claim(claim: FixtureClaim, scen: Scenario, run, report):
+    """Check one claim against the run of its protocol and that run's
+    oracle report; return (holds, detail)."""
     kind, e = claim.kind, claim.expect
-    run = run_for(claim.protocol)
     trace = run.trace
     if kind == "forced_at":
         msg, conds = e
@@ -173,40 +174,35 @@ def _eval_claim(claim: FixtureClaim, scen: Scenario, run_for, report_for):
             return False, f"witness {list(chain)}, expected {list(msgs)}"
         if causal is None:
             return True, ""
-        got = _is_causal(trace, chain)
+        got = _is_causal(scen, chain)
         return got == causal, f"causal={got}, expected {causal}"
     if kind == "z_cycle":
         key, msgs = e
-        rep = report_for(claim.protocol)
-        for rec, chains, _ in rep.z_cycles:
+        for rec, chains, _ in report.z_cycles:
             if rec.key() == tuple(key) and tuple(msgs) in chains:
                 return True, ""
-        got = [(r.label(), list(names)) for r, chains, _ in rep.z_cycles for names in chains]
+        got = [(r.label(), list(names)) for r, chains, _ in report.z_cycles for names in chains]
         return False, f"cycle {list(msgs)} on C_{key[0]}^{key[1]} not in {got}"
     if kind == "z_cycles_exact":
         key, expected = e
-        rep = report_for(claim.protocol)
-        got = [list(names) for r, chains, _ in rep.z_cycles if r.key() == tuple(key)
+        got = [list(names) for r, chains, _ in report.z_cycles if r.key() == tuple(key)
                for names in chains]
         want = [list(m) for m in expected]
         return got == want, f"witnesses {got}, expected {want}"
     if kind == "useless":
         keys, exact = e
-        rep = report_for(claim.protocol)
-        got = {r.key() for r in rep.useless}
+        got = {r.key() for r in report.useless}
         want = {tuple(k) for k in keys}
         if exact:
             return got == want, f"useless {sorted(got)}, expected {sorted(want)}"
         return want <= got, f"useless {sorted(got)} misses {sorted(want - got)}"
     if kind == "violation":
         a, b = e
-        rep = report_for(claim.protocol)
-        pairs = {(src.key(), dst.key()) for src, dst, _ in rep.violations}
+        pairs = {(src.key(), dst.key()) for src, dst, _ in report.violations}
         return (tuple(a), tuple(b)) in pairs, f"violation pairs {sorted(pairs)}"
     if kind == "clean":
-        rep = report_for(claim.protocol)
-        return rep.clean, (
-            f"{rep.stats['z_cycles']} cycles, {len(rep.violations)} violations"
+        return report.clean, (
+            f"{report.stats['z_cycles']} cycles, {len(report.violations)} violations"
         )
     if kind == "consistent":
         keys, expected = e
@@ -221,26 +217,16 @@ def _eval_claim(claim: FixtureClaim, scen: Scenario, run_for, report_for):
 
 
 def verify_fixture(name: str) -> list[str]:
-    """Replay a fixture through every protocol its claims mention and
-    return one message per failed claim (empty list: fixture verified)."""
+    """Replay a fixture through every protocol its claims mention, judge
+    each run once with the oracle, and return one message per failed
+    claim (empty list: fixture verified)."""
     scen, claims = builtin(name)
-    runs: dict[str, object] = {}
-    reports: dict[str, oracle.OracleReport] = {}
-
-    def run_for(proto):
-        if proto not in runs:
-            runs[proto] = run_scenario(scen, proto)
-        return runs[proto]
-
-    def report_for(proto):
-        if proto not in reports:
-            reports[proto] = oracle.oracle_report(run_for(proto).trace)
-        return reports[proto]
-
+    runs = {proto: run_scenario(scen, proto) for proto in {c.protocol for c in claims}}
+    reports = {proto: oracle.oracle_report(run.trace) for proto, run in runs.items()}
     failures = []
     for claim in claims:
         try:
-            ok, detail = _eval_claim(claim, scen, run_for, report_for)
+            ok, detail = _eval_claim(claim, scen, runs[claim.protocol], reports[claim.protocol])
         except Exception as exc:  # claim machinery must not mask fixture bugs
             ok, detail = False, f"raised {exc!r}"
         if not ok:

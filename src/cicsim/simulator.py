@@ -6,11 +6,10 @@ valid by construction (its constructor runs the one checker,
 step_problems), so nothing that takes a Scenario checks it again.  Running
 a scenario yields an annotated trace: the trace itself (its columns: the
 checkpoint records, with protocol timestamps, and the send and receive
-intervals of each delivered message; its events and their positions are
-replayed from the steps and the forced list only when read), the
-forced-checkpoint events with their fired conditions and pre-update
-states (captured raw, rendered when read), and the piggyback of each
-send.
+intervals of each delivered message; its events are replayed from the
+steps and the forced list only when read), the forced-checkpoint events
+with their fired conditions and pre-update states (captured raw,
+rendered when read), and the piggyback of each send.
 
 amplify_violation implements the adversarial construction that turns a
 zigzag-timestamping violation into a scenario extension closing a Z-cycle:
@@ -25,7 +24,6 @@ zigzag-consistent timestamps, not a guarantee.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 from . import oracle
 from .computation import CKPT_BASIC, CKPT_FORCED, CKPT_INITIAL, CheckpointRecord, Trace
@@ -303,15 +301,11 @@ def compare_runs(scenario: Scenario, protocols) -> list[CompareRow]:
 
 class AmplifyResult(namedtuple("AmplifyResult", "scenario run inserted_message violation")):
     """The amplified scenario, its run, the inserted message's name and the
-    amplified ``(source, target)`` violation.  No ``__slots__``: the cached
-    ``report`` lives in the instance dict."""
+    amplified ``(source, target)`` violation.  The amplified run's full
+    report is ``oracle_report(result.run.trace)``, built by a caller that
+    wants its witnesses: they cost far more than ``quick_findings``."""
 
-    @cached_property
-    def report(self) -> oracle.OracleReport:
-        """The amplified run's full report, built on first read: its
-        witnesses cost far more than the counts that ``quick_findings``
-        gives."""
-        return oracle.oracle_report(self.run.trace)
+    __slots__ = ()
 
 
 def _fresh_message_name(scenario: Scenario) -> str:

@@ -2,6 +2,7 @@ import warnings
 
 import pytest
 
+import cicsim.computation
 from cicsim.scenarios import builtin
 from cicsim.simulator import run_scenario
 
@@ -32,3 +33,17 @@ def fixture_run():
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def events_made(monkeypatch):
+    """The arguments of every ``Event`` built while the test runs."""
+    made = []
+    real = cicsim.computation.Event
+
+    def counting_event(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cicsim.computation, "Event", counting_event)
+    return made

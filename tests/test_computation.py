@@ -273,7 +273,6 @@ def test_reading_the_event_view_leaves_the_columns():
     idx = oracle._index(trace)
     columns = (trace.delivered, trace.ckpt_counts, trace.event_count, trace.checkpoints)
     assert len(trace.events) == trace.event_count > 256
-    assert set(trace._msg_pos) == set(trace.delivered)
     after = (trace.delivered, trace.ckpt_counts, trace.event_count, trace.checkpoints)
     assert all(a is b for a, b in zip(columns, after))
     assert idx.delivered is trace.delivered and idx.counts is trace.ckpt_counts
@@ -282,8 +281,9 @@ def test_reading_the_event_view_leaves_the_columns():
 def test_send_precedes_receive(fixture_run):
     trace = fixture_run("ccp", "none").trace
     precedes = happened_before(trace.events)
+    at = {(ev.kind, ev.message): ev for ev in trace.events}
     for name in sorted(trace.delivered):
-        s, r = (trace.events[pos] for pos in trace._msg_pos[name])
+        s, r = at["send", name], at["recv", name]
         assert precedes(s, r)
         assert not precedes(r, s)
 

@@ -532,36 +532,40 @@ def test_witnesses_truncated_means_a_chain_beyond_the_cap(fixture_run):
 
 
 def test_ccp_causal_zigzag(fixture_run):
-    trace = fixture_run("ccp", "none").trace
+    run = fixture_run("ccp", "none")
+    trace = run.trace
     chain = zigzag_exists(trace.checkpoints[(1, 1)], trace.checkpoints[(3, 2)], trace)
     assert chain == ("m1", "m2")
-    assert _is_causal(trace, chain)
+    assert _is_causal(run.scenario, chain)
 
 
 def test_ccp_noncausal_zigzag(fixture_run):
-    trace = fixture_run("ccp", "none").trace
+    run = fixture_run("ccp", "none")
+    trace = run.trace
     chain = zigzag_exists(trace.checkpoints[(1, 2)], trace.checkpoints[(3, 3)], trace)
     assert chain == ("m4", "m3")
-    assert not _is_causal(trace, chain)
+    assert not _is_causal(run.scenario, chain)
 
 
 def test_claim_causality_matches_causal_precedence(fixture_run):
-    # The zigzag claim reads a witness as causal when each receive comes
-    # before the next send in the event view's positions; that is causal
-    # precedence on each link, whose receive and send share a process.
-    traces = [fixture_run("ccp", "none").trace] + [
-        run_scenario(random_scenario(FuzzParams(n=4, events=80, seed=s)), "none").trace
+    # The zigzag claim reads a witness as causal when each receive's step
+    # comes before the next send's; that is causal precedence, by vector
+    # clocks over the event view, on each link, whose receive and send
+    # share a process.
+    runs = [fixture_run("ccp", "none")] + [
+        run_scenario(random_scenario(FuzzParams(n=4, events=80, seed=s)), "none")
         for s in range(6)
     ]
     seen = set()
-    for trace in traces:
-        at, events = trace._msg_pos, trace.events
+    for run in runs:
+        trace, events = run.trace, run.trace.events
+        at = {(ev.kind, ev.message): ev for ev in events}
         precedes = happened_before(events)
         recs = sorted_checkpoints(trace)
         for names in (c for a in recs for b in recs if (c := zigzag_exists(a, b, trace))):
-            want = all(precedes(events[at[a][1]], events[at[b][0]])
+            want = all(precedes(at["recv", a], at["send", b])
                        for a, b in zip(names, names[1:]))
-            assert _is_causal(trace, names) == want, names
+            assert _is_causal(run.scenario, names) == want, names
             seen.add(want)
     assert seen == {True, False}
 
@@ -570,19 +574,19 @@ def test_z_cycle_witnesses_are_never_causal():
     # A Z-cycle on C_p^x ends with a receive by P_p before x and starts
     # with a send by P_p at x or later, so the report writes "causal":
     # false as a constant.
-    traces = [trace for _, trace in dense_none_traces()]
+    runs = [run for _, _, run in dense_none_runs()]
     for name in FIXTURE_NAMES:
         scen, _ = builtin(name)
-        traces += [run_scenario(scen, p).trace for p in ("none", "fine", "lazy-fine")]
+        runs += [run_scenario(scen, p) for p in ("none", "fine", "lazy-fine")]
     chains = 0
-    for trace in traces:
-        idx = oracle._index(trace)
-        for rec in useless_checkpoints(trace):
+    for run in runs:
+        idx = oracle._index(run.trace)
+        for rec in useless_checkpoints(run.trace):
             a = idx._bit(rec.key())
             for cap in (1, 5, 32):
                 for chain in idx._simple(a, a, cap)[0]:
                     names = tuple(idx.names[j] for j in chain)
-                    assert not _is_causal(trace, names), (rec.label(), names)
+                    assert not _is_causal(run.scenario, names), (rec.label(), names)
                     chains += 1
     assert chains > 1000
 

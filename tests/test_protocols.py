@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+from cicsim.oracle import oracle_report
 from cicsim.protocols import (
     Piggyback,
     PROTOCOL_NAMES,
@@ -20,7 +21,13 @@ from cicsim.protocols import (
     make_protocol,
     render_state,
 )
-from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, random_scenario
+from cicsim.scenarios import (
+    FIXTURE_NAMES,
+    FuzzParams,
+    builtin,
+    parse_scenario,
+    random_scenario,
+)
 from cicsim.simulator import run_scenario
 from list_conditions import masked_agreeing
 
@@ -478,6 +485,43 @@ def test_run_names_every_checkpoint():
             assert all(rec.key() == key and type(rec.timestamp) is int
                        for key, rec in got.items()), (name, protocol)
             assert all(got[p, 1].timestamp == 1 for p in range(1, scen.n + 1))
+
+
+TAKEN_MERGE = """procs 3
+send 2 3 m2
+recv 3 m2
+ckpt 3
+send 2 1 m3
+recv 1 m3
+send 3 1 m4
+recv 1 m4
+send 1 2 m5
+recv 2 m5
+"""
+
+
+def test_taken_merge_ors_equal_ckptv_entries():
+    # P1 learns P2's interval from m3 and again, with an equal ckptv entry,
+    # from m4, sent by P3 after C_3^2, which followed m2 from P2.  Only the
+    # equal-entry OR of the taken merge carries P3's taken[2] into P1, so
+    # that m5 makes P2 force before it closes the Z-cycle [m4, m5, m2] on
+    # C_3^2.  No built-in fixture shows this merge at fault; a merge that
+    # keeps only the raised entries' bits makes every FI and FINE variant
+    # but lazy-fi force nothing, leaving C_3^2 useless, and lazy-fi fire
+    # C1 alone.
+    scen = parse_scenario(TAKEN_MERGE)
+    fired = {"pi": {"C1"}, "lazy-fi": {"C1", "C2"}, "lazy-fine-ri": {"C1", "C2"}}
+    for protocol in PROTOCOL_NAMES:
+        run = run_scenario(scen, protocol)
+        rep = oracle_report(run.trace)
+        forced = [(f.step_index, set(f.decision.fired)) for f in run.forced]
+        if protocol == "none":
+            assert forced == []
+            assert [(r.key(), chains) for r, chains, _ in rep.z_cycles] == [
+                ((3, 2), [("m4", "m5", "m2")])]
+        else:
+            assert forced == [(8, fired.get(protocol, {"C2"}))], protocol
+            assert rep.clean, protocol
 
 
 # -- implication properties -------------------------------------------------

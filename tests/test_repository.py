@@ -1,13 +1,18 @@
 """Repository hygiene: build and test outputs stay out of version control,
-the protocol machines import nothing from the package, and the README's
-library example runs as documented."""
+the protocol machines import nothing from the package, the package's
+tuple types keep no instance dict, and the README's library example runs
+as documented."""
 
 import ast
+import importlib
+import pkgutil
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+import cicsim
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,6 +47,20 @@ def test_protocols_module_imports_nothing_from_the_package():
         and any(alias.name.split(".")[0] == "cicsim" for alias in node.names)
     ]
     assert bad == []
+
+
+def test_package_tuple_types_keep_no_instance_dict():
+    # Value and result types are named tuples with ``__slots__ = ()``: a
+    # run builds many of them, and a cache on one would hide in its dict.
+    with_dict = []
+    for info in pkgutil.iter_modules(cicsim.__path__):
+        module = importlib.import_module(f"cicsim.{info.name}")
+        with_dict += [
+            f"{module.__name__}.{name}" for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, tuple)
+            and obj.__module__ == module.__name__ and obj.__dictoffset__ != 0
+        ]
+    assert with_dict == []
 
 
 def test_readme_library_example_prints_what_its_comments_say(capsys):

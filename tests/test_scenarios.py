@@ -131,6 +131,15 @@ def test_fixture_claims_hold(name):
     assert not failures, "\n".join(failures)
 
 
+def test_fixture_verification_builds_no_events(events_made):
+    # The claims read a run's columns, its scenario and its report: the
+    # zigzag claim's causal flag compares step indexes, not event
+    # positions, so no claim replays the event view.
+    for name in FIXTURE_NAMES:
+        assert verify_fixture(name) == []
+    assert events_made == []
+
+
 def test_fixture_library_digest_is_pinned():
     # One SHA-256 over every fixture's name, description, canonical text
     # and claims, in registry order: verify_fixture only checks the claims
@@ -155,7 +164,7 @@ def test_interval_claim_reads_the_receive_interval():
     run = run_scenario(scen, "fine")
     for key, verdict in (((2, 1), True), ((2, 2), False)):
         claim = FixtureClaim("interval", "fine", ("m3", key))
-        got = _eval_claim(claim, scen, lambda proto: run, None)
+        got = _eval_claim(claim, scen, run, None)
         assert got == (verdict, "recv m3 in I_2^1")
 
 

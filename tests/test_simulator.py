@@ -241,7 +241,7 @@ def test_unknown_protocol_rejected():
 
 # -- columnar traces ---------------------------------------------------------
 
-EVENT_VIEW = ("events", "_msg_pos")
+EVENT_VIEW = ("events",)
 
 
 def columnar_cases():
@@ -390,7 +390,7 @@ def test_amplify_fine_proposal_reproduces_counterexample():
     expected, _ = builtin("fine-counterexample")
     assert result.scenario == expected
     assert result.inserted_message == "m4"
-    assert {r.key() for r in result.report.useless} == {(3, 2)}
+    assert {r.key() for r in oracle_report(result.run.trace).useless} == {(3, 2)}
 
 
 def test_amplify_theorem1():
@@ -398,7 +398,7 @@ def test_amplify_theorem1():
     result = amplify_violation(scen, "none")
     expected, _ = builtin("theorem1-b")
     assert result.scenario == expected
-    assert {r.key() for r in result.report.useless} == {(3, 2)}
+    assert {r.key() for r in oracle_report(result.run.trace).useless} == {(3, 2)}
 
 
 def test_amplify_nothing_for_safe_protocol():
@@ -414,7 +414,8 @@ def test_amplify_lazy_fine_precursor():
     result = amplify_violation(precursor, "lazy-fine")
     assert result is not None
     assert result.inserted_message == "m5"
-    witnesses = {names for _, names in z_cycle_rows(result.report.z_cycles)}
+    rep = oracle_report(result.run.trace)
+    witnesses = {names for _, names in z_cycle_rows(rep.z_cycles)}
     assert ("m5", "m4", "m2") in witnesses
 
 
@@ -475,7 +476,8 @@ def test_amplify_digest_is_pinned():
                 sha.update(b"none\n")
                 continue
             sha.update(serialize_scenario(result.scenario).encode())
-            sha.update(repr(sorted(r.key() for r in result.report.useless)).encode())
+            useless = oracle_report(result.run.trace).useless
+            sha.update(repr(sorted(r.key() for r in useless)).encode())
             dst = result.violation[1]
             # The new message is sent in the target interval.
             assert result.run.trace.delivered[result.inserted_message][:2] == (
@@ -490,26 +492,16 @@ def test_amplify_digest_is_pinned():
     assert sha.hexdigest() == "7aae3795f493b9c25a06dbc1a5e5ce0f360cedc3e00dfad2c1e237f990ca77cc"
 
 
-def test_amplify_builds_no_events(monkeypatch):
-    import cicsim.computation
-
-    made = []
-    real = cicsim.computation.Event
-
-    def counting_event(*args, **kwargs):
-        made.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cicsim.computation, "Event", counting_event)
+def test_amplify_builds_no_events(events_made):
     for name, protocol in (("fine-proposal", "fine"), ("theorem1-a", "none")):
         assert amplify_violation(builtin(name)[0], protocol) is not None
-    assert made == []
+    assert events_made == []
 
 
 def test_amplify_builds_one_witness_for_its_target(monkeypatch):
     # The base run needs a witness only for the pair it amplifies, and the
-    # amplified run's report is built only when it is read: then every
-    # other _shortest call is that report's, one per distinct (start mask,
+    # amplified run's report is built only by a caller: then every other
+    # _shortest call is that report's, one per distinct (start mask,
     # end mask) pair among its violations.
     from cicsim.oracle import _ZigzagIndex, _index
 
@@ -534,7 +526,7 @@ def test_amplify_builds_one_witness_for_its_target(monkeypatch):
             continue
         amplified += 1
         assert len(calls) == 1
-        violations = result.report.violations
+        violations = oracle_report(result.run.trace).violations
         idx = _index(result.run.trace)
         masks = {(idx.start_mask(a.key()), idx.end_mask(b.key()))
                  for a, b, _ in violations}
