@@ -97,6 +97,7 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 
 from .computation import CheckpointRecord, Trace
@@ -422,84 +423,103 @@ def _zigzag_masks(counts, delivered):
 
     Node base[p] + x is interval x of P_p, and its program edge goes to the
     next node.  edges[u] holds (v, unit) for each message that P_p sends in
-    interval u, received at node v, with its unit.  Slots 0 and cnt+1 of
-    each process are visited nodes without edges whose mask is 0.
+    interval u, received at node v, with its unit, and is None for an
+    interval that sends nothing.  Slots 0 and cnt+1 of each process are
+    emitted nodes without edges whose mask is 0.
 
     Tarjan's algorithm (SIAM J. Computing, 1972) runs iteratively, so no
-    trace is too long for it.  It emits a component only after every
-    component it reaches, so the masks outside it are final, and a visited
-    node without a mask lies on its stack.  A component's mask is the OR
-    of the units of its message edges and of the masks of the edges that
-    leave it, one int for all its members."""
+    trace is too long for it, in Pearce's single-array form (IPL 116(1),
+    2016).  ``rank`` is 0 while a node is unvisited, its DFS index once
+    entered, its low link once it finishes as a non-root, and ``done``,
+    above every index, once its component is emitted: an emitted node
+    never lowers a rank, so no on-stack test is needed.  A finished
+    non-root waits on ``stack``; a root's members are the waiting nodes
+    ranked at or above its index.  Components are emitted sinks first, so
+    the masks outside one are final and only its members have none; its
+    mask is the OR of the units of its message edges and of the masks of
+    the edges that leave it, one int for all its members."""
     base, top, size = {}, {}, 0
     for p, cnt in counts.items():
         base[p] = size
         size += cnt + 2
         top[p] = 1 << size  # above the bit of P_p's virtual terminal
+    done = size + 1
     zz = [None] * size
-    num = [0] * size  # DFS number, 0 while unvisited
+    rank = [0] * size
     for p, cnt in counts.items():
         b = base[p]
         zz[b] = zz[b + cnt + 1] = 0
-        num[b] = num[b + cnt + 1] = -1
-    edges = [()] * size
+        rank[b] = rank[b + cnt + 1] = done
+    edges = [None] * size
     for sp, si, rp, ri in delivered:
         u, v = base[sp] + si, base[rp] + ri
-        if not edges[u]:
+        if edges[u] is None:
             edges[u] = []
         edges[u].append((v, top[rp] - (2 << v)))  # the bits above v
 
-    low = [0] * size
-    stack: list[int] = []
-    count = 0
+    stack: list[int] = []  # finished non-roots
+    calls = []  # (node, its message edges not yet followed or None, its index)
+    index = 0
     for root in range(size):
-        if num[root]:
+        if rank[root]:
             continue
-        calls = []  # (node, its message edges not yet followed)
         v = root  # the next node to enter
         while True:
             if v is not None:
-                # Enter v.  Its program edge is followed first, so the
-                # search runs down the process while the nodes are new.
-                count += 1
-                num[v] = low[v] = count
-                stack.append(v)
-                calls.append((v, iter(edges[v])))
-                v += 1
-                if not num[v]:
-                    continue
-                if zz[v] is None and num[v] < low[v - 1]:
-                    low[v - 1] = num[v]
-            u, out = calls[-1]
-            for v, _ in out:
-                if not num[v]:
-                    break
-                if zz[v] is None and num[v] < low[u]:
-                    low[u] = num[v]
-            else:
+                # Enter v, and run down its program edges while the nodes
+                # are new: the search follows them first.
+                while True:
+                    index += 1
+                    rank[v] = index
+                    out = edges[v]
+                    calls.append((v, out and iter(out), index))
+                    v += 1
+                    if rank[v]:
+                        break
+                if rank[v] < rank[v - 1]:
+                    rank[v - 1] = rank[v]
                 v = None
-                calls.pop()
-                if calls and low[u] < low[calls[-1][0]]:
-                    low[calls[-1][0]] = low[u]
-                if low[u] < num[u]:
-                    continue  # u is not the root, so calls is not empty
-                at = len(stack) - 1
-                while stack[at] != u:
-                    at -= 1
-                members = stack[at:]
-                del stack[at:]
+            u, out, num = calls[-1]
+            if out is not None:
+                for x, _ in out:
+                    if not rank[x]:
+                        v = x
+                        break
+                    if rank[x] < rank[u]:
+                        rank[u] = rank[x]
+                if v is not None:
+                    continue
+            calls.pop()
+            if rank[u] < num:  # not a root, so calls is not empty
+                stack.append(u)
+                parent = calls[-1][0]
+                if rank[u] < rank[parent]:
+                    rank[parent] = rank[u]
+                continue
+            if not stack or rank[stack[-1]] < num:  # u alone
+                mask = zz[u + 1]
+                if out is not None:
+                    for x, unit in edges[u]:
+                        mask |= unit | zz[x]
+                zz[u] = mask
+                rank[u] = done
+            else:
+                members = [u]
+                while stack and rank[stack[-1]] >= num:
+                    members.append(stack.pop())
                 mask = 0
                 for w in members:
                     got = zz[w + 1]  # None when w + 1 is a member
                     if got and got is not mask:
                         mask = mask | got if mask else got
-                    for x, unit in edges[w]:
+                    for x, unit in edges[w] or ():
                         got = zz[x]
                         mask |= unit if got is None else unit | got
                 for w in members:
                     zz[w] = mask
-                if not calls:
-                    break
+                    rank[w] = done
+            if not calls:
+                break
     return base, zz
 
 
@@ -580,17 +600,14 @@ def useless_checkpoints(trace: Trace) -> set[CheckpointRecord]:
             if zz[base[p] + x] >> (base[p] + x) & 1}
 
 
-def _below_hits(idx: _ZigzagIndex):
-    """Yield (bit of a, ``zz[a] & below(t(a))``) for every checkpoint a,
-    in timestamp order: below(t) masks the checkpoints whose timestamp is
-    at most t, and one running mask grows as t does.  Raises ValueError,
-    before anything is yielded, naming the lowest (process, ordinal)
-    checkpoint without a timestamp."""
-    checkpoints = idx.checkpoints
-    base, zz = idx.base, idx.zz
+def _timestamp_groups(idx: _ZigzagIndex) -> list[list[int]]:
+    """The bits of the checkpoints grouped by timestamp, in timestamp
+    order.  Raises ValueError naming the lowest (process, ordinal)
+    checkpoint without a timestamp.  The stamps are read by one C-level
+    ``itemgetter``, not by the named tuple's field getter."""
+    checkpoints, base = idx.checkpoints, idx.base
     at: dict[int | None, list[int]] = {}  # timestamp -> the bits of its checkpoints
-    for (p, x), rec in checkpoints.items():
-        t = rec.timestamp
+    for (p, x), t in zip(checkpoints, map(itemgetter(3), checkpoints.values())):
         if t in at:
             at[t].append(base[p] + x)
         else:
@@ -598,13 +615,7 @@ def _below_hits(idx: _ZigzagIndex):
     if None in at:
         missing = min(key for key, rec in checkpoints.items() if rec.timestamp is None)
         raise ValueError(f"checkpoint {checkpoints[missing].label()} has no timestamp")
-    below = 0
-    for t in sorted(at):
-        group = at[t]
-        for a in group:
-            below |= 1 << a
-        for a in group:
-            yield a, zz[a] & below
+    return [at[t] for t in sorted(at)]
 
 
 def _violating_pairs(idx: _ZigzagIndex):
@@ -615,8 +626,12 @@ def _violating_pairs(idx: _ZigzagIndex):
     docstring), taken lowest first; the bits are process-major, so that is
     checkpoint order.  Raises ValueError, before any pair, for a
     checkpoint without a timestamp."""
-    hits = {a: hit for a, hit in _below_hits(idx) if hit}
-    recs = idx.recs
+    zz, recs = idx.zz, idx.recs
+    hits, below = {}, 0
+    for group in _timestamp_groups(idx):
+        for a in group:
+            below |= 1 << a
+        hits.update((a, zz[a] & below) for a in group)
     for a in sorted(hits):
         hit, src = hits[a], recs[a]
         while hit:
@@ -652,16 +667,20 @@ def check_z_consistency(
 def quick_findings(trace: Trace) -> tuple[int, int]:
     """(useless count, violation count) without witness construction.
 
-    Existence-only fast path for fuzz campaigns: a checkpoint is useless
-    when its own bit is set in its mask, and its violations are a
-    popcount of :func:`_below_hits`.
+    Existence-only fast path for fuzz campaigns: a checkpoint a is useless
+    when its own bit is set in its mask, and its violations are a popcount
+    of ``zz[a] & below(t(a))``, one below mask growing by timestamp group.
     """
     idx = _index(trace)
     zz = idx.zz
-    useless = violations = 0
-    for a, hit in _below_hits(idx):
-        useless += zz[a] >> a & 1
-        violations += hit.bit_count()
+    useless = violations = below = 0
+    for group in _timestamp_groups(idx):
+        for a in group:
+            below |= 1 << a
+        for a in group:
+            mask = zz[a]
+            useless += mask >> a & 1
+            violations += (mask & below).bit_count()
     return useless, violations
 
 

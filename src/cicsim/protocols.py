@@ -42,7 +42,8 @@ receiver's taken entry instead of the witness's; see eval_c_fine1_ri.
 State and payload representation: a per-process boolean vector
 (``sent_to``, ``greater``, ``taken``, ``equal_incr``) is an int mask,
 bit k standing for process k, so a boolean condition is one AND over
-masks and the integer ones loop only over the processes in ``sent_to``; an
+masks and the integer ones loop only over the set bits of ``sent_to``,
+lowest first, peeling one bit per turn with ``mask & -mask``; an
 integer vector (``clockv``, ``ckptv``, ``min_to``) is a 1-based list
 (index 0 is an unused placeholder) in the state and a tuple in a
 payload, so the update rules read like the protocol definitions and a
@@ -80,14 +81,6 @@ _LIST_FIELDS = frozenset({"min_to", "clockv", "ckptv"})
 def _bools(mask: int, n: int) -> list:
     """A mask as the 1-based list of n+1 bools it stands for."""
     return [mask >> k & 1 == 1 for k in range(n + 1)]
-
-
-def _members(mask: int):
-    """The processes whose bit is set in mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class Piggyback:
@@ -197,6 +190,8 @@ _DECISIONS = {
     for c1 in (False, True)
     for c2 in (False, True)
 }
+# What on_receive returns for a receive that forces nothing: one value.
+_NOT_FORCED = (_DECISIONS[False, False], None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +205,29 @@ _DECISIONS = {
 
 def eval_c_pi(state, m: Piggyback) -> bool:
     """Partly-informed condition: the incoming timestamp exceeds the
-    timestamp of the first message sent to some k this interval."""
-    t, min_to = m.t, state.min_to
-    for k in _members(state.sent_to):
-        if t > min_to[k]:
+    timestamp of the first message sent to some k this interval; the k,
+    the set bits of ``sent_to``, are walked inline, lowest first."""
+    t, min_to, sent = m.t, state.min_to, state.sent_to
+    while sent:
+        low = sent & -sent
+        if t > min_to[low.bit_length() - 1]:
             return True
+        sent ^= low
     return False
 
 
 def eval_c_fi1_clockv(state, m: Piggyback) -> bool:
     """Fully-informed first condition, integer-vector form: partly
-    informed, and neither side knows that k's clock already reached m.t."""
+    informed, and neither side knows that k's clock already reached m.t.
+    Walks the set bits of ``sent_to`` as :func:`eval_c_pi` does."""
     t, min_to, mine, theirs = m.t, state.min_to, state.clockv, m.clockv
-    for k in _members(state.sent_to):
+    sent = state.sent_to
+    while sent:
+        low = sent & -sent
+        k = low.bit_length() - 1
         if t > min_to[k] and t > mine[k] and t > theirs[k]:
             return True
+        sent ^= low
     return False
 
 
@@ -369,7 +372,7 @@ class BaseProtocol:
         c2 = self._c2(m)
         if not (c1 or c2):
             self._update(m)
-            return _DECISIONS[False, False], None, None
+            return _NOT_FORCED
         state = self.capture()
         t = self.take_checkpoint()
         self._update(m)

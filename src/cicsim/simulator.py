@@ -124,7 +124,10 @@ def step_problems(n: int, steps):
     send whose name is rejected still counts as that name's send, so its
     receive adds no problem of its own, unless the name is unhashable: then
     the send is not recorded and its receive is rejected for its name.  A
-    process count that is not an exact int is the only problem found."""
+    process count that is not an exact int is the only problem found, a
+    ``steps`` that is not a tuple (a list would leave the scenario
+    unhashable) the last, and an item that is not exactly a ``Step`` is
+    one problem, its fields unread."""
     if type(n) is not int:
         yield None, f"process count {n!r} is not an int"
         return
@@ -132,9 +135,15 @@ def step_problems(n: int, steps):
         yield None, f"process count {n} < 2"
     elif n > MAX_PROCS:
         yield None, f"process count {n} > {MAX_PROCS}"
+    if type(steps) is not tuple:
+        yield None, f"steps {type(steps).__name__} is not a tuple"
+        return
     sends: dict[str, Step] = {}
     received: set[str] = set()
     for idx, st in enumerate(steps):
+        if type(st) is not Step:
+            yield idx, f"{type(st).__name__} is not a Step"
+            continue
         kind, p, q, name = st
         if type(p) is not int:
             yield idx, f"process id {p!r} is not an int"
@@ -189,9 +198,13 @@ def step_problems(n: int, steps):
 def _problem_texts(steps, located) -> list[str]:
     """(step index, problem) pairs as text, each tagged with its step."""
     return [
-        problem if idx is None else f"step {idx} ({steps[idx].text()}): {problem}"
+        problem if idx is None else f"step {idx} ({_step_text(steps[idx])}): {problem}"
         for idx, problem in located
     ]
+
+
+def _step_text(st) -> str:
+    return st.text() if type(st) is Step else repr(st)
 
 
 def scenario_violations(s: Scenario) -> list[str]:
@@ -245,8 +258,9 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     forced list, and no Event is built unless a caller asks for one."""
     n = scenario.n
     machines = [None] + [make_protocol(protocol, n, i) for i in range(1, n + 1)]
+    new = tuple.__new__  # a named tuple without its Python-level __new__
 
-    checkpoints = {(i, 1): CheckpointRecord(i, 1, CKPT_INITIAL, machines[i].lc)
+    checkpoints = {(i, 1): new(CheckpointRecord, (i, 1, CKPT_INITIAL, machines[i].lc))
                    for i in range(1, n + 1)}
     counts = [0] + [1] * n  # checkpoints so far: the current interval
     delivered: dict[str, tuple[int, int, int, int]] = {}
@@ -262,14 +276,15 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
             piggybacks.append((idx, name, pb))
         elif kind == "ckpt":
             x = counts[p] = counts[p] + 1
-            checkpoints[(p, x)] = CheckpointRecord(p, x, CKPT_BASIC, machines[p].take_checkpoint())
+            checkpoints[(p, x)] = new(CheckpointRecord,
+                                      (p, x, CKPT_BASIC, machines[p].take_checkpoint()))
         else:
             pb, sp, si = in_flight.pop(name)
             decision, t, state = machines[p].on_receive(pb)
             if t is not None:
                 x = counts[p] = counts[p] + 1
-                rec = checkpoints[(p, x)] = CheckpointRecord(p, x, CKPT_FORCED, t)
-                forced.append(ForcedEvent(idx, p, name, decision, rec, pb, state))
+                rec = checkpoints[(p, x)] = new(CheckpointRecord, (p, x, CKPT_FORCED, t))
+                forced.append(new(ForcedEvent, (idx, p, name, decision, rec, pb, state)))
             delivered[name] = (sp, si, p, counts[p])
 
     ckpt_counts = {p: counts[p] for p in range(1, n + 1)}

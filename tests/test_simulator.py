@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cicsim import protocols
-from cicsim.computation import Trace
+from cicsim.computation import CheckpointRecord, Trace
 from cicsim.oracle import oracle_report, quick_findings
 from cicsim.protocols import (
     PROTOCOL_NAMES,
@@ -33,6 +33,7 @@ from cicsim.scenarios import (
     serialize_scenario,
 )
 from cicsim.simulator import (
+    ForcedEvent,
     Scenario,
     ScenarioError,
     Step,
@@ -307,6 +308,35 @@ def test_event_view_digest_is_pinned():
                 ckpt = None if rec is None else (rec.key(), rec.kind, rec.timestamp)
                 sha.update(repr((ev.process, ev.ordinal, ev.kind, ev.message, ckpt)).encode())
     assert sha.hexdigest() == "9bbdb64295b9ad69c70469fb2ae6f8b7c0af82004c81eec1e3d3deeba82dd2b2"
+
+
+def test_run_built_values_have_exact_types():
+    """run_scenario builds its records and forced events without the
+    named-tuple constructors, so each must still be its exact type with
+    the fields the constructor gives.  One SHA-256 pins the repr of every
+    record and the repr of every forced event up to its decision (the
+    decision's set, the payload and the capture have no stable repr)."""
+    sha = hashlib.sha256()
+    for name in FIXTURE_NAMES:
+        scen = builtin(name)[0]
+        for protocol in PROTOCOL_NAMES:
+            where = (name, protocol)
+            run = run_scenario(scen, protocol)
+            records = run.trace.checkpoints
+            for key, rec in records.items():
+                assert type(rec) is CheckpointRecord, where
+                assert [type(v) for v in (rec.process, rec.ordinal, rec.timestamp)] == [int] * 3
+                assert rec == CheckpointRecord(*rec) and rec.key() == key, where
+                sha.update(repr(rec).encode())
+            for f in run.forced:
+                assert type(f) is ForcedEvent, where
+                assert f.record is records[(f.process, f.record.ordinal)], where
+                sha.update(repr(f).partition(", decision=")[0].encode())
+    assert repr(records[(1, 1)]) == (
+        "CheckpointRecord(process=1, ordinal=1, kind='initial', timestamp=1)")
+    assert repr(run_scenario(builtin("ccp")[0], "fi").forced[0]).startswith(
+        "ForcedEvent(step_index=14, process=2, message='m6', decision=ForcedDecision(")
+    assert sha.hexdigest() == "5b6bba518d9d303e661e7dae1064edf4cbfef818cf191b09eb50e53ac21a2009"
 
 
 def test_reports_build_no_events():
@@ -624,6 +654,21 @@ def test_scenario_rejects_fields_a_step_kind_does_not_use():
         (2, "checkpoint names destination 2"),
         (2, "checkpoint names message 'x'"),
     ]
+
+
+@pytest.mark.parametrize("steps, problem", [
+    ((("send", 1, 1, "a"),), "step 0 (('send', 1, 1, 'a')): tuple is not a Step"),
+    ((("ckpt", 1),), "step 0 (('ckpt', 1)): tuple is not a Step"),
+    ((None,), "step 0 (None): NoneType is not a Step"),
+    ([("send", 1, 2, "a"), ("recv", 2, None, "a")], "steps list is not a tuple"),
+    ([ckpt(1)], "steps list is not a tuple"),
+])
+def test_scenario_rejects_steps_that_are_not_a_tuple_of_steps(steps, problem):
+    # The first four once raised AttributeError, ValueError, TypeError and
+    # AttributeError; the last built a scenario that hash() refused.
+    with pytest.raises(ScenarioError) as err:
+        Scenario(2, steps)
+    assert err.value.problems == [problem]
 
 
 @given(st.text(max_size=4))
