@@ -103,12 +103,14 @@ class Trace:
         ``ckpt`` step, and a forced one marks the receive after it.  The
         steps must make a ``Scenario``, the records pass
         :func:`_record_problems` and the replay, whose columns the trace
-        takes, equal ``events`` (else ``ValueError``)."""
+        takes, equal ``events`` of exact ``Event`` items (else ``ValueError``)."""
         from .simulator import Scenario, Step  # simulator imports this module
 
         events = list(events)
         steps, forced, records = [], [], []
-        for ev in events:
+        for at, ev in enumerate(events):
+            if type(ev) is not Event:
+                raise ValueError(f"event #{at}: {type(ev).__name__} is not an Event")
             if ev.kind != EV_CKPT:
                 steps.append(Step(ev.kind, ev.process, ev.dest, ev.message))
                 continue

@@ -51,18 +51,15 @@ payload can never alias the state it was copied from.
 ``Piggyback.fields()`` renders masks back as lists of bools.
 
 Pre-update state: each family declares once, in ``state_fields`` beside
-``payload_fields``, the state a forced checkpoint logs next to ``lc``.
-A forced receive captures that state raw (``BaseProtocol.capture``:
-masks kept as ints, lists copied) and nothing renders it on the run's
-path; ``render_state`` turns a capture into the dict of bools and ints
-that ``snapshot()`` and ``ForcedEvent.prestate`` return, when it is read.
+``payload_fields``, the state a forced checkpoint logs next to ``lc``,
+which ``snapshot()`` renders.  A machine keeps no copy of it: a run
+replays the state before any step when asked (``AnnotatedTrace.prestate``).
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import attrgetter
 
 INF = math.inf
 
@@ -74,8 +71,6 @@ class ProtocolError(ValueError):
 _VECTOR_FIELDS = ("clockv", "greater", "equal_incr", "ckptv", "taken")
 # The vectors held as int masks, in the state or in a payload.
 _MASK_FIELDS = frozenset({"sent_to", "greater", "equal_incr", "taken"})
-# The state vectors held as lists, which a capture copies.
-_LIST_FIELDS = frozenset({"min_to", "clockv", "ckptv"})
 
 
 def _bools(mask: int, n: int) -> list:
@@ -191,7 +186,7 @@ _DECISIONS = {
     for c2 in (False, True)
 }
 # What on_receive returns for a receive that forces nothing: one value.
-_NOT_FORCED = (_DECISIONS[False, False], None, None)
+_NOT_FORCED = (_DECISIONS[False, False], None)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,7 @@ class BaseProtocol:
       an ``eval_c_*`` predicate bound as a method (default: never fires);
     * ``payload_fields``: the vectors it piggybacks next to the clock, and
       ``_payload``, which builds that Piggyback from the state;
-    * ``state_fields``: the state a forced checkpoint logs next to ``lc``;
+    * ``state_fields``: the state ``snapshot()`` renders next to ``lc``;
     * ``_update``: the update rules applied after the conditions;
     * ``_init_structures`` for the state that the initial checkpoint does
       not set, and ``_mark_send`` for the send bookkeeping;
@@ -297,29 +292,17 @@ class BaseProtocol:
       updates what depends on the new timestamp and returns that timestamp.
 
     Construction runs ``_init_structures`` and the initial checkpoint.
-
-    A forced receive keeps its pre-update state raw, as ``capture()``
-    takes it; ``render_state`` turns it into the logged dict when read.
     """
 
     name = "?"
     payload_fields: tuple[str, ...] = ()
     state_fields: tuple[str, ...] = ()
     _field_set = 0
-    _raw_state = attrgetter("__class__", "n", "i", "lc")
-    _list_at: tuple[int, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._field_set = sum(
             1 << j for j, f in enumerate(_VECTOR_FIELDS) if f in cls.payload_fields
-        )
-        # In a capture the state_fields values follow class, n, i and lc.
-        # Attributes are read by name: touching a machine's __dict__
-        # would build it and slow every later attribute access.
-        cls._raw_state = attrgetter("__class__", "n", "i", "lc", *cls.state_fields)
-        cls._list_at = tuple(
-            4 + j for j, f in enumerate(cls.state_fields) if f in _LIST_FIELDS
         )
 
     def __init__(self, n: int, i: int):
@@ -364,8 +347,7 @@ class BaseProtocol:
         return self._payload()
 
     def on_receive(self, m: Piggyback):
-        """Returns (decision, the forced checkpoint's timestamp or None, the
-        raw pre-update ``capture()`` when a checkpoint was forced)."""
+        """Returns (decision, the forced checkpoint's timestamp or None)."""
         if m.n != self.n or m.field_set != self._field_set:
             raise ProtocolError(self._payload_problem(m))
         c1 = self._c1(m)
@@ -373,10 +355,9 @@ class BaseProtocol:
         if not (c1 or c2):
             self._update(m)
             return _NOT_FORCED
-        state = self.capture()
         t = self.take_checkpoint()
         self._update(m)
-        return _DECISIONS[c1, c2], t, state
+        return _DECISIONS[c1, c2], t
 
     # helpers ------------------------------------------------------------
 
@@ -388,31 +369,19 @@ class BaseProtocol:
                 return f"{self.name}: unexpected payload field '{f}'"
         return f"{self.name}: payload built for {m.n} processes, expected {self.n}"
 
-    def capture(self) -> tuple:
-        """The current state, raw: (class, n, i, lc, *state_fields values),
-        masks as ints, lists copied so later updates cannot reach it."""
-        state = [*self._raw_state(self)]
-        for k in self._list_at:
-            state[k] = state[k][:]
-        return tuple(state)
-
     def snapshot(self) -> dict:
-        return render_state(self.capture())
-
-
-def render_state(capture: tuple) -> dict:
-    """A ``BaseProtocol.capture()`` as the logged state dict: protocol,
-    n, i, lc, then each state field, masks as 1-based lists of bools and
-    lists as fresh lists."""
-    cls, n, i, lc, *values = capture
-    out = {"protocol": cls.name, "n": n, "i": i, "lc": lc}
-    for f, val in zip(cls.state_fields, values):
-        if f in _MASK_FIELDS:
-            val = _bools(val, n)
-        elif f in _LIST_FIELDS:
-            val = list(val)
-        out[f] = val
-    return out
+        """The state as logged: protocol, n, i, lc and ``state_fields``,
+        masks as 1-based lists of bools and lists copied."""
+        n = self.n
+        out = {"protocol": self.name, "n": n, "i": self.i, "lc": self.lc}
+        for f in self.state_fields:
+            val = getattr(self, f)
+            if f in _MASK_FIELDS:
+                val = _bools(val, n)
+            elif type(val) is list:
+                val = val[:]
+            out[f] = val
+        return out
 
 
 class NoneProtocol(BaseProtocol):

@@ -73,7 +73,7 @@ class SplitMix64:
         return (next(self.draws) >> 11) * 2.0 ** -53
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
+        """Uniform integer in [0, n); ``n`` is an exact int of at least 1."""
+        if type(n) is not int or n < 1:
+            raise ValueError(f"below() needs an int bound of at least 1, got {n!r}")
         return next(self.draws) % n

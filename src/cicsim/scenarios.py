@@ -837,8 +837,8 @@ class FuzzParams(namedtuple("FuzzParams", "n events p_ckpt p_send max_in_flight 
     """Knobs for the seeded scenario generator: ``n``, ``events``,
     ``p_ckpt``, ``p_send``, ``max_in_flight`` and ``seed``.
 
-    ``p_ckpt`` is either one probability or a per-process sequence, which
-    is how asymmetric checkpointing rates are expressed.
+    ``p_ckpt`` is either one probability or a per-process list or tuple,
+    which is how asymmetric checkpointing rates are expressed.
     """
 
     __slots__ = ()
@@ -849,7 +849,8 @@ def checked_rates(params: FuzzParams) -> list[float]:
     every knob; raises ValueError for an out-of-range one, for a count
     (``n``, ``events``, ``max_in_flight``) or a ``seed`` that is not an
     exact int, or for a ``p_send`` or ``p_ckpt`` entry that is not an int
-    or a float (a bool is neither here)."""
+    or a float (a bool is neither here; several rates come as an exact
+    list or tuple)."""
     for knob in ("n", "events", "max_in_flight", "seed"):
         value = getattr(params, knob)
         if type(value) is not int:
@@ -860,8 +861,8 @@ def checked_rates(params: FuzzParams) -> list[float]:
         raise ValueError(f"need at least 1 event, got {params.events}")
     if params.max_in_flight < 1:
         raise ValueError(f"max_in_flight must be at least 1, got {params.max_in_flight}")
-    rates = params.p_ckpt  # one rate for every process unless it is iterable
-    rates = list(rates) if hasattr(rates, "__iter__") else [rates] * params.n
+    rates = params.p_ckpt  # one rate for every process unless a list or tuple
+    rates = list(rates) if type(rates) in (list, tuple) else [rates] * params.n
     if len(rates) != params.n:
         raise ValueError("p_ckpt must have one entry per process")
     for knob, prob in [("p_ckpt", x) for x in rates] + [("p_send", params.p_send)]:

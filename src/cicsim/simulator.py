@@ -8,8 +8,8 @@ a scenario yields an annotated trace: the trace itself (its columns: the
 checkpoint records, with protocol timestamps, and the send and receive
 intervals of each delivered message; its events are replayed from the
 steps and the forced list only when read), the forced-checkpoint events
-with their fired conditions and pre-update states (captured raw,
-rendered when read), and the piggyback of each send.
+with their fired conditions, and the piggyback of each send; the state
+before any step is replayed only when asked (``AnnotatedTrace.prestate``).
 
 amplify_violation implements the adversarial construction that turns a
 zigzag-timestamping violation into a scenario extension closing a Z-cycle:
@@ -27,7 +27,7 @@ from collections import namedtuple
 
 from . import oracle
 from .computation import CKPT_BASIC, CKPT_FORCED, CKPT_INITIAL, CheckpointRecord, Trace
-from .protocols import Piggyback, make_protocol, render_state
+from .protocols import Piggyback, make_protocol
 
 
 # A run builds one protocol object per process.  Its boolean vectors are
@@ -214,15 +214,11 @@ def scenario_violations(s: Scenario) -> list[str]:
 
 
 class ForcedEvent(namedtuple("ForcedEvent",
-                             "step_index process message decision record payload capture")):
-    """One forced checkpoint; ``capture`` is the receiver's raw pre-update
-    state (``BaseProtocol.capture``), ``prestate`` its rendered dict."""
+                             "step_index process message decision record payload")):
+    """One forced checkpoint, by its receive step; the receiver's state
+    before it is ``run.prestate(step_index)``."""
 
     __slots__ = ()
-
-    @property
-    def prestate(self) -> dict:
-        return render_state(self.capture)
 
 
 class AnnotatedTrace(namedtuple("AnnotatedTrace", "scenario protocol trace forced piggybacks")):
@@ -241,6 +237,24 @@ class AnnotatedTrace(namedtuple("AnnotatedTrace", "scenario protocol trace force
 
     def forced_step_indexes(self) -> list[int]:
         return [f.step_index for f in self.forced]
+
+    def prestate(self, step_index: int) -> dict:
+        """``snapshot()`` of the process of step ``step_index`` just before
+        it, replayed on fresh machines (a run is deterministic); ValueError
+        unless ``step_index`` is an exact int in ``range(len(steps))``."""
+        n, steps = self.scenario.n, self.scenario.steps
+        if type(step_index) is not int or not 0 <= step_index < len(steps):
+            raise ValueError(f"step index {step_index!r} is not in 0..{len(steps) - 1}")
+        machines = [None] + [make_protocol(self.protocol, n, i) for i in range(1, n + 1)]
+        in_flight = {}
+        for kind, p, dest, name in steps[:step_index]:
+            if kind == "ckpt":
+                machines[p].take_checkpoint()
+            elif kind == "send":
+                in_flight[name] = machines[p].on_send(dest)
+            else:
+                machines[p].on_receive(in_flight.pop(name))
+        return machines[steps[step_index].process].snapshot()
 
 
 def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
@@ -280,11 +294,11 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
                                       (p, x, CKPT_BASIC, machines[p].take_checkpoint()))
         else:
             pb, sp, si = in_flight.pop(name)
-            decision, t, state = machines[p].on_receive(pb)
+            decision, t = machines[p].on_receive(pb)
             if t is not None:
                 x = counts[p] = counts[p] + 1
                 rec = checkpoints[(p, x)] = new(CheckpointRecord, (p, x, CKPT_FORCED, t))
-                forced.append(new(ForcedEvent, (idx, p, name, decision, rec, pb, state)))
+                forced.append(new(ForcedEvent, (idx, p, name, decision, rec, pb)))
             delivered[name] = (sp, si, p, counts[p])
 
     ckpt_counts = {p: counts[p] for p in range(1, n + 1)}

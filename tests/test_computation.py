@@ -120,11 +120,15 @@ NOT_ONE_TOKEN = "message name ['x'] is not one token without '#'"
     ([Event(1, 1, "ckpt", checkpoint=CheckpointRecord(1, 1, "basic", 1)),
       *initial_events(2)[1:]],
      ["checkpoint C_1^1: kind 'basic' at ordinal 1"]),
+    # An item that is not exactly an Event once raised AttributeError.
+    ([None], ["event #0: NoneType is not an Event"]),
+    ("ab", ["event #0: str is not an Event"]),
+    ([initial_events(2)[0], tuple(initial_events(2)[1])], ["event #1: tuple is not an Event"]),
 ], ids=["float-process", "str-process", "bool-process",
         "unhashable-send", "unhashable-recv", "str-timestamp", "float-timestamp",
         "bool-timestamp", "zero-timestamp", "float-checkpoint-ordinal",
         "float-record-process", "no-record", "virtual-terminal", "late-initial",
-        "basic-initial"])
+        "basic-initial", "none-item", "str-items", "plain-tuple-item"])
 def test_wrongly_typed_input_is_one_problem(events, expected):
     # Each list has one wrong field, and it is reported once.
     assert problems(2, events) == expected

@@ -19,7 +19,6 @@ from cicsim.protocols import (
     eval_c_lazyfine1,
     eval_c_pi,
     make_protocol,
-    render_state,
 )
 from cicsim.scenarios import (
     FIXTURE_NAMES,
@@ -358,18 +357,17 @@ def test_fi_receive_forces_then_updates():
     p = make_protocol("fi-greater", 3, 2)
     p.on_send(3)
     before = p.snapshot()
-    decision, t, state = p.on_receive(fi_pb(t=2, greater=(1, 3)))
+    decision, t = p.on_receive(fi_pb(t=2, greater=(1, 3)))
     assert decision.forced and "C1" in decision.fired
     assert t == 2 == p.lc
-    prestate = render_state(state)
-    assert prestate["lc"] == 1 and prestate["sent_to"][3] is True
-    assert prestate == before
+    assert before["lc"] == 1 and before["sent_to"][3] is True
+    assert p.snapshot()["sent_to"][3] is False  # the forced checkpoint reset it
 
 
 def test_fi_receive_low_timestamp_merges_only():
     p = make_protocol("fi-greater", 3, 2)
     p.take_checkpoint()  # lc = 2
-    decision, t, _ = p.on_receive(fi_pb(t=1, ckptv=((1, 1),), taken=(1,)))
+    decision, t = p.on_receive(fi_pb(t=1, ckptv=((1, 1),), taken=(1,)))
     assert not decision.forced and t is None
     assert p.lc == 2
     snap = p.snapshot()
@@ -416,7 +414,7 @@ def test_missing_field_rejected():
 
 def test_none_protocol_only_tracks_clock():
     p = make_protocol("none", 3, 1)
-    decision, t, _ = p.on_receive(Piggyback(t=7, n=3))
+    decision, t = p.on_receive(Piggyback(t=7, n=3))
     assert not decision.forced and t is None
     assert p.lc == 7
 
@@ -597,7 +595,7 @@ def test_protocol_behaviour_digest_is_pinned():
             rows = [protocol]
             for f in run.forced:
                 rows.append((f.step_index, sorted(f.decision.fired), f.record.timestamp,
-                             sorted(f.prestate.items())))
+                             sorted(run.prestate(f.step_index).items())))
             for key, r in sorted(run.trace.checkpoints.items()):
                 rows.append((key, r.kind, r.timestamp))
             for step, name, pb in run.piggybacks:

@@ -200,14 +200,17 @@ def test_different_seeds_differ():
     ("seed", 1.5), ("seed", "1"), ("seed", True),
     ("p_send", "0.3"), ("p_send", True),
     ("p_ckpt", ("0.1", "0.2", "0.3")), ("p_ckpt", (0.1, True, 0.2)), ("p_ckpt", True),
-    ("p_ckpt", None),
+    ("p_ckpt", None), ("p_ckpt", (x for x in (0.1, 0.2, 0.3))), ("p_ckpt", {0.1, 0.2, 0.3}),
+    ("p_ckpt", {1: 0.1, 2: 0.2, 3: 0.3}), ("p_ckpt", range(3)), ("p_ckpt", b"\x00\x00\x01"),
 ])
 def test_count_knobs_must_be_exact_ints(knob, value):
     # A float n once raised a bare TypeError and a float event budget gave
     # a scenario one step longer than asked for; a float or str seed and a
     # str rate or a None p_ckpt raised a bare TypeError, and a bool seed or
     # rate was read as 1.  A rate may be any int or float ("must be an int
-    # or a float").
+    # or a float").  Per-process rates come as an exact list or tuple: a
+    # generator was used up by the first call, a set has no per-process
+    # order, a dict or range was read by its keys and bytes as small ints.
     params = FuzzParams(**{"n": 3, "seed": 1, knob: value})
     with pytest.raises(ValueError, match=f"{knob} must be an int"):
         random_scenario(params)
@@ -322,6 +325,14 @@ def test_splitmix_stream_matches_the_scalar_reference(seed, length):
         else:
             bound = 1 + i * 7919 % 1000
             assert rng.below(bound) == want % bound
+
+
+@pytest.mark.parametrize("bound", [2.5, 1e30, True, "3", 0])
+def test_below_needs_an_int_bound(bound):
+    # A float bound once gave a float "integer" (below(2.5) was 1.0) and
+    # True was read as 1.
+    with pytest.raises(ValueError, match="below\\(\\) needs an int bound"):
+        SplitMix64(1).below(bound)
 
 
 def _bench_params(seed, procs, events, max_in_flight=8):

@@ -96,15 +96,15 @@ def test_forced_decisions_replay_on_logged_prestate():
         run = run_scenario(scen, protocol)
         assert run.forced, (name, protocol)
         for ev in run.forced:
-            state = masked_state(SimpleNamespace(**ev.prestate))
+            state = masked_state(SimpleNamespace(**run.prestate(ev.step_index)))
             for cond in ev.decision.fired:
                 func = CONDITION_FUNCS[protocol][cond]
                 assert func(state, ev.payload), (name, protocol, cond)
 
 
 def eager_snapshot(m):
-    """The state dict every forced receive rendered eagerly before states
-    were captured raw: the reference ForcedEvent.prestate reproduces."""
+    """The state dict every forced receive once rendered eagerly, written
+    apart from ``snapshot()``: the reference ``run.prestate`` reproduces."""
     out = {"protocol": m.name, "n": m.n, "i": m.i, "lc": m.lc}
     for f in ("sent_to", "min_to", "clockv", "greater", "equal_incr",
               "ckptv", "taken", "increment"):
@@ -137,6 +137,8 @@ def eager_prestates(scen, protocol):
 
 
 def test_a_run_renders_no_prestate(monkeypatch):
+    # A run renders no state: the pre-state of a forced receive is
+    # replayed only when run.prestate reads it.
     renders = []
 
     def counting(real):
@@ -146,7 +148,8 @@ def test_a_run_renders_no_prestate(monkeypatch):
         return call
 
     monkeypatch.setattr(protocols, "_bools", counting(protocols._bools))
-    monkeypatch.setattr(protocols, "render_state", counting(protocols.render_state))
+    monkeypatch.setattr(protocols.BaseProtocol, "snapshot",
+                        counting(protocols.BaseProtocol.snapshot))
     scenarios = [builtin(name)[0] for name in FIXTURE_NAMES]
     scenarios += [random_scenario(FuzzParams(n=2 + s % 4, events=40, seed=s + 4100))
                   for s in range(20)]
@@ -156,20 +159,28 @@ def test_a_run_renders_no_prestate(monkeypatch):
 
     forced = {protocol: 0 for protocol in PROTOCOL_NAMES}
     for scen, protocol, run in runs:
-        got = [(f.step_index, list(f.prestate.items())) for f in run.forced]
+        got = [(f.step_index, list(run.prestate(f.step_index).items())) for f in run.forced]
         want = [(idx, list(snap.items())) for idx, snap in eager_prestates(scen, protocol)]
         assert got == want, (scen.name, protocol)
         forced[protocol] += len(got)
     assert forced["none"] == 0
     assert all(forced[p] > 0 for p in PROTOCOL_NAMES if p != "none"), forced
 
-    # Each read renders fresh lists: changing one leaves the capture as it was.
-    f = next(f for _, _, run in runs for f in run.forced)
-    first = f.prestate
+    # Each read returns fresh lists: changing one leaves the next read as it was.
+    run = next(run for _, _, run in runs if run.forced)
+    at = run.forced[0].step_index
+    first, second = run.prestate(at), run.prestate(at)
     for val in first.values():
         if isinstance(val, list):
             val.append(None)
-    assert f.prestate != first
+    assert first != second == run.prestate(at)
+
+
+def test_prestate_needs_a_step_index_of_the_scenario():
+    run = run_scenario(builtin("ccp")[0], "fi")
+    for bad in (-1, len(run.scenario.steps), True, 1.0):
+        with pytest.raises(ValueError, match="step index"):
+            run.prestate(bad)
 
 
 def test_none_adds_no_checkpoints():
@@ -315,7 +326,7 @@ def test_run_built_values_have_exact_types():
     named-tuple constructors, so each must still be its exact type with
     the fields the constructor gives.  One SHA-256 pins the repr of every
     record and the repr of every forced event up to its decision (the
-    decision's set, the payload and the capture have no stable repr)."""
+    decision's set and the payload have no stable repr)."""
     sha = hashlib.sha256()
     for name in FIXTURE_NAMES:
         scen = builtin(name)[0]
