@@ -106,6 +106,10 @@ class Trace:
         takes, equal ``events`` of exact ``Event`` items (else ``ValueError``)."""
         from .simulator import Scenario, Step  # simulator imports this module
 
+        try:
+            events = iter(events)
+        except TypeError:
+            raise ValueError(f"events {type(events).__name__} is not iterable") from None
         events = list(events)
         steps, forced, records = [], [], []
         for at, ev in enumerate(events):

@@ -306,6 +306,9 @@ class BaseProtocol:
         )
 
     def __init__(self, n: int, i: int):
+        for arg, value in (("n", n), ("i", i)):
+            if type(value) is not int:
+                raise ProtocolError(f"'{arg}' {value!r} is not an int")
         if not 1 <= i <= n:
             raise ProtocolError(f"process {i} out of range 1..{n}")
         self.n = n
@@ -577,7 +580,8 @@ PROTOCOL_NAMES = tuple(_REGISTRY)
 
 
 def make_protocol(name: str, n: int, i: int) -> BaseProtocol:
-    """Fresh per-process protocol instance, initial checkpoint taken."""
+    """Fresh per-process protocol instance, initial checkpoint taken;
+    ProtocolError unless ``n`` and ``i`` are exact ints with ``1 <= i <= n``."""
     try:
         cls = _REGISTRY[name]
     except KeyError:

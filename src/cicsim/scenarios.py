@@ -114,6 +114,10 @@ class FixtureClaim(namedtuple("FixtureClaim", "kind protocol expect note", defau
 
     ``kind`` selects the check, ``expect`` carries its arguments, and
     ``note`` states in plain words which behavior the claim pins down.
+    Each fact is stated once and exactly: ``forced`` gives the run's
+    forced receives in step order as (message, sorted fired conditions),
+    ``useless`` the whole useless set and ``z_cycles`` one checkpoint's
+    whole witness list.
     """
 
     __slots__ = ()
@@ -136,25 +140,9 @@ def _eval_claim(claim: FixtureClaim, scen: Scenario, run, report):
     oracle report; return (holds, detail)."""
     kind, e = claim.kind, claim.expect
     trace = run.trace
-    if kind == "forced_at":
-        msg, conds = e
-        step = scen.recv_step_index(msg)
-        hits = [f for f in run.forced if f.step_index == step]
-        if not hits:
-            return False, f"no forced checkpoint at recv {msg}"
-        if conds is not None and hits[0].decision.fired != frozenset(conds):
-            return False, f"fired {set(hits[0].decision.fired)}, expected {set(conds)}"
-        return True, ""
-    if kind == "not_forced_at":
-        (msg,) = e
-        step = scen.recv_step_index(msg)
-        if any(f.step_index == step for f in run.forced):
-            return False, f"unexpected forced checkpoint at recv {msg}"
-        return True, ""
-    if kind == "forced_total":
-        (count,) = e
-        got = run.forced_count
-        return got == count, f"forced {got}, expected {count}"
+    if kind == "forced":
+        got = tuple((f.message, tuple(sorted(f.decision.fired))) for f in run.forced)
+        return got == e, f"forced {got}, expected {e}"
     if kind == "timestamp":
         key, t = e
         got = trace.checkpoints[tuple(key)].timestamp
@@ -176,26 +164,15 @@ def _eval_claim(claim: FixtureClaim, scen: Scenario, run, report):
             return True, ""
         got = _is_causal(scen, chain)
         return got == causal, f"causal={got}, expected {causal}"
-    if kind == "z_cycle":
-        key, msgs = e
-        for rec, chains, _ in report.z_cycles:
-            if rec.key() == tuple(key) and tuple(msgs) in chains:
-                return True, ""
-        got = [(r.label(), list(names)) for r, chains, _ in report.z_cycles for names in chains]
-        return False, f"cycle {list(msgs)} on C_{key[0]}^{key[1]} not in {got}"
-    if kind == "z_cycles_exact":
-        key, expected = e
-        got = [list(names) for r, chains, _ in report.z_cycles if r.key() == tuple(key)
-               for names in chains]
-        want = [list(m) for m in expected]
-        return got == want, f"witnesses {got}, expected {want}"
+    if kind == "z_cycles":
+        key, want = e
+        got = tuple(tuple(chain) for r, chains, _ in report.z_cycles if r.key() == tuple(key)
+                    for chain in chains)
+        return got == want, f"C_{key[0]}^{key[1]} witnesses {got}, expected {want}"
     if kind == "useless":
-        keys, exact = e
         got = {r.key() for r in report.useless}
-        want = {tuple(k) for k in keys}
-        if exact:
-            return got == want, f"useless {sorted(got)}, expected {sorted(want)}"
-        return want <= got, f"useless {sorted(got)} misses {sorted(want - got)}"
+        want = {tuple(k) for k in e[0]}
+        return got == want, f"useless {sorted(got)}, expected {sorted(want)}"
     if kind == "violation":
         a, b = e
         pairs = {(src.key(), dst.key()) for src, dst, _ in report.violations}
@@ -278,9 +255,9 @@ ckpt 1
 """, (
         _c("timestamp", "none", (3, 3), 3, note="bare clock rules stamp C_3^3 with 3"),
         _c("timestamp", "none", (1, 3), 3, note="C_1^3 collides with C_3^3"),
-        _c("z_cycles_exact", "none", (3, 3), (("m6", "m3"), ("m6", "m5", "m4", "m3")),
+        _c("z_cycles", "none", (3, 3), (("m6", "m3"), ("m6", "m5", "m4", "m3")),
            note="both cycles through C_3^3, shortest first"),
-        _c("useless", "none", ((3, 3),), True, note="exactly one useless checkpoint"),
+        _c("useless", "none", ((3, 3),), note="exactly one useless checkpoint"),
         _c("zigzag", "none", (1, 1), (3, 2), ("m1", "m2"), True,
            note="causal zigzag example"),
         _c("zigzag", "none", (1, 2), (3, 3), ("m4", "m3"), False,
@@ -291,15 +268,12 @@ ckpt 1
            note="the all-second-checkpoints line is consistent"),
         _c("consistent", "none", ((1, 1), (2, 1), (3, 2)), False,
            note="C_1^1 causally precedes C_3^2"),
-        _c("forced_total", "fi-greater", 1,
+        _c("forced", "fi-greater", ("m6", ("C1", "C2")),
            note="one forced checkpoint repairs the pattern"),
-        _c("forced_at", "fi-greater", "m6", None),
         _c("clean", "fi-greater", note="fully-informed run is zigzag-consistent"),
-        _c("useless", "fi-greater", (), True),
-        _c("forced_total", "fi-clockv", 1),
-        _c("forced_at", "fi-clockv", "m6", None),
+        _c("forced", "fi-clockv", ("m6", ("C1", "C2"))),
         _c("clean", "fi-clockv"),
-        _c("forced_total", "pi", 1),
+        _c("forced", "pi", ("m6", ("C1",))),
         _c("clean", "pi"),
     )),
 
@@ -330,9 +304,8 @@ recv 1 m5
 ckpt 1
 """, (
         _c("clean", "none", note="one added checkpoint restores consistency"),
-        _c("useless", "none", (), True),
         _c("timestamp", "none", (2, 3), 3),
-        _c("forced_total", "none", 0),
+        _c("forced", "none"),
     )),
 
     "strict-a": _Fixture(
@@ -347,8 +320,7 @@ ckpt 3
 send 1 2 m2
 recv 2 m2
 """, (
-        _c("forced_total", "pi", 0, note="equal timestamps force nothing"),
-        _c("not_forced_at", "pi", "m2"),
+        _c("forced", "pi", note="equal timestamps force nothing"),
         _c("clean", "pi"),
         _c("zigzag", "pi", (1, 1), (3, 2), ("m2", "m1"), False,
            note="the two-message zigzag the condition watches"),
@@ -369,13 +341,11 @@ ckpt 3
 send 1 2 m2
 recv 2 m2
 """, (
-        _c("forced_at", "pi", "m2", ("C1",), note="partly-informed condition fires"),
-        _c("forced_total", "pi", 1),
+        _c("forced", "pi", ("m2", ("C1",)), note="partly-informed condition fires"),
         _c("clean", "pi"),
         _c("violation", "none", (1, 2), (3, 2),
            note="without the force the timestamps collide"),
-        _c("useless", "none", (), True,
-           note="a violation without any Z-cycle yet"),
+        _c("useless", "none", (), note="a violation without any Z-cycle yet"),
         _c("timestamp", "none", (1, 2), 2),
         _c("timestamp", "none", (3, 2), 2),
     )),
@@ -398,11 +368,9 @@ send 1 2 m3
 recv 2 m3
 ckpt 3
 """, (
-        _c("not_forced_at", "fi-clockv", "m3",
-           note="m3.clockv already covers P3's clock"),
-        _c("forced_total", "fi-clockv", 0),
-        _c("forced_at", "pi", "m3", ("C1",), note="partly informed still forces"),
-        _c("forced_total", "fi-greater", 0, note="boolean encoding agrees"),
+        _c("forced", "fi-clockv", note="m3.clockv already covers P3's clock"),
+        _c("forced", "pi", ("m3", ("C1",)), note="partly informed still forces"),
+        _c("forced", "fi-greater", note="boolean encoding agrees"),
         _c("clean", "fi-clockv"),
         _c("zigzag", "fi-clockv", (1, 2), (3, 3), ("m3", "m1"), None,
            note="the path stays consistent: 2 < 3"),
@@ -427,13 +395,10 @@ send 1 2 m3
 recv 2 m3
 ckpt 3
 """, (
-        _c("not_forced_at", "fi-clockv", "m2"),
-        _c("not_forced_at", "fi-clockv", "m3",
+        _c("forced", "fi-clockv",
            note="receiver-side clock knowledge suppresses the force"),
-        _c("forced_total", "fi-clockv", 0),
-        _c("forced_at", "pi", "m2", ("C1",)),
-        _c("forced_total", "pi", 1),
-        _c("forced_total", "fi-greater", 0),
+        _c("forced", "pi", ("m2", ("C1",))),
+        _c("forced", "fi-greater"),
         _c("clean", "fi-clockv"),
         _c("zigzag", "fi-clockv", (1, 2), (3, 3), ("m3", "m1"), None),
     )),
@@ -454,15 +419,13 @@ recv 2 m3
 recv 3 m1
 ckpt 3
 """, (
-        _c("forced_at", "fi-greater", "m3", ("C1",),
+        _c("forced", "fi-greater", ("m3", ("C1",)),
            note="m3.greater[3] with a greater timestamp forces"),
-        _c("forced_total", "fi-greater", 1),
-        _c("forced_at", "fi-clockv", "m3", None, note="encodings force together"),
-        _c("forced_total", "fi-clockv", 1),
+        _c("forced", "fi-clockv", ("m3", ("C1",)), note="encodings force together"),
         _c("clean", "fi-greater"),
         _c("violation", "none", (1, 2), (3, 2),
            note="skipping the force collides the timestamps"),
-        _c("useless", "none", (), True),
+        _c("useless", "none", ()),
     )),
 
     "taken": _Fixture(
@@ -481,14 +444,12 @@ recv 1 m2
 send 1 2 m3
 recv 2 m3
 """, (
-        _c("forced_at", "fi-greater", "m3", ("C2",),
+        _c("forced", "fi-greater", ("m3", ("C2",)),
            note="only the causal-chain-with-checkpoint test fires"),
-        _c("forced_total", "fi-greater", 1),
         _c("clean", "fi-greater"),
-        _c("forced_at", "fi-clockv", "m3", ("C2",)),
-        _c("useless", "none", ((3, 2),), True,
-           note="without the force C_3^2 is useless"),
-        _c("z_cycle", "none", (3, 2), ("m2", "m3", "m1")),
+        _c("forced", "fi-clockv", ("m3", ("C2",))),
+        _c("useless", "none", ((3, 2),), note="without the force C_3^2 is useless"),
+        _c("z_cycles", "none", (3, 2), (("m2", "m3", "m1"),)),
     )),
 
     "lazy-a": _Fixture(
@@ -504,7 +465,7 @@ send 1 2 m2
 recv 2 m2
 ckpt 2
 """, (
-        _c("forced_total", "lazy-fi", 0),
+        _c("forced", "lazy-fi"),
         _c("timestamp", "lazy-fi", (2, 2), 2),
         _c("timestamp", "lazy-fi", (2, 3), 2, note="timestamp reused"),
         _c("clean", "lazy-fi"),
@@ -528,7 +489,7 @@ send 1 2 m3
 recv 2 m3
 ckpt 2
 """, (
-        _c("forced_total", "lazy-fi", 0),
+        _c("forced", "lazy-fi"),
         _c("timestamp", "lazy-fi", (2, 2), 2),
         _c("timestamp", "lazy-fi", (1, 2), 2),
         _c("timestamp", "lazy-fi", (2, 3), 3, note="increment on equal clock"),
@@ -554,7 +515,7 @@ send 1 2 m3
 recv 2 m3
 ckpt 2
 """, (
-        _c("forced_total", "lazy-fi", 0),
+        _c("forced", "lazy-fi"),
         _c("timestamp", "lazy-fi", (2, 2), 1, note="empty interval reuses 1"),
         _c("timestamp", "lazy-fi", (3, 2), 2),
         _c("timestamp", "lazy-fi", (1, 2), 3),
@@ -583,13 +544,11 @@ recv 2 m5
 recv 3 m2
 ckpt 3
 """, (
-        _c("forced_at", "lazy-fi", "m5", ("C1",),
+        _c("forced", "lazy-fi", ("m5", ("C1",)),
            note="equal_incr gives no increment promise for P3"),
-        _c("forced_total", "lazy-fi", 1),
         _c("clean", "lazy-fi"),
         _c("timestamp", "lazy-fi", (3, 3), 2, note="P3 indeed reuses its stamp"),
-        _c("forced_total", "fi-greater", 0,
-           note="eager increments make the same pattern safe"),
+        _c("forced", "fi-greater", note="eager increments make the same pattern safe"),
         _c("clean", "fi-greater"),
         _c("timestamp", "fi-greater", (3, 3), 3),
     )),
@@ -618,9 +577,8 @@ recv 2 m7
 recv 3 m2
 ckpt 3
 """, (
-        _c("not_forced_at", "lazy-fi", "m7",
+        _c("forced", "lazy-fi",
            note="the piggybacked increment promise suppresses the force"),
-        _c("forced_total", "lazy-fi", 0),
         _c("clean", "lazy-fi"),
         _c("timestamp", "lazy-fi", (3, 3), 3, note="P3 keeps the promise"),
     )),
@@ -650,13 +608,13 @@ ckpt 1
 send 1 2 m7
 recv 2 m7
 """, (
-        _c("forced_at", "lazy-fi", "m7", ("C1", "C2"),
+        _c("forced", "lazy-fi", ("m7", ("C1", "C2")),
            note="the count/taken test detects the pending cycle"),
-        _c("forced_total", "lazy-fi", 1),
         _c("clean", "lazy-fi"),
-        _c("z_cycle", "none", (1, 2), ("m7", "m4", "m6"),
-           note="the cycle the force breaks"),
-        _c("useless", "none", ((1, 2),), False),
+        _c("z_cycles", "none", (1, 2),
+           (("m7", "m2"), ("m7", "m4", "m6"), ("m7", "m4", "m3", "m5", "m6")),
+           note="the cycle the force breaks is [m7, m4, m6]"),
+        _c("useless", "none", ((1, 2), (3, 2))),
     )),
 
     "fine-proposal": _Fixture(
@@ -677,22 +635,19 @@ recv 1 m2
 send 1 2 m3
 recv 2 m3
 """, (
-        _c("not_forced_at", "fine", "m3", note="no known checkpoint on the chain"),
-        _c("forced_total", "fine", 0),
+        _c("forced", "fine", note="no known checkpoint on the chain"),
         _c("message_t", "fine", "m1", 1),
         _c("message_t", "fine", "m3", 2),
         _c("violation", "fine", (1, 2), (3, 2),
            note="the run is not zigzag-consistent"),
-        _c("useless", "fine", (), True, note="but nothing is useless yet"),
+        _c("useless", "fine", (), note="but nothing is useless yet"),
         _c("timestamp", "fine", (1, 2), 2),
         _c("timestamp", "fine", (3, 2), 2),
         _c("interval", "fine", "m3", (2, 1)),
-        _c("forced_at", "fi-greater", "m3", ("C1",),
+        _c("forced", "fi-greater", ("m3", ("C1",)),
            note="the fully-informed protocol forces here"),
-        _c("forced_total", "fi-greater", 1),
         _c("clean", "fi-greater"),
-        _c("forced_total", "fine-ri", 0,
-           note="the receiver-index variant also declines"),
+        _c("forced", "fine-ri", note="the receiver-index variant also declines"),
     )),
 
     "fine-counterexample": _Fixture(
@@ -714,16 +669,14 @@ send 1 2 m3
 recv 1 m4
 recv 2 m3
 """, (
-        _c("forced_total", "fine", 0, note="zero forced checkpoints"),
-        _c("useless", "fine", ((3, 2),), True,
-           note="P3's second checkpoint is useless"),
-        _c("z_cycle", "fine", (3, 2), ("m4", "m3", "m1")),
-        _c("forced_total", "fi-greater", 1),
-        _c("useless", "fi-greater", (), True,
+        _c("forced", "fine", note="zero forced checkpoints"),
+        _c("useless", "fine", ((3, 2),), note="P3's second checkpoint is useless"),
+        _c("z_cycles", "fine", (3, 2), (("m4", "m3", "m1"),)),
+        _c("forced", "fi-greater", ("m3", ("C1",))),
+        _c("clean", "fi-greater",
            note="the fully-informed protocol survives the same scenario"),
-        _c("clean", "fi-greater"),
-        _c("forced_total", "fine-ri", 0),
-        _c("useless", "fine-ri", ((3, 2),), True,
+        _c("forced", "fine-ri"),
+        _c("useless", "fine-ri", ((3, 2),),
            note="the receiver-index variant fails here too"),
     )),
 
@@ -749,19 +702,14 @@ recv 3 m4
 send 4 2 m5
 recv 2 m5
 """, (
-        _c("not_forced_at", "lazy-fine", "m4",
-           note="no checkpoint known behind the witness"),
-        _c("not_forced_at", "lazy-fine", "m5", note="equal clock fires nothing"),
-        _c("forced_total", "lazy-fine", 0),
-        _c("z_cycle", "lazy-fine", (4, 2), ("m5", "m4", "m2")),
-        _c("useless", "lazy-fine", ((4, 2),), True,
-           note="exactly one useless checkpoint"),
-        _c("forced_at", "lazy-fi", "m4", ("C1",),
+        _c("forced", "lazy-fine",
+           note="m4: no checkpoint known behind the witness; m5: equal clock fires nothing"),
+        _c("z_cycles", "lazy-fine", (4, 2), (("m5", "m4", "m2"),)),
+        _c("useless", "lazy-fine", ((4, 2),), note="exactly one useless checkpoint"),
+        _c("forced", "lazy-fi", ("m4", ("C1",)),
            note="the unweakened condition breaks the cycle at m4"),
-        _c("forced_total", "lazy-fi", 1),
-        _c("useless", "lazy-fi", (), True),
         _c("clean", "lazy-fi"),
-        _c("forced_at", "lazy-fine-ri", "m4", None,
+        _c("forced", "lazy-fine-ri", ("m4", ("C1",)),
            note="receiver-index variant forces here and misses the failure"),
     )),
 
@@ -780,7 +728,7 @@ recv 3 m2
 ckpt 3
 """, (
         _c("violation", "none", (1, 2), (3, 2)),
-        _c("useless", "none", (), True, note="violation without a cycle"),
+        _c("useless", "none", (), note="violation without a cycle"),
         _c("zigzag", "none", (1, 2), (3, 2), ("m1", "m2"), False),
         _c("timestamp", "none", (1, 2), 2),
         _c("timestamp", "none", (3, 2), 2),
@@ -801,8 +749,8 @@ ckpt 3
 send 3 1 m3
 recv 1 m3
 """, (
-        _c("useless", "none", ((3, 2),), True),
-        _c("z_cycle", "none", (3, 2), ("m3", "m1", "m2")),
+        _c("useless", "none", ((3, 2),)),
+        _c("z_cycles", "none", (3, 2), (("m3", "m1", "m2"),)),
     )),
 }
 

@@ -106,12 +106,6 @@ class Scenario(namedtuple("Scenario", "n steps name", defaults=(None,))):
     def message_names(self) -> set[str]:
         return {s.message for s in self.steps if s.message}
 
-    def recv_step_index(self, message: str) -> int:
-        for idx, s in enumerate(self.steps):
-            if s.kind == "recv" and s.message == message:
-                return idx
-        raise ValueError(f"no receive of {message!r} in scenario")
-
 
 def step_problems(n: int, steps):
     """Yield (step index, problem) in step order, index None for a process
@@ -245,15 +239,7 @@ class AnnotatedTrace(namedtuple("AnnotatedTrace", "scenario protocol trace force
         n, steps = self.scenario.n, self.scenario.steps
         if type(step_index) is not int or not 0 <= step_index < len(steps):
             raise ValueError(f"step index {step_index!r} is not in 0..{len(steps) - 1}")
-        machines = [None] + [make_protocol(self.protocol, n, i) for i in range(1, n + 1)]
-        in_flight = {}
-        for kind, p, dest, name in steps[:step_index]:
-            if kind == "ckpt":
-                machines[p].take_checkpoint()
-            elif kind == "send":
-                in_flight[name] = machines[p].on_send(dest)
-            else:
-                machines[p].on_receive(in_flight.pop(name))
+        machines = _play(n, self.protocol, steps[:step_index])[0]
         return machines[steps[step_index].process].snapshot()
 
 
@@ -271,6 +257,18 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     per-event record is kept: the events follow from the steps and the
     forced list, and no Event is built unless a caller asks for one."""
     n = scenario.n
+    _, checkpoints, counts, delivered, forced, piggybacks = _play(n, protocol, scenario.steps)
+    ckpt_counts = {p: counts[p] for p in range(1, n + 1)}
+    trace = Trace._from_run(n, scenario.steps, [f.step_index for f in forced],
+                            checkpoints, ckpt_counts, delivered)
+    return AnnotatedTrace(scenario, protocol, trace, forced, piggybacks)
+
+
+def _play(n: int, protocol: str, steps):
+    """The step loop of a run, also the replay of ``prestate``: ``steps``
+    on fresh machines, giving the machines, the checkpoint records, the
+    checkpoint counts, the delivered columns, the forced events and the
+    piggybacks."""
     machines = [None] + [make_protocol(protocol, n, i) for i in range(1, n + 1)]
     new = tuple.__new__  # a named tuple without its Python-level __new__
 
@@ -283,7 +281,7 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
     forced: list[ForcedEvent] = []
     piggybacks: list[tuple[int, str, Piggyback]] = []
 
-    for idx, (kind, p, dest, name) in enumerate(scenario.steps):
+    for idx, (kind, p, dest, name) in enumerate(steps):
         if kind == "send":
             pb = machines[p].on_send(dest)
             in_flight[name] = (pb, p, counts[p])
@@ -300,11 +298,7 @@ def run_scenario(scenario: Scenario, protocol: str) -> AnnotatedTrace:
                 rec = checkpoints[(p, x)] = new(CheckpointRecord, (p, x, CKPT_FORCED, t))
                 forced.append(new(ForcedEvent, (idx, p, name, decision, rec, pb)))
             delivered[name] = (sp, si, p, counts[p])
-
-    ckpt_counts = {p: counts[p] for p in range(1, n + 1)}
-    trace = Trace._from_run(n, scenario.steps, [f.step_index for f in forced],
-                            checkpoints, ckpt_counts, delivered)
-    return AnnotatedTrace(scenario, protocol, trace, forced, piggybacks)
+    return machines, checkpoints, counts, delivered, forced, piggybacks
 
 
 class CompareRow(namedtuple("CompareRow", "protocol forced checkpoints useless violations")):

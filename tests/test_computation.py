@@ -124,11 +124,15 @@ NOT_ONE_TOKEN = "message name ['x'] is not one token without '#'"
     ([None], ["event #0: NoneType is not an Event"]),
     ("ab", ["event #0: str is not an Event"]),
     ([initial_events(2)[0], tuple(initial_events(2)[1])], ["event #1: tuple is not an Event"]),
+    # An events argument that is not iterable once raised a bare TypeError.
+    (None, ["events NoneType is not iterable"]),
+    (5, ["events int is not iterable"]),
 ], ids=["float-process", "str-process", "bool-process",
         "unhashable-send", "unhashable-recv", "str-timestamp", "float-timestamp",
         "bool-timestamp", "zero-timestamp", "float-checkpoint-ordinal",
         "float-record-process", "no-record", "virtual-terminal", "late-initial",
-        "basic-initial", "none-item", "str-items", "plain-tuple-item"])
+        "basic-initial", "none-item", "str-items", "plain-tuple-item",
+        "none-events", "int-events"])
 def test_wrongly_typed_input_is_one_problem(events, expected):
     # Each list has one wrong field, and it is reported once.
     assert problems(2, events) == expected

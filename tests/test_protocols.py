@@ -127,6 +127,16 @@ def test_unknown_protocol():
         make_protocol("who", 3, 1)
 
 
+@pytest.mark.parametrize("n, i, problem", [
+    (True, True, "'n' True"), ("3", 1, "'n' '3'"), (3, 1.0, "'i' 1.0"), (3.0, 1, "'n' 3.0"),
+], ids=["bools", "str-n", "float-i", "float-n"])
+def test_process_count_and_id_must_be_ints(n, i, problem):
+    # The bools once built a machine; the others raised a bare TypeError.
+    with pytest.raises(ProtocolError) as err:
+        make_protocol("fi", n, i)
+    assert str(err.value) == f"{problem} is not an int"
+
+
 # -- take_checkpoint --------------------------------------------------------
 
 

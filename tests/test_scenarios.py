@@ -1,5 +1,8 @@
 import hashlib
+import inspect
 import math
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,10 +156,34 @@ def test_fixture_library_digest_is_pinned():
             name, builtin_description(name), serialize_scenario(scen),
             [(c.kind, c.protocol, c.expect, c.note) for c in claims],
         )).encode())
-    assert (len(FIXTURE_NAMES), total) == (19, 134)
+    assert (len(FIXTURE_NAMES), total) == (19, 111)
     assert sha.hexdigest() == (
-        "0ea8bb0cb446048b86cb9c6bc83c1918a7f55e9dfcb8ed4ddaab50ea5ed42442"
+        "ee0c26cfdf47b7c63b4d467acfae6143e26978141ad362bc2b97b3c78691abcb"
     )
+
+
+def test_each_fact_is_stated_once():
+    # _eval_claim accepts exactly the kinds the built-ins use, and a run's
+    # forced sites, its useless set and each checkpoint's Z-cycle witnesses
+    # are each stated by at most one claim.
+    accepted = set(re.findall(r'kind == "(\w+)"', inspect.getsource(_eval_claim)))
+    assert accepted == {"forced", "timestamp", "message_t", "interval", "zigzag",
+                        "z_cycles", "useless", "violation", "clean", "consistent"}
+    used, statements = set(), Counter()
+    for name in FIXTURE_NAMES:
+        for c in builtin(name)[1]:
+            used.add(c.kind)
+            if c.kind in ("forced", "useless"):
+                statements[name, c.protocol, c.kind] += 1
+            elif c.kind == "z_cycles":
+                statements[name, c.protocol, c.kind, c.expect[0]] += 1
+    assert used == accepted
+    assert [fact for fact, count in statements.items() if count > 1] == []
+    scen, _ = builtin("strict-a")
+    run = run_scenario(scen, "pi")
+    for old in ("forced_total", "forced_at", "not_forced_at", "z_cycle", "z_cycles_exact"):
+        with pytest.raises(ValueError, match="unknown claim kind"):
+            _eval_claim(FixtureClaim(old, "pi", ()), scen, run, None)
 
 
 def test_interval_claim_reads_the_receive_interval():
