@@ -333,6 +333,22 @@ class _ZigzagIndex:
         front, so the candidate heap yields the chains in exactly that
         order.
 
+        No table of the next hops taken per root is kept, by an argument
+        on the deviation position.  A spur stands for the chains that
+        start with its root, go on with a message of its first mask and
+        avoid the root.  These sets are disjoint, and with the accepted
+        chains they hold every simple chain: at first one set holds them
+        all, and accepting C, the best chain of the set of a spur at v0
+        (C's deviation position), splits the rest of that set into C's
+        spurs.  At v0 that is the same root, with C[v0] taken out of the
+        first mask; at each v past v0 it is the root C[:v], with the
+        successors of C[v - 1] less C[v] and the root.  Every chain that
+        starts with C[:v0 + 1] lay in the set that C came from, so a root
+        past v0 is new to the search: no accepted chain and no other spur
+        starts with it, and C's own next hop is the only one it has taken.
+        So a candidate carries the first mask of its spur, which the spur
+        at v0 narrows, and no chain is found twice.
+
         Spurs are resolved lazily.  When it is made, a spur records its
         first and root masks and goes on the heap under the key
         (v + d + 1, root), where d is the first cached layer of the sink
@@ -366,29 +382,24 @@ class _ZigzagIndex:
         adj = self.adj
         push, pop = heapq.heappush, heapq.heappop
         out: list[tuple[int, ...]] = []
-        hops: dict[tuple[int, ...], int] = {}  # root -> mask of next hops taken
-        queued = {best}
-        # (key length, key chain, v, first, avoid): a candidate chain, with
-        # first 0, or a spur, whose key chain is its root and whose first
-        # meets a layer; avoid masks the root, the first v messages of the
-        # chain.
-        heap = [(len(best), best, 0, 0, 0)]
+        # (key length, key chain, v, first, avoid): a spur, whose key chain
+        # is its root, of length v, or a candidate chain, longer than v,
+        # with the first mask of the spur it came from.  A spur's first
+        # meets a layer; avoid masks the root, the first v messages.
+        heap = [(len(best), best, 0, start, 0)]
         waiting = 1  # candidate chains on the heap
         while heap:
             ln, chain, v, first, avoid = pop(heap)
-            if first:
+            if len(chain) == v:  # a spur
                 suffix = self._walk(first, layers, ln - v - 1, avoid)
                 if len(suffix) < ln - v:
                     suffix = self._chain(first, ~avoid, end)
                     if suffix is None:
                         continue
                 chain += suffix
-                if chain in queued:
-                    continue
-                queued.add(chain)
                 ln = len(chain)
                 if heap and heap[0] < (ln, chain):
-                    push(heap, (ln, chain, v, 0, avoid))
+                    push(heap, (ln, chain, v, first, avoid))
                     waiting += 1
                     continue
                 # Below every key on the heap: the next chain, accepted now.
@@ -400,19 +411,26 @@ class _ZigzagIndex:
             if len(out) == cap and waiting:
                 # A waiting candidate is a further simple chain.
                 return out, True
-            for v in range(v, ln + 1):
+            # succ: the next hops still open after the root chain[:v], the
+            # chain's own next message among them, so succ ^ hop drops it.
+            succ = first
+            while True:
                 # A spur never stops at its root: a root that reaches dst
                 # is a shorter chain, accepted already.
-                root = chain[:v]
                 hop = 1 << chain[v] if v < ln else 0  # 0: the sink
-                hops[root] = taken = hops.get(root, 0) | hop
-                first = (adj[chain[v - 1]] if v else start) & ~(taken | avoid)
+                first = succ ^ hop
                 if first:
-                    for d, layer in enumerate(layers):
+                    d = v + 1
+                    for layer in layers:
                         if layer & first:
-                            push(heap, (v + d + 1, root, v, first, avoid))
+                            push(heap, (d, chain[:v], v, first, avoid))
                             break
+                        d += 1
+                if not hop:
+                    break
                 avoid |= hop
+                succ = adj[chain[v]] & ~avoid
+                v += 1
         return out, False
 
 
@@ -619,24 +637,25 @@ def _timestamp_groups(idx: _ZigzagIndex) -> list[list[int]]:
 
 
 def _violating_pairs(idx: _ZigzagIndex):
-    """Yield (a, b) in checkpoint order for every pair connected by a
-    zigzag path a -> b with a.timestamp >= b.timestamp.
+    """Yield the bits (a, b) in checkpoint order for every pair of
+    checkpoints connected by a zigzag path a -> b with a.timestamp >=
+    b.timestamp; ``idx.recs`` maps a bit to its record.
 
     The targets of a are the set bits of ``zz[a] & below(t(a))`` (module
     docstring), taken lowest first; the bits are process-major, so that is
     checkpoint order.  Raises ValueError, before any pair, for a
     checkpoint without a timestamp."""
-    zz, recs = idx.zz, idx.recs
+    zz = idx.zz
     hits, below = {}, 0
     for group in _timestamp_groups(idx):
         for a in group:
             below |= 1 << a
         hits.update((a, zz[a] & below) for a in group)
     for a in sorted(hits):
-        hit, src = hits[a], recs[a]
+        hit = hits[a]
         while hit:
             low = hit & -hit
-            yield src, recs[low.bit_length() - 1]
+            yield a, low.bit_length() - 1
             hit ^= low
 
 
@@ -651,16 +670,15 @@ def check_z_consistency(
     mask and target end mask share one chain search and one chain.
     """
     idx = _index(trace)
-    base = idx.base
+    recs, start, got = idx.recs, idx.start, idx.got
     found = {}  # (start mask, end mask) -> names
     violations = []
     for a, b in _violating_pairs(idx):
-        u, v = base[a.process] + a.ordinal, base[b.process] + b.ordinal
-        key = idx.start[u], idx.got[v - 1]
+        key = start[a], got[b - 1]
         shared = found.get(key)
         if shared is None:
-            shared = found[key] = idx._named(idx._shortest(u, v))
-        violations.append((a, b, shared))
+            shared = found[key] = idx._named(idx._shortest(a, b))
+        violations.append((recs[a], recs[b], shared))
     return violations
 
 

@@ -134,6 +134,8 @@ class Piggyback:
         """Present fields as lists with the index-0 placeholder stripped;
         masks render as bools."""
         out = {"t": self.t}
+        if not self.field_set:  # a bare clock, as every `none` payload
+            return out
         for name in _VECTOR_FIELDS:
             vec = getattr(self, name)
             if vec is None:

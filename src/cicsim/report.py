@@ -25,19 +25,19 @@ each has the first item's keys; a lone dict is a table of one row, so
 there is one dict writer.  The plan is exact because rows with one key
 set share their sorted key order and key texts, so only the values
 differ, and each value is still tested against its writer's type (exact
-``str``, exact ``int``, ``bool``, an all-int pair, a non-empty all-int or
-all-``str`` list) and written by the generic branch when the test fails:
+``str``, exact ``int``, ``bool``, a non-empty all-int or all-``str``
+list) and written by the generic branch when the test fails:
 a row whose value differs in type from the first row's is written as
 ``json.dumps`` writes it.  The writer fills the table column by column;
 row by row, with one writer call per value, measured slower.
 
-A run report repeats a few checkpoints many times: each Z-cycle entry names
-its checkpoint and its witness's ends as ``[process, ordinal]`` pairs, so an
-unprotected 100-event report writes about 900 pairs but only about 14
-distinct ones.  The pair column's writer keeps the text of each pair it has
-written, keyed by depth (the text carries its indentation) and the two
-ints, for the length of one ``to_json`` call, and reuses it for every later
-occurrence; a hit costs a dict lookup instead of formatting the pair.
+A run report repeats a few checkpoints and chains many times: an
+unprotected 100-event report writes about 900 ``[process, ordinal]`` pairs
+but only about 14 distinct ones, and many witnesses recur.  So
+``run_report`` puts one list object per checkpoint and per distinct chain
+in every row that names it, and each repeated list object is written once
+per column: a repeat of the value before reuses its text, and any other
+repeat reads it by ``id`` from a map that lives for that column.
 """
 
 from __future__ import annotations
@@ -56,9 +56,17 @@ def scenario_hash(text: str) -> str:
 
 def run_report(run: AnnotatedTrace, oracle_report: OracleReport, scenario_text: str,
                scenario_id: str | None = None) -> dict:
+    """The report of ``run`` and of ``oracle_report``, the oracle's report
+    on ``run.trace``.  Rows share their list values (module docstring), so
+    treat the report as read-only."""
     per_process = [{"process": p, "checkpoints": []} for p in range(1, run.scenario.n + 1)]
     for (p, _), (_, ordinal, kind, t) in sorted(run.trace.checkpoints.items()):
         per_process[p - 1]["checkpoints"].append({"ordinal": ordinal, "kind": kind, "t": t})
+    at = {rec: [p, x] for (p, x), rec in run.trace.checkpoints.items()}
+    cycles = oracle_report.z_cycles
+    chain = {names: list(names) for _, chains, _ in cycles for names in chains}
+    chain.update((names, list(names)) for _, _, names in oracle_report.violations)
+    useless = [at[rec] for rec, _, _ in cycles]
     forced = [
         {
             "step": f.step_index,
@@ -92,33 +100,33 @@ def run_report(run: AnnotatedTrace, oracle_report: OracleReport, scenario_text: 
             # causal chain puts its first send before its last receive.
             "z_cycles": [
                 {
-                    "checkpoint": [p, x],
-                    "from": [p, x],
-                    "to": [p, x],
-                    "messages": list(names),
+                    "checkpoint": pair,
+                    "from": pair,
+                    "to": pair,
+                    "messages": chain[names],
                     "causal": False,
                 }
-                for (p, x, _, _), chains, _ in oracle_report.z_cycles
+                for pair, (_, chains, _) in zip(useless, cycles)
                 for names in chains
             ],
             # The entries are in checkpoint order, so this is sorted.
-            "useless": [[p, x] for (p, x, _, _), _, _ in oracle_report.z_cycles],
+            "useless": useless,
             "violations": [
                 {
-                    "from": [ap, ax],
-                    "from_t": at,
-                    "to": [bp, bx],
-                    "to_t": bt,
-                    "messages": list(names),
+                    "from": at[a],
+                    "from_t": a.timestamp,
+                    "to": at[b],
+                    "to_t": b.timestamp,
+                    "messages": chain[names],
                 }
-                for (ap, ax, _, at), (bp, bx, _, bt), names in oracle_report.violations
+                for a, b, names in oracle_report.violations
             ],
             "stats": dict(oracle_report.stats),
         },
         "summary": {
             "forced": run.forced_count,
             "total_checkpoints": run.checkpoint_total,
-            "useless": len(oracle_report.z_cycles),
+            "useless": len(cycles),
             "violations": len(oracle_report.violations),
             "z_consistent": not oracle_report.violations,
         },
@@ -133,13 +141,10 @@ def to_json(obj) -> str:
 
     Dict keys must be ``str`` (a report has no other kind); any other key
     raises TypeError.  Lists of same-keyed dicts are written as tables,
-    from one plan per list (see the module docstring).  Each distinct
-    ``[int, int]`` value at a given depth in a column of such pairs (a
-    checkpoint's ``[process, ordinal]``) is formatted once per call and its
-    text reused; only exact ``int`` items qualify, so a pair holding a bool
-    or an int subclass is written the generic way.
+    from one plan per list, and a list object that recurs in a column of
+    such a table is written once (see the module docstring).
     """
-    return _encode(obj, 0, {}) + "\n"
+    return _encode(obj, 0) + "\n"
 
 
 class _Indents(dict):
@@ -157,10 +162,8 @@ _INTS = frozenset([int])  # exact types, so a bool is not an int here
 _STRS = frozenset([str])
 
 
-def _encode(v, depth: int, pairs: dict) -> str:
-    """``v`` as JSON, written as the value of a line at ``depth``; ``pairs``
-    memoizes the text of each ``[int, int]`` table value by its depth and
-    items."""
+def _encode(v, depth: int) -> str:
+    """``v`` as JSON, written as the value of a line at ``depth``."""
     t = type(v)
     if t is str:
         return _escape(v)
@@ -177,14 +180,14 @@ def _encode(v, depth: int, pairs: dict) -> str:
         elif _STRS.issuperset(map(type, v)):
             body = sep.join(map(_escape, v))
         elif _is_table(v):
-            body = sep.join(_rows(v, depth + 1, pairs))
+            body = sep.join(_rows(v, depth + 1))
         else:
             depth += 1
-            body = sep.join([_encode(x, depth, pairs) for x in v])
+            body = sep.join([_encode(x, depth) for x in v])
         return f"[{item}{body}{close}]"
     if isinstance(v, dict):
         # A lone dict is a table of one row.
-        return _rows((v,), depth, pairs)[0] if v else "{}"
+        return _rows((v,), depth)[0] if v else "{}"
     if v is True:
         return "true"
     if v is False:
@@ -208,7 +211,7 @@ def _is_table(v) -> bool:
     return True
 
 
-def _rows(rows, depth: int, pairs: dict) -> list[str]:
+def _rows(rows, depth: int) -> list[str]:
     """The text of each dict in ``rows`` (non-empty dicts with one key set),
     written at ``depth``, from one plan: the sorted keys, one row template
     holding every key's text, and one value writer per key."""
@@ -223,47 +226,39 @@ def _rows(rows, depth: int, pairs: dict) -> list[str]:
         close, "}",
     ])
     depth += 1
-    columns = [_column([r[k] for r in rows], first[k], depth, pairs) for k in keys]
+    columns = [_column([r[k] for r in rows], first[k], depth) for k in keys]
     return [template % values for values in zip(*columns)]
 
 
-def _column(col: list, guess, depth: int, pairs: dict) -> list[str]:
+def _column(col: list, guess, depth: int) -> list[str]:
     """The text of each value in ``col``, written at ``depth``.  The writer
     is chosen by the type of ``guess`` (the first row's value), but every
     value is tested against it and written by ``_encode`` if it fails, so a
     value's text never depends on another row's."""
     t = type(guess)
     if t is str:
-        return [_escape(x) if type(x) is str else _encode(x, depth, pairs) for x in col]
+        return [_escape(x) if type(x) is str else _encode(x, depth) for x in col]
     if t is int:
-        return [int.__repr__(x) if type(x) is int else _encode(x, depth, pairs) for x in col]
+        return [int.__repr__(x) if type(x) is int else _encode(x, depth) for x in col]
     if t is bool:
-        return ["true" if x is True else "false" if x is False else _encode(x, depth, pairs)
+        return ["true" if x is True else "false" if x is False else _encode(x, depth)
                 for x in col]
-    if t is not list or not guess:
-        return [_encode(x, depth, pairs) for x in col]
+    if t is not list:
+        return [_encode(x, depth) for x in col]
     close, item, sep = _INDENTS[depth]
-    t = type(guess[0])
-    if t is int and len(guess) == 2 and type(guess[1]) is int:
-        # [process, ordinal] pairs: the same few recur hundreds of times in
-        # a report, so each is written once per depth.
-        out = []
-        for x in col:
-            if type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
-                key = (depth, x[0], x[1])
-                text = pairs.get(key)
-                if text is None:
-                    text = pairs[key] = f"[{item}{sep.join(map(int.__repr__, x))}{close}]"
-            else:
-                text = _encode(x, depth, pairs)
-            out.append(text)
-        return out
-    if t is int:
-        return [f"[{item}{sep.join(map(int.__repr__, x))}{close}]"
-                if type(x) is list and x and _INTS.issuperset(map(type, x))
-                else _encode(x, depth, pairs) for x in col]
-    if t is str:
-        return [f"[{item}{sep.join(map(_escape, x))}{close}]"
-                if type(x) is list and x and _STRS.issuperset(map(type, x))
-                else _encode(x, depth, pairs) for x in col]
-    return [_encode(x, depth, pairs) for x in col]
+    kinds, fmt = (_STRS, _escape) if guess and type(guess[0]) is str else (_INTS, int.__repr__)
+    # Each list object once (module docstring); every value stays alive in
+    # col, so no two of them share an id.
+    out, texts = [], {}
+    last, text = texts, ""  # texts is no value of col
+    for x in col:
+        if x is not last:
+            last = x
+            text = texts.get(id(x))
+            if text is None:
+                text = texts[id(x)] = (
+                    f"[{item}{sep.join(map(fmt, x))}{close}]"
+                    if type(x) is list and x and kinds.issuperset(map(type, x))
+                    else _encode(x, depth))
+        out.append(text)
+    return out

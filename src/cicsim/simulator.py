@@ -352,16 +352,18 @@ def amplify_violation(scenario: Scenario, protocol: str) -> AmplifyResult | None
     with the base run's forced list, so neither run builds an Event.
     """
     base = run_scenario(scenario, protocol)
-    # Only the chosen pair needs a witness, so the pairs come bare.
+    # Only the chosen pair needs a witness, so the pairs come bare, as
+    # bits; bit order is (process, ordinal) order.
+    index = oracle._index(base.trace)
+    recs = index.recs
     pair = min(
-        ((a, b) for a, b in oracle._violating_pairs(oracle._index(base.trace))
-         if a.process != b.process),
-        key=lambda v: (v[1].process, v[1].ordinal, v[0].process, v[0].ordinal),
+        ((b, a) for a, b in oracle._violating_pairs(index)
+         if recs[a].process != recs[b].process),
         default=None,
     )
     if pair is None:
         return None
-    src, dst = pair
+    dst, src = recs[pair[0]], recs[pair[1]]
 
     # The step that made the target checkpoint: on its process, each
     # 'ckpt' step and each receive in the run's forced list made one

@@ -377,6 +377,16 @@ def test_consistency_is_pairwise_causal_independence():
         odd = [CheckpointRecord(p, x), c[2, 2], c[3, 2]]
         with pytest.raises(ValueError, match="not in trace"):
             is_consistent_global_checkpoint(odd, fresh)
+    for records, problem in (
+        ([c[1, 2], c[2, 2]], "need exactly one checkpoint per process"),
+        ([c[1, 2], c[2, 2], c[3, 2], CheckpointRecord(4, 1)],
+         "need exactly one checkpoint per process"),
+        ([c[1, 2], c[2, 2], CheckpointRecord(3, 9)], "checkpoint C_3^9 not in trace"),
+        ([c[1, 2], c[2, 2], c[2, 1]], "duplicate process in global checkpoint"),
+    ):
+        with pytest.raises(ValueError) as err:
+            is_consistent_global_checkpoint(records, fresh)
+        assert str(err.value) == problem
     selections = consistent = 0
     for label, trace in selection_traces():
         precedes = happened_before(trace.events)

@@ -393,6 +393,7 @@ def test_lazy_witness_search_matches_eager_yen_on_dense_traces():
                 truncated += got[1]
         entries = []
         for a, b in oracle._violating_pairs(idx):
+            a, b = idx.recs[a], idx.recs[b]
             want = idx._chain(idx.start_mask(a.key()), -1, idx.end_mask(b.key()))
             chain = zigzag_exists(a, b, trace)
             assert chain == tuple(idx.names[j] for j in want), (
@@ -707,8 +708,9 @@ def test_violation_scan_matches_all_pairs_reference():
         ckpt(1, 1, 1, 4), ckpt(2, 1, 1, 1), ckpt(1, 2, 2, 2), Event(1, 3, EV_SEND, "m1", dest=2),
         Event(2, 2, EV_RECV, "m1"), ckpt(2, 3, 2, 9), ckpt(2, 4, 3, 3), ckpt(2, 5, 4, 4),
     ])
-    pairs = oracle._violating_pairs(oracle._index(hand))
-    assert [(a.key(), b.key()) for a, b in pairs] == [((1, 1), (2, 3)), ((1, 1), (2, 4))]
+    idx = oracle._index(hand)
+    keys = [(idx.recs[a].key(), idx.recs[b].key()) for a, b in oracle._violating_pairs(idx)]
+    assert keys == [((1, 1), (2, 3)), ((1, 1), (2, 4))]
     traces = [hand]
     for seed in range(60):
         scen = random_scenario(FuzzParams(n=3 + seed % 4, events=30 + seed * 7 % 150,
@@ -718,7 +720,8 @@ def test_violation_scan_matches_all_pairs_reference():
             traces += [trace, restamped(trace, seed)]
     found = 0
     for trace in traces:
-        got = list(oracle._violating_pairs(oracle._index(trace)))
+        idx = oracle._index(trace)
+        got = [(idx.recs[a], idx.recs[b]) for a, b in oracle._violating_pairs(idx)]
         assert got == list(reference_violating_pairs(rounds_reach(trace),
                                                      sorted_checkpoints(trace)))
         # No target is initial, which amplify_violation relies on.

@@ -137,6 +137,13 @@ def test_process_count_and_id_must_be_ints(n, i, problem):
     assert str(err.value) == f"{problem} is not an int"
 
 
+@pytest.mark.parametrize("i", [0, 4])
+def test_process_id_must_lie_in_range(i):
+    with pytest.raises(ProtocolError) as err:
+        make_protocol("pi", 3, i)
+    assert str(err.value) == f"process {i} out of range 1..3"
+
+
 # -- take_checkpoint --------------------------------------------------------
 
 

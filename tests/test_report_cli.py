@@ -159,6 +159,49 @@ def test_to_json_writes_same_keyed_rows_as_the_stdlib(tree):
     assert to_json(tree) == _stdlib_json(tree)
 
 
+def _shared_list_trees():
+    pair, other, flagged, mixed = [1, 2], [3, 4], [1, True], ["x", 1]
+    chain, nested = ["m1", "m2"], [[1, 2], [3]]
+    return {
+        # Equal lists that are distinct objects, and one object in turn
+        # with another, never next to itself.
+        "equal-distinct": [{"p": [1, 2]}, {"p": [1, 2]}, {"p": [1, 2]}],
+        "alternating": [{"p": pair}, {"p": other}, {"p": pair}, {"p": other}],
+        # One object in two tables at different depths, and in two columns.
+        "two-depths": {"a": [{"p": pair}, {"p": pair}],
+                       "b": [[{"p": pair, "q": pair}, {"p": other, "q": pair}]]},
+        # A shared list whose items do not fit the column's writer, next to
+        # equal-looking lists that do.
+        "bool-item": [{"p": [1, 2]}, {"p": flagged}, {"p": flagged}, {"p": [1, 1]},
+                      {"p": flagged}],
+        "non-str-item": [{"m": ["x"]}, {"m": mixed}, {"m": ["x", "1"]}, {"m": mixed}],
+        "first-is-odd": [{"p": flagged}, {"p": flagged}, {"p": pair}, {"p": pair}],
+        "nested-and-empty": [{"p": nested}, {"p": []}, {"p": nested}, {"p": []}],
+        "messages": [{"messages": chain, "from": pair}, {"messages": ["m1"], "from": pair},
+                     {"messages": chain, "from": other}],
+    }
+
+
+@pytest.mark.parametrize("name", list(_shared_list_trees()))
+def test_to_json_writes_shared_list_objects_as_the_stdlib(name):
+    # Rows of a run report share list objects, and a column writes each
+    # object once; the text of one object is never written for another.
+    tree = _shared_list_trees()[name]
+    assert to_json(tree) == _stdlib_json(tree)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_to_json_writes_rows_drawn_from_shared_objects_as_the_stdlib(data):
+    pool = data.draw(st.lists(st.sampled_from(_column_values).flatmap(lambda s: s),
+                              min_size=1, max_size=4))
+    picks = st.sampled_from(pool)
+    rows = [{"a": data.draw(picks), "b": data.draw(picks)}
+            for _ in range(data.draw(st.integers(min_value=1, max_value=8)))]
+    tree = data.draw(st.sampled_from([rows, {"rows": rows, "t": [rows]}]))
+    assert to_json(tree) == _stdlib_json(tree)
+
+
 def test_to_json_matches_the_stdlib_encoder_on_unprotected_run_reports():
     # The report-none benchmark's shape: 100 events, n=6, no protocol, so
     # the same [process, ordinal] pairs recur across many Z-cycle entries.
@@ -486,6 +529,8 @@ def test_cli_fuzz_asymmetric_rates_flag(capsys):
 
 
 @pytest.mark.parametrize("flags", [
+    ["--procs", "x"],
+    ["--procs", "3-x"],
     ["--procs", "1"],
     ["--procs", "0-2"],
     ["--procs", "5-3"],

@@ -6,6 +6,7 @@ as documented."""
 import ast
 import importlib
 import pkgutil
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -61,6 +62,15 @@ def test_package_tuple_types_keep_no_instance_dict():
             and obj.__module__ == module.__name__ and obj.__dictoffset__ != 0
         ]
     assert with_dict == []
+
+
+def test_readme_names_the_latest_benchmark_record():
+    # Each speed change commits a BENCH_N.json and points the README's
+    # Benchmark section at it; the highest N is the latest record.
+    text = (ROOT / "README.md").read_text()
+    named = re.findall(r"The\s+latest\s+recorded\s+run\s+is\s+`(BENCH_\d+\.json)`", text)
+    latest = max(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    assert named == [latest.name]
 
 
 def test_readme_library_example_prints_what_its_comments_say(capsys):

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cicsim import scenarios
 from cicsim.computation import Trace
 from cicsim.rng import SplitMix64
 from cicsim.scenarios import (
@@ -40,6 +41,13 @@ def test_parse_minimal():
 def test_parse_comments_and_blanks():
     s = parse_scenario("# header\n\nprocs 2\nsend 1 2 m1   # fire\nrecv 2 m1\n")
     assert len(s.steps) == 2
+
+
+@pytest.mark.parametrize("text", ["", "\n", "# only a comment\n"])
+def test_empty_scenario_text_is_refused(text):
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert err.value.errors == [(0, "empty scenario text")]
 
 
 def test_receive_without_send_is_line_numbered():
@@ -132,6 +140,26 @@ def test_unknown_builtin_lists_registry():
 def test_fixture_claims_hold(name):
     failures = verify_fixture(name)
     assert not failures, "\n".join(failures)
+
+
+def test_verify_fixture_names_each_failed_claim(monkeypatch):
+    # A false zigzag claim (no path, or another witness) and a claim whose
+    # check raises each give one failure text, with the claim's note.
+    scen = builtin("ccp")[0]
+    claims = [
+        FixtureClaim("zigzag", "none", ((3, 3), (1, 1), None), "no path"),
+        FixtureClaim("zigzag", "none", ((1, 2), (3, 3), ("m3", "m4"))),
+        FixtureClaim("zigzag", "none", ((1, 2), (3, 3), ("m4", "m3"))),
+        FixtureClaim("zigzag", "none", ((9, 1), (3, 3), None), "no such checkpoint"),
+    ]
+    monkeypatch.setattr(scenarios, "builtin", lambda name: (scen, claims))
+    assert verify_fixture("ccp") == [
+        "ccp [none] zigzag((3, 3), (1, 1), None): no zigzag path found (no path)",
+        "ccp [none] zigzag((1, 2), (3, 3), ('m3', 'm4')): witness ['m4', 'm3'], "
+        "expected ['m3', 'm4']",
+        "ccp [none] zigzag((9, 1), (3, 3), None): raised KeyError((9, 1)) "
+        "(no such checkpoint)",
+    ]
 
 
 def test_fixture_verification_builds_no_events(events_made):
@@ -386,6 +414,17 @@ _GENERATED = {
         )
         for s in _EDGE_SEEDS
     ],
+    # Send rates so low that messages are still in flight when the 8 x
+    # events draws run out, so the generator's final drain loop delivers
+    # them.  Ten of the 400 low-rate draws drain one message; each of the
+    # last four drains two, so its draw order shows.
+    "drain": lambda: [
+        *(FuzzParams(n=3, events=20, p_ckpt=0.0, p_send=p_send, max_in_flight=8, seed=s)
+          for p_send in (0.01, 0.02) for s in range(200)),
+        *(FuzzParams(n=3, events=events, p_ckpt=0.0, p_send=p_send, max_in_flight=8, seed=s)
+          for events, p_send, s in ((4, 0.05, 507), (6, 0.02, 156), (10, 0.1, 399),
+                                    (20, 0.1, 280))),
+    ],
 }
 
 
@@ -394,6 +433,7 @@ _GENERATED = {
     ("long-safe", "f370b5c41ebe51f53a7fb965a45c80598784caa51b11d18299684cb9b254db43"),
     ("report-none", "f908889596b117fbd9e25a8a0c1d14662716d12aa3619175f17ef2ea821245b4"),
     ("edges", "c2f41ba3ae012712db787b6423f01010de9a0cc8f0a33173d6698c1e22156c06"),
+    ("drain", "446d4ed5cbcd4dd438a15c3f13510f49b19ff26a85a503e639dba2abd1a41e84"),
 ])
 def test_generated_scenarios_are_pinned(shape, digest):
     # One SHA-256 over the text of every scenario of the shape, in seed
