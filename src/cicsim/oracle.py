@@ -440,10 +440,13 @@ def _zigzag_masks(counts, delivered):
     of the interval graph (module docstring).
 
     Node base[p] + x is interval x of P_p, and its program edge goes to the
-    next node.  edges[u] holds (v, unit) for each message that P_p sends in
-    interval u, received at node v, with its unit, and is None for an
-    interval that sends nothing.  Slots 0 and cnt+1 of each process are
-    emitted nodes without edges whose mask is 0.
+    next node.  edges[u] holds the receive node v of each message that P_p
+    sends in interval u, and is None for an interval that sends nothing.
+    tops[v] is the bit above the virtual terminal of v's process, one int
+    shared by all its nodes, so the message's unit, the bits above v up to
+    that terminal, is tops[v] - (2 << v), computed where the edge is read:
+    a unit kept per node would hold V ints of V bits.  Slots 0 and cnt+1
+    of each process are emitted nodes without edges whose mask is 0.
 
     Tarjan's algorithm (SIAM J. Computing, 1972) runs iteratively, so no
     trace is too long for it, in Pearce's single-array form (IPL 116(1),
@@ -456,11 +459,11 @@ def _zigzag_masks(counts, delivered):
     the masks outside one are final and only its members have none; its
     mask is the OR of the units of its message edges and of the masks of
     the edges that leave it, one int for all its members."""
-    base, top, size = {}, {}, 0
+    base, tops, size = {}, [], 0
     for p, cnt in counts.items():
         base[p] = size
         size += cnt + 2
-        top[p] = 1 << size  # above the bit of P_p's virtual terminal
+        tops += [1 << size] * (cnt + 2)
     done = size + 1
     zz = [None] * size
     rank = [0] * size
@@ -473,7 +476,7 @@ def _zigzag_masks(counts, delivered):
         u, v = base[sp] + si, base[rp] + ri
         if edges[u] is None:
             edges[u] = []
-        edges[u].append((v, top[rp] - (2 << v)))  # the bits above v
+        edges[u].append(v)
 
     stack: list[int] = []  # finished non-roots
     calls = []  # (node, its message edges not yet followed or None, its index)
@@ -499,7 +502,7 @@ def _zigzag_masks(counts, delivered):
                 v = None
             u, out, num = calls[-1]
             if out is not None:
-                for x, _ in out:
+                for x in out:
                     if not rank[x]:
                         v = x
                         break
@@ -517,8 +520,8 @@ def _zigzag_masks(counts, delivered):
             if not stack or rank[stack[-1]] < num:  # u alone
                 mask = zz[u + 1]
                 if out is not None:
-                    for x, unit in edges[u]:
-                        mask |= unit | zz[x]
+                    for x in edges[u]:
+                        mask |= tops[x] - (2 << x) | zz[x]
                 zz[u] = mask
                 rank[u] = done
             else:
@@ -530,8 +533,9 @@ def _zigzag_masks(counts, delivered):
                     got = zz[w + 1]  # None when w + 1 is a member
                     if got and got is not mask:
                         mask = mask | got if mask else got
-                    for x, unit in edges[w] or ():
+                    for x in edges[w] or ():
                         got = zz[x]
+                        unit = tops[x] - (2 << x)
                         mask |= unit if got is None else unit | got
                 for w in members:
                     zz[w] = mask

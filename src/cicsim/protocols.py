@@ -1,16 +1,18 @@
 """Index-based communication-induced checkpointing protocols.
 
-Each protocol is a per-process state machine on one skeleton,
-BaseProtocol: taking a checkpoint (returns its timestamp), sending
-(returns the control payload to piggyback), and receiving (evaluates the
-checkpoint-inducing conditions on the pre-update state, possibly forces a
-checkpoint, then applies the update rules and delivers).  It decides
-timestamps and forcing only; the run numbers the checkpoints.  A protocol
-is only what it plugs into that skeleton: its first and second
-conditions (``_c1``/``_c2``, bound to the ``eval_c_*`` predicates below),
-the vectors it piggybacks (``payload_fields``, built by ``_payload``), its
-update rules (``_update``), and its checkpoint rule (``take_checkpoint``,
-one override per family).  The shared clock discipline: the clock is
+Each protocol is a per-process state machine with three entry points:
+taking a checkpoint (returns its timestamp), sending (returns the control
+payload to piggyback), and receiving (evaluates the checkpoint-inducing
+conditions on the pre-update state, possibly forces a checkpoint, then
+applies the update rules and delivers).  It decides timestamps and
+forcing only; the run numbers the checkpoints.  As the source paper gives
+each protocol, a family states each rule as one method,
+``take_checkpoint``, ``on_send`` and ``on_receive`` (BaseProtocol's are
+``none``'s), next to the vectors it piggybacks (``payload_fields``).  Its
+first and second conditions, ``_c1``/``_c2``, bound to the ``eval_c_*``
+predicates below, are its only hooks: the receive rule asks them, so a
+protocol that differs from its family in a condition alone, as fine
+does, overrides nothing else.  The shared clock discipline: the clock is
 incremented before a checkpoint is saved and the checkpoint is stamped
 with the new value (the lazy protocols skip the increment unless a
 receive asked for it); sends piggyback the clock; receives raise the
@@ -161,7 +163,7 @@ _new_payload = object.__new__
 
 def _sent_payload(t, n, clockv, greater, equal_incr, ckptv, taken, field_set) -> Piggyback:
     """A Piggyback with every slot given, built without the constructor's
-    checks: a sender's ``_payload`` sized the vectors itself (copied into
+    checks: a sender's ``on_send`` sized the vectors itself (copied into
     tuples) and knows its class's ``_field_set``."""
     pb = _new_payload(Piggyback)
     pb.t = t
@@ -279,21 +281,25 @@ def eval_c_lazyfine1_ri(state, m: Piggyback) -> bool:
 
 
 class BaseProtocol:
-    """The lifecycle every protocol shares; a subclass declares only:
+    """The lifecycle every protocol shares; a family declares:
 
-    * ``_c1``/``_c2``: the first and second checkpoint-inducing conditions,
-      an ``eval_c_*`` predicate bound as a method (default: never fires);
-    * ``payload_fields``: the vectors it piggybacks next to the clock, and
-      ``_payload``, which builds that Piggyback from the state;
-    * ``state_fields``: the state ``snapshot()`` renders next to ``lc``;
-    * ``_update``: the update rules applied after the conditions;
-    * ``_init_structures`` for the state that the initial checkpoint does
-      not set, and ``_mark_send`` for the send bookkeeping;
-    * ``take_checkpoint``, one override per family: it resets the
-      per-interval structures, applies the clock rule (one increment here),
-      updates what depends on the new timestamp and returns that timestamp.
+    * ``on_send(dest)``, its send rule: check ``dest``, do the send
+      bookkeeping, return the payload that ``_sent_payload`` builds;
+    * ``on_receive(m)``, its receive rule: check the payload's shape, ask
+      ``_c1(m)`` and ``_c2(m)`` on the pre-update state, force through
+      ``take_checkpoint()`` if either fired, then apply its clock rule and
+      vector merges in place;
+    * ``take_checkpoint``: it resets the per-interval structures, applies
+      the clock rule (one increment here), updates what depends on the new
+      timestamp and returns that timestamp;
+    * ``payload_fields``, the vectors it piggybacks, ``state_fields``, the
+      state ``snapshot()`` renders next to ``lc``, and ``_init_structures``
+      for the state that the initial checkpoint does not set.
 
-    Construction runs ``_init_structures`` and the initial checkpoint.
+    The conditions ``_c1``/``_c2``, ``eval_c_*`` predicates bound as
+    methods (default: never fires), are the only hooks.  The rules here
+    are ``none``'s.  Construction runs ``_init_structures`` and the
+    initial checkpoint.
     """
 
     name = "?"
@@ -319,8 +325,6 @@ class BaseProtocol:
         self._init_structures()
         self.take_checkpoint()
 
-    # subclass hooks -----------------------------------------------------
-
     def _init_structures(self) -> None:
         pass
 
@@ -329,44 +333,43 @@ class BaseProtocol:
 
     _c2 = _c1
 
-    def _update(self, m: Piggyback) -> None:
-        self.lc = max(self.lc, m.t)
-
-    def _mark_send(self, dest: int) -> None:
-        pass
-
-    def _payload(self) -> Piggyback:
-        return _sent_payload(self.lc, self.n, None, None, None, None, None, 0)
-
-    # lifecycle ----------------------------------------------------------
-
     def take_checkpoint(self) -> int:
         self.lc += 1
         return self.lc
 
     def on_send(self, dest: int) -> Piggyback:
-        if dest == self.i or not 1 <= dest <= self.n:
-            raise ProtocolError(f"P{self.i} cannot send to itself" if dest == self.i
-                                else f"destination {dest} out of range 1..{self.n}")
-        self._mark_send(dest)
-        return self._payload()
+        """The payload for a message to ``dest``; ProtocolError unless
+        ``dest`` is an exact int naming another process."""
+        if type(dest) is not int or dest == self.i or not 1 <= dest <= self.n:
+            raise ProtocolError(self._dest_problem(dest))
+        return _sent_payload(self.lc, self.n, None, None, None, None, None, 0)
 
     def on_receive(self, m: Piggyback):
-        """Returns (decision, the forced checkpoint's timestamp or None)."""
-        if m.n != self.n or m.field_set != self._field_set:
+        """Returns (decision, the forced checkpoint's timestamp or None);
+        ProtocolError unless ``m`` is a Piggyback of this family's shape."""
+        if type(m) is not Piggyback or m.n != self.n or m.field_set != self._field_set:
             raise ProtocolError(self._payload_problem(m))
         c1 = self._c1(m)
         c2 = self._c2(m)
-        if not (c1 or c2):
-            self._update(m)
-            return _NOT_FORCED
-        t = self.take_checkpoint()
-        self._update(m)
-        return _DECISIONS[c1, c2], t
+        out = _NOT_FORCED
+        if c1 or c2:
+            out = _DECISIONS[c1, c2], self.take_checkpoint()
+        if m.t > self.lc:
+            self.lc = m.t
+        return out
 
     # helpers ------------------------------------------------------------
 
-    def _payload_problem(self, m: Piggyback) -> str:
+    def _dest_problem(self, dest) -> str:
+        if type(dest) is not int:
+            return f"destination {dest!r} is not an int"
+        if dest == self.i:
+            return f"P{self.i} cannot send to itself"
+        return f"destination {dest} out of range 1..{self.n}"
+
+    def _payload_problem(self, m) -> str:
+        if type(m) is not Piggyback:
+            return f"{self.name}: payload {m!r} is not a Piggyback"
         for f in _VECTOR_FIELDS:
             if f in self.payload_fields and getattr(m, f) is None:
                 return f"{self.name}: payload missing '{f}'"
@@ -396,6 +399,8 @@ class NoneProtocol(BaseProtocol):
 
 
 class PartlyInformed(BaseProtocol):
+    """BaseProtocol's receive rule behind the partly-informed condition."""
+
     name = "pi"
     state_fields = ("sent_to", "min_to")
     _c1 = eval_c_pi
@@ -405,11 +410,15 @@ class PartlyInformed(BaseProtocol):
         self.min_to = [INF] * (self.n + 1)
         return super().take_checkpoint()
 
-    def _mark_send(self, dest):
+    def on_send(self, dest):
+        if type(dest) is not int or dest == self.i or not 1 <= dest <= self.n:
+            raise ProtocolError(self._dest_problem(dest))
         self.sent_to |= 1 << dest
-        # Only the first send of the interval matters; min-merge makes
-        # repeated sends harmless.
-        self.min_to[dest] = min(self.min_to[dest], self.lc)
+        # Only the first send of the interval matters; keeping the minimum
+        # makes repeated sends harmless.
+        if self.lc < self.min_to[dest]:
+            self.min_to[dest] = self.lc
+        return _sent_payload(self.lc, self.n, None, None, None, None, None, 0)
 
 
 class _FIFamily(BaseProtocol):
@@ -417,13 +426,15 @@ class _FIFamily(BaseProtocol):
     fully-informed protocols.  A family's take_checkpoint applies its own
     resets and clock rule, then ``_saved`` does what every checkpoint
     shares: it clears ``sent_to``, marks every other process as having
-    taken a checkpoint, counts itself in ``ckptv`` and returns ``lc``."""
+    taken a checkpoint, counts itself in ``ckptv`` and returns ``lc``.
+    The receive rules of GreaterFI and LazyFI end with
+    ``_merge_ckpt_knowledge``; ClockvFI's folds it into its own pass."""
 
     _c2 = eval_c_fi2
 
     def _init_structures(self):
         n, i = self.n, self.i
-        self._peers = [k for k in range(1, n + 1) if k != i]
+        self._peers = tuple((k, 1 << k) for k in range(1, n + 1) if k != i)
         self._others = ((1 << (n + 1)) - 2) ^ (1 << i)  # every process but i
         self.ckptv = [0] * (n + 1)
         self.taken = 0
@@ -434,21 +445,18 @@ class _FIFamily(BaseProtocol):
         self.ckptv[self.i] += 1
         return self.lc
 
-    def _mark_send(self, dest):
-        self.sent_to |= 1 << dest
-
     def _merge_ckpt_knowledge(self, m):
         """Per k != i: a larger ckptv entry wins with its taken bit, an
         equal one ORs the taken bits."""
         mine, theirs = self.ckptv, m.ckptv
         raised = same = 0
-        for k in self._peers:
+        for k, bit in self._peers:
             got, had = theirs[k], mine[k]
             if got > had:
                 mine[k] = got
-                raised |= 1 << k
+                raised |= bit
             elif got == had:
-                same |= 1 << k
+                same |= bit
         self.taken = self.taken & ~raised | m.taken & (raised | same)
 
 
@@ -468,21 +476,41 @@ class ClockvFI(_FIFamily):
         self.clockv[self.i] = self.lc
         return self._saved()
 
-    _mark_send = PartlyInformed._mark_send
-
-    def _payload(self):
+    def on_send(self, dest):
+        if type(dest) is not int or dest == self.i or not 1 <= dest <= self.n:
+            raise ProtocolError(self._dest_problem(dest))
+        self.sent_to |= 1 << dest
+        if self.lc < self.min_to[dest]:  # as PartlyInformed
+            self.min_to[dest] = self.lc
         return _sent_payload(self.lc, self.n, tuple(self.clockv), None, None,
                              tuple(self.ckptv), self.taken, self._field_set)
 
-    def _update(self, m):
+    def on_receive(self, m):
+        if type(m) is not Piggyback or m.n != self.n or m.field_set != self._field_set:
+            raise ProtocolError(self._payload_problem(m))
+        c1 = self._c1(m)
+        c2 = self._c2(m)
+        out = _NOT_FORCED
+        if c1 or c2:
+            out = _DECISIONS[c1, c2], self.take_checkpoint()
+        clockv, ckptv = self.clockv, self.ckptv
         if m.t > self.lc:
-            self.lc = m.t
-            self.clockv[self.i] = self.lc
-        mine, theirs = self.clockv, m.clockv
-        for k in self._peers:
-            if theirs[k] > mine[k]:
-                mine[k] = theirs[k]
-        self._merge_ckpt_knowledge(m)
+            self.lc = clockv[self.i] = m.t
+        # The clock-vector max and _merge_ckpt_knowledge's rule in one pass
+        # over the peers, since this family's receive is the slowest.
+        their_clock, their_ckpt = m.clockv, m.ckptv
+        raised = same = 0
+        for k, bit in self._peers:
+            if their_clock[k] > clockv[k]:
+                clockv[k] = their_clock[k]
+            got, had = their_ckpt[k], ckptv[k]
+            if got > had:
+                ckptv[k] = got
+                raised |= bit
+            elif got == had:
+                same |= bit
+        self.taken = self.taken & ~raised | m.taken & (raised | same)
+        return out
 
 
 class GreaterFI(_FIFamily):
@@ -496,11 +524,21 @@ class GreaterFI(_FIFamily):
         self.lc += 1
         return self._saved()
 
-    def _payload(self):
+    def on_send(self, dest):
+        if type(dest) is not int or dest == self.i or not 1 <= dest <= self.n:
+            raise ProtocolError(self._dest_problem(dest))
+        self.sent_to |= 1 << dest
         return _sent_payload(self.lc, self.n, None, self.greater, None,
                              tuple(self.ckptv), self.taken, self._field_set)
 
-    def _update(self, m):
+    def on_receive(self, m):
+        if type(m) is not Piggyback or m.n != self.n or m.field_set != self._field_set:
+            raise ProtocolError(self._payload_problem(m))
+        c1 = self._c1(m)
+        c2 = self._c2(m)
+        out = _NOT_FORCED
+        if c1 or c2:
+            out = _DECISIONS[c1, c2], self.take_checkpoint()
         # The own entry is never set, so it stays False in both branches.
         if m.t > self.lc:
             self.lc = m.t
@@ -508,6 +546,7 @@ class GreaterFI(_FIFamily):
         elif m.t == self.lc:
             self.greater &= m.greater
         self._merge_ckpt_knowledge(m)
+        return out
 
 
 class LazyFI(_FIFamily):
@@ -529,11 +568,21 @@ class LazyFI(_FIFamily):
         self.increment = False
         return self._saved()
 
-    def _payload(self):
+    def on_send(self, dest):
+        if type(dest) is not int or dest == self.i or not 1 <= dest <= self.n:
+            raise ProtocolError(self._dest_problem(dest))
+        self.sent_to |= 1 << dest
         return _sent_payload(self.lc, self.n, None, None, self.equal_incr,
                              tuple(self.ckptv), self.taken, self._field_set)
 
-    def _update(self, m):
+    def on_receive(self, m):
+        if type(m) is not Piggyback or m.n != self.n or m.field_set != self._field_set:
+            raise ProtocolError(self._payload_problem(m))
+        c1 = self._c1(m)
+        c2 = self._c2(m)
+        out = _NOT_FORCED
+        if c1 or c2:
+            out = _DECISIONS[c1, c2], self.take_checkpoint()
         own = 1 << self.i
         if m.t > self.lc:
             self.lc = m.t
@@ -543,6 +592,7 @@ class LazyFI(_FIFamily):
             self.increment = True
             self.equal_incr |= own | m.equal_incr & (self._others | own)
         self._merge_ckpt_knowledge(m)
+        return out
 
 
 class Fine(GreaterFI):

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from cicsim.oracle import oracle_report
 from cicsim.protocols import (
+    BaseProtocol,
+    GreaterFI,
     Piggyback,
     PROTOCOL_NAMES,
     ProtocolError,
@@ -427,6 +429,61 @@ def test_missing_field_rejected():
     p = make_protocol("lazy-fi", 3, 2)
     with pytest.raises(ProtocolError):
         p.on_receive(Piggyback(t=1, n=3))
+
+
+def look_alike(pb):
+    """A duck-typed copy of payload ``pb``: every slot, but not a Piggyback."""
+    return SimpleNamespace(**{name: getattr(pb, name) for name in PAYLOAD_SLOTS})
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+@pytest.mark.parametrize("call, arg, match", [
+    ("on_send", 2.0, "not an int"),
+    ("on_send", "2", "not an int"),
+    ("on_send", True, "not an int"),  # would address P1
+    ("on_receive", None, "not a Piggyback"),
+    ("on_receive", {"t": 1}, "not a Piggyback"),
+    ("on_receive", "look-alike", "not a Piggyback"),
+])
+def test_entry_points_reject_malformed_arguments(name, call, arg, match):
+    # An entry point takes an exact int destination and an exact Piggyback,
+    # as make_protocol takes exact ints; anything else is a ProtocolError,
+    # never a payload, a send to P1, or a TypeError or AttributeError.
+    machine = make_protocol(name, 3, 3)
+    if arg == "look-alike":
+        arg = look_alike(make_protocol(name, 3, 1).on_send(3))
+    with pytest.raises(ProtocolError, match=match):
+        getattr(machine, call)(arg)
+
+
+def drive(cls, scenario):
+    """The steps of ``scenario`` on one ``cls`` machine per process, with no
+    run around them; the (message, fired conditions) of each force."""
+    machines = [None] + [cls(scenario.n, i) for i in range(1, scenario.n + 1)]
+    in_flight, forced = {}, []
+    for st in scenario.steps:
+        m = machines[st.process]
+        if st.kind == "send":
+            in_flight[st.message] = m.on_send(st.dest)
+        elif st.kind == "ckpt":
+            m.take_checkpoint()
+        else:
+            decision, t = m.on_receive(in_flight.pop(st.message))
+            if t is not None:
+                forced.append((st.message, sorted(decision.fired)))
+    return forced
+
+
+def test_conditions_are_the_hooks_a_subclass_overrides():
+    # On the taken fixture fi-greater forces only at m3, and only by C2; a
+    # subclass whose C2 never fires forces nothing, so the receive rule asks
+    # the _c2 hook and not the predicate behind it.
+    class NoSecondCondition(GreaterFI):
+        _c2 = BaseProtocol._c2
+
+    scenario = builtin("taken")[0]
+    assert drive(GreaterFI, scenario) == [("m3", ["C2"])]
+    assert drive(NoSecondCondition, scenario) == []
 
 
 def test_none_protocol_only_tracks_clock():

@@ -10,6 +10,7 @@ the protocol, the step and the field.
 import random
 
 from cicsim.protocols import PROTOCOL_NAMES
+from cicsim.rng import SplitMix64
 from cicsim.scenarios import FIXTURE_NAMES, FuzzParams, builtin, random_scenario
 from cicsim.simulator import run_scenario
 from reference_model import PROTOCOLS, run_model
@@ -73,3 +74,22 @@ def test_machines_match_the_model_on_seeded_scenarios():
             forced += count
     assert bad == [], "\n".join(bad[:10])
     assert forced > 5000
+
+
+def test_machines_match_the_model_at_the_long_safe_shape():
+    # The benchmark's long-safe inputs for seeds 1-3, drawn as it draws
+    # them: n = 8, 600 events, up to 16 messages in flight, one checkpoint
+    # rate per process.  The seeded scenarios above stop at n = 6 and 40
+    # events, short of the peer loops of eight processes.
+    bad, forced = [], 0
+    for seed in (1, 2, 3):
+        draw = SplitMix64(seed ^ 0xC1C51A8)
+        rates = tuple(0.02 + 0.28 * draw.random() for _ in range(8))
+        scenario = random_scenario(FuzzParams(n=8, events=600, p_ckpt=rates, p_send=0.35,
+                                              max_in_flight=16, seed=seed))
+        for protocol in PROTOCOL_NAMES:
+            lines, count = differences(f"long-safe seed {seed}", scenario, protocol)
+            bad += lines
+            forced += count
+    assert bad == [], "\n".join(bad[:10])
+    assert forced > 500

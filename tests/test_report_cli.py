@@ -619,6 +619,15 @@ def test_cli_out_is_untouched_when_the_work_fails(argv, tmp_path, capsys):
     assert not fresh.exists()
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+def test_cli_failed_write_is_usage_error(capsys):
+    # /dev/full passes the check made before the work and fails the write
+    # itself, which _write turns into exit 2 with the error it got.
+    assert main(["run", "ccp", "none", "--json", "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cicsim: cannot write '/dev/full': [Errno 28] ")
+
+
 def test_cli_fuzz_fine_finds_failures(capsys):
     code = main(["fuzz", "--protocols", "fine", "--runs", "300", "--check"])
     out = capsys.readouterr().out
