@@ -222,8 +222,10 @@ class _ZigzagIndex:
         return self.got[self._bit(key) - 1]
 
     def _named(self, chain: tuple[int, ...]) -> tuple[str, ...]:
-        """The message names of a chain of bits."""
-        return tuple(map(self.names.__getitem__, chain))
+        """The message names of a chain of bits (never empty), read by one
+        C-level ``itemgetter`` call; a one-message chain stays a 1-tuple."""
+        names = itemgetter(*chain)(self.names)
+        return names if len(chain) > 1 else (names,)
 
     def _back(self, end: int, allowed: int):
         """Breadth-first layers backwards from ``end``: layer d holds the

@@ -16,20 +16,22 @@ byte for byte; ``cicsim run``, ``fuzz`` and ``amplify`` all write through it.
 Every list in a run report is a table: a list of dicts with one key set
 (``processes`` and each process's ``checkpoints``, ``forced_events``,
 ``piggybacks``, ``z_cycles``, ``violations``, and a campaign's
-``findings``).  The writer builds one plan per table instead of redoing
-the per-dict work on every row: the sorted keys, a row template that
-holds every key's written ``"key": `` text and the indentation, and one
-value writer per key, chosen by the type of the first row's value.  A
-list is a table when every item is an exact ``dict``, none is empty and
-each has the first item's keys; a lone dict is a table of one row, so
-there is one dict writer.  The plan is exact because rows with one key
-set share their sorted key order and key texts, so only the values
-differ, and each value is still tested against its writer's type (exact
-``str``, exact ``int``, ``bool``, a non-empty all-int or all-``str``
-list) and written by the generic branch when the test fails:
-a row whose value differs in type from the first row's is written as
-``json.dumps`` writes it.  The writer fills the table column by column;
-row by row, with one writer call per value, measured slower.
+``findings``).  The writer writes each table in one join instead of
+redoing the per-dict work on every row.  A list is a table when every
+item is an exact ``dict`` with the first item's (non-zero) key count and
+one ``itemgetter`` of the first item's sorted keys reads every item; a
+``KeyError`` means it is not.  A lone dict is a table of one row, so
+there is one dict writer.  The getter's rows, transposed, are the value
+columns; the table's text is a row plan of the fixed ``"key": `` heads
+(with the brackets and indentation) repeated once per row, each column's
+texts put into its slots, and one join.  Each column's value writer is
+chosen by the type of the first row's value, and each value is still
+tested against its writer's type (exact ``str``, exact ``int``, ``bool``,
+a non-empty all-int or all-``str`` list) and written by the generic
+branch when the test fails: a row whose value differs in type from the
+first row's is written as ``json.dumps`` writes it.  The writer fills
+the table column by column; row by row, with one writer call per value,
+measured slower.
 
 A run report repeats a few checkpoints and chains many times: an
 unprotected 100-event report writes about 900 ``[process, ordinal]`` pairs
@@ -45,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 
 from .oracle import OracleReport
 from .simulator import AnnotatedTrace
@@ -141,7 +144,7 @@ def to_json(obj) -> str:
 
     Dict keys must be ``str`` (a report has no other kind); any other key
     raises TypeError.  Lists of same-keyed dicts are written as tables,
-    from one plan per list, and a list object that recurs in a column of
+    in one join per list, and a list object that recurs in a column of
     such a table is written once (see the module docstring).
     """
     return _encode(obj, 0) + "\n"
@@ -160,6 +163,7 @@ class _Indents(dict):
 _INDENTS = _Indents()
 _INTS = frozenset([int])  # exact types, so a bool is not an int here
 _STRS = frozenset([str])
+_DICTS = frozenset([dict])
 
 
 def _encode(v, depth: int) -> str:
@@ -179,15 +183,15 @@ def _encode(v, depth: int) -> str:
             body = sep.join(map(int.__repr__, v))
         elif _STRS.issuperset(map(type, v)):
             body = sep.join(map(_escape, v))
-        elif _is_table(v):
-            body = sep.join(_rows(v, depth + 1))
         else:
-            depth += 1
-            body = sep.join([_encode(x, depth) for x in v])
+            body = _table(v, depth + 1) if _DICTS.issuperset(map(type, v)) else None
+            if body is None:
+                depth += 1
+                body = sep.join([_encode(x, depth) for x in v])
         return f"[{item}{body}{close}]"
     if isinstance(v, dict):
         # A lone dict is a table of one row.
-        return _rows((v,), depth)[0] if v else "{}"
+        return _table((v,), depth) if v else "{}"
     if v is True:
         return "true"
     if v is False:
@@ -198,43 +202,41 @@ def _encode(v, depth: int) -> str:
     return json.dumps(v)
 
 
-def _is_table(v) -> bool:
-    """Whether every item of the list ``v`` is an exact, non-empty dict with
-    the first item's key set."""
-    first = v[0]
-    if type(first) is not dict or not first:
-        return False
-    keys = first.keys()
-    for x in v:
-        if type(x) is not dict or x.keys() != keys:
-            return False
-    return True
-
-
-def _rows(rows, depth: int) -> list[str]:
-    """The text of each dict in ``rows`` (non-empty dicts with one key set),
-    written at ``depth``, from one plan: the sorted keys, one row template
-    holding every key's text, and one value writer per key."""
-    first = rows[0]
-    keys = sorted(first)
+def _table(rows, depth: int) -> str | None:
+    """The dicts in ``rows`` written at ``depth`` and joined by the item
+    separator of the list that holds them, or None when they are no table
+    (module docstring): every row has the first row's key count and holds
+    each of its keys, so the rows share one key set."""
+    keys = sorted(rows[0])
+    if not keys or {len(keys)} != set(map(len, rows)):
+        return None
+    try:
+        got = list(map(itemgetter(*keys), rows))
+    except KeyError:
+        return None
     close, item, sep = _INDENTS[depth]
-    # _escape raises TypeError for a key that is not a str; a key's "%" is
-    # doubled so that the template writes it as it is.
-    template = "".join([
-        "{", item,
-        sep.join([_escape(k).replace("%", "%%") + ": %s" for k in keys]),
-        close, "}",
-    ])
-    depth += 1
-    columns = [_column([r[k] for r in rows], first[k], depth) for k in keys]
-    return [template % values for values in zip(*columns)]
+    # _escape raises TypeError for a key that is not a str.
+    first, *rest = [_escape(k) + ": " for k in keys]
+    lead = f"{{{item}{first}"
+    # One row's plan: its opening (the close of the row before, the
+    # separator and the first head), then a slot for each column's text,
+    # each slot after the first behind its key's head.
+    plan = [f"{close}}},{close}{lead}", ""]
+    for head in rest:
+        plan += sep + head, ""
+    out = plan * len(rows) + [close + "}"]
+    out[0] = lead
+    for i, col in enumerate(zip(*got) if rest else [got]):
+        out[2 * i + 1::len(plan)] = _column(col, depth + 1)
+    return "".join(out)
 
 
-def _column(col: list, guess, depth: int) -> list[str]:
+def _column(col, depth: int) -> list[str]:
     """The text of each value in ``col``, written at ``depth``.  The writer
-    is chosen by the type of ``guess`` (the first row's value), but every
-    value is tested against it and written by ``_encode`` if it fails, so a
-    value's text never depends on another row's."""
+    is chosen by the type of the first row's value, but every value is
+    tested against it and written by ``_encode`` if it fails, so a value's
+    text never depends on another row's."""
+    guess = col[0]
     t = type(guess)
     if t is str:
         return [_escape(x) if type(x) is str else _encode(x, depth) for x in col]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -139,6 +140,16 @@ def _same_keyed_rows(draw):
         rows.append({
             k: draw(columns[k] if draw(st.integers(0, 4)) else _json_trees) for k in order
         })
+    if draw(st.booleans()):
+        # One row with another key set (a key swapped, dropped or added),
+        # so the rows are no table.
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        spare = [k for k in _table_keys if k not in row]
+        change = draw(st.sampled_from(["swap", "drop", "add"] if spare else ["drop"]))
+        if change != "add":
+            del row[draw(st.sampled_from(sorted(row)))]
+        if change != "drop":
+            row[draw(st.sampled_from(spare))] = draw(_json_trees)
     # Tables at several depths: alone, as a dict value, inside a list.
     return draw(st.sampled_from([
         rows, {"rows": rows, "n": len(rows)}, [rows, {"t": rows}],
@@ -154,6 +165,12 @@ def _same_keyed_rows(draw):
 @example([{}, {}])
 @example([{"%s": 1, "%": [1, 2], "%%": "%d"}, {"%": [1, 2], "%%": "%s", "%s": 2}])
 @example({"d": [{"p": [1, 2]}], "e": [[{"p": [1, 2]}]]})  # one pair in two tables
+@example([{"a": 1, "b": 2}, {"a": 3, "c": 4}])  # equal key counts, other keys
+@example([{"b": 1, "a": 2}, {"c": 3, "d": 4}, {"a": 5, "b": 6}])
+@example([{"a": 1, "b": 2}, {"a": 3}])  # a row missing a key
+@example([{"a": 1}, {"a": 2, "b": 3}])  # a row with an extra key
+@example(OrderedDict(b=1, a=[1, 2]))  # a lone dict subclass, at top level
+@example({"d": OrderedDict(b=True, a="x"), "e": [OrderedDict(z=1)]})  # and as a value
 @settings(max_examples=200, deadline=None)
 def test_to_json_writes_same_keyed_rows_as_the_stdlib(tree):
     assert to_json(tree) == _stdlib_json(tree)
@@ -211,6 +228,28 @@ def test_to_json_matches_the_stdlib_encoder_on_unprotected_run_reports():
         run = run_scenario(scen, "none")
         rep = run_report(run, oracle.oracle_report(run.trace), serialize_scenario(scen))
         assert to_json(rep) == _stdlib_json(rep), f"seed {seed}"
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # The writer keeps maps keyed by id and by key text on the output
+    # path: no set or dict order may reach the bytes.  The dense scenario
+    # has witness lists cut at the cap.
+    dense = tmp_path / "dense.scn"
+    dense.write_text(serialize_scenario(
+        random_scenario(FuzzParams(n=6, events=100, p_ckpt=0.15, seed=3))
+    ))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); from cicsim.cli import main; "
+             "sys.exit(main(sys.argv[2:]))")
+    outs = {
+        seed: [subprocess.run([sys.executable, "-c", probe, src, "run", ref, "none", "--json"],
+                              env={**os.environ, "PYTHONHASHSEED": seed},
+                              capture_output=True, check=True).stdout
+               for ref in ("ccp", str(dense))]
+        for seed in ("0", "1")
+    }
+    assert outs["0"] == outs["1"]
+    assert json.loads(outs["0"][1])["oracle"]["stats"]["witnesses_truncated"] == 8
 
 
 @pytest.mark.parametrize("tree", [{1: "a"}, {"a": [{2: 0}]}, [{2: 0}, {2: 1}]],
